@@ -22,7 +22,7 @@ from . import analytic
 from .core import GridSpec, SystemParams, validate
 from .dynamics import simulate_oscillator
 from .estimators import commutator, correlation, periodogram
-from .experiments import ExperimentReport, run_scenario
+from .experiments import ExperimentReport, ensemble_reduce, run_scenario
 from .noise import member_seed, synthesize_field
 from .spectra import SpectrumModel, field_spectrum
 
@@ -61,13 +61,15 @@ def _property_periodogram_calibration(jobs: int) -> tuple[list[str], bool]:
     grid = GridSpec(dt=0.1, n_samples=1 << 16, omega_cut=20.0, seed=515, n_ensemble=64)
     validate(params, grid)
     model = SpectrumModel.zpf()
-    acc = None
-    for k in range(grid.n_ensemble):
+
+    def worker(k):
         f = synthesize_field(model, params, grid, member_seed(grid.seed, k))
-        est = periodogram(f.samples, grid.dt)
-        acc = est.values if acc is None else acc + est.values
-        omega = est.omega
-    mean_spec = acc / grid.n_ensemble
+        return periodogram(f.samples, grid.dt)
+
+    mean_spec = ensemble_reduce(worker, grid.n_ensemble, jobs,
+                                lambda acc, k, est: acc + est.values,
+                                0.0) / grid.n_ensemble
+    omega = grid.domega * np.arange(1, mean_spec.size + 1)
     target = field_spectrum(model, params, omega)
 
     lo, hi = params.omega0 / 2.0, min(grid.omega_cut, 10.0 * params.omega0)
@@ -106,17 +108,18 @@ def _property_fourth_moment(jobs: int) -> tuple[list[str], bool]:
     grid = GridSpec(dt=0.1, n_samples=1 << 18, omega_cut=20.0, seed=808, n_ensemble=16)
     validate(params, grid)
     model = SpectrumModel.zpf()
-    resid = []
-    for k in range(grid.n_ensemble):
+
+    def worker(k):
         f = synthesize_field(model, params, grid, member_seed(grid.seed, k))
-        traj = simulate_oscillator(params, f)
-        x = traj.x
+        x = simulate_oscillator(params, f).x
         c = correlation(x, x, 5.0, grid.dt).values
         x2 = x ** 2
         c2 = correlation(x2, x2, 5.0, grid.dt).values
         # Gaussian identity: <x(t)^2 x(t')^2> - <x^2>^2 - 2 <x(t)x(t')>^2 = 0
-        resid.append(c2 - 2.0 * c ** 2)
-    resid = np.mean(resid, axis=0)
+        return c2 - 2.0 * c ** 2
+
+    resid = ensemble_reduce(worker, grid.n_ensemble, jobs,
+                            lambda acc, k, r: acc + r, 0.0) / grid.n_ensemble
     scale = 2.0 * analytic.ground_state(params).x_var ** 2
     worst = float(np.max(np.abs(resid)) / scale)
     ok = worst < 0.10

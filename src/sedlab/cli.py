@@ -3,7 +3,7 @@
 Subcommands: ``list`` (scenario names), ``run`` (one scenario to a report),
 ``verify`` (full acceptance suite), ``analytic`` (closed forms without
 simulation).  Exit codes: 0 success, 1 acceptance/report failure,
-2 configuration error.  Reports are canonical JSON (stable key order,
+2 configuration error or a report holding a NaN or infinity.  Reports are canonical JSON (stable key order,
 runtime excluded) so identical (scenario, config, seed) runs are
 byte-identical for any ``--jobs`` value.
 """
@@ -93,8 +93,9 @@ def _cmd_run(args) -> int:
     )
 
     if "report" in meta["emit"]:
+        text = report.to_json()  # a non-finite value raises before any write
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{scenario}_report.json").write_text(report.to_json())
+        (out_dir / f"{scenario}_report.json").write_text(text)
         report.write_csv(out_dir / f"{scenario}_report.csv")
 
     for line in report.summary_lines():

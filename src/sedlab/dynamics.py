@@ -13,6 +13,16 @@ the exact response.  Each step applies the exact matrix exponential of the
 damped linear system with the field held constant over dt, so the
 integrator is exact for piecewise-constant input at any step size.
 
+The stationary oscillator scenarios do not run the recursion: a field
+synthesized on the FFT lattice is periodic with period n*dt, so the exact
+periodic steady state of the same recursion is X_j = H(z_j) * E_j on the
+half-spectrum coefficients E_j of the field, with z_j = exp(2 pi i j/n) and
+H the z-transfer of the recursion (``response_transfer``).  They need no
+burn-in.  The time-domain integrator (``simulate_oscillator``,
+``simulate_dipoles``) stays as the oracle for that response, as the path
+of the property suite, and as the path of the kicked, non-stationary
+coherent-decay runs.
+
 The free particle (omega0 = 0) is never time-integrated: with no restoring
 force the reduction degenerates, so free-particle positions are sampled
 directly in the frequency domain from their process spectrum.
@@ -29,7 +39,7 @@ from scipy.signal import lfilter, lfiltic
 
 from .core import GridSpec, SystemParams, burn_in_samples
 from .errors import BurnInExceedsTrajectory, InvalidParams
-from .noise import FieldPair, FieldRealization, synthesize_series
+from .noise import FieldPair, FieldRealization, synthesis_band, synthesize_series
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,38 @@ def _integrate(params: SystemParams, eps: np.ndarray, dt: float,
         v[:-1] = (x[1:] - a11 * x[:-1] - b1 * eps[:-1]) / a12
         v[-1] = a21 * x[-2] + a22 * v[-2] + b2 * eps[-2]
     return x, v
+
+
+def response_transfer(params: SystemParams, grid: GridSpec):
+    """Steady-state gains (H_j, T_j), j = 0..n//2, of the oscillator on one
+    period of the grid, for fields synthesized on it.
+
+    For a field with half-spectrum coefficients E_j (the numpy ``rfft`` of
+    one period of its samples) the periodic steady state of
+    ``_integrate``'s recursion is X_j = H_j E_j, with
+
+        H(z) = (b1 z^-1 + c2 z^-2) / (1 - tr z^-1 + det z^-2),  z_j = exp(2 pi i j/n),
+
+    and its canonical momentum, by the periodic trapezoid rule with zero
+    mean, is P_j = T_j X_j with
+
+        T_j = -m omega0^2 dt/2 * (1 + z^-1)/(1 - z^-1) = i m omega0^2 dt/2 * cot(pi j/n),
+
+    T_0 = 0.  T is purely imaginary, so C_xp = irfft(T |X|^2)/n is odd in
+    the lag.  Both are evaluated on the synthesis band only and are zero
+    above it, where the field has no power.
+    """
+    dt, n = grid.dt, grid.n_samples
+    (a11, a12, a21, a22), (b1, b2) = _propagator(params, dt)
+    tr, det = a11 + a22, math.exp(-2.0 * params.damping_rate * dt)
+    c2 = a12 * b2 - a22 * b1
+    j = np.arange(synthesis_band(dt, n, grid.omega_cut) + 1)
+    zinv = np.exp(-2j * math.pi * j / n)
+    h = np.zeros(n // 2 + 1, dtype=complex)
+    t = np.zeros(n // 2 + 1, dtype=complex)
+    h[: j.size] = zinv * (b1 + c2 * zinv) / (1.0 + zinv * (det * zinv - tr))
+    t[1 : j.size] = 0.5j * params.m * params.omega0 ** 2 * dt / np.tan(math.pi * j[1:] / n)
+    return h, t
 
 
 def canonical_momentum(x: np.ndarray, params: SystemParams, dt: float) -> np.ndarray:

@@ -57,3 +57,7 @@ class EmptySeries(SedlabError):
 
 class UnknownScenario(SedlabError):
     """Scenario name not in the registry."""
+
+
+class NonFiniteReport(SedlabError):
+    """A report holds a NaN or infinity, which canonical JSON cannot carry."""

@@ -137,17 +137,36 @@ def periodogram(
         acc += np.abs(np.fft.rfft(chunk)) ** 2
         count += 1
     acc /= count
+    return spectrum_from_power(acc, seg, dt, wpow)
 
-    scale = dt / (math.pi * wpow)
-    values = scale * acc[1:]
-    if seg % 2 == 0:
+
+def spectrum_from_power(power: np.ndarray, n: int, dt: float,
+                        window_power: float | None = None) -> SpectrumEstimate:
+    """One-sided density from the mean |rfft|^2 of length-n (windowed) series.
+
+    ``window_power`` is sum(w^2) of the window, n for the rectangular one.
+    Bins j = 1..n//2 on omega_j = j * 2*pi/(n*dt); the mean bin is dropped.
+    """
+    wpow = float(n) if window_power is None else window_power
+    values = dt / (math.pi * wpow) * np.asarray(power, dtype=float)[1:]
+    if n % 2 == 0:
         values[-1] *= 0.5  # Nyquist bin appears once in the two-sided sum
-    domega = 2.0 * math.pi / (seg * dt)
+    domega = 2.0 * math.pi / (n * dt)
     omega = domega * np.arange(1, values.size + 1)
     return SpectrumEstimate(omega=omega, values=values)
 
 
-def _lag_count(max_lag: float, dt: float, n: int) -> int:
+def mean_square(coeffs: np.ndarray, n: int) -> float:
+    """Time average of x^2 for x = irfft(coeffs, n), by Parseval."""
+    w = coeffs.real ** 2 + coeffs.imag ** 2
+    total = w[0] + 2.0 * w[1:].sum()
+    if n % 2 == 0:
+        total -= w[-1]  # the Nyquist bin appears once
+    return float(total) / n ** 2
+
+
+def lag_count(max_lag: float, dt: float, n: int) -> int:
+    """Lag samples in max_lag, within the periodicity guard of n/10."""
     lag_samples = int(round(max_lag / dt))
     if lag_samples > n // 10:
         raise LagTooLong(
@@ -157,36 +176,41 @@ def _lag_count(max_lag: float, dt: float, n: int) -> int:
     return lag_samples
 
 
-def correlation(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float) -> CorrelationSeries:
-    """Unbiased lag estimator of C_ab(u) = <a(t) b(t+u)> for u in [0, max_lag]."""
+def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float):
+    """sum_t a(t) b(t+u) of the demeaned series at every lag of a buffer whose
+    padding keeps lags within +-max_lag free of wrap-around.
+
+    Entry u is lag u, entry m - u is lag -u.  Returns (raw, lag count, n).
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size != b.size or a.size == 0:
         raise EmptySeries("series must be nonempty and of equal length")
     n = a.size
-    lags = _lag_count(max_lag, dt, n)
+    lags = lag_count(max_lag, dt, n)
+    m = next_fast_len(n + lags + 1)
+    fa = np.fft.rfft(a - a.mean(), m)
+    fb = np.fft.rfft(b - b.mean(), m)
+    return np.fft.irfft(np.conj(fa) * fb, m), lags, n
 
-    am = a - a.mean()
-    bm = b - b.mean()
-    m = next_fast_len(2 * n)
-    fa = np.fft.rfft(am, m)
-    fb = np.fft.rfft(bm, m)
-    raw = np.fft.irfft(np.conj(fa) * fb, m)[: lags + 1]
+
+def correlation(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float) -> CorrelationSeries:
+    """Unbiased lag estimator of C_ab(u) = <a(t) b(t+u)> for u in [0, max_lag]."""
+    raw, lags, n = _cross_raw(a, b, max_lag, dt)
     n_eff = n - np.arange(lags + 1)
     return CorrelationSeries(
         lags=dt * np.arange(lags + 1),
-        values=raw / n_eff,
+        values=raw[: lags + 1] / n_eff,
         n_eff=n_eff,
     )
 
 
 def two_sided_correlation(a, b, max_lag: float, dt: float):
-    """C_ab(u) on u = -max_lag..max_lag, from C_ab(-u) = C_ba(u)."""
-    pos = correlation(a, b, max_lag, dt)
-    neg = correlation(b, a, max_lag, dt)
-    values = np.concatenate([neg.values[:0:-1], pos.values])
-    lags = np.concatenate([-neg.lags[:0:-1], pos.lags])
-    return lags, values
+    """C_ab(u) on u = -max_lag..max_lag; negative lags C_ab(-u) = C_ba(u)
+    come from the tail of the same cross transform."""
+    raw, lags, n = _cross_raw(a, b, max_lag, dt)
+    u = np.arange(-lags, lags + 1)
+    return dt * u, raw[u] / (n - np.abs(u))
 
 
 def hilbert_transform(values: np.ndarray) -> np.ndarray:
@@ -206,14 +230,14 @@ def hilbert_transform(values: np.ndarray) -> np.ndarray:
 def commutator_from_spectrum(spec: SpectrumEstimate, max_lag: float, dt: float) -> CommutatorSeries:
     """Auto-commutator coefficients c(t) = 2 * sum_j S_j sin(omega_j t) domega."""
     lags_n = int(round(max_lag / dt))
-    n_full = 2 * spec.values.size
-    full = np.zeros(n_full, dtype=complex)
-    full[1 : spec.values.size + 1] = spec.values
-    # Im sum_j S_j e^{2 pi i j k / n} evaluated for all k at once
-    z = np.fft.ifft(full) * n_full
+    # the full lattice of the series the spectrum came from
+    n_full = int(round(2.0 * math.pi / (spec.domega * dt)))
+    half = np.zeros(n_full // 2 + 1, dtype=complex)
+    half[1 : spec.values.size + 1] = -1j * spec.values
+    # irfft of -i S_j is (2/n) sum_j S_j sin(2 pi j k / n), for all k at once
+    sines = np.fft.irfft(half, n_full)[: lags_n + 1] * (0.5 * n_full)
     ks = np.arange(lags_n + 1)
-    # lattice times are multiples of dt when domega * dt * n_full = 2 pi
-    values = 2.0 * spec.domega * np.imag(z[: lags_n + 1])
+    values = 2.0 * spec.domega * sines
     values[0] = 0.0
     return CommutatorSeries(lags=dt * ks, values=values)
 

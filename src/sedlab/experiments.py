@@ -5,6 +5,16 @@ of (master seed, member index), reduces member results in index order, and
 embeds the fully resolved configuration in the report, so a report is a
 deterministic function of (name, params, grid, seed) for any worker count.
 
+The five stationary oscillator scenarios (ground_state, planck_thermal,
+dipoles, commutators, energy_time) use the periodic steady-state response
+on the synthesis lattice (``dynamics.response_transfer``), with no
+burn-in.  Lag correlations and spectra are linear in |X_j|^2, so
+commutators and energy_time add each member's |X_j|^2 into its group and
+inverse-transform each group once; the time series themselves are formed
+only where a statistic needs them (KS subsamples, windowed energies).
+coherent_decay starts from a kicked state, which is not stationary, and
+runs the time-domain integrator.
+
 Row pass policy: a match row passes when
 |estimated - analytic| <= max(tolerance * |analytic|, 3 * stderr); bound
 rows are one-sided with the same 3-sigma statistical allowance.
@@ -26,28 +36,31 @@ from . import analytic
 from .core import Config, GridSpec, SystemParams, validate
 from .dynamics import (
     Trajectory,
+    response_transfer,
     sample_from_spectrum,
-    simulate_dipoles,
     simulate_oscillator,
 )
-from .errors import UnknownScenario
+from .errors import NonFiniteReport, UnknownScenario
 from .estimators import (
-    SpectrumEstimate,
     commutator_from_spectrum,
     decorrelated,
     hilbert_transform,
     ks_critical,
     ks_distance,
-    periodogram,
+    lag_count,
+    mean_square,
+    spectrum_from_power,
     structure_function,
     windowed_energy,
     write_series_csv,
 )
 from .noise import (
+    FieldRealization,
     dump_realization,
+    field_coefficients,
     member_seed,
+    pair_coefficients,
     synthesize_field,
-    synthesize_pair,
 )
 from .spectra import SpectrumModel, field_spectrum, position_transfer
 
@@ -128,9 +141,23 @@ class ExperimentReport:
     def to_json(self, canonical: bool = True) -> str:
         """Stable-key-order JSON; the canonical form excludes the runtime
         so that identical (name, params, grid, seed) give byte-identical
-        reports."""
-        return json.dumps(self.to_dict(include_runtime=not canonical),
-                          sort_keys=True, indent=2) + "\n"
+        reports.
+
+        Raises NonFiniteReport, naming every offending row, instead of
+        writing a NaN or infinity (which is not JSON).
+        """
+        d = self.to_dict(include_runtime=not canonical)
+        bad = [row["quantity"] for row in d["rows"]
+               if any(isinstance(v, float) and not math.isfinite(v)
+                      for v in row.values())]
+        if bad:
+            raise NonFiniteReport(
+                f"scenario {self.scenario}: non-finite values in rows "
+                + ", ".join(bad))
+        try:
+            return json.dumps(d, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NonFiniteReport(f"scenario {self.scenario}: {exc}") from exc
 
     def write_csv(self, path):
         import csv
@@ -233,7 +260,14 @@ def _group_of(k: int, n_ensemble: int) -> int:
     return k * N_GROUPS // n_ensemble
 
 
+def _group_sizes(n_ensemble: int) -> np.ndarray:
+    """Members per group; groups are empty when n_ensemble < N_GROUPS."""
+    return np.bincount([_group_of(k, n_ensemble) for k in range(n_ensemble)],
+                       minlength=N_GROUPS)
+
+
 def _group_stderr(values_by_group) -> float:
+    """Standard error of the mean over groups; pass nonempty groups only."""
     vals = np.asarray(values_by_group, dtype=float)
     if vals.size < 2:
         return 0.0
@@ -252,38 +286,35 @@ def _u_decorrelation_time(params: SystemParams) -> float:
     return 12.0 / (params.tau * params.omega0 ** 2)
 
 
-def _fast_trim(arr: np.ndarray) -> np.ndarray:
-    """Trim the series front to an even FFT-friendly length (keeps the tail).
-
-    Even length keeps the full-length periodogram lattice commensurate
-    with the time grid, which the sine-transform commutator route relies
-    on.
-    """
-    from scipy.fft import next_fast_len
-
-    n = arr.size
-    m = n
-    while m % 2 or next_fast_len(m, real=True) != m:
-        m -= 1
-    return arr[n - m :]
+def _energy(params: SystemParams, x_sq, p_sq):
+    """Oscillator energy (m omega0^2 x^2 + p^2/m)/2 from x^2 and p^2
+    (samples, or means: the steady-state x and p have zero mean)."""
+    return 0.5 * (params.m * params.omega0 ** 2 * x_sq + p_sq / params.m)
 
 
-def _corr_arrays(x: np.ndarray, p: np.ndarray, lag_samples: int):
-    """(C_xx, C_pp, C_xp, C_px) on lags 0..lag_samples, unbiased, shared FFTs."""
-    from scipy.fft import next_fast_len
+def _emit_steady(emitter: Emitter, scenario: str, params: SystemParams,
+                 grid: GridSpec, x, p, seed, field=None):
+    """Member artifacts of a steady-state scenario: the field (``field`` is
+    (model, half-spectrum coefficients)) and the x and p series."""
+    if not emitter.wants("trajectories"):
+        return
+    if field is not None:
+        model, coeffs = field
+        emitter.field(scenario, FieldRealization(
+            dt=grid.dt, samples=np.fft.irfft(coeffs, grid.n_samples),
+            model=model, seed=seed, omega_cut=grid.omega_cut))
+    emitter.trajectory(scenario, Trajectory(dt=grid.dt, x=x, v=None, p=p,
+                                            params=params), seed)
 
-    n = x.size
-    xm = x - x.mean()
-    pm = p - p.mean()
-    m = next_fast_len(2 * n)
-    fx = np.fft.rfft(xm, m)
-    fp = np.fft.rfft(pm, m)
-    n_eff = n - np.arange(lag_samples + 1)
-    cxx = np.fft.irfft(np.conj(fx) * fx, m)[: lag_samples + 1] / n_eff
-    cpp = np.fft.irfft(np.conj(fp) * fp, m)[: lag_samples + 1] / n_eff
-    cxp = np.fft.irfft(np.conj(fx) * fp, m)[: lag_samples + 1] / n_eff
-    cpx = np.fft.irfft(np.conj(fp) * fx, m)[: lag_samples + 1] / n_eff
-    return cxx, cpp, cxp, cpx
+
+def _group_windows(power, sizes, jobs: int, window):
+    """Apply the linear map ``window`` to every nonempty group's summed power,
+    on the worker pool.  Returns the group means, in group order, and the
+    ensemble mean."""
+    groups = np.flatnonzero(sizes)
+    sums = ensemble_reduce(lambda i: window(power[groups[i]]), groups.size, jobs,
+                           lambda acc, i, res: acc + [res], [])
+    return [w / sizes[g] for w, g in zip(sums, groups)], sum(sums) / sizes.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +327,25 @@ def _scenario_ground_state(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     t_dec_x = _x_decorrelation_time(params)
     t_dec_u = _u_decorrelation_time(params)
 
+    n = grid.n_samples
+    H, T = response_transfer(params, grid)
+
     def worker(k):
-        field = synthesize_field(model, params, grid, member_seed(seed, k))
-        traj = simulate_oscillator(params, field)
-        u = 0.5 * (params.m * params.omega0 ** 2 * traj.x ** 2
-                   + traj.p ** 2 / params.m)
+        E = field_coefficients(model, params, grid, member_seed(seed, k))
+        X = H * E
+        x, p = np.fft.irfft(X, n), np.fft.irfft(T * X, n)
+        x_var, p_var = x.var(), p.var()
         res = {
-            "x_var": traj.x.var(),
-            "p_var": traj.p.var(),
-            "u_mean": u.mean(),
-            "x_sub": decorrelated(traj.x, grid.dt, t_dec_x),
-            "u_sub": decorrelated(u, grid.dt, t_dec_u),
+            "x_var": x_var,
+            "p_var": p_var,
+            "u_mean": _energy(params, x_var, p_var),
+            "x_sub": decorrelated(x, grid.dt, t_dec_x),
+            "u_sub": _energy(params, decorrelated(x, grid.dt, t_dec_u) ** 2,
+                             decorrelated(p, grid.dt, t_dec_u) ** 2),
         }
         if k == 0:
-            emitter.field("ground_state", field)
-            emitter.trajectory("ground_state", traj, member_seed(seed, k))
+            _emit_steady(emitter, "ground_state", params, grid, x, p,
+                         member_seed(seed, k), field=(model, E))
         return res
 
     def reducer(state, k, res):
@@ -355,67 +390,51 @@ def _scenario_ground_state(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     params, grid = cfg.params, cfg.grid
     model = SpectrumModel.zpf()
-    dt = grid.dt
+    dt, n = grid.dt, grid.n_samples
     t_max = 100.0
-    lag_ext = int(round(1.2 * t_max / dt))
+    lag_ext = lag_count(1.2 * t_max, dt, n)
+    H, T = response_transfer(params, grid)
+    n_ens = grid.n_ensemble
+    sizes = _group_sizes(n_ens)
 
     def worker(k):
-        field = synthesize_field(model, params, grid, member_seed(seed, k))
-        traj = simulate_oscillator(params, field)
-        x = _fast_trim(traj.x)
-        p = _fast_trim(traj.p)
-        cxx, cpp, cxp, cpx = _corr_arrays(x, p, lag_ext)
-        return {
-            "spec_x": periodogram(x, dt).values,
-            "spec_p": periodogram(p, dt).values,
-            "cxx": cxx, "cpp": cpp, "cxp": cxp, "cpx": cpx,
-        }
+        X = H * field_coefficients(model, params, grid, member_seed(seed, k))
+        return X.real ** 2 + X.imag ** 2
 
-    n_ens = grid.n_ensemble
+    def reducer(power, k, res):
+        power[_group_of(k, n_ens)] += res
+        return power
 
-    def reducer(state, k, res):
-        g = _group_of(k, n_ens)
-        for key, arr in res.items():
-            if key not in state:
-                state[key] = np.zeros((N_GROUPS,) + arr.shape)
-            state[key][g] += arr
-        return state
+    power = ensemble_reduce(worker, n_ens, jobs, reducer,
+                            np.zeros((N_GROUPS, n // 2 + 1)))
 
-    state = ensemble_reduce(worker, n_ens, jobs, reducer, {})
-    per_group = n_ens / N_GROUPS
+    # C_xx + C_xp on lags -lag_ext..lag_ext from one transform per group:
+    # C_xx is the even part, C_xp (T imaginary) the odd part
+    u = np.arange(-lag_ext, lag_ext + 1)
 
-    def total(key):
-        return state[key].sum(axis=0) / n_ens
+    def window(pw):
+        return np.fft.irfft(pw * (1.0 + T), n)[u] / n
 
-    spec_x = total("spec_x")
-    spec_p = total("spec_p")
-    # the periodogram lattice of the trimmed post-burn-in segment
-    seg_n = 2 * spec_x.size
-    omega = 2.0 * math.pi / (seg_n * dt) * np.arange(1, spec_x.size + 1)
+    windows, total = _group_windows(power, sizes, jobs, window)
+
+    def odd(w):
+        return 0.5 * (w - w[::-1])
+
+    mean_power = power.sum(axis=0) / n_ens
+    spec_x = spectrum_from_power(mean_power, n, dt)
+    spec_p = spectrum_from_power(mean_power * np.abs(T) ** 2, n, dt)
 
     lags = dt * np.arange(int(round(t_max / dt)) + 1)
-    c_xx_spec = commutator_from_spectrum(
-        SpectrumEstimate(omega=omega, values=spec_x), t_max, dt).values
-    c_pp_spec = commutator_from_spectrum(
-        SpectrumEstimate(omega=omega, values=spec_p), t_max, dt).values
+    c_xx_spec = commutator_from_spectrum(spec_x, t_max, dt).values
+    c_pp_spec = commutator_from_spectrum(spec_p, t_max, dt).values
 
-    def hilbert_route(pos_key, neg_key, group=None):
-        if group is None:
-            pos = total(pos_key)
-            neg = total(neg_key)
-        else:
-            pos = state[pos_key][group] / per_group
-            neg = state[neg_key][group] / per_group
-        two = np.concatenate([neg[:0:-1], pos])
-        h = 2.0 * hilbert_transform(two)
-        mid = lag_ext
-        return h[mid : mid + lags.size]
+    def hilbert_route(two_sided):
+        h = 2.0 * hilbert_transform(two_sided)
+        return h[lag_ext : lag_ext + lags.size]
 
-    c_xp_h = hilbert_route("cxp", "cpx")
-    c_xx_h = hilbert_route("cxx", "cxx")
-
-    cxp0_groups = [hilbert_route("cxp", "cpx", g)[0] for g in range(N_GROUPS)]
-    cxp0_se = _group_stderr(cxp0_groups)
+    c_xp_h = hilbert_route(odd(total))
+    c_xx_h = hilbert_route(0.5 * (total + total[::-1]))
+    cxp0_se = _group_stderr([hilbert_route(odd(w))[0] for w in windows])
 
     hb, m, w0 = params.hbar, params.m, params.omega0
     env = np.exp(-params.damping_rate * lags)
@@ -450,18 +469,18 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     params, grid = cfg.params, cfg.grid
     model = SpectrumModel.zpf()
-    dt = grid.dt
+    dt, n = grid.dt, grid.n_samples
     t_sweep = [1.0, 10.0, 100.0, 1000.0, 10000.0]
-    lag_max = int(round(max(t_sweep) / dt))
+    lag_max = lag_count(max(t_sweep), dt, n)
     m, w0 = params.m, params.omega0
+    H, T = response_transfer(params, grid)
+    n_ens = grid.n_ensemble
+    sizes = _group_sizes(n_ens)
 
     def worker(k):
-        field = synthesize_field(model, params, grid, member_seed(seed, k))
-        traj = simulate_oscillator(params, field)
-        x = _fast_trim(traj.x)
-        p = _fast_trim(traj.p)
-        cxx, cpp, cxp, _ = _corr_arrays(x, p, lag_max)
-        res = {"cxx": cxx, "cpp": cpp, "cxp": cxp}
+        X = H * field_coefficients(model, params, grid, member_seed(seed, k))
+        x, p = np.fft.irfft(X, n), np.fft.irfft(T * X, n)
+        res = {"power": X.real ** 2 + X.imag ** 2}
         res["inst"] = windowed_energy(x, p, params, dt, dt)
         for t in t_sweep:
             stats = windowed_energy(x, p, params, t, dt)
@@ -469,25 +488,32 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
                               stats.samples.var(), stats.samples.size)
         return res
 
-    n_ens = grid.n_ensemble
-
     def reducer(state, k, res):
-        g = _group_of(k, n_ens)
-        for key in ("cxx", "cpp", "cxp"):
-            state[key][g] += res[key]
+        state["power"][_group_of(k, n_ens)] += res["power"]
         state["inst_means"].append(res["inst"].mean)
         state["inst_stds"].append(res["inst"].dispersion)
         for t in t_sweep:
             state[f"w{t:g}"].append(res[f"w{t:g}"])
         return state
 
-    init = {key: np.zeros((N_GROUPS, lag_max + 1)) for key in ("cxx", "cpp", "cxp")}
-    init["inst_means"] = []
-    init["inst_stds"] = []
+    init = {"power": np.zeros((N_GROUPS, n // 2 + 1)),
+            "inst_means": [], "inst_stds": []}
     for t in t_sweep:
         init[f"w{t:g}"] = []
     state = ensemble_reduce(worker, n_ens, jobs, reducer, init)
-    per_group = n_ens / N_GROUPS
+
+    lags = np.arange(lag_max + 1)
+    t_sq = np.abs(T) ** 2
+
+    def window(pw):
+        """(C_xx, C_pp, C_xp) on lags 0..lag_max of one group's power."""
+        y = np.fft.irfft(pw * (1.0 + T), n) / n  # even part C_xx, odd part C_xp
+        back = y[-lags]
+        cpp = np.fft.irfft(pw * t_sq, n)[lags] / n
+        return np.stack([0.5 * (y[lags] + back), cpp, 0.5 * (y[lags] - back)])
+
+    group_corr, (cxx_m, cpp_m, cxp_m) = _group_windows(state["power"], sizes,
+                                                       jobs, window)
 
     def corr_route_delta_u(cxx, cpp, cxp, t_window):
         n_lag = int(round(t_window / dt))
@@ -496,10 +522,6 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
              + 2.0 * w0 ** 2 * cxp[: n_lag + 1] ** 2
              + cpp[: n_lag + 1] ** 2 / m ** 2)
         return math.sqrt(np.trapezoid(f, us) / (2.0 * t_window))
-
-    cxx_m = state["cxx"].sum(axis=0) / n_ens
-    cpp_m = state["cpp"].sum(axis=0) / n_ens
-    cxp_m = state["cxp"].sum(axis=0) / n_ens
 
     rows = []
     u_mean_all = [w[1] for w in state[f"w{t_sweep[0]:g}"]]
@@ -513,13 +535,7 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     for t in t_sweep:
         est_corr = corr_route_delta_u(cxx_m, cpp_m, cxp_m, t)
-        groups = [
-            corr_route_delta_u(state["cxx"][g] / per_group,
-                               state["cpp"][g] / per_group,
-                               state["cxp"][g] / per_group, t)
-            for g in range(N_GROUPS)
-        ]
-        se_corr = _group_stderr(groups)
+        se_corr = _group_stderr([corr_route_delta_u(*c, t) for c in group_corr])
         closed = analytic.energy_fluctuation(params, t)
         rows.append(Row(
             f"delta_u_corr_T{t:g}", est_corr, se_corr, closed.recomputed, 0.10,
@@ -615,9 +631,9 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
     slope, _ = np.polyfit(t[sel], logs, 1)
 
     var_mean = float(np.mean(var_x[t <= t_obs]))
-    var_se = _group_stderr([
-        np.mean(state["pair_vars"][g::N_GROUPS]) for g in range(N_GROUPS)
-    ])
+    pair_vars = state["pair_vars"]
+    var_se = _group_stderr([np.mean(pair_vars[g::N_GROUPS])
+                            for g in range(min(N_GROUPS, len(pair_vars)))])
 
     emitter.series("coherent_decay", "mean_trajectory", "t", t, mean_x)
     emitter.series("coherent_decay", "variance", "t", t, var_x)
@@ -682,7 +698,7 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
          "v_var": [], "sfv": []},
     )
     n_ens = grid.n_ensemble
-    per_group = n_ens / N_GROUPS
+    sizes = _group_sizes(n_ens)
     sf_mean = state["sf"].sum(axis=0) / n_ens
 
     def fit_slope(sf):
@@ -690,8 +706,8 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         return a
 
     slope = fit_slope(state["sf_fit"].sum(axis=0) / n_ens)
-    slope_se = _group_stderr([fit_slope(state["sf_fit"][g] / per_group)
-                              for g in range(N_GROUPS)])
+    slope_se = _group_stderr([fit_slope(state["sf_fit"][g] / sizes[g])
+                              for g in np.flatnonzero(sizes)])
     v_var, v_se = _mean_stderr(state["v_var"])
     sfv, sfv_se = _mean_stderr(state["sfv"])
 
@@ -741,7 +757,7 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
          "sf_sq": np.zeros(deltas.size), "p_var": []},
     )
     n_ens = grid.n_ensemble
-    per_group = n_ens / N_GROUPS
+    sizes = _group_sizes(n_ens)
     sf_mean = state["sf"].sum(axis=0) / n_ens
     sf_var = state["sf_sq"] / n_ens - sf_mean ** 2
     weights = 1.0 / np.maximum(sf_var / n_ens, 1e-30)
@@ -758,7 +774,7 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         return slope, intercept
 
     slope, intercept = wls(sf_mean)
-    group_fits = [wls(state["sf"][g] / per_group) for g in range(N_GROUPS)]
+    group_fits = [wls(state["sf"][g] / sizes[g]) for g in np.flatnonzero(sizes)]
     slope_se = _group_stderr([f[0] for f in group_fits])
 
     # intercept/slope = C + ln(1/tau) when the log law holds
@@ -790,25 +806,30 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     params, grid = cfg.params, cfg.grid
     model = SpectrumModel.zpf()
     pred = analytic.dipole_prediction(params)
-    pp = params.mode_params(+1)
+    pp, pm = params.mode_params(+1), params.mode_params(-1)
     t_dec = _x_decorrelation_time(pp)
     m, w0, K = params.m, params.omega0, params.K
     root2 = math.sqrt(2.0)
+    n = grid.n_samples
+    # normal modes x_pm = (x1 +- x2)/sqrt(2), driven by eps_pm
+    (Hp, Tp), (Hm, Tm) = (response_transfer(q, grid) for q in (pp, pm))
 
     def worker(k):
-        pair = synthesize_pair(model, params, grid, member_seed(seed, k))
-        t1, t2 = simulate_dipoles(params, pair)
-        xp = (t1.x + t2.x) / root2
-        xm = (t1.x - t2.x) / root2
-        h = (t1.p ** 2 / (2 * m) + t2.p ** 2 / (2 * m)
-             + 0.5 * m * w0 ** 2 * (t1.x ** 2 + t2.x ** 2)
-             - K * t1.x * t2.x)
-        cross = np.mean((t1.x - t1.x.mean()) * (t2.x - t2.x.mean()))
-        if k == 0:
-            emitter.trajectory("dipoles", t1, member_seed(seed, k))
+        Ep, Em = pair_coefficients(model, params, grid, member_seed(seed, k))
+        Xp, Xm = Hp * Ep, Hm * Em
+        xp, xm = np.fft.irfft(Xp, n), np.fft.irfft(Xm, n)
+        xp_var, xm_var = xp.var(), xm.var()
+        # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p
+        p_sq = mean_square(Tp * Xp, n) + mean_square(Tm * Xm, n)
+        h_mean = (p_sq / (2 * m) + 0.5 * m * w0 ** 2 * (xp_var + xm_var)
+                  - 0.5 * K * (xp_var - xm_var))
+        if k == 0 and emitter.wants("trajectories"):
+            p_plus, p_minus = np.fft.irfft(Tp * Xp, n), np.fft.irfft(Tm * Xm, n)
+            _emit_steady(emitter, "dipoles", params, grid, (xp + xm) / root2,
+                         (p_plus + p_minus) / root2, member_seed(seed, k))
         return {
-            "xp_var": xp.var(), "xm_var": xm.var(),
-            "cross": cross, "h_mean": h.mean(),
+            "xp_var": xp_var, "xm_var": xm_var,
+            "cross": 0.5 * (xp_var - xm_var), "h_mean": h_mean,
             "xp_sub": decorrelated(xp, grid.dt, t_dec),
             "xm_sub": decorrelated(xm, grid.dt, t_dec),
         }
@@ -857,13 +878,15 @@ def _scenario_planck_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter
     model = SpectrumModel.planck(params.kT)
     pred = analytic.planck_prediction(params, params.kT)
     t_dec_u = _u_decorrelation_time(params)
+    n = grid.n_samples
+    H, T = response_transfer(params, grid)
 
     def worker(k):
-        field = synthesize_field(model, params, grid, member_seed(seed, k))
-        traj = simulate_oscillator(params, field)
-        u = 0.5 * (params.m * params.omega0 ** 2 * traj.x ** 2
-                   + traj.p ** 2 / params.m)
-        return {"u_mean": u.mean(), "u_sub": decorrelated(u, grid.dt, t_dec_u)}
+        X = H * field_coefficients(model, params, grid, member_seed(seed, k))
+        x, p = np.fft.irfft(X, n), np.fft.irfft(T * X, n)
+        return {"u_mean": _energy(params, x.var(), p.var()),
+                "u_sub": _energy(params, decorrelated(x, grid.dt, t_dec_u) ** 2,
+                                 decorrelated(p, grid.dt, t_dec_u) ** 2)}
 
     def reducer(state, k, res):
         state["u_mean"].append(res["u_mean"])

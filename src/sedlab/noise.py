@@ -15,6 +15,12 @@ The j = 0 mode is always excluded, which is what makes infrared-divergent
 free-particle spectra (S_x ~ 1/omega) usable: structure functions remain
 finite on the lattice while the raw variance never sees the missing band.
 
+The draw is kept as its half-spectrum coefficients (``field_coefficients``,
+``pair_coefficients``), the numpy ``rfft`` of the series: the stationary
+oscillator scenarios drive their periodic steady-state response with them
+directly, and ``synthesize_series``/``synthesize_field`` are their
+``irfft``, bit for bit.
+
 Seed splitting: the sub-seed of ensemble member k is a pure function of
 (master seed, k) via numpy's SeedSequence spawn keys, so members can be
 generated in any order, on any number of workers, with identical results.
@@ -62,6 +68,36 @@ class FieldRealization:
         return np.arange(self.samples.size) * self.dt
 
 
+def synthesis_band(dt: float, n_samples: int, omega_cut: float) -> int:
+    """Highest lattice index j_max of the synthesis band; coefficients above it are zero."""
+    domega = 2.0 * math.pi / (n_samples * dt)
+    j_max = int(math.floor(omega_cut / domega + 1e-9))
+    j_max = min(j_max, n_samples // 2 - 1)
+    if j_max < 1:
+        raise InvalidParams([f"omega_cut {omega_cut:g} below the lattice spacing {domega:g}"])
+    return j_max
+
+
+def _half_spectrum(spectrum, dt: float, n_samples: int, omega_cut: float,
+                   rng: np.random.Generator):
+    """Half-spectrum coefficients of one draw and their lattice frequencies."""
+    domega = 2.0 * math.pi / (n_samples * dt)
+    j_max = synthesis_band(dt, n_samples, omega_cut)
+    omegas = domega * np.arange(1, j_max + 1)
+    svals = np.asarray(spectrum(omegas), dtype=float)
+    if np.any(svals < 0):
+        raise InvalidParams(["spectrum must be >= 0 on the synthesis band"])
+
+    amp = np.sqrt(svals * domega)
+    a = rng.standard_normal(j_max)
+    b = rng.standard_normal(j_max)
+
+    half = np.zeros(n_samples // 2 + 1, dtype=complex)
+    # irfft convention: x_k = (1/n) * (c_0 + 2 * sum_j Re[c_j e^{2pi i jk/n}] + ...)
+    half[1 : j_max + 1] = 0.5 * n_samples * amp * (a - 1j * b)
+    return half, omegas
+
+
 def synthesize_series(
     spectrum,
     dt: float,
@@ -84,28 +120,11 @@ def synthesize_series(
     -------
     ndarray, or (ndarray, ndarray) when ``derivative`` is set.
     """
-    domega = 2.0 * math.pi / (n_samples * dt)
-    j_max = int(math.floor(omega_cut / domega + 1e-9))
-    j_max = min(j_max, n_samples // 2 - 1)
-    if j_max < 1:
-        raise InvalidParams([f"omega_cut {omega_cut:g} below the lattice spacing {domega:g}"])
-
-    omegas = domega * np.arange(1, j_max + 1)
-    svals = np.asarray(spectrum(omegas), dtype=float)
-    if np.any(svals < 0):
-        raise InvalidParams(["spectrum must be >= 0 on the synthesis band"])
-
-    amp = np.sqrt(svals * domega)
-    a = rng.standard_normal(j_max)
-    b = rng.standard_normal(j_max)
-
-    half = np.zeros(n_samples // 2 + 1, dtype=complex)
-    # irfft convention: x_k = (1/n) * (c_0 + 2 * sum_j Re[c_j e^{2pi i jk/n}] + ...)
-    half[1 : j_max + 1] = 0.5 * n_samples * amp * (a - 1j * b)
+    half, omegas = _half_spectrum(spectrum, dt, n_samples, omega_cut, rng)
     x = np.fft.irfft(half, n_samples)
     if not derivative:
         return x
-    half[1 : j_max + 1] *= 1j * omegas
+    half[1 : omegas.size + 1] *= 1j * omegas
     return x, np.fft.irfft(half, n_samples)
 
 
@@ -119,6 +138,28 @@ def _check_resonance_resolved(params: SystemParams, grid: GridSpec):
             )
 
 
+def field_coefficients(
+    model: SpectrumModel,
+    params: SystemParams,
+    grid: GridSpec,
+    seed,
+) -> np.ndarray:
+    """Half-spectrum coefficients E_j (j = 0..n/2) of one field realization.
+
+    ``np.fft.irfft(E, n)`` is the realization ``synthesize_field`` returns
+    for the same seed, bit for bit; E_0 and E_{n/2} are zero.
+    """
+    _check_resonance_resolved(params, grid)
+    half, _ = _half_spectrum(
+        lambda w: field_spectrum(model, params, w),
+        grid.dt,
+        grid.n_samples,
+        grid.omega_cut,
+        np.random.default_rng(seed),
+    )
+    return half
+
+
 def synthesize_field(
     model: SpectrumModel,
     params: SystemParams,
@@ -130,15 +171,8 @@ def synthesize_field(
     ``seed`` may be an int or a SeedSequence; identical seeds give
     bit-identical samples regardless of scheduling.
     """
-    _check_resonance_resolved(params, grid)
-    rng = np.random.default_rng(seed)
-    samples = synthesize_series(
-        lambda w: field_spectrum(model, params, w),
-        grid.dt,
-        grid.n_samples,
-        grid.omega_cut,
-        rng,
-    )
+    samples = np.fft.irfft(field_coefficients(model, params, grid, seed),
+                           grid.n_samples)
     return FieldRealization(
         dt=grid.dt, samples=samples, model=model, seed=seed, omega_cut=grid.omega_cut
     )
@@ -154,6 +188,11 @@ class FieldPair:
     eps_minus: FieldRealization
 
 
+def _pair_seeds(seed):
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return ss.spawn(2)
+
+
 def synthesize_pair(
     model: SpectrumModel,
     params: SystemParams,
@@ -165,8 +204,7 @@ def synthesize_pair(
     The pm combinations are statistically independent of each other and
     carry the same target spectrum as each input.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    sub1, sub2 = ss.spawn(2)
+    sub1, sub2 = _pair_seeds(seed)
     f1 = synthesize_field(model, params, grid, sub1)
     f2 = synthesize_field(model, params, grid, sub2)
     root2 = math.sqrt(2.0)
@@ -183,6 +221,22 @@ def synthesize_pair(
         eps_plus=combo((f1.samples + f2.samples) / root2, "plus"),
         eps_minus=combo((f1.samples - f2.samples) / root2, "minus"),
     )
+
+
+def pair_coefficients(
+    model: SpectrumModel,
+    params: SystemParams,
+    grid: GridSpec,
+    seed,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Half-spectrum coefficients of ``synthesize_pair``'s eps_plus, eps_minus.
+
+    Drawn from the same sub-seeds, so their ``irfft`` equals the pair's
+    modes up to rounding.
+    """
+    e1, e2 = (field_coefficients(model, params, grid, s) for s in _pair_seeds(seed))
+    root2 = math.sqrt(2.0)
+    return (e1 + e2) / root2, (e1 - e2) / root2
 
 
 def dump_realization(path, samples: np.ndarray, dt: float, seed, model_label: str,

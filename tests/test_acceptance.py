@@ -8,7 +8,12 @@ import os
 
 import pytest
 
-from sedlab.acceptance import SCENARIO_CRITERIA, criterion_9_properties
+from sedlab.acceptance import (
+    SCENARIO_CRITERIA,
+    _property_fourth_moment,
+    _property_periodogram_calibration,
+    criterion_9_properties,
+)
 from sedlab.experiments import run_scenario
 
 JOBS = int(os.environ.get("SEDLAB_JOBS", str(min(4, os.cpu_count() or 1))))
@@ -82,3 +87,9 @@ def test_scenario_registry_covers_all_criteria():
         "ground_state", "commutators", "energy_time", "coherent_decay",
         "free_thermal", "free_zpf", "dipoles", "planck_thermal",
     }
+
+
+@pytest.mark.parametrize("check", [_property_fourth_moment,
+                                   _property_periodogram_calibration])
+def test_pooled_properties_independent_of_jobs(check):
+    assert check(1) == check(2)

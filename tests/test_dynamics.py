@@ -3,19 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from sedlab.core import GridSpec, SystemParams
+from sedlab.core import GridSpec, SystemParams, validate
 from sedlab.dynamics import (
     Trajectory,
+    _integrate,
     _propagator,
     canonical_momentum,
     mean_trajectory,
+    response_transfer,
     sample_from_spectrum,
     simulate_dipoles,
     simulate_oscillator,
 )
 from sedlab.errors import BurnInExceedsTrajectory, InvalidParams
 from sedlab.estimators import periodogram, structure_function
-from sedlab.noise import FieldRealization, member_seed, synthesize_field, synthesize_pair
+from sedlab.experiments import scenario_defaults
+from sedlab.noise import (
+    FieldRealization,
+    field_coefficients,
+    member_seed,
+    pair_coefficients,
+    synthesize_field,
+    synthesize_pair,
+)
 from sedlab.spectra import (
     SpectrumModel,
     field_spectrum,
@@ -258,3 +268,51 @@ def test_dipole_rejects_imaginary_mode():
     pair = synthesize_pair(ZPF, SystemParams(tau=0.01), grid, 1)
     with pytest.raises(InvalidParams):
         simulate_dipoles(params, pair)
+
+
+def _steady_state_vs_integrator(params, coeffs, grid):
+    """Max deviation of the steady state from the second of two integrated
+    periods of the same field, for x and for p, relative to their range."""
+    dt, n = grid.dt, grid.n_samples
+    h, t = response_transfer(params, grid)
+    x_ss = np.fft.irfft(h * coeffs, n)
+    p_ss = np.fft.irfft(t * h * coeffs, n)
+    eps = np.fft.irfft(coeffs, n)
+    x, _ = _integrate(params, np.concatenate([eps, eps]), dt)
+    x = x[n:]
+    # the periodic trapezoid rule with zero mean, as canonical_momentum
+    p = canonical_momentum(x, params, dt)
+    return (np.max(np.abs(x - x_ss)) / np.ptp(x_ss),
+            np.max(np.abs(p - p_ss)) / np.ptp(p_ss))
+
+
+def test_steady_state_is_the_periodic_limit_of_the_integrator():
+    params, grid = scenario_defaults("commutators")
+    cfg = validate(params, grid)
+    coeffs = field_coefficients(ZPF, cfg.params, cfg.grid, member_seed(cfg.grid.seed, 0))
+    dx, dp = _steady_state_vs_integrator(cfg.params, coeffs, cfg.grid)
+    assert dx <= 1e-10
+    assert dp <= 1e-10
+
+
+def test_steady_state_of_each_dipole_mode():
+    params, grid = scenario_defaults("dipoles")
+    cfg = validate(params, grid)
+    modes = pair_coefficients(ZPF, cfg.params, cfg.grid, member_seed(cfg.grid.seed, 0))
+    for sign, coeffs in zip((+1, -1), modes):
+        dx, dp = _steady_state_vs_integrator(cfg.params.mode_params(sign), coeffs,
+                                             cfg.grid)
+        assert dx <= 1e-10
+        assert dp <= 1e-10
+
+
+def test_transfer_is_zero_above_the_band_and_momentum_gain_imaginary():
+    grid = GridSpec(dt=0.1, n_samples=1 << 16, omega_cut=4.0)
+    h, t = response_transfer(PARAMS, grid)
+    band = int(4.0 / grid.domega)
+    assert t[0] == 0.0
+    assert np.all(t.real == 0.0)
+    assert np.all(h[band + 1 :] == 0.0) and np.all(t[band + 1 :] == 0.0)
+    assert np.all(h[: band + 1] != 0.0)
+    # low-frequency gain of the position response is 1/omega0^2
+    assert h[0] == pytest.approx(1.0 / PARAMS.omega0 ** 2, rel=1e-12)

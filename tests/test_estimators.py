@@ -14,14 +14,17 @@ from sedlab.errors import (
     WindowTooLong,
 )
 from sedlab.estimators import (
+    SpectrumEstimate,
     commutator,
     commutator_from_spectrum,
     correlation,
     hilbert_transform,
     ks_critical,
     ks_distance,
+    mean_square,
     moments_and_histogram,
     periodogram,
+    spectrum_from_power,
     structure_function,
     two_sided_correlation,
     windowed_energy,
@@ -273,3 +276,46 @@ def test_two_sided_correlation_symmetry_for_auto():
     mid = lags.size // 2
     assert np.allclose(values[mid + 1 :], values[:mid][::-1])
     assert lags[mid] == 0.0
+
+
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_correlation_matches_direct_sum(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) + 0.3
+    b = np.roll(a, 7) + 0.5 * rng.standard_normal(n)
+    dt, lags = 0.1, n // 10
+    am, bm = a - a.mean(), b - b.mean()
+    direct = np.array([am[: n - u] @ bm[u:] / (n - u) for u in range(lags + 1)])
+    pos = correlation(a, b, lags * dt, dt)
+    assert pos.values.size == lags + 1
+    assert np.allclose(pos.values, direct, rtol=0.0, atol=1e-12)
+    # negative lags are C_ab(-u) = C_ba(u), from the same transform
+    back = np.array([bm[: n - u] @ am[u:] / (n - u) for u in range(lags + 1)])
+    two_lags, two = two_sided_correlation(a, b, lags * dt, dt)
+    assert np.allclose(two, np.concatenate([back[:0:-1], direct]), rtol=0.0, atol=1e-12)
+    assert np.allclose(two_lags, dt * np.arange(-lags, lags + 1))
+
+
+def test_spectrum_helpers_match_the_series_route():
+    rng = np.random.default_rng(3)
+    for n in (4096, 4097):
+        x = rng.standard_normal(n)
+        x -= x.mean()
+        coeffs = np.fft.rfft(x)
+        direct = periodogram(x, 0.1)
+        viaps = spectrum_from_power(np.abs(coeffs) ** 2, n, 0.1)
+        assert np.allclose(viaps.values, direct.values, rtol=1e-12)
+        assert np.array_equal(viaps.omega, direct.omega)
+        assert mean_square(coeffs, n) == pytest.approx(np.mean(x ** 2), rel=1e-12)
+
+
+def test_commutator_from_spectrum_on_an_odd_lattice():
+    # one tone on the lattice of an odd-length series: c(t) = 2 S domega sin(w t)
+    n, dt, j = 4097, 0.1, 40
+    values = np.zeros(n // 2)
+    values[j - 1] = 1.5
+    domega = 2.0 * math.pi / (n * dt)
+    spec = SpectrumEstimate(omega=domega * np.arange(1, n // 2 + 1), values=values)
+    c = commutator_from_spectrum(spec, 30.0, dt)
+    ref = 2.0 * 1.5 * domega * np.sin(j * domega * c.lags)
+    assert np.allclose(c.values, ref, rtol=0.0, atol=1e-12)

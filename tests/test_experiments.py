@@ -1,14 +1,19 @@
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sedlab.core import GridSpec, SystemParams
-from sedlab.errors import UnknownScenario
+from sedlab.errors import SedlabError, UnknownScenario
 from sedlab.experiments import (
+    N_GROUPS,
     SCENARIO_NAMES,
+    ExperimentReport,
     Row,
+    _group_sizes,
     run_scenario,
     scenario_defaults,
 )
@@ -131,3 +136,56 @@ def test_dipoles_small_budget():
     info = by_name["interaction_energy_series"]
     assert info.passed is None
     assert info.estimated == pytest.approx(-0.0012539268896673, rel=1e-9)
+
+
+def _default_grid(name, **changes):
+    return replace(scenario_defaults(name)[1], **changes)
+
+
+def test_commutators_report_independent_of_jobs():
+    grid = _default_grid("commutators", n_samples=1 << 16, n_ensemble=8)
+    r1 = run_scenario("commutators", grid=grid, jobs=1)
+    r2 = run_scenario("commutators", grid=grid, jobs=2)
+    assert r1.to_json() == r2.to_json()
+
+
+@pytest.mark.parametrize("n_ensemble", [1, 3, 4, 8, 12, 64, 100])
+def test_group_sizes_count_every_member(n_ensemble):
+    sizes = _group_sizes(n_ensemble)
+    assert sizes.size == N_GROUPS
+    assert sizes.sum() == n_ensemble
+    assert sizes.max() - sizes[sizes > 0].min() <= 1
+
+
+@pytest.mark.parametrize("name, n_samples, n_ensemble", [
+    ("commutators", 1 << 16, 4),
+    ("commutators", 1 << 16, 12),
+    ("coherent_decay", 1 << 15, 3),
+])
+def test_small_ensembles_give_finite_stderr(name, n_samples, n_ensemble):
+    grid = _default_grid(name, n_samples=n_samples, n_ensemble=n_ensemble)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_scenario(name, grid=grid)
+    assert all(math.isfinite(r.stderr) for r in report.rows)
+    json.loads(report.to_json())
+
+
+def test_group_stderr_uses_actual_group_sizes():
+    # at 12 members the groups hold 2 or 1; dividing by 1.5 instead would
+    # bias the group means apart and inflate the stderr
+    grid = _default_grid("commutators", n_samples=1 << 16, n_ensemble=12)
+    row = next(r for r in run_scenario("commutators", grid=grid).rows
+               if r.quantity == "c_xp_zero")
+    assert row.stderr < 0.1 * row.analytic
+
+
+def test_non_finite_report_is_refused():
+    report = ExperimentReport(
+        scenario="ground_state", config={}, runtime=0.0, seed=1,
+        rows=[Row("ok", 1.0, 0.1, 1.0, 0.1),
+              Row("bad_estimate", float("nan"), 0.1, 1.0, 0.1),
+              Row("bad_stderr", 1.0, float("inf"), 1.0, 0.1)])
+    with pytest.raises(SedlabError) as exc:
+        report.to_json()
+    assert str(exc.value).endswith("rows bad_estimate, bad_stderr")

@@ -9,8 +9,10 @@ from sedlab.errors import GridTooCoarse
 from sedlab.estimators import periodogram
 from sedlab.noise import (
     dump_realization,
+    field_coefficients,
     member_rng,
     member_seed,
+    pair_coefficients,
     synthesize_field,
     synthesize_pair,
     synthesize_series,
@@ -138,3 +140,27 @@ def test_dump_realization_roundtrip(tmp_path):
     assert meta["dt"] == f.dt
     assert meta["n"] == f.n_samples
     assert meta["model"] == "zpf"
+
+
+def test_field_coefficients_are_the_realization_spectrum():
+    seed = member_seed(GRID.seed, 3)
+    coeffs = field_coefficients(ZPF, PARAMS, GRID, seed)
+    assert coeffs.shape == (GRID.n_samples // 2 + 1,)
+    assert coeffs[0] == 0.0 and coeffs[-1] == 0.0
+    samples = synthesize_field(ZPF, PARAMS, GRID, seed).samples
+    assert np.array_equal(np.fft.irfft(coeffs, GRID.n_samples), samples)
+
+
+def test_pair_coefficients_are_the_pair_modes():
+    plus, minus = pair_coefficients(ZPF, PARAMS, GRID, 31)
+    pair = synthesize_pair(ZPF, PARAMS, GRID, 31)
+    scale = pair.eps1.samples.std()
+    for coeffs, real in ((plus, pair.eps_plus), (minus, pair.eps_minus)):
+        assert np.max(np.abs(np.fft.irfft(coeffs, GRID.n_samples)
+                             - real.samples)) < 1e-12 * scale
+
+
+def test_field_coefficients_keep_the_resonance_guard():
+    short = GridSpec(dt=0.1, n_samples=1 << 12, omega_cut=20.0)
+    with pytest.raises(GridTooCoarse):
+        field_coefficients(ZPF, PARAMS, short, 1)
