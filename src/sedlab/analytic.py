@@ -79,8 +79,6 @@ class GroundStateStats:
     mean_energy: float
     x_density: object
     x_cdf: object
-    v_density: object
-    v_cdf: object
     energy_density: object
     energy_cdf: object
 
@@ -102,7 +100,6 @@ def ground_state(params: SystemParams, omega_v_cut: float | None = None) -> Grou
     if omega_v_cut is not None:
         v_var += hb * math.log(1.0 + tau ** 2 * omega_v_cut ** 2) / (2.0 * math.pi * m * tau)
     mean_energy = 0.5 * hb * w0
-    v0_var = hb * w0 / (2.0 * m)
     return GroundStateStats(
         x_var=x_var,
         p_var=p_var,
@@ -110,8 +107,6 @@ def ground_state(params: SystemParams, omega_v_cut: float | None = None) -> Grou
         mean_energy=mean_energy,
         x_density=_gaussian_density(x_var),
         x_cdf=_gaussian_cdf(x_var),
-        v_density=_gaussian_density(v0_var),
-        v_cdf=_gaussian_cdf(v0_var),
         energy_density=_exponential_density(mean_energy),
         energy_cdf=_exponential_cdf(mean_energy),
     )

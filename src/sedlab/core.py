@@ -76,15 +76,12 @@ class GridSpec:
     """Sampling grid and ensemble bookkeeping for one run.
 
     omega_cut is the ultraviolet cutoff of the synthesis band (default
-    5/tau so position statistics capture the tau-dependent tail);
-    omega_v_cut is the separate, much lower cutoff used when velocity
-    statistics are compared to their (cutoff-dependent) closed forms.
+    5/tau so position statistics capture the tau-dependent tail).
     """
 
     dt: float = 0.1
     n_samples: int = 1 << 20
     omega_cut: float | None = None
-    omega_v_cut: float | None = None
     n_ensemble: int = 64
     seed: int = 202608
 
@@ -107,11 +104,9 @@ class Config:
 
 
 def resolve_defaults(params: SystemParams, grid: GridSpec) -> tuple[SystemParams, GridSpec]:
-    """Fill in derived quantities: omega_cut, omega_v_cut, and c from e."""
+    """Fill in derived quantities: omega_cut and, from e, c."""
     if grid.omega_cut is None:
         grid = replace(grid, omega_cut=5.0 / params.tau)
-    if grid.omega_v_cut is None:
-        grid = replace(grid, omega_v_cut=5.0 * params.omega0 if params.omega0 > 0 else grid.omega_cut)
     if params.e is not None and params.c is None:
         c = (2.0 * params.e ** 2 / (3.0 * params.m * params.tau)) ** (1.0 / 3.0)
         params = replace(params, c=c)

@@ -60,17 +60,6 @@ class Trajectory:
     def t_grid(self) -> np.ndarray:
         return np.arange(self.x.size) * self.dt
 
-    def stationarity_gap(self) -> float:
-        """|var(second half) - var(last quarter)| in units of the variance
-        sampling deviation; values of order 1 are consistent with
-        stationarity."""
-        n = self.x.size
-        half = self.x[n // 2 :]
-        quarter = self.x[3 * n // 4 :]
-        v1, v2 = half.var(), quarter.var()
-        sigma = v2 * math.sqrt(8.0 / quarter.size)
-        return abs(v1 - v2) / sigma if sigma > 0 else 0.0
-
 
 def _propagator(params: SystemParams, dt: float):
     """Exact one-step (A, B) of the reduced system for piecewise-constant input."""
@@ -213,27 +202,16 @@ def sample_from_spectrum(
     grid: GridSpec,
     seed,
     params: SystemParams,
-    with_derivative: bool = False,
 ) -> Trajectory:
     """Sample a position process directly from its one-sided spectrum.
 
     Used for the free particle, where time-domain integration of pure
     radiation damping is ill-posed.  The canonical momentum of the free
-    particle has a nil spectrum, so p is identically zero.  When
-    ``with_derivative`` is set, the velocity series is the exact
-    mode-by-mode time derivative of the sampled sum (the contract
-    otherwise omits v).
+    particle has a nil spectrum, so p is identically zero; v is omitted.
     """
     rng = np.random.default_rng(seed)
-    out = synthesize_series(
-        spectrum, grid.dt, grid.n_samples, grid.omega_cut, rng,
-        derivative=with_derivative,
-    )
-    if with_derivative:
-        x, v = out
-    else:
-        x, v = out, None
-    return Trajectory(dt=grid.dt, x=x, v=v, p=np.zeros_like(x), params=params)
+    x = synthesize_series(spectrum, grid.dt, grid.n_samples, grid.omega_cut, rng)
+    return Trajectory(dt=grid.dt, x=x, v=None, p=np.zeros_like(x), params=params)
 
 
 def simulate_dipoles(

@@ -39,10 +39,6 @@ class BurnInExceedsTrajectory(SedlabError):
     """The stationarity burn-in would discard the whole trajectory."""
 
 
-class SegmentTooLong(SedlabError):
-    """Periodogram segment exceeds the series length."""
-
-
 class LagTooLong(SedlabError):
     """Requested lag exceeds the periodicity guard (series length / 10)."""
 

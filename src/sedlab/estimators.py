@@ -1,8 +1,8 @@
 """Estimators turning trajectories into measurable quantities.
 
 Spectra, lag correlations, stochastic-process commutators, structure
-functions, windowed energies, and moment/histogram statistics.  All
-estimators are pure functions over immutable arrays.
+functions, windowed energies, and KS statistics.  All estimators are pure
+functions over immutable arrays.
 
 Conventions
 -----------
@@ -29,14 +29,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.signal import hilbert
 
-from .core import SystemParams
-from .errors import (
-    EmptySeries,
-    InvalidParams,
-    LagTooLong,
-    SegmentTooLong,
-    WindowTooLong,
-)
+from .errors import EmptySeries, InvalidParams, LagTooLong, WindowTooLong
 
 #: One-sided KS critical coefficients c(alpha): D_crit = c / sqrt(n).
 KS_COEFF = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628, 0.001: 1.949}
@@ -52,10 +45,6 @@ class SpectrumEstimate:
     @property
     def domega(self) -> float:
         return float(self.omega[0]) if self.omega.size else 0.0
-
-    def band_power(self) -> float:
-        """Integral of the estimate over its band (Parseval check)."""
-        return float(np.sum(self.values) * self.domega)
 
 
 @dataclass(frozen=True)
@@ -85,70 +74,20 @@ class EnergyWindowStats:
     dispersion: float
 
 
-@dataclass(frozen=True)
-class MomentsReport:
-    variance: float
-    excess_kurtosis: float
-    hist_edges: np.ndarray
-    hist_density: np.ndarray
-    ks_distance: float | None
-
-
-def periodogram(
-    series: np.ndarray,
-    dt: float,
-    segment_length: int | None = None,
-    overlap: float = 0.5,
-    window: str = "hann",
-) -> SpectrumEstimate:
-    """Averaged modified periodogram, one-sided, density-normalized.
-
-    With the default ``segment_length=None`` a single full-length
-    rectangular periodogram is returned, which on the synthesis lattice is
-    an unbiased estimate of the target spectrum bin by bin.  Otherwise
-    Welch averaging with the given overlap and window is used, with the
-    window power correction keeping sum(S)*domega equal to the sample
-    variance within one percent.
-    """
+def periodogram(series: np.ndarray, dt: float) -> SpectrumEstimate:
+    """Full-length rectangular periodogram of the demeaned series, one-sided,
+    density-normalized; on the synthesis lattice it is an unbiased estimate
+    of the target spectrum bin by bin, and sum(S)*domega is the variance."""
     y = np.asarray(series, dtype=float)
-    n = y.size
-    if segment_length is None:
-        segment_length = n
-    if segment_length > n:
-        raise SegmentTooLong(f"segment {segment_length} > series length {n}")
-    seg = int(segment_length)
-
-    if window not in ("hann", "rect"):
-        raise InvalidParams([f"unknown window {window!r}; valid: hann, rect"])
-    if window == "hann" and seg < n:
-        w = np.hanning(seg)
-    else:
-        w = np.ones(seg)
-    wpow = float(np.sum(w ** 2))
-
-    step = max(1, int(round(seg * (1.0 - overlap)))) if seg < n else seg
-    starts = range(0, n - seg + 1, step)
-
-    acc = np.zeros(seg // 2 + 1)
-    count = 0
-    for s0 in starts:
-        chunk = y[s0 : s0 + seg]
-        chunk = (chunk - chunk.mean()) * w
-        acc += np.abs(np.fft.rfft(chunk)) ** 2
-        count += 1
-    acc /= count
-    return spectrum_from_power(acc, seg, dt, wpow)
+    return spectrum_from_power(np.abs(np.fft.rfft(y - y.mean())) ** 2, y.size, dt)
 
 
-def spectrum_from_power(power: np.ndarray, n: int, dt: float,
-                        window_power: float | None = None) -> SpectrumEstimate:
-    """One-sided density from the mean |rfft|^2 of length-n (windowed) series.
+def spectrum_from_power(power: np.ndarray, n: int, dt: float) -> SpectrumEstimate:
+    """One-sided density from the mean |rfft|^2 of length-n series.
 
-    ``window_power`` is sum(w^2) of the window, n for the rectangular one.
     Bins j = 1..n//2 on omega_j = j * 2*pi/(n*dt); the mean bin is dropped.
     """
-    wpow = float(n) if window_power is None else window_power
-    values = dt / (math.pi * wpow) * np.asarray(power, dtype=float)[1:]
+    values = dt / (math.pi * n) * np.asarray(power, dtype=float)[1:]
     if n % 2 == 0:
         values[-1] *= 0.5  # Nyquist bin appears once in the two-sided sum
     domega = 2.0 * math.pi / (n * dt)
@@ -248,15 +187,14 @@ def commutator(
     max_lag: float,
     dt: float,
     method: str | None = None,
-    end_discard: float = 0.05,
 ) -> CommutatorSeries:
     """Commutator coefficient series for stationary processes a, b.
 
     The auto case (``b is a``) defaults to the spectral sine-transform
     route; the cross case to the discrete Hilbert transform of the
     cross-correlation.  End effects of the Hilbert route are excluded by
-    computing on an extended lag window and discarding ``end_discard`` of
-    the lags at each end.
+    computing on an extended lag window and discarding 5% of the lags at
+    each end.
     """
     if method is None:
         method = "spectral" if b is a else "hilbert"
@@ -274,6 +212,7 @@ def commutator(
         raise InvalidParams([f"unknown commutator method {method!r}"])
 
     n = np.asarray(a).size
+    end_discard = 0.05
     ext = max_lag / (1.0 - 2.0 * end_discard)
     ext = min(ext, (n // 10) * dt)
     lags, values = two_sided_correlation(a, b, ext, dt)
@@ -303,71 +242,36 @@ def structure_function(x: np.ndarray, dt: float, delta_ts) -> np.ndarray:
     return out
 
 
-def windowed_energy(
-    x: np.ndarray,
-    p: np.ndarray,
-    params: SystemParams,
-    t_window: float,
-    dt: float,
-) -> EnergyWindowStats:
+def windowed_energy(energy: np.ndarray, t_window: float, dt: float) -> EnergyWindowStats:
     """Time-averaged energies over disjoint windows of length t_window.
 
-    U_T = (1/2T) * integral over the window of (m omega0^2 x^2 + p^2/m),
-    by the trapezoidal rule; a window of a single sample is the
-    instantaneous energy.  Energies use the canonical momentum, whose
-    variance is finite, not the velocity.
+    ``energy`` is the instantaneous energy series (m omega0^2 x^2 + p^2/m)/2,
+    formed once per trajectory whatever the number of windows; energies use
+    the canonical momentum, whose variance is finite, not the velocity.
+    U_T = (1/T) * its integral over the window, by the trapezoidal rule; a
+    window of a single sample is the instantaneous energy.
     """
-    n = x.size
+    n = energy.size
     w = max(1, int(round(t_window / dt)))
     if w > n // 10 and w > 1:
         raise WindowTooLong(f"t_window {t_window:g} exceeds duration/10")
-    g = params.m * params.omega0 ** 2 * x ** 2 + p ** 2 / params.m
     if w == 1:
-        u = 0.5 * g
+        u = energy
         t_eff = dt
     else:
         # contiguous partition [0,T], [T,2T], ...; adjacent windows share
         # only a boundary sample, so each spans exactly w intervals
         nw = (n - 1) // w
         t_eff = w * dt
-        base = g[: nw * w].reshape(nw, w)
-        edge = g[w : nw * w + 1 : w]
+        base = energy[: nw * w].reshape(nw, w)
+        edge = energy[w : nw * w + 1 : w]
         integral = dt * (base.sum(axis=1) - 0.5 * base[:, 0] + 0.5 * edge)
-        u = integral / (2.0 * t_eff)
+        u = integral / t_eff
     return EnergyWindowStats(
         t_window=t_eff,
         samples=u,
         mean=float(u.mean()),
         dispersion=float(u.std()),
-    )
-
-
-def moments_and_histogram(
-    series: np.ndarray,
-    n_bins: int,
-    reference_cdf=None,
-) -> MomentsReport:
-    """Variance, excess kurtosis, density histogram, and KS distance.
-
-    The KS distance is computed against the supplied reference cumulative;
-    the caller is responsible for passing a decorrelated series.
-    """
-    s = np.asarray(series, dtype=float)
-    if s.size == 0:
-        raise EmptySeries("empty series")
-    if n_bins < 10:
-        raise InvalidParams([f"n_bins must be >= 10, got {n_bins}"])
-    mu = s.mean()
-    var = s.var()
-    kurt = float(np.mean((s - mu) ** 4) / var ** 2 - 3.0) if var > 0 else 0.0
-    density, edges = np.histogram(s, bins=n_bins, density=True)
-    ks = ks_distance(s, reference_cdf) if reference_cdf is not None else None
-    return MomentsReport(
-        variance=float(var),
-        excess_kurtosis=kurt,
-        hist_edges=edges,
-        hist_density=density,
-        ks_distance=ks,
     )
 
 
@@ -389,9 +293,13 @@ def ks_critical(n: int, alpha: float = 0.01) -> float:
 
 
 def decorrelated(series: np.ndarray, dt: float, t_decorr: float) -> np.ndarray:
-    """Subsample at the decorrelation spacing for independence-based tests."""
+    """Subsample at the decorrelation spacing for independence-based tests.
+
+    Returns a copy, not a strided view: an ensemble keeps every member's
+    subsample, and a view would keep each member's whole series alive.
+    """
     stride = max(1, int(round(t_decorr / dt)))
-    return np.asarray(series)[::stride]
+    return np.asarray(series)[::stride].copy()
 
 
 def write_series_csv(path, first_name: str, first, values, stderr=None):

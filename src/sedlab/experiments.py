@@ -40,7 +40,7 @@ from .dynamics import (
     sample_from_spectrum,
     simulate_oscillator,
 )
-from .errors import NonFiniteReport, UnknownScenario
+from .errors import InvalidParams, NonFiniteReport, UnknownScenario
 from .estimators import (
     commutator_from_spectrum,
     decorrelated,
@@ -55,7 +55,6 @@ from .estimators import (
     write_series_csv,
 )
 from .noise import (
-    FieldRealization,
     dump_realization,
     field_coefficients,
     member_seed,
@@ -249,29 +248,86 @@ def ensemble_reduce(worker, n_ensemble: int, jobs: int, reducer, state):
     return state
 
 
-def _mean_stderr(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        return float(arr.mean()), 0.0
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
+class Ensemble:
+    """Member results of one scenario, reduced in member order.
+
+    A worker returns a dict of named values.  Arrays named in ``summed``
+    are added into the sum of the member's group: member k of n is in
+    group k * N_GROUPS // n, so group sizes differ by at most one, and
+    groups are empty when n < N_GROUPS.  Every other value is kept per
+    member, in member order.
+
+    Standard errors follow one rule.  The mean of a per-member value takes
+    the standard error over members (``mean``).  A functional of ensemble
+    means takes the standard error of the same functional over the means
+    of the nonempty groups, each group sum divided by its own member count
+    (``estimate``).
+    """
+
+    def __init__(self, n_ensemble: int, summed=()):
+        self.n = n_ensemble
+        self.group = np.arange(n_ensemble) * N_GROUPS // n_ensemble
+        self.sizes = np.bincount(self.group, minlength=N_GROUPS)
+        self.summed = frozenset(summed)
+        self.sums = {}
+        self.values = {}
+
+    def add(self, k: int, res: dict) -> "Ensemble":
+        """Reducer for ``ensemble_reduce``: fold in member k's results."""
+        for key, v in res.items():
+            if key in self.summed:
+                if key not in self.sums:
+                    self.sums[key] = np.zeros((N_GROUPS,) + np.shape(v))
+                self.sums[key][self.group[k]] += v
+            else:
+                self.values.setdefault(key, []).append(v)
+        return self
+
+    @staticmethod
+    def _mean_stderr(values) -> tuple[float, float]:
+        arr = np.asarray(values, dtype=float)
+        if arr.size < 2:
+            return float(arr.mean()), 0.0
+        return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
+
+    def mean(self, key: str) -> tuple[float, float]:
+        """Mean of a per-member value and its standard error over members."""
+        return self._mean_stderr(self.values[key])
+
+    def pool(self, key: str) -> np.ndarray:
+        """Per-member arrays (the KS subsamples) joined in member order."""
+        return np.concatenate(self.values[key])
+
+    def total(self, key: str) -> np.ndarray:
+        """Ensemble mean of a summed array."""
+        total = np.zeros(np.shape(self.sums[key][0]))
+        for group_sum in self.sums[key]:
+            total += group_sum
+        return total / self.n
+
+    def estimate(self, f, key: str) -> tuple[float, float]:
+        """f of the ensemble mean of ``key``, with the standard error of f
+        over the group means."""
+        groups = np.flatnonzero(self.sizes)
+        means = [self.sums[key][g] / self.sizes[g] for g in groups]
+        _, se = self._mean_stderr([f(m) for m in means])
+        return float(f(self.total(key))), se
+
+    def map_groups(self, key: str, linear, jobs: int) -> "Ensemble":
+        """The ensemble whose group sums of ``key`` are the linear map
+        ``linear`` of these: one call per group, on the worker pool."""
+        out = Ensemble(self.n)
+        # a list: one stacked block this large would raise glibc's mmap
+        # threshold and leave freed heap untrimmed, raising later peak RSS
+        out.sums[key] = ensemble_reduce(lambda g: linear(self.sums[key][g]), N_GROUPS,
+                                        jobs, lambda acc, g, res: acc + [res], [])
+        return out
 
 
-def _group_of(k: int, n_ensemble: int) -> int:
-    return k * N_GROUPS // n_ensemble
-
-
-def _group_sizes(n_ensemble: int) -> np.ndarray:
-    """Members per group; groups are empty when n_ensemble < N_GROUPS."""
-    return np.bincount([_group_of(k, n_ensemble) for k in range(n_ensemble)],
-                       minlength=N_GROUPS)
-
-
-def _group_stderr(values_by_group) -> float:
-    """Standard error of the mean over groups; pass nonempty groups only."""
-    vals = np.asarray(values_by_group, dtype=float)
-    if vals.size < 2:
-        return 0.0
-    return float(vals.std(ddof=1) / math.sqrt(vals.size))
+def run_ensemble(worker, n_ensemble: int, jobs: int, summed=()) -> Ensemble:
+    """Run ``worker(k)`` for every member and reduce the results in order."""
+    return ensemble_reduce(worker, n_ensemble, jobs, Ensemble.add,
+                           Ensemble(n_ensemble, summed))
 
 
 def _x_decorrelation_time(params: SystemParams) -> float:
@@ -293,79 +349,62 @@ def _energy(params: SystemParams, x_sq, p_sq):
 
 
 def _emit_steady(emitter: Emitter, scenario: str, params: SystemParams,
-                 grid: GridSpec, x, p, seed, field=None):
-    """Member artifacts of a steady-state scenario: the field (``field`` is
-    (model, half-spectrum coefficients)) and the x and p series."""
+                 grid: GridSpec, x, p, seed, model=None):
+    """Member artifacts of a steady-state scenario: the x and p series and,
+    given its spectrum ``model``, the field drawn from ``seed``."""
     if not emitter.wants("trajectories"):
         return
-    if field is not None:
-        model, coeffs = field
-        emitter.field(scenario, FieldRealization(
-            dt=grid.dt, samples=np.fft.irfft(coeffs, grid.n_samples),
-            model=model, seed=seed, omega_cut=grid.omega_cut))
+    if model is not None:
+        emitter.field(scenario, synthesize_field(model, params, grid, seed))
     emitter.trajectory(scenario, Trajectory(dt=grid.dt, x=x, v=None, p=p,
                                             params=params), seed)
 
 
-def _group_windows(power, sizes, jobs: int, window):
-    """Apply the linear map ``window`` to every nonempty group's summed power,
-    on the worker pool.  Returns the group means, in group order, and the
-    ensemble mean."""
-    groups = np.flatnonzero(sizes)
-    sums = ensemble_reduce(lambda i: window(power[groups[i]]), groups.size, jobs,
-                           lambda acc, i, res: acc + [res], [])
-    return [w / sizes[g] for w, g in zip(sums, groups)], sum(sums) / sizes.sum()
+def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: int,
+                       emitter: Emitter):
+    """Member of the single-oscillator scenarios: the variances of the
+    steady-state x and p, the mean energy, and decorrelated position and
+    energy subsamples for the KS tests."""
+    params, grid = cfg.params, cfg.grid
+    dt, n = grid.dt, grid.n_samples
+    t_dec_x = _x_decorrelation_time(params)
+    t_dec_u = _u_decorrelation_time(params)
+    H, T = response_transfer(params, grid)
+
+    def worker(k):
+        X = field_coefficients(model, params, grid, member_seed(seed, k))
+        X *= H  # in place: one complex 2^20-point array per member, not two
+        x, p = np.fft.irfft(X, n), np.fft.irfft(T * X, n)
+        if k == 0:
+            _emit_steady(emitter, scenario, params, grid, x, p,
+                         member_seed(seed, k), model=model)
+        x_var, p_var = x.var(), p.var()
+        return {
+            "x_var": x_var,
+            "p_var": p_var,
+            "u_mean": _energy(params, x_var, p_var),
+            "x_sub": decorrelated(x, dt, t_dec_x),
+            "u_sub": _energy(params, decorrelated(x, dt, t_dec_u) ** 2,
+                             decorrelated(p, dt, t_dec_u) ** 2),
+        }
+
+    return worker
 
 
 # ---------------------------------------------------------------------------
 # scenario implementations
 
 def _scenario_ground_state(cfg: Config, seed: int, jobs: int, emitter: Emitter):
-    params, grid = cfg.params, cfg.grid
-    model = SpectrumModel.zpf()
+    params = cfg.params
     gs = analytic.ground_state(params)
-    t_dec_x = _x_decorrelation_time(params)
-    t_dec_u = _u_decorrelation_time(params)
+    worker = _oscillator_worker("ground_state", SpectrumModel.zpf(), cfg, seed, emitter)
+    acc = run_ensemble(worker, cfg.grid.n_ensemble, jobs)
 
-    n = grid.n_samples
-    H, T = response_transfer(params, grid)
-
-    def worker(k):
-        E = field_coefficients(model, params, grid, member_seed(seed, k))
-        X = H * E
-        x, p = np.fft.irfft(X, n), np.fft.irfft(T * X, n)
-        x_var, p_var = x.var(), p.var()
-        res = {
-            "x_var": x_var,
-            "p_var": p_var,
-            "u_mean": _energy(params, x_var, p_var),
-            "x_sub": decorrelated(x, grid.dt, t_dec_x),
-            "u_sub": _energy(params, decorrelated(x, grid.dt, t_dec_u) ** 2,
-                             decorrelated(p, grid.dt, t_dec_u) ** 2),
-        }
-        if k == 0:
-            _emit_steady(emitter, "ground_state", params, grid, x, p,
-                         member_seed(seed, k), field=(model, E))
-        return res
-
-    def reducer(state, k, res):
-        for key in ("x_var", "p_var", "u_mean"):
-            state[key].append(res[key])
-        state["x_sub"].append(res["x_sub"])
-        state["u_sub"].append(res["u_sub"])
-        return state
-
-    state = ensemble_reduce(worker, grid.n_ensemble, jobs, reducer,
-                            {k: [] for k in ("x_var", "p_var", "u_mean", "x_sub", "u_sub")})
-
-    x_var, x_se = _mean_stderr(state["x_var"])
-    p_var, p_se = _mean_stderr(state["p_var"])
-    u_mean, u_se = _mean_stderr(state["u_mean"])
-    x_pool = np.concatenate(state["x_sub"])
-    u_pool = np.concatenate(state["u_sub"])
-
-    ks_x = ks_distance(x_pool, gs.x_cdf)
-    ks_u = ks_distance(u_pool, gs.energy_cdf)
+    x_var, x_se = acc.mean("x_var")
+    p_var, p_se = acc.mean("p_var")
+    u_mean, u_se = acc.mean("u_mean")
+    x_pool = acc.pool("x_sub")
+    u_pool = acc.pool("u_sub")
 
     heis = x_var * p_var
     heis_se = heis * math.sqrt((x_se / x_var) ** 2 + (p_se / p_var) ** 2)
@@ -374,12 +413,12 @@ def _scenario_ground_state(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         Row("x_variance", x_var, x_se, gs.x_var, 0.03),
         Row("p_variance", p_var, p_se, gs.p_var, 0.03),
         Row("mean_energy", u_mean, u_se, gs.mean_energy, 0.03),
-        Row("position_ks", ks_x, 0.0, ks_critical(x_pool.size), 0.0,
-            kind="upper_bound",
+        Row("position_ks", ks_distance(x_pool, gs.x_cdf), 0.0,
+            ks_critical(x_pool.size), 0.0, kind="upper_bound",
             note=f"KS vs Gaussian(var={gs.x_var:g}) at the 1% level, "
                  f"n={x_pool.size} decorrelated samples"),
-        Row("energy_ks", ks_u, 0.0, ks_critical(u_pool.size), 0.0,
-            kind="upper_bound",
+        Row("energy_ks", ks_distance(u_pool, gs.energy_cdf), 0.0,
+            ks_critical(u_pool.size), 0.0, kind="upper_bound",
             note=f"KS vs exponential(mean={gs.mean_energy:g}) at the 1% level"),
         Row("heisenberg_product", heis, heis_se,
             analytic.heisenberg_product(params), 0.06),
@@ -394,33 +433,20 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     t_max = 100.0
     lag_ext = lag_count(1.2 * t_max, dt, n)
     H, T = response_transfer(params, grid)
-    n_ens = grid.n_ensemble
-    sizes = _group_sizes(n_ens)
 
     def worker(k):
         X = H * field_coefficients(model, params, grid, member_seed(seed, k))
-        return X.real ** 2 + X.imag ** 2
+        return {"power": X.real ** 2 + X.imag ** 2}
 
-    def reducer(power, k, res):
-        power[_group_of(k, n_ens)] += res
-        return power
-
-    power = ensemble_reduce(worker, n_ens, jobs, reducer,
-                            np.zeros((N_GROUPS, n // 2 + 1)))
+    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
     # C_xx + C_xp on lags -lag_ext..lag_ext from one transform per group:
     # C_xx is the even part, C_xp (T imaginary) the odd part
     u = np.arange(-lag_ext, lag_ext + 1)
+    windows = acc.map_groups("power", lambda pw: np.fft.irfft(pw * (1.0 + T), n)[u] / n,
+                             jobs)
 
-    def window(pw):
-        return np.fft.irfft(pw * (1.0 + T), n)[u] / n
-
-    windows, total = _group_windows(power, sizes, jobs, window)
-
-    def odd(w):
-        return 0.5 * (w - w[::-1])
-
-    mean_power = power.sum(axis=0) / n_ens
+    mean_power = acc.total("power")
     spec_x = spectrum_from_power(mean_power, n, dt)
     spec_p = spectrum_from_power(mean_power * np.abs(T) ** 2, n, dt)
 
@@ -432,9 +458,10 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         h = 2.0 * hilbert_transform(two_sided)
         return h[lag_ext : lag_ext + lags.size]
 
-    c_xp_h = hilbert_route(odd(total))
+    total = windows.total("power")
     c_xx_h = hilbert_route(0.5 * (total + total[::-1]))
-    cxp0_se = _group_stderr([hilbert_route(odd(w))[0] for w in windows])
+    c_xp0, cxp0_se = windows.estimate(
+        lambda w: hilbert_route(0.5 * (w - w[::-1]))[0], "power")
 
     hb, m, w0 = params.hbar, params.m, params.omega0
     env = np.exp(-params.damping_rate * lags)
@@ -454,7 +481,7 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     emitter.series("commutators", "c_pp_spectral", "lag", lags, c_pp_spec)
 
     rows = [
-        Row("c_xp_zero", float(c_xp_h[0]), cxp0_se, params.hbar, 0.05,
+        Row("c_xp_zero", c_xp0, cxp0_se, params.hbar, 0.05,
             note="equal-time x-p commutator, Hilbert route"),
         Row("c_xx_max_dev", dev_xx, 0.0, 0.05, 0.0, kind="upper_bound",
             note="max |c_xx - (hbar/m w0) sin(w0 t) e^{-gamma t}| / peak, t in [0,100]"),
@@ -474,33 +501,19 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     lag_max = lag_count(max(t_sweep), dt, n)
     m, w0 = params.m, params.omega0
     H, T = response_transfer(params, grid)
-    n_ens = grid.n_ensemble
-    sizes = _group_sizes(n_ens)
 
     def worker(k):
         X = H * field_coefficients(model, params, grid, member_seed(seed, k))
-        x, p = np.fft.irfft(X, n), np.fft.irfft(T * X, n)
-        res = {"power": X.real ** 2 + X.imag ** 2}
-        res["inst"] = windowed_energy(x, p, params, dt, dt)
+        energy = _energy(params, np.fft.irfft(X, n) ** 2, np.fft.irfft(T * X, n) ** 2)
+        res = {"power": X.real ** 2 + X.imag ** 2,
+               "inst_sd": windowed_energy(energy, dt, dt).dispersion}
         for t in t_sweep:
-            stats = windowed_energy(x, p, params, t, dt)
-            res[f"w{t:g}"] = (stats.t_window, stats.samples.mean(),
-                              stats.samples.var(), stats.samples.size)
+            stats = windowed_energy(energy, t, dt)
+            res[f"T{t:g}"], res[f"mean_T{t:g}"] = stats.t_window, stats.mean
+            res[f"var_T{t:g}"], res[f"sd_T{t:g}"] = stats.samples.var(), stats.dispersion
         return res
 
-    def reducer(state, k, res):
-        state["power"][_group_of(k, n_ens)] += res["power"]
-        state["inst_means"].append(res["inst"].mean)
-        state["inst_stds"].append(res["inst"].dispersion)
-        for t in t_sweep:
-            state[f"w{t:g}"].append(res[f"w{t:g}"])
-        return state
-
-    init = {"power": np.zeros((N_GROUPS, n // 2 + 1)),
-            "inst_means": [], "inst_stds": []}
-    for t in t_sweep:
-        init[f"w{t:g}"] = []
-    state = ensemble_reduce(worker, n_ens, jobs, reducer, init)
+    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
     lags = np.arange(lag_max + 1)
     t_sq = np.abs(T) ** 2
@@ -512,44 +525,36 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         cpp = np.fft.irfft(pw * t_sq, n)[lags] / n
         return np.stack([0.5 * (y[lags] + back), cpp, 0.5 * (y[lags] - back)])
 
-    group_corr, (cxx_m, cpp_m, cxp_m) = _group_windows(state["power"], sizes,
-                                                       jobs, window)
+    corr = acc.map_groups("power", window, jobs)
 
-    def corr_route_delta_u(cxx, cpp, cxp, t_window):
+    def corr_route_delta_u(c, t_window):
         n_lag = int(round(t_window / dt))
-        us = np.arange(n_lag + 1) * dt
-        f = (m ** 2 * w0 ** 4 * cxx[: n_lag + 1] ** 2
-             + 2.0 * w0 ** 2 * cxp[: n_lag + 1] ** 2
-             + cpp[: n_lag + 1] ** 2 / m ** 2)
-        return math.sqrt(np.trapezoid(f, us) / (2.0 * t_window))
+        cxx, cpp, cxp = c[:, : n_lag + 1]
+        f = m ** 2 * w0 ** 4 * cxx ** 2 + 2.0 * w0 ** 2 * cxp ** 2 + cpp ** 2 / m ** 2
+        return math.sqrt(np.trapezoid(f, np.arange(n_lag + 1) * dt) / (2.0 * t_window))
 
-    rows = []
-    u_mean_all = [w[1] for w in state[f"w{t_sweep[0]:g}"]]
-    um, um_se = _mean_stderr(u_mean_all)
-    rows.append(Row("u_mean", um, um_se, 0.5 * params.hbar * w0, 0.03))
-
-    inst, inst_se = _mean_stderr(state["inst_stds"])
-    rows.append(Row("delta_u_small_t", inst, inst_se,
-                    0.5 * params.hbar * w0, 0.10,
-                    note="window of a single sample; small-T limit of Delta U_T"))
+    um, um_se = acc.mean(f"mean_T{t_sweep[0]:g}")
+    inst, inst_se = acc.mean("inst_sd")
+    rows = [
+        Row("u_mean", um, um_se, 0.5 * params.hbar * w0, 0.03),
+        Row("delta_u_small_t", inst, inst_se, 0.5 * params.hbar * w0, 0.10,
+            note="window of a single sample; small-T limit of Delta U_T"),
+    ]
 
     for t in t_sweep:
-        est_corr = corr_route_delta_u(cxx_m, cpp_m, cxp_m, t)
-        se_corr = _group_stderr([corr_route_delta_u(*c, t) for c in group_corr])
+        est_corr, se_corr = corr.estimate(lambda c: corr_route_delta_u(c, t), "power")
         closed = analytic.energy_fluctuation(params, t)
         rows.append(Row(
             f"delta_u_corr_T{t:g}", est_corr, se_corr, closed.recomputed, 0.10,
             note="correlation-functional route; paper's printed large-T form "
                  f"would give {closed.paper_printed:.6g}"))
 
-        wstats = state[f"w{t:g}"]
-        t_eff = wstats[0][0]
-        means = np.array([w[1] for w in wstats])
-        variances = np.array([w[2] for w in wstats])
+        t_eff = acc.values[f"T{t:g}"][0]
+        means = np.array(acc.values[f"mean_T{t:g}"])
+        variances = np.array(acc.values[f"var_T{t:g}"])
         pooled_var = float(np.mean(variances + means ** 2) - np.mean(means) ** 2)
         pooled_std = math.sqrt(max(pooled_var, 0.0))
-        member_stds = np.sqrt(variances)
-        _, std_se = _mean_stderr(member_stds)
+        _, std_se = acc.mean(f"sd_T{t:g}")
         closed_eff = analytic.energy_fluctuation(params, t_eff)
         rows.append(Row(
             f"delta_u_window_T{t:g}", pooled_std, std_se,
@@ -561,8 +566,8 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
             std_se * t_eff, 0.5 * params.hbar, 0.0, kind="lower_bound",
             note="Delta U_T * T >= hbar/2"))
 
-    us = np.arange(lag_max + 1) * dt
-    emitter.series("energy_time", "cxx", "lag", us[::100], cxx_m[::100])
+    emitter.series("energy_time", "cxx", "lag", lags[::100] * dt,
+                   corr.total("power")[0][::100])
     return rows
 
 
@@ -575,9 +580,14 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
     noise, whose correlation time ~1/gamma would otherwise leave only a
     couple of independent noise draws across the two-e-fold window.
     Each member is still a valid realization (-eps is distributed like
-    eps), and the variance about the mean is untouched.
+    eps), and the variance about the mean is untouched.  The pairs are
+    the units of the ensemble, so n_ensemble must be even.
     """
     params, grid = cfg.params, cfg.grid
+    if grid.n_ensemble < 2 or grid.n_ensemble % 2:
+        raise InvalidParams([
+            "coherent_decay runs antithetic pairs: n_ensemble must be even "
+            f"and >= 2, got {grid.n_ensemble}"])
     model = SpectrumModel.zpf()
     dt = grid.dt
     amp, phase = 3.0, 0.0
@@ -593,27 +603,14 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
         field = synthesize_field(model, params, grid, member_seed(seed, pair_index))
         flipped = dc_replace(field, samples=-field.samples,
                              seed=(field.seed, "antithetic"))
-        xs = []
-        for f in (field, flipped):
-            traj = simulate_oscillator(params, f, kick=kick)
-            xs.append(traj.x[:n_keep])
-        return {"sum_x": xs[0] + xs[1], "sum_x2": xs[0] ** 2 + xs[1] ** 2,
-                "pair_var": 0.25 * (xs[0] - xs[1]) ** 2}
+        x0, x1 = (simulate_oscillator(params, f, kick=kick).x[:n_keep]
+                  for f in (field, flipped))
+        # the pair's mean of x and of x^2
+        return {"moments": np.stack([0.5 * (x0 + x1), 0.5 * (x0 ** 2 + x1 ** 2)])}
 
-    def reducer(state, k, res):
-        state["sum_x"] += res["sum_x"]
-        state["sum_x2"] += res["sum_x2"]
-        state["pair_vars"].append(res["pair_var"][: int(t_obs / dt)].mean())
-        return state
-
-    n_pairs = grid.n_ensemble // 2
-    state = ensemble_reduce(
-        worker, n_pairs, jobs, reducer,
-        {"sum_x": np.zeros(n_keep), "sum_x2": np.zeros(n_keep), "pair_vars": []},
-    )
-    n_ens = 2 * n_pairs
-    mean_x = state["sum_x"] / n_ens
-    var_x = state["sum_x2"] / n_ens - mean_x ** 2
+    acc = run_ensemble(worker, grid.n_ensemble // 2, jobs, summed=("moments",))
+    mean_x, mean_x2 = acc.total("moments")
+    var_x = mean_x2 - mean_x ** 2
 
     t = np.arange(n_keep) * dt
     envelope = np.hypot(mean_x, hilbert_transform(mean_x))
@@ -630,10 +627,8 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
     logs = np.log(env_smooth[sel])
     slope, _ = np.polyfit(t[sel], logs, 1)
 
-    var_mean = float(np.mean(var_x[t <= t_obs]))
-    pair_vars = state["pair_vars"]
-    var_se = _group_stderr([np.mean(pair_vars[g::N_GROUPS])
-                            for g in range(min(N_GROUPS, len(pair_vars)))])
+    var_mean, var_se = acc.estimate(
+        lambda mom: np.mean((mom[1] - mom[0] ** 2)[t <= t_obs]), "moments")
 
     emitter.series("coherent_decay", "mean_trajectory", "t", t, mean_x)
     emitter.series("coherent_decay", "variance", "t", t, var_x)
@@ -675,46 +670,24 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         sub = member_seed(seed, k).spawn(2)
         traj = sample_from_spectrum(s_x, grid, sub[0], params)
         vtraj = sample_from_spectrum(s_v, grid, sub[1], params)
-        sf = structure_function(traj.x, grid.dt, deltas)
-        sf_fit = structure_function(traj.x, grid.dt, fit_deltas)
-        sfv = structure_function(vtraj.x, grid.dt, [50.0, 100.0])
         if k == 0:
             emitter.trajectory("free_thermal", traj, sub[0])
-        return {"sf": sf, "sf_fit": sf_fit, "v_var": vtraj.x.var(),
-                "sfv": np.mean(sfv)}
+        sfv = structure_function(vtraj.x, grid.dt, [50.0, 100.0])
+        return {"sf": structure_function(traj.x, grid.dt, deltas),
+                "sf_fit": structure_function(traj.x, grid.dt, fit_deltas),
+                "v_var": vtraj.x.var(), "sfv": np.mean(sfv)}
 
-    def reducer(state, k, res):
-        g = _group_of(k, grid.n_ensemble)
-        state["sf"][g] += res["sf"]
-        state["sf_fit"][g] += res["sf_fit"]
-        state["v_var"].append(res["v_var"])
-        state["sfv"].append(res["sfv"])
-        return state
+    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("sf", "sf_fit"))
 
-    state = ensemble_reduce(
-        worker, grid.n_ensemble, jobs, reducer,
-        {"sf": np.zeros((N_GROUPS, deltas.size)),
-         "sf_fit": np.zeros((N_GROUPS, fit_deltas.size)),
-         "v_var": [], "sfv": []},
-    )
-    n_ens = grid.n_ensemble
-    sizes = _group_sizes(n_ens)
-    sf_mean = state["sf"].sum(axis=0) / n_ens
+    slope, slope_se = acc.estimate(lambda sf: np.polyfit(fit_deltas, sf, 1)[0], "sf_fit")
+    v_var, v_se = acc.mean("v_var")
+    sfv, sfv_se = acc.mean("sfv")
 
-    def fit_slope(sf):
-        a, _ = np.polyfit(fit_deltas, sf, 1)
-        return a
-
-    slope = fit_slope(state["sf_fit"].sum(axis=0) / n_ens)
-    slope_se = _group_stderr([fit_slope(state["sf_fit"][g] / sizes[g])
-                              for g in np.flatnonzero(sizes)])
-    v_var, v_se = _mean_stderr(state["v_var"])
-    sfv, sfv_se = _mean_stderr(state["sfv"])
-
-    emitter.series("free_thermal", "structure_function", "delta_t", deltas, sf_mean)
+    emitter.series("free_thermal", "structure_function", "delta_t", deltas,
+                   acc.total("sf"))
 
     rows = [
-        Row("structure_slope", float(slope), slope_se,
+        Row("structure_slope", slope, slope_se,
             2.0 * params.tau * kT / params.m, 0.10,
             note="Brownian slope of the position structure function"),
         Row("v_variance", v_var, v_se, pred.thermal_v_var, 0.05,
@@ -742,24 +715,12 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     def worker(k):
         traj = sample_from_spectrum(s_x, grid, member_seed(seed, k), params)
         sf = structure_function(traj.x, grid.dt, deltas)
-        return {"sf": sf, "p_var": traj.p.var()}
+        return {"sf": sf, "sf_sq": sf ** 2, "p_var": traj.p.var()}
 
-    def reducer(state, k, res):
-        g = _group_of(k, grid.n_ensemble)
-        state["sf"][g] += res["sf"]
-        state["sf_sq"] += res["sf"] ** 2
-        state["p_var"].append(res["p_var"])
-        return state
-
-    state = ensemble_reduce(
-        worker, grid.n_ensemble, jobs, reducer,
-        {"sf": np.zeros((N_GROUPS, deltas.size)),
-         "sf_sq": np.zeros(deltas.size), "p_var": []},
-    )
+    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("sf", "sf_sq"))
     n_ens = grid.n_ensemble
-    sizes = _group_sizes(n_ens)
-    sf_mean = state["sf"].sum(axis=0) / n_ens
-    sf_var = state["sf_sq"] / n_ens - sf_mean ** 2
+    sf_mean = acc.total("sf")
+    sf_var = acc.total("sf_sq") - sf_mean ** 2
     weights = 1.0 / np.maximum(sf_var / n_ens, 1e-30)
 
     logd = np.log(deltas)
@@ -773,29 +734,27 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         intercept = my - slope * mx
         return slope, intercept
 
-    slope, intercept = wls(sf_mean)
-    group_fits = [wls(state["sf"][g] / sizes[g]) for g in np.flatnonzero(sizes)]
-    slope_se = _group_stderr([f[0] for f in group_fits])
+    def euler(sf):
+        # intercept/slope = C + ln(1/tau) when the log law holds
+        slope, intercept = wls(sf)
+        return intercept / slope + math.log(params.tau)
 
-    # intercept/slope = C + ln(1/tau) when the log law holds
-    euler_est = intercept / slope + math.log(params.tau)
-    euler_groups = [f[1] / f[0] + math.log(params.tau) for f in group_fits]
-    euler_se = _group_stderr(euler_groups)
-
-    p_var, _ = _mean_stderr(state["p_var"])
+    slope, slope_se = acc.estimate(lambda sf: wls(sf)[0], "sf")
+    euler_est, euler_se = acc.estimate(euler, "sf")
+    p_var, _ = acc.mean("p_var")
 
     emitter.series("free_zpf", "structure_function", "delta_t", deltas, sf_mean,
                    np.sqrt(sf_var / n_ens))
 
     slope_ref = 2.0 * params.hbar * params.tau / (math.pi * params.m)
     rows = [
-        Row("log_slope", float(slope), slope_se, slope_ref, 0.15,
+        Row("log_slope", slope, slope_se, slope_ref, 0.15,
             note="d(Delta x^2)/d(ln t); zeropoint diffusion is logarithmic"),
-        Row("euler_intercept", float(euler_est), euler_se,
+        Row("euler_intercept", euler_est, euler_se,
             analytic.EULER_GAMMA, 0.25,
             note="intercept/slope - ln(1/tau); Euler constant of the "
                  "log-diffusion law"),
-        Row("p_variance_zero", float(p_var), 0.0, 1e-18, 0.0,
+        Row("p_variance_zero", p_var, 0.0, 1e-18, 0.0,
             kind="upper_bound",
             note="canonical momentum of the free particle has nil spectrum"),
     ]
@@ -821,36 +780,27 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         xp_var, xm_var = xp.var(), xm.var()
         # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p
         p_sq = mean_square(Tp * Xp, n) + mean_square(Tm * Xm, n)
-        h_mean = (p_sq / (2 * m) + 0.5 * m * w0 ** 2 * (xp_var + xm_var)
-                  - 0.5 * K * (xp_var - xm_var))
         if k == 0 and emitter.wants("trajectories"):
             p_plus, p_minus = np.fft.irfft(Tp * Xp, n), np.fft.irfft(Tm * Xm, n)
             _emit_steady(emitter, "dipoles", params, grid, (xp + xm) / root2,
                          (p_plus + p_minus) / root2, member_seed(seed, k))
         return {
             "xp_var": xp_var, "xm_var": xm_var,
-            "cross": 0.5 * (xp_var - xm_var), "h_mean": h_mean,
+            "cross": 0.5 * (xp_var - xm_var),
+            "h_mean": (p_sq / (2 * m) + 0.5 * m * w0 ** 2 * (xp_var + xm_var)
+                       - 0.5 * K * (xp_var - xm_var)),
             "xp_sub": decorrelated(xp, grid.dt, t_dec),
             "xm_sub": decorrelated(xm, grid.dt, t_dec),
         }
 
-    def reducer(state, k, res):
-        for key in ("xp_var", "xm_var", "cross", "h_mean"):
-            state[key].append(res[key])
-        state["xp_sub"].append(res["xp_sub"])
-        state["xm_sub"].append(res["xm_sub"])
-        return state
+    acc = run_ensemble(worker, grid.n_ensemble, jobs)
 
-    state = ensemble_reduce(worker, grid.n_ensemble, jobs, reducer,
-                            {k: [] for k in ("xp_var", "xm_var", "cross", "h_mean",
-                                             "xp_sub", "xm_sub")})
-
-    xp_var, xp_se = _mean_stderr(state["xp_var"])
-    xm_var, xm_se = _mean_stderr(state["xm_var"])
-    cross, cross_se = _mean_stderr(state["cross"])
-    h_mean, h_se = _mean_stderr(state["h_mean"])
-    xp_pool = np.concatenate(state["xp_sub"])
-    xm_pool = np.concatenate(state["xm_sub"])
+    xp_var, xp_se = acc.mean("xp_var")
+    xm_var, xm_se = acc.mean("xm_var")
+    cross, cross_se = acc.mean("cross")
+    h_mean, h_se = acc.mean("h_mean")
+    xp_pool = acc.pool("xp_sub")
+    xm_pool = acc.pool("xm_sub")
 
     rows = [
         Row("x_plus_variance", xp_var, xp_se, pred.x_plus_var, 0.03),
@@ -874,30 +824,14 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
 
 def _scenario_planck_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
-    params, grid = cfg.params, cfg.grid
-    model = SpectrumModel.planck(params.kT)
+    params = cfg.params
     pred = analytic.planck_prediction(params, params.kT)
-    t_dec_u = _u_decorrelation_time(params)
-    n = grid.n_samples
-    H, T = response_transfer(params, grid)
+    worker = _oscillator_worker("planck_thermal", SpectrumModel.planck(params.kT),
+                                cfg, seed, emitter)
+    acc = run_ensemble(worker, cfg.grid.n_ensemble, jobs)
 
-    def worker(k):
-        X = H * field_coefficients(model, params, grid, member_seed(seed, k))
-        x, p = np.fft.irfft(X, n), np.fft.irfft(T * X, n)
-        return {"u_mean": _energy(params, x.var(), p.var()),
-                "u_sub": _energy(params, decorrelated(x, grid.dt, t_dec_u) ** 2,
-                                 decorrelated(p, grid.dt, t_dec_u) ** 2)}
-
-    def reducer(state, k, res):
-        state["u_mean"].append(res["u_mean"])
-        state["u_sub"].append(res["u_sub"])
-        return state
-
-    state = ensemble_reduce(worker, grid.n_ensemble, jobs, reducer,
-                            {"u_mean": [], "u_sub": []})
-
-    u_mean, u_se = _mean_stderr(state["u_mean"])
-    u_pool = np.concatenate(state["u_sub"])
+    u_mean, u_se = acc.mean("u_mean")
+    u_pool = acc.pool("u_sub")
     boltz = analytic.boltzmann_mean_energy(params, params.kT)
 
     rows = [
@@ -917,7 +851,7 @@ def _scenario_planck_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter
 SCENARIO_DEFAULTS = {
     "ground_state": (
         SystemParams(tau=0.01),
-        GridSpec(dt=0.1, n_samples=1 << 20, omega_cut=10.0, omega_v_cut=5.0),
+        GridSpec(dt=0.1, n_samples=1 << 20, omega_cut=10.0),
         _scenario_ground_state,
     ),
     "commutators": (
@@ -983,18 +917,14 @@ def run_scenario(
     master seed lives in the grid.  The report embeds the fully resolved
     configuration, so every analytic value in it is re-derivable.
     """
-    if name not in SCENARIO_DEFAULTS:
-        raise UnknownScenario(
-            f"unknown scenario {name!r}; valid: {', '.join(SCENARIO_NAMES)}"
-        )
-    dp, dg, fn = SCENARIO_DEFAULTS[name]
+    dp, dg = scenario_defaults(name)
     params = dp if params is None else params
     grid = dg if grid is None else grid
     cfg = validate(params, grid)
 
     emitter = Emitter(out_dir=out_dir, emit=emit)
     t0 = time.perf_counter()
-    rows = fn(cfg, cfg.grid.seed, jobs, emitter)
+    rows = SCENARIO_DEFAULTS[name][2](cfg, cfg.grid.seed, jobs, emitter)
     runtime = time.perf_counter() - t0
 
     config = {"params": asdict(cfg.params), "grid": asdict(cfg.grid)}

@@ -15,7 +15,6 @@ here (approximations live in the analytic module, where tau -> 0 is taken).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -33,9 +32,8 @@ from .errors import (
 ZPF = "zpf"
 PLANCK = "planck"
 RAYLEIGH_JEANS = "rayleigh_jeans"
-TABULATED = "tabulated"
 
-_KINDS = (ZPF, PLANCK, RAYLEIGH_JEANS, TABULATED)
+_KINDS = (ZPF, PLANCK, RAYLEIGH_JEANS)
 
 
 @dataclass(frozen=True)
@@ -44,23 +42,12 @@ class SpectrumModel:
 
     kind: str = ZPF
     kT: float = 0.0
-    table: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidParams([f"unknown spectrum kind {self.kind!r}; valid: {_KINDS}"])
         if self.kind in (PLANCK, RAYLEIGH_JEANS) and self.kT < 0:
             raise InvalidParams([f"kT must be >= 0, got {self.kT}"])
-        if self.kind == TABULATED:
-            if self.table is None:
-                raise InvalidParams(["tabulated spectrum requires a table"])
-            om, sv = (np.asarray(a, dtype=float) for a in self.table)
-            if om.ndim != 1 or om.shape != sv.shape or om.size < 2:
-                raise InvalidParams(["table must be two equal-length 1-d columns"])
-            if np.any(np.diff(om) <= 0):
-                raise InvalidParams(["tabulated omega column must be strictly increasing"])
-            if np.any(sv < 0):
-                raise InvalidParams(["tabulated S values must be >= 0"])
 
     @classmethod
     def zpf(cls) -> "SpectrumModel":
@@ -73,23 +60,6 @@ class SpectrumModel:
     @classmethod
     def rayleigh_jeans(cls, kT: float) -> "SpectrumModel":
         return cls(kind=RAYLEIGH_JEANS, kT=kT)
-
-    @classmethod
-    def tabulated(cls, omega, values) -> "SpectrumModel":
-        return cls(kind=TABULATED, table=(tuple(float(w) for w in omega),
-                                          tuple(float(s) for s in values)))
-
-    @classmethod
-    def from_csv(cls, path) -> "SpectrumModel":
-        """Read a two-column CSV ``omega,S`` with strictly increasing omega."""
-        om, sv = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().lower() in ("omega", "#"):
-                    continue
-                om.append(float(row[0]))
-                sv.append(float(row[1]))
-        return cls.tabulated(om, sv)
 
     def label(self) -> str:
         if self.kind in (PLANCK, RAYLEIGH_JEANS):
@@ -132,11 +102,8 @@ def field_spectrum(model: SpectrumModel, params: SystemParams, omega):
         else:
             arg = params.hbar * w / (2.0 * model.kT)
             s = np.where(w > 0, zpf * _coth(np.where(w > 0, arg, 1.0)), 0.0)
-    elif model.kind == RAYLEIGH_JEANS:
-        s = 2.0 * model.kT * params.tau * w ** 2 / (math.pi * params.m)
     else:
-        om, sv = (np.asarray(a) for a in model.table)
-        s = np.interp(w, om, sv, left=0.0, right=0.0)
+        s = 2.0 * model.kT * params.tau * w ** 2 / (math.pi * params.m)
     return float(s[0]) if scalar else s
 
 
@@ -167,12 +134,6 @@ def momentum_spectrum(model: SpectrumModel, params: SystemParams, omega):
         raise ZeroFrequencyMomentum("S_p carries 1/omega^2; omega = 0 not allowed")
     sx = position_spectrum(model, params, omega)
     return params.m ** 2 * params.omega0 ** 4 * sx / omega ** 2
-
-
-def velocity_spectrum(model: SpectrumModel, params: SystemParams, omega):
-    """Velocity spectrum omega^2 * S_x (time derivative in the Fourier domain)."""
-    omega = np.asarray(omega, dtype=float)
-    return omega ** 2 * position_spectrum(model, params, omega)
 
 
 def spectral_moment(

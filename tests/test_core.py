@@ -73,7 +73,6 @@ def test_light_speed_derived_from_charge():
 def test_default_cutoffs_resolved():
     cfg = validate(SystemParams(tau=0.01), GridSpec(dt=0.001, n_samples=1 << 20))
     assert cfg.grid.omega_cut == pytest.approx(500.0)
-    assert cfg.grid.omega_v_cut == pytest.approx(5.0)
 
 
 def test_requires_cutoff_above_resonance():

@@ -93,13 +93,6 @@ def test_zpf_position_variance():
     assert np.mean(xv) == pytest.approx(0.5, rel=0.03)
 
 
-def test_stationarity_after_burn_in():
-    grid = GridSpec(dt=0.1, n_samples=1 << 18, omega_cut=20.0, seed=3)
-    f = synthesize_field(ZPF, PARAMS, grid, 3)
-    traj = simulate_oscillator(PARAMS, f)
-    assert traj.stationarity_gap() < 3.0
-
-
 def test_dt_halving_changes_expected_variance_little():
     """Discretization-convergence contract, checked on the exact discrete
     response (transfer function times target spectrum, no sampling noise)."""

@@ -5,15 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sedlab.core import GridSpec, SystemParams
-from sedlab.errors import SedlabError, UnknownScenario
+from sedlab.errors import InvalidParams, SedlabError, UnknownScenario
 from sedlab.experiments import (
     N_GROUPS,
     SCENARIO_NAMES,
+    Ensemble,
     ExperimentReport,
     Row,
-    _group_sizes,
+    run_ensemble,
     run_scenario,
     scenario_defaults,
 )
@@ -149,18 +152,58 @@ def test_commutators_report_independent_of_jobs():
     assert r1.to_json() == r2.to_json()
 
 
-@pytest.mark.parametrize("n_ensemble", [1, 3, 4, 8, 12, 64, 100])
-def test_group_sizes_count_every_member(n_ensemble):
-    sizes = _group_sizes(n_ensemble)
+def _check_group_sizes(n_ensemble):
+    sizes = Ensemble(n_ensemble).sizes
     assert sizes.size == N_GROUPS
     assert sizes.sum() == n_ensemble
     assert sizes.max() - sizes[sizes > 0].min() <= 1
 
 
+@pytest.mark.parametrize("n_ensemble", [1, 3, 4, 8, 12, 64, 100])
+def test_group_sizes_count_every_member(n_ensemble):
+    _check_group_sizes(n_ensemble)
+
+
+def _synthetic_worker(k):
+    """Cheap deterministic member: a scalar, a subsample and a summed array."""
+    rng = np.random.default_rng(k)
+    return {"k": k, "value": rng.standard_normal(),
+            "sub": rng.standard_normal(3), "power": rng.standard_normal(5) ** 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=200))
+def test_grouping_invariants_and_member_order(n_ensemble):
+    _check_group_sizes(n_ensemble)
+    acc = run_ensemble(_synthetic_worker, n_ensemble, 1, summed=("power",))
+    assert acc.values["k"] == list(range(n_ensemble))
+    expected = [_synthetic_worker(k) for k in range(n_ensemble)]
+    assert np.array_equal(acc.pool("sub"), np.concatenate([e["sub"] for e in expected]))
+    groups = np.arange(n_ensemble) * N_GROUPS // n_ensemble
+    for g in range(N_GROUPS):
+        members = [e["power"] for e, gk in zip(expected, groups) if gk == g]
+        assert np.allclose(acc.sums["power"][g], np.sum(members, axis=0) if members else 0.0)
+    assert np.allclose(acc.total("power"),
+                       np.mean([e["power"] for e in expected], axis=0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=200))
+def test_accumulator_identical_at_jobs_1_and_3(n_ensemble):
+    def digest(jobs):
+        acc = run_ensemble(_synthetic_worker, n_ensemble, jobs, summed=("power",))
+        windows = acc.map_groups("power", lambda pw: np.cumsum(pw), jobs)
+        return (acc.values["k"], acc.mean("value"), acc.pool("sub").tobytes(),
+                acc.sums["power"].tobytes(), acc.estimate(np.sum, "power"),
+                windows.estimate(lambda w: w[-1], "power"))
+
+    assert digest(1) == digest(3)
+
+
 @pytest.mark.parametrize("name, n_samples, n_ensemble", [
     ("commutators", 1 << 16, 4),
     ("commutators", 1 << 16, 12),
-    ("coherent_decay", 1 << 15, 3),
+    ("coherent_decay", 1 << 15, 4),
 ])
 def test_small_ensembles_give_finite_stderr(name, n_samples, n_ensemble):
     grid = _default_grid(name, n_samples=n_samples, n_ensemble=n_ensemble)
@@ -169,6 +212,19 @@ def test_small_ensembles_give_finite_stderr(name, n_samples, n_ensemble):
         report = run_scenario(name, grid=grid)
     assert all(math.isfinite(r.stderr) for r in report.rows)
     json.loads(report.to_json())
+
+
+@pytest.mark.parametrize("n_ensemble", [1, 3])
+def test_coherent_decay_rejects_odd_or_single_member_ensembles(n_ensemble, monkeypatch):
+    import sedlab.experiments as experiments
+
+    def no_members(*args, **kwargs):
+        raise AssertionError("a member ran before the ensemble size was checked")
+
+    monkeypatch.setattr(experiments, "ensemble_reduce", no_members)
+    grid = _default_grid("coherent_decay", n_ensemble=n_ensemble)
+    with pytest.raises(InvalidParams, match="even"):
+        run_scenario("coherent_decay", grid=grid)
 
 
 def test_group_stderr_uses_actual_group_sizes():

@@ -16,7 +16,6 @@ from sedlab.spectra import (
     position_spectrum,
     position_transfer,
     spectral_moment,
-    velocity_spectrum,
 )
 
 PARAMS = SystemParams(tau=0.01)
@@ -108,26 +107,6 @@ def test_momentum_spectrum_rejects_zero_frequency():
         momentum_spectrum(SpectrumModel.zpf(), PARAMS, 0.0)
 
 
-def test_tabulated_interpolation_and_zero_outside():
-    model = SpectrumModel.tabulated([1.0, 2.0, 3.0], [0.0, 2.0, 1.0])
-    got = field_spectrum(model, PARAMS, np.array([0.5, 1.5, 2.5, 3.5]))
-    assert got == pytest.approx([0.0, 1.0, 1.5, 0.0])
-
-
-def test_tabulated_requires_increasing_omega():
-    with pytest.raises(InvalidParams):
-        SpectrumModel.tabulated([2.0, 1.0], [1.0, 1.0])
-    with pytest.raises(InvalidParams):
-        SpectrumModel.tabulated([1.0, 2.0], [1.0, -1.0])
-
-
-def test_tabulated_csv_roundtrip(tmp_path):
-    path = tmp_path / "spec.csv"
-    path.write_text("omega,S\n0.5,1.0\n1.5,3.0\n")
-    model = SpectrumModel.from_csv(path)
-    assert field_spectrum(model, PARAMS, 1.0) == pytest.approx(2.0)
-
-
 def test_spectral_moment_xvar_full_band():
     sx = lambda w: position_spectrum(SpectrumModel.zpf(), PARAMS, w)
     val = spectral_moment(sx, 0, 0.0, 500.0, params=PARAMS)
@@ -186,7 +165,7 @@ def test_spectra_nonnegative_everywhere():
     for model in (SpectrumModel.zpf(), SpectrumModel.planck(0.3),
                   SpectrumModel.rayleigh_jeans(2.0)):
         assert np.all(position_spectrum(model, PARAMS, w) >= 0.0)
-        assert np.all(velocity_spectrum(model, PARAMS, w) >= 0.0)
+        assert np.all(momentum_spectrum(model, PARAMS, w) >= 0.0)
 
 
 def test_low_frequency_position_spectrum_scaling():
