@@ -5,7 +5,6 @@ from .core import GridSpec, SystemParams, validate
 from .dynamics import (
     Trajectory,
     canonical_momentum,
-    mean_trajectory,
     sample_from_spectrum,
     simulate_dipoles,
     simulate_oscillator,
@@ -25,7 +24,6 @@ __all__ = [
     "Trajectory",
     "canonical_momentum",
     "field_spectrum",
-    "mean_trajectory",
     "position_spectrum",
     "run_scenario",
     "sample_from_spectrum",

@@ -75,7 +75,6 @@ class GroundStateStats:
 
     x_var: float
     p_var: float
-    v_var: float
     mean_energy: float
     x_density: object
     x_cdf: object
@@ -83,27 +82,21 @@ class GroundStateStats:
     energy_cdf: object
 
 
-def ground_state(params: SystemParams, omega_v_cut: float | None = None) -> GroundStateStats:
+def ground_state(params: SystemParams) -> GroundStateStats:
     """Ground-state moments and densities in the tau -> 0 limit.
 
     x_var = hbar/(2 m omega0), p_var = m hbar omega0 / 2, mean energy
-    hbar omega0 / 2.  The velocity variance is cutoff-dependent; with a
-    cutoff omega_v the leading finite-tau correction is
-    ln(1 + tau^2 omega_v^2) / (2 pi tau) * hbar/m on top of the limit.
+    hbar omega0 / 2.
     """
     if params.omega0 <= 0:
         raise InvalidParams(["ground_state requires omega0 > 0"])
-    hb, m, w0, tau = params.hbar, params.m, params.omega0, params.tau
+    hb, m, w0 = params.hbar, params.m, params.omega0
     x_var = hb / (2.0 * m * w0)
     p_var = m * hb * w0 / 2.0
-    v_var = hb * w0 / (2.0 * m)
-    if omega_v_cut is not None:
-        v_var += hb * math.log(1.0 + tau ** 2 * omega_v_cut ** 2) / (2.0 * math.pi * m * tau)
     mean_energy = 0.5 * hb * w0
     return GroundStateStats(
         x_var=x_var,
         p_var=p_var,
-        v_var=v_var,
         mean_energy=mean_energy,
         x_density=_gaussian_density(x_var),
         x_cdf=_gaussian_cdf(x_var),

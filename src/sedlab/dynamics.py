@@ -13,19 +13,23 @@ the exact response.  Each step applies the exact matrix exponential of the
 damped linear system with the field held constant over dt, so the
 integrator is exact for piecewise-constant input at any step size.
 
-The stationary oscillator scenarios do not run the recursion: a field
-synthesized on the FFT lattice is periodic with period n*dt, so the exact
-periodic steady state of the same recursion is X_j = H(z_j) * E_j on the
-half-spectrum coefficients E_j of the field, with z_j = exp(2 pi i j/n) and
-H the z-transfer of the recursion (``response_transfer``).  They need no
-burn-in.  The time-domain integrator (``simulate_oscillator``,
-``simulate_dipoles``) stays as the oracle for that response, as the path
-of the property suite, and as the path of the kicked, non-stationary
-coherent-decay runs.
+No scenario runs the recursion: a field synthesized on the FFT lattice is
+periodic with period n*dt, so the exact periodic steady state of the same
+recursion is X_j = H(z_j) * E_j on the half-spectrum coefficients E_j of
+the field, with z_j = exp(2 pi i j/n) and H the z-transfer of the
+recursion (``response_transfer``).  It needs no burn-in.  A kicked start
+is, by linearity, that steady state plus the homogeneous decay, which is
+``_integrate`` on a zero field.
 
-The free particle (omega0 = 0) is never time-integrated: with no restoring
-force the reduction degenerates, so free-particle positions are sampled
-directly in the frequency domain from their process spectrum.
+The free particle (omega0 = 0) has no recursion: with no restoring force
+the reduction degenerates.  Its gain is the exact free response
+chi_j = -1/(omega_j^2 (1 - i tau omega_j)), whose squared modulus is
+``spectra.position_transfer``, and its canonical momentum is nil.
+
+The time-domain integrator (``simulate_oscillator``, ``simulate_dipoles``)
+and the direct free-particle sampler (``sample_from_spectrum``) stay as
+the tests' oracles of these responses; ``simulate_oscillator`` is also the
+property suite's path.
 """
 
 from __future__ import annotations
@@ -55,10 +59,6 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return self.x.size
-
-    @property
-    def t_grid(self) -> np.ndarray:
-        return np.arange(self.x.size) * self.dt
 
 
 def _propagator(params: SystemParams, dt: float):
@@ -122,17 +122,26 @@ def response_transfer(params: SystemParams, grid: GridSpec):
         T_j = -m omega0^2 dt/2 * (1 + z^-1)/(1 - z^-1) = i m omega0^2 dt/2 * cot(pi j/n),
 
     T_0 = 0.  T is purely imaginary, so C_xp = irfft(T |X|^2)/n is odd in
-    the lag.  Both are evaluated on the synthesis band only and are zero
-    above it, where the field has no power.
+    the lag.
+
+    For the free particle (omega0 = 0) H is the exact free response
+    chi_j = -1/(omega_j^2 (1 - i tau omega_j)), H_0 = 0, and T = 0.
+
+    Both are evaluated on the synthesis band only and are zero above it,
+    where the field has no power.
     """
     dt, n = grid.dt, grid.n_samples
+    j = np.arange(synthesis_band(dt, n, grid.omega_cut) + 1)
+    h = np.zeros(n // 2 + 1, dtype=complex)
+    t = np.zeros(n // 2 + 1, dtype=complex)
+    if params.omega0 == 0.0:
+        w = grid.domega * j[1:]
+        h[1 : j.size] = -1.0 / (w ** 2 * (1.0 - 1j * params.tau * w))
+        return h, t
     (a11, a12, a21, a22), (b1, b2) = _propagator(params, dt)
     tr, det = a11 + a22, math.exp(-2.0 * params.damping_rate * dt)
     c2 = a12 * b2 - a22 * b1
-    j = np.arange(synthesis_band(dt, n, grid.omega_cut) + 1)
     zinv = np.exp(-2j * math.pi * j / n)
-    h = np.zeros(n // 2 + 1, dtype=complex)
-    t = np.zeros(n // 2 + 1, dtype=complex)
     h[: j.size] = zinv * (b1 + c2 * zinv) / (1.0 + zinv * (det * zinv - tr))
     t[1 : j.size] = 0.5j * params.m * params.omega0 ** 2 * dt / np.tan(math.pi * j[1:] / n)
     return h, t
@@ -151,17 +160,12 @@ def canonical_momentum(x: np.ndarray, params: SystemParams, dt: float) -> np.nda
 def simulate_oscillator(
     params: SystemParams,
     field: FieldRealization,
-    kick: tuple[float, float] | None = None,
     burn_in: int | None = None,
 ) -> Trajectory:
     """Drive the oscillator with a field realization and discard burn-in.
 
     Parameters
     ----------
-    kick : (dx, dv), optional
-        State displacement injected at the end of the burn-in, i.e. the
-        trajectory starts from the stationary state plus this offset
-        (used for coherent-decay runs).
     burn_in : int, optional
         Samples to discard; default 10/(tau*omega0^2) time units, five
         e-folds of the slowest relaxation.
@@ -182,17 +186,8 @@ def simulate_oscillator(
             f"burn-in {nb} samples >= trajectory length {eps.size}"
         )
 
-    if kick is None:
-        x, v = _integrate(params, eps, dt)
-        x, v = x[nb:], v[nb:]
-    else:
-        (a11, a12, a21, a22), (b1, b2) = _propagator(params, dt)
-        xa, va = _integrate(params, eps[: max(nb, 1)], dt)
-        # state at the first retained sample, then displace
-        xk = a11 * xa[-1] + a12 * va[-1] + b1 * eps[nb - 1] if nb > 0 else 0.0
-        vk = a21 * xa[-1] + a22 * va[-1] + b2 * eps[nb - 1] if nb > 0 else 0.0
-        x, v = _integrate(params, eps[nb:], dt, x0=xk + kick[0], v0=vk + kick[1])
-
+    x, v = _integrate(params, eps, dt)
+    x, v = x[nb:], v[nb:]
     p = canonical_momentum(x, params, dt)
     return Trajectory(dt=dt, x=x, v=v, p=p, params=params)
 
@@ -205,9 +200,11 @@ def sample_from_spectrum(
 ) -> Trajectory:
     """Sample a position process directly from its one-sided spectrum.
 
-    Used for the free particle, where time-domain integration of pure
-    radiation damping is ill-posed.  The canonical momentum of the free
-    particle has a nil spectrum, so p is identically zero; v is omitted.
+    The oracle of the free-particle response: from the same seed it draws
+    the normals ``field_coefficients`` draws, so its |rfft(x)|^2 is
+    |H_j E_j|^2 of ``response_transfer``.  The canonical momentum of the
+    free particle has a nil spectrum, so p is identically zero; v is
+    omitted.
     """
     rng = np.random.default_rng(seed)
     x = synthesize_series(spectrum, grid.dt, grid.n_samples, grid.omega_cut, rng)
@@ -250,9 +247,3 @@ def simulate_dipoles(
             params=params,
         ))
     return trajs[0], trajs[1]
-
-
-def mean_trajectory(amplitude: float, phase: float, params: SystemParams, t):
-    """Deterministic coherent trajectory A*cos(omega0 t + phi)*exp(-gamma t)."""
-    t = np.asarray(t, dtype=float)
-    return amplitude * np.cos(params.omega0 * t + phase) * np.exp(-params.damping_rate * t)

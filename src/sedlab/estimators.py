@@ -53,7 +53,6 @@ class CorrelationSeries:
 
     lags: np.ndarray
     values: np.ndarray
-    n_eff: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,9 @@ def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float):
 def correlation(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float) -> CorrelationSeries:
     """Unbiased lag estimator of C_ab(u) = <a(t) b(t+u)> for u in [0, max_lag]."""
     raw, lags, n = _cross_raw(a, b, max_lag, dt)
-    n_eff = n - np.arange(lags + 1)
     return CorrelationSeries(
         lags=dt * np.arange(lags + 1),
-        values=raw[: lags + 1] / n_eff,
-        n_eff=n_eff,
+        values=raw[: lags + 1] / (n - np.arange(lags + 1)),
     )
 
 
@@ -240,6 +237,15 @@ def structure_function(x: np.ndarray, dt: float, delta_ts) -> np.ndarray:
             diff = x[d:] - x[:-d]
             out[i] = float(diff @ diff) / diff.size
     return out
+
+
+def mean_square_displacement(power: np.ndarray, n: int, lags) -> np.ndarray:
+    """``structure_function`` as the circular average over one period of a
+    length-n lattice series with mean |rfft|^2 ``power``, at lag indices
+    ``lags``: 2(C(0) - C(d)) with C = irfft(power)/n, the circular
+    autocorrelation.  Take lags through ``lag_count``."""
+    c = np.fft.irfft(power, n)
+    return 2.0 / n * (c[0] - c[lags])
 
 
 def windowed_energy(energy: np.ndarray, t_window: float, dt: float) -> EnergyWindowStats:

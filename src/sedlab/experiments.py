@@ -5,15 +5,18 @@ of (master seed, member index), reduces member results in index order, and
 embeds the fully resolved configuration in the report, so a report is a
 deterministic function of (name, params, grid, seed) for any worker count.
 
-The five stationary oscillator scenarios (ground_state, planck_thermal,
-dipoles, commutators, energy_time) use the periodic steady-state response
-on the synthesis lattice (``dynamics.response_transfer``), with no
-burn-in.  Lag correlations and spectra are linear in |X_j|^2, so
-commutators and energy_time add each member's |X_j|^2 into its group and
-inverse-transform each group once; the time series themselves are formed
-only where a statistic needs them (KS subsamples, windowed energies).
-coherent_decay starts from a kicked state, which is not stationary, and
-runs the time-domain integrator.
+Every scenario forms its response one way: the half-spectrum
+coefficients of its field (``noise.field_coefficients`` or
+``pair_coefficients``) times the gains of ``dynamics.response_transfer``,
+the periodic steady state on the synthesis lattice, with no burn-in (for
+the free particle, its exact free response).  Lag correlations, spectra
+and structure functions are linear in |X_j|^2, so commutators, energy_time
+and free_thermal add each member's |X_j|^2 into its group and
+inverse-transform each group once; free_zpf, whose weighted fit needs
+per-member values, transforms each member's.  The time series themselves
+are formed only where a statistic needs them (KS subsamples, windowed
+energies, the stationary part of coherent_decay, whose kicked start adds
+the homogeneous decay by linearity).
 
 Row pass policy: a match row passes when
 |estimated - analytic| <= max(tolerance * |analytic|, 3 * stderr); bound
@@ -27,20 +30,14 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic
 from .core import Config, GridSpec, SystemParams, validate
-from .dynamics import (
-    Trajectory,
-    response_transfer,
-    sample_from_spectrum,
-    simulate_oscillator,
-)
-from .errors import InvalidParams, NonFiniteReport, UnknownScenario
+from .dynamics import Trajectory, _integrate, response_transfer
+from .errors import NonFiniteReport, UnknownScenario
 from .estimators import (
     commutator_from_spectrum,
     decorrelated,
@@ -49,8 +46,8 @@ from .estimators import (
     ks_distance,
     lag_count,
     mean_square,
+    mean_square_displacement,
     spectrum_from_power,
-    structure_function,
     windowed_energy,
     write_series_csv,
 )
@@ -61,7 +58,7 @@ from .noise import (
     pair_coefficients,
     synthesize_field,
 )
-from .spectra import SpectrumModel, field_spectrum, position_transfer
+from .spectra import SpectrumModel
 
 N_GROUPS = 8  # ensemble split for group-based standard errors
 
@@ -572,45 +569,35 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
 
 def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter):
-    """Displaced ensemble with antithetic field pairs.
+    """Displaced ensemble.
 
-    Members 2k and 2k+1 share one field realization with opposite signs,
-    so their stochastic parts cancel exactly in the ensemble mean (the
-    homogeneous decay does not flip); this removes the mean-trajectory
-    noise, whose correlation time ~1/gamma would otherwise leave only a
-    couple of independent noise draws across the two-e-fold window.
-    Each member is still a valid realization (-eps is distributed like
-    eps), and the variance about the mean is untouched.  The pairs are
-    the units of the ensemble, so n_ensemble must be even.
+    By linearity each member is the homogeneous decay from the displaced
+    start plus the stationary response to its field.  The stationary part
+    has zero mean, so the ensemble mean is the homogeneous decay exactly,
+    with no mean-trajectory noise (whose correlation time ~1/gamma would
+    otherwise leave only a couple of independent draws across the
+    two-e-fold window), and the variance about it is the ensemble mean of
+    the stationary part squared.
     """
     params, grid = cfg.params, cfg.grid
-    if grid.n_ensemble < 2 or grid.n_ensemble % 2:
-        raise InvalidParams([
-            "coherent_decay runs antithetic pairs: n_ensemble must be even "
-            f"and >= 2, got {grid.n_ensemble}"])
     model = SpectrumModel.zpf()
-    dt = grid.dt
+    dt, n = grid.dt, grid.n_samples
     amp, phase = 3.0, 0.0
     gamma = params.damping_rate
     t_obs = 2.0 / gamma            # two amplitude e-folds
     n_keep = int(round(1.25 * t_obs / dt)) + 1
-    kick = (
-        amp * math.cos(phase),
-        -amp * (params.omega0 * math.sin(phase) + gamma * math.cos(phase)),
-    )
+    mean_x, _ = _integrate(
+        params, np.zeros(n_keep), dt, x0=amp * math.cos(phase),
+        v0=-amp * (params.omega0 * math.sin(phase) + gamma * math.cos(phase)))
+    H, _ = response_transfer(params, grid)
 
-    def worker(pair_index):
-        field = synthesize_field(model, params, grid, member_seed(seed, pair_index))
-        flipped = dc_replace(field, samples=-field.samples,
-                             seed=(field.seed, "antithetic"))
-        x0, x1 = (simulate_oscillator(params, f, kick=kick).x[:n_keep]
-                  for f in (field, flipped))
-        # the pair's mean of x and of x^2
-        return {"moments": np.stack([0.5 * (x0 + x1), 0.5 * (x0 ** 2 + x1 ** 2)])}
+    def worker(k):
+        X = field_coefficients(model, params, grid, member_seed(seed, k))
+        X *= H
+        return {"x_sq": np.fft.irfft(X, n)[:n_keep] ** 2}
 
-    acc = run_ensemble(worker, grid.n_ensemble // 2, jobs, summed=("moments",))
-    mean_x, mean_x2 = acc.total("moments")
-    var_x = mean_x2 - mean_x ** 2
+    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("x_sq",))
+    var_x = acc.total("x_sq")
 
     t = np.arange(n_keep) * dt
     envelope = np.hypot(mean_x, hilbert_transform(mean_x))
@@ -627,8 +614,7 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
     logs = np.log(env_smooth[sel])
     slope, _ = np.polyfit(t[sel], logs, 1)
 
-    var_mean, var_se = acc.estimate(
-        lambda mom: np.mean((mom[1] - mom[0] ** 2)[t <= t_obs]), "moments")
+    var_mean, var_se = acc.estimate(lambda x_sq: np.mean(x_sq[t <= t_obs]), "x_sq")
 
     emitter.series("coherent_decay", "mean_trajectory", "t", t, mean_x)
     emitter.series("coherent_decay", "variance", "t", t, var_x)
@@ -637,7 +623,7 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
     rows = [
         Row("envelope_max_dev", env_dev, 0.0, 0.05, 0.0, kind="upper_bound",
             note=f"|envelope - {amp:g} e^(-gamma t)| / envelope over two e-folds; "
-                 "antithetic field pairs cancel the mean-trajectory noise"),
+                 "the ensemble mean is the homogeneous decay"),
         Row("decay_rate", float(-slope), 0.0, gamma, 0.05,
             note="log-envelope slope vs pole rate tau*omega0^2/2"),
         Row("variance_about_mean", var_mean, var_se, gs.x_var, 0.05,
@@ -651,12 +637,7 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     params, grid = cfg.params, cfg.grid
     kT = params.kT
     model = SpectrumModel.rayleigh_jeans(kT)
-
-    def s_x(w):
-        return field_spectrum(model, params, w) * position_transfer(w, params)
-
-    def s_v(w):
-        return w ** 2 * s_x(w)
+    dt, n = grid.dt, grid.n_samples
 
     # the synthesis lattice misses the band below domega = 2 pi / duration,
     # which depresses the structure function by ~ (2 kT tau/pi m) dt^2 domega;
@@ -664,27 +645,39 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     # (dt <= 20) and the longer lags are reported for the emitted curve only
     deltas = np.geomspace(1.0, 100.0, 16)
     fit_deltas = np.linspace(2.0, 20.0, 10)
+    x_lags = [lag_count(t, dt, n) for t in (*deltas, *fit_deltas)]
+    v_lags = [lag_count(t, dt, n) for t in (50.0, 100.0)]
     pred = analytic.free_particle(params, kT, 1.0, grid.omega_cut)
+    H, T = response_transfer(params, grid)
+    omega = grid.domega * np.arange(n // 2 + 1)
 
     def worker(k):
-        sub = member_seed(seed, k).spawn(2)
-        traj = sample_from_spectrum(s_x, grid, sub[0], params)
-        vtraj = sample_from_spectrum(s_v, grid, sub[1], params)
+        X = field_coefficients(model, params, grid, member_seed(seed, k))
+        X *= H
         if k == 0:
-            emitter.trajectory("free_thermal", traj, sub[0])
-        sfv = structure_function(vtraj.x, grid.dt, [50.0, 100.0])
-        return {"sf": structure_function(traj.x, grid.dt, deltas),
-                "sf_fit": structure_function(traj.x, grid.dt, fit_deltas),
-                "v_var": vtraj.x.var(), "sfv": np.mean(sfv)}
+            _emit_steady(emitter, "free_thermal", params, grid, np.fft.irfft(X, n),
+                         np.fft.irfft(T * X, n), member_seed(seed, k))
+        # the velocity V = i omega X of the same draw
+        return {"power": X.real ** 2 + X.imag ** 2,
+                "v_var": mean_square(1j * omega * X, n)}
 
-    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("sf", "sf_fit"))
+    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
-    slope, slope_se = acc.estimate(lambda sf: np.polyfit(fit_deltas, sf, 1)[0], "sf_fit")
+    def structure_functions(pw):
+        """Position structure function at deltas and fit_deltas, then the
+        velocity one at the asymptote lags, of one group's power."""
+        return np.concatenate([mean_square_displacement(pw, n, x_lags),
+                               mean_square_displacement(omega ** 2 * pw, n, v_lags)])
+
+    sf = acc.map_groups("power", structure_functions, jobs)
+    n_d, n_x = deltas.size, len(x_lags)
+    slope, slope_se = sf.estimate(
+        lambda s: np.polyfit(fit_deltas, s[n_d:n_x], 1)[0], "power")
     v_var, v_se = acc.mean("v_var")
-    sfv, sfv_se = acc.mean("sfv")
+    sfv, sfv_se = sf.estimate(lambda s: np.mean(s[n_x:]), "power")
 
     emitter.series("free_thermal", "structure_function", "delta_t", deltas,
-                   acc.total("sf"))
+                   sf.total("power")[:n_d])
 
     rows = [
         Row("structure_slope", slope, slope_se,
@@ -704,18 +697,19 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     params, grid = cfg.params, cfg.grid
     model = SpectrumModel.zpf()
-
-    def s_x(w):
-        return field_spectrum(model, params, w) * position_transfer(w, params)
-
+    dt, n = grid.dt, grid.n_samples
     t_lo = 100.0 * params.tau
-    t_hi = (grid.n_samples // 10 - 1) * grid.dt
+    t_hi = (n // 10 - 1) * dt
     deltas = np.geomspace(t_lo, t_hi, 24)
+    lags = [lag_count(t, dt, n) for t in deltas]
+    H, T = response_transfer(params, grid)
 
     def worker(k):
-        traj = sample_from_spectrum(s_x, grid, member_seed(seed, k), params)
-        sf = structure_function(traj.x, grid.dt, deltas)
-        return {"sf": sf, "sf_sq": sf ** 2, "p_var": traj.p.var()}
+        X = field_coefficients(model, params, grid, member_seed(seed, k))
+        X *= H
+        # per member: the weighted fit needs the ensemble variance of each lag
+        sf = mean_square_displacement(X.real ** 2 + X.imag ** 2, n, lags)
+        return {"sf": sf, "sf_sq": sf ** 2, "p_var": mean_square(T * X, n)}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("sf", "sf_sq"))
     n_ens = grid.n_ensemble

@@ -16,10 +16,10 @@ free-particle spectra (S_x ~ 1/omega) usable: structure functions remain
 finite on the lattice while the raw variance never sees the missing band.
 
 The draw is kept as its half-spectrum coefficients (``field_coefficients``,
-``pair_coefficients``), the numpy ``rfft`` of the series: the stationary
-oscillator scenarios drive their periodic steady-state response with them
-directly, and ``synthesize_series``/``synthesize_field`` are their
-``irfft``, bit for bit.
+``pair_coefficients``), the numpy ``rfft`` of the series: every scenario
+drives its periodic steady-state response with them directly, and
+``synthesize_series``/``synthesize_field`` are their ``irfft``, bit for
+bit.
 
 Seed splitting: the sub-seed of ensemble member k is a pure function of
 (master seed, k) via numpy's SeedSequence spawn keys, so members can be
@@ -45,10 +45,6 @@ def member_seed(master_seed: int, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(k,))
 
 
-def member_rng(master_seed: int, k: int) -> np.random.Generator:
-    return np.random.default_rng(member_seed(master_seed, k))
-
-
 @dataclass(frozen=True)
 class FieldRealization:
     """One sampled reduced-field realization with its provenance."""
@@ -63,10 +59,6 @@ class FieldRealization:
     def n_samples(self) -> int:
         return self.samples.size
 
-    @property
-    def t_grid(self) -> np.ndarray:
-        return np.arange(self.samples.size) * self.dt
-
 
 def synthesis_band(dt: float, n_samples: int, omega_cut: float) -> int:
     """Highest lattice index j_max of the synthesis band; coefficients above it are zero."""
@@ -80,7 +72,7 @@ def synthesis_band(dt: float, n_samples: int, omega_cut: float) -> int:
 
 def _half_spectrum(spectrum, dt: float, n_samples: int, omega_cut: float,
                    rng: np.random.Generator):
-    """Half-spectrum coefficients of one draw and their lattice frequencies."""
+    """Half-spectrum coefficients of one draw."""
     domega = 2.0 * math.pi / (n_samples * dt)
     j_max = synthesis_band(dt, n_samples, omega_cut)
     omegas = domega * np.arange(1, j_max + 1)
@@ -95,7 +87,7 @@ def _half_spectrum(spectrum, dt: float, n_samples: int, omega_cut: float,
     half = np.zeros(n_samples // 2 + 1, dtype=complex)
     # irfft convention: x_k = (1/n) * (c_0 + 2 * sum_j Re[c_j e^{2pi i jk/n}] + ...)
     half[1 : j_max + 1] = 0.5 * n_samples * amp * (a - 1j * b)
-    return half, omegas
+    return half
 
 
 def synthesize_series(
@@ -104,28 +96,10 @@ def synthesize_series(
     n_samples: int,
     omega_cut: float,
     rng: np.random.Generator,
-    derivative: bool = False,
-):
-    """Draw one realization of a Gaussian process with one-sided spectrum S.
-
-    Parameters
-    ----------
-    spectrum : callable
-        S(omega) evaluated on a 1-d array of lattice frequencies.
-    derivative : bool
-        Also return the exact time derivative (the same harmonic sum with
-        coefficients multiplied by i*omega), consistent sample by sample.
-
-    Returns
-    -------
-    ndarray, or (ndarray, ndarray) when ``derivative`` is set.
-    """
-    half, omegas = _half_spectrum(spectrum, dt, n_samples, omega_cut, rng)
-    x = np.fft.irfft(half, n_samples)
-    if not derivative:
-        return x
-    half[1 : omegas.size + 1] *= 1j * omegas
-    return x, np.fft.irfft(half, n_samples)
+) -> np.ndarray:
+    """Draw one realization of a Gaussian process with one-sided spectrum S,
+    evaluated as ``spectrum`` on a 1-d array of lattice frequencies."""
+    return np.fft.irfft(_half_spectrum(spectrum, dt, n_samples, omega_cut, rng), n_samples)
 
 
 def _check_resonance_resolved(params: SystemParams, grid: GridSpec):
@@ -150,14 +124,13 @@ def field_coefficients(
     for the same seed, bit for bit; E_0 and E_{n/2} are zero.
     """
     _check_resonance_resolved(params, grid)
-    half, _ = _half_spectrum(
+    return _half_spectrum(
         lambda w: field_spectrum(model, params, w),
         grid.dt,
         grid.n_samples,
         grid.omega_cut,
         np.random.default_rng(seed),
     )
-    return half
 
 
 def synthesize_field(

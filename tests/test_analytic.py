@@ -42,12 +42,6 @@ def test_ground_state_densities_normalized():
     assert etot == pytest.approx(1.0, abs=1e-10)
 
 
-def test_ground_state_velocity_cutoff_correction():
-    gs = ground_state(PARAMS, omega_v_cut=5.0)
-    expected = 0.5 + math.log(1.0 + PARAMS.tau ** 2 * 25.0) / (2.0 * math.pi * PARAMS.tau)
-    assert gs.v_var == pytest.approx(expected, rel=1e-12)
-
-
 def test_ground_state_requires_bound_particle():
     with pytest.raises(InvalidParams):
         ground_state(SystemParams(tau=0.01, omega0=0.0))

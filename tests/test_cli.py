@@ -163,3 +163,13 @@ def test_run_exits_2_on_a_non_finite_report(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
     assert "x_variance" in capsys.readouterr().err
     assert not (out / "ground_state_report.json").exists()
+
+
+def test_run_exits_2_when_a_lag_exceeds_the_periodicity_guard(tmp_path, capsys):
+    # free_thermal's 100-unit lag is 10,000 samples, beyond n/10 = 6,553
+    cfg = write_config(tmp_path, {"scenario": "free_thermal", "dt": 0.01,
+                                  "n_samples": 1 << 16, "omega_cut": 300.0})
+    out = tmp_path / "lag"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "periodicity guard" in capsys.readouterr().err
+    assert not (out / "free_thermal_report.json").exists()

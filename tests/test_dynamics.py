@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from sedlab.dynamics import (
     _integrate,
     _propagator,
     canonical_momentum,
-    mean_trajectory,
     response_transfer,
     sample_from_spectrum,
     simulate_dipoles,
@@ -23,6 +23,7 @@ from sedlab.noise import (
     field_coefficients,
     member_seed,
     pair_coefficients,
+    synthesis_band,
     synthesize_field,
     synthesize_pair,
 )
@@ -47,8 +48,7 @@ def test_free_decay_matches_ode_oracle():
     from scipy.integrate import solve_ivp
 
     dt, n = 0.05, 4000
-    field = zero_field(dt, n)
-    traj = simulate_oscillator(PARAMS, field, kick=(1.0, 0.0), burn_in=0)
+    x, v = _integrate(PARAMS, np.zeros(n), dt, x0=1.0, v0=0.0)
     gamma = PARAMS.damping_rate
 
     def rhs(t, y):
@@ -57,31 +57,21 @@ def test_free_decay_matches_ode_oracle():
     t_eval = np.arange(n) * dt
     sol = solve_ivp(rhs, (0.0, t_eval[-1]), [1.0, 0.0], t_eval=t_eval,
                     rtol=1e-11, atol=1e-12)
-    assert np.max(np.abs(traj.x - sol.y[0])) < 1e-7
-    assert np.max(np.abs(traj.v - sol.y[1])) < 1e-7
+    assert np.max(np.abs(x - sol.y[0])) < 1e-7
+    assert np.max(np.abs(v - sol.y[1])) < 1e-7
 
 
 def test_free_decay_envelope():
     # amplitude envelope exp(-tau w0^2 t / 2)
     dt, n = 0.05, 1 << 14
-    traj = simulate_oscillator(PARAMS, zero_field(dt, n), kick=(1.0, 0.0),
-                               burn_in=0)
-    t = traj.t_grid
+    x, _ = _integrate(PARAMS, np.zeros(n), dt, x0=1.0, v0=0.0)
+    t = np.arange(n) * dt
     peaks = []
     for k in range(1, n - 1):
-        if traj.x[k] > traj.x[k - 1] and traj.x[k] > traj.x[k + 1]:
-            peaks.append((t[k], traj.x[k]))
+        if x[k] > x[k - 1] and x[k] > x[k + 1]:
+            peaks.append((t[k], x[k]))
     for tk, xk in peaks[:80]:
         assert xk == pytest.approx(math.exp(-PARAMS.damping_rate * tk), rel=5e-3)
-
-
-def test_envelope_efold_value():
-    t_e = 2.0 / (PARAMS.tau * PARAMS.omega0 ** 2)
-    assert mean_trajectory(1.0, 0.0, PARAMS, 0.0) == 1.0
-    env = abs(mean_trajectory(1.0, 0.0, PARAMS, t_e)) / abs(math.cos(t_e))
-    assert env == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert mean_trajectory(0.0, 0.3, PARAMS, 5.0) == 0.0
-    assert mean_trajectory(2.0, 0.7, PARAMS, 0.0) == pytest.approx(2.0 * math.cos(0.7))
 
 
 def test_zpf_position_variance():
@@ -309,3 +299,38 @@ def test_transfer_is_zero_above_the_band_and_momentum_gain_imaginary():
     assert np.all(h[: band + 1] != 0.0)
     # low-frequency gain of the position response is 1/omega0^2
     assert h[0] == pytest.approx(1.0 / PARAMS.omega0 ** 2, rel=1e-12)
+
+
+def test_free_transfer_is_the_exact_free_response_on_the_band():
+    params, grid = scenario_defaults("free_zpf")
+    cfg = validate(params, grid)
+    h, t = response_transfer(cfg.params, cfg.grid)
+    band = synthesis_band(cfg.grid.dt, cfg.grid.n_samples, cfg.grid.omega_cut)
+    omega = cfg.grid.domega * np.arange(1, band + 1)
+    gain = np.abs(h[1 : band + 1]) ** 2
+    ref = position_transfer(omega, cfg.params)
+    assert np.max(np.abs(gain - ref) / ref) < 1e-12
+    assert np.all(t == 0.0)
+    assert h[0] == 0.0
+    assert np.all(h[band + 1 :] == 0.0)
+
+
+@pytest.mark.parametrize("name, model", [
+    ("free_zpf", ZPF),
+    ("free_thermal", SpectrumModel.rayleigh_jeans(1.0)),
+])
+def test_free_response_power_matches_the_direct_sampler(name, model):
+    # both routes draw the same normals from one member seed
+    params, grid = scenario_defaults(name)
+    cfg = validate(params, replace(grid, n_samples=1 << 17))
+    seed = member_seed(cfg.grid.seed, 3)
+    h, _ = response_transfer(cfg.params, cfg.grid)
+    X = h * field_coefficients(model, cfg.params, cfg.grid, seed)
+    power = np.abs(X) ** 2
+
+    def s_x(w):
+        return field_spectrum(model, cfg.params, w) * position_transfer(w, cfg.params)
+
+    x = sample_from_spectrum(s_x, cfg.grid, seed, cfg.params).x
+    direct = np.abs(np.fft.rfft(x)) ** 2
+    assert np.max(np.abs(power - direct)) <= 1e-10 * direct.max()

@@ -15,7 +15,9 @@ from sedlab.estimators import (
     hilbert_transform,
     ks_critical,
     ks_distance,
+    lag_count,
     mean_square,
+    mean_square_displacement,
     periodogram,
     spectrum_from_power,
     structure_function,
@@ -24,7 +26,7 @@ from sedlab.estimators import (
     write_series_csv,
 )
 from sedlab.noise import member_seed, synthesize_field, synthesize_series
-from sedlab.spectra import SpectrumModel, field_spectrum
+from sedlab.spectra import SpectrumModel, field_spectrum, position_transfer
 
 PARAMS = SystemParams(tau=0.01)
 ZPF = SpectrumModel.zpf()
@@ -81,7 +83,6 @@ def test_correlation_lag_zero_is_variance():
     x = rng.standard_normal(4096)
     series = correlation(x, x, 5.0, 0.1)
     assert series.values[0] == pytest.approx(x.var(), rel=1e-12)
-    assert series.n_eff[0] == x.size
 
 
 def test_correlation_lag_guard():
@@ -192,6 +193,31 @@ def test_structure_function_zero_lag_and_white_noise():
     assert out[2] == pytest.approx(2.0, rel=0.02)
     with pytest.raises(LagTooLong):
         structure_function(x, 1.0, [x.size / 5.0])
+
+
+def test_mean_square_displacement_is_the_circular_average():
+    free = SystemParams(tau=0.01, omega0=0.0, kT=1.0)
+    model = SpectrumModel.rayleigh_jeans(free.kT)
+    dt, n = 0.01, 1 << 17
+
+    def s_x(w):
+        return field_spectrum(model, free, w) * position_transfer(w, free)
+
+    deltas = np.geomspace(1.0, 100.0, 8)
+    lags = [lag_count(t, dt, n) for t in deltas]
+    circular, direct = [], []
+    for k in range(8):
+        x = synthesize_series(s_x, dt, n, 300.0, np.random.default_rng(member_seed(8, k)))
+        sf = mean_square_displacement(np.abs(np.fft.rfft(x)) ** 2, n, lags)
+        rolled = np.array([np.mean((np.roll(x, -d) - x) ** 2) for d in lags])
+        assert np.max(np.abs(sf - rolled) / rolled) < 1e-10
+        circular.append(sf)
+        direct.append(structure_function(x, dt, deltas))
+    # the circular average adds the d wrapped pairs of the periodic series:
+    # the same statistic, within the sampling error of the ensemble mean
+    stderr = np.std(direct, axis=0, ddof=1) / math.sqrt(len(direct))
+    assert np.all(np.abs(np.mean(circular, axis=0) - np.mean(direct, axis=0))
+                  <= 3.0 * stderr)
 
 
 def test_windowed_energy_single_sample_limit():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sedlab.core import GridSpec, SystemParams
-from sedlab.errors import InvalidParams, SedlabError, UnknownScenario
+from sedlab.errors import LagTooLong, SedlabError, UnknownScenario
 from sedlab.experiments import (
     N_GROUPS,
     SCENARIO_NAMES,
@@ -145,10 +145,19 @@ def _default_grid(name, **changes):
     return replace(scenario_defaults(name)[1], **changes)
 
 
-def test_commutators_report_independent_of_jobs():
-    grid = _default_grid("commutators", n_samples=1 << 16, n_ensemble=8)
-    r1 = run_scenario("commutators", grid=grid, jobs=1)
-    r2 = run_scenario("commutators", grid=grid, jobs=2)
+SMALL_GRIDS = {
+    "commutators": dict(n_samples=1 << 16, n_ensemble=8),
+    "free_thermal": dict(dt=0.01, n_samples=1 << 17, omega_cut=300.0, n_ensemble=8),
+    "free_zpf": dict(n_samples=1 << 17, n_ensemble=8),
+    "coherent_decay": dict(n_ensemble=24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
+def test_scenario_report_independent_of_jobs(name):
+    grid = _default_grid(name, **SMALL_GRIDS[name])
+    r1 = run_scenario(name, grid=grid, jobs=1)
+    r2 = run_scenario(name, grid=grid, jobs=2)
     assert r1.to_json() == r2.to_json()
 
 
@@ -203,7 +212,7 @@ def test_accumulator_identical_at_jobs_1_and_3(n_ensemble):
 @pytest.mark.parametrize("name, n_samples, n_ensemble", [
     ("commutators", 1 << 16, 4),
     ("commutators", 1 << 16, 12),
-    ("coherent_decay", 1 << 15, 4),
+    ("coherent_decay", 1 << 15, 3),
 ])
 def test_small_ensembles_give_finite_stderr(name, n_samples, n_ensemble):
     grid = _default_grid(name, n_samples=n_samples, n_ensemble=n_ensemble)
@@ -215,16 +224,26 @@ def test_small_ensembles_give_finite_stderr(name, n_samples, n_ensemble):
 
 
 @pytest.mark.parametrize("n_ensemble", [1, 3])
-def test_coherent_decay_rejects_odd_or_single_member_ensembles(n_ensemble, monkeypatch):
+def test_coherent_decay_runs_odd_and_single_member_ensembles(n_ensemble):
+    grid = _default_grid("coherent_decay", n_ensemble=n_ensemble)
+    report = run_scenario("coherent_decay", grid=grid)
+    assert report.config["grid"]["n_ensemble"] == n_ensemble
+    rows = json.loads(report.to_json())["rows"]
+    assert all(math.isfinite(r["estimated"]) and math.isfinite(r["stderr"]) for r in rows)
+
+
+def test_free_thermal_lag_beyond_the_periodicity_guard_is_refused(monkeypatch):
     import sedlab.experiments as experiments
 
     def no_members(*args, **kwargs):
-        raise AssertionError("a member ran before the ensemble size was checked")
+        raise AssertionError("a member ran before the lags were checked")
 
     monkeypatch.setattr(experiments, "ensemble_reduce", no_members)
-    grid = _default_grid("coherent_decay", n_ensemble=n_ensemble)
-    with pytest.raises(InvalidParams, match="even"):
-        run_scenario("coherent_decay", grid=grid)
+    # the 100-unit lag is 10,000 samples, beyond n/10 = 6,553
+    grid = _default_grid("free_thermal", **dict(SMALL_GRIDS["free_thermal"],
+                                                n_samples=1 << 16))
+    with pytest.raises(LagTooLong):
+        run_scenario("free_thermal", grid=grid)
 
 
 def test_group_stderr_uses_actual_group_sizes():
