@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import sys
 from pathlib import Path
 
@@ -101,6 +102,10 @@ def _cmd_run(args) -> int:
     for line in report.summary_lines():
         print(line)
     print(f"runtime: {report.runtime:.1f}s", file=sys.stderr)
+    ru = resource.getrusage(resource.RUSAGE_SELF)  # the whole process, ru_maxrss in KiB
+    print(f"resources: user {ru.ru_utime:.2f}s sys {ru.ru_stime:.2f}s "
+          f"minor_faults {ru.ru_minflt} peak_rss {ru.ru_maxrss / 1024:.1f}MB",
+          file=sys.stderr)
     return 0 if report.all_passed else 1
 
 

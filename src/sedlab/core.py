@@ -113,8 +113,11 @@ def resolve_defaults(params: SystemParams, grid: GridSpec) -> tuple[SystemParams
     return params, grid
 
 
-def validate(params: SystemParams, grid: GridSpec) -> Config:
+def validate(params: SystemParams, grid: GridSpec, oscillator: bool = False) -> Config:
     """Check every invariant and return the validated configuration.
+
+    ``oscillator`` marks a configuration that drives a bound oscillator,
+    whose omega0 must then be > 0 (omega0 = 0 is the free particle).
 
     Raises
     ------
@@ -127,7 +130,9 @@ def validate(params: SystemParams, grid: GridSpec) -> Config:
         violations.append(f"hbar must be > 0, got {params.hbar}")
     if not params.m > 0:
         violations.append(f"m must be > 0, got {params.m}")
-    if params.omega0 < 0:
+    if oscillator and not params.omega0 > 0:
+        violations.append(f"omega0 must be > 0, got {params.omega0}")
+    elif params.omega0 < 0:
         violations.append(f"omega0 must be >= 0, got {params.omega0}")
     if not params.tau > 0:
         violations.append(f"tau must be > 0, got {params.tau}")

@@ -94,9 +94,24 @@ def spectrum_from_power(power: np.ndarray, n: int, dt: float) -> SpectrumEstimat
     return SpectrumEstimate(omega=omega, values=values)
 
 
-def mean_square(coeffs: np.ndarray, n: int) -> float:
-    """Time average of x^2 for x = irfft(coeffs, n), by Parseval."""
-    w = coeffs.real ** 2 + coeffs.imag ** 2
+def coefficient_power(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|c_j|^2 = c.real**2 + c.imag**2 of complex coefficients.
+
+    ``out``, a complex array of the same size (not ``coeffs``; a fresh one
+    by default), lends its memory: the power is a view of its first half,
+    read as reals.
+    """
+    out = np.empty(coeffs.size, dtype=complex) if out is None else out
+    re_sq, im_sq = out.view(np.float64).reshape(2, coeffs.size)
+    np.square(coeffs.real, out=re_sq)
+    np.square(coeffs.imag, out=im_sq)
+    return np.add(re_sq, im_sq, out=re_sq)
+
+
+def mean_square(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> float:
+    """Time average of x^2 for x = irfft(coeffs, n), by Parseval; ``out``
+    as for ``coefficient_power``."""
+    w = coefficient_power(coeffs, out)
     total = w[0] + 2.0 * w[1:].sum()
     if n % 2 == 0:
         total -= w[-1]  # the Nyquist bin appears once
@@ -120,6 +135,7 @@ def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float):
 
     Entry u is lag u, entry m - u is lag -u.  Returns (raw, lag count, n).
     """
+    auto = b is a
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size != b.size or a.size == 0:
@@ -128,7 +144,7 @@ def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float):
     lags = lag_count(max_lag, dt, n)
     m = next_fast_len(n + lags + 1)
     fa = np.fft.rfft(a - a.mean(), m)
-    fb = np.fft.rfft(b - b.mean(), m)
+    fb = fa if auto else np.fft.rfft(b - b.mean(), m)
     return np.fft.irfft(np.conj(fa) * fb, m), lags, n
 
 
@@ -239,12 +255,14 @@ def structure_function(x: np.ndarray, dt: float, delta_ts) -> np.ndarray:
     return out
 
 
-def mean_square_displacement(power: np.ndarray, n: int, lags) -> np.ndarray:
+def mean_square_displacement(power: np.ndarray, n: int, lags, out=None) -> np.ndarray:
     """``structure_function`` as the circular average over one period of a
     length-n lattice series with mean |rfft|^2 ``power``, at lag indices
     ``lags``: 2(C(0) - C(d)) with C = irfft(power)/n, the circular
-    autocorrelation.  Take lags through ``lag_count``."""
-    c = np.fft.irfft(power, n)
+    autocorrelation.  Take lags through ``lag_count``.  ``out`` (n reals)
+    receives irfft(power); a complex ``power`` (zero imaginary part) is
+    transformed without a converted copy."""
+    c = np.fft.irfft(power, n, out=out)
     return 2.0 / n * (c[0] - c[lags])
 
 

@@ -6,8 +6,8 @@ embeds the fully resolved configuration in the report, so a report is a
 deterministic function of (name, params, grid, seed) for any worker count.
 
 Every scenario forms its response one way: the half-spectrum
-coefficients of its field (``noise.field_coefficients`` or
-``pair_coefficients``) times the gains of ``dynamics.response_transfer``,
+coefficients of its field (a ``noise.Synthesis`` draw, ``draw_pair`` for
+the dipoles) times the gains of ``dynamics.response_transfer``,
 the periodic steady state on the synthesis lattice, with no burn-in (for
 the free particle, its exact free response).  Lag correlations, spectra
 and structure functions are linear in |X_j|^2, so commutators, energy_time
@@ -18,6 +18,15 @@ are formed only where a statistic needs them (KS subsamples, windowed
 energies, the stationary part of coherent_decay, whose kicked start adds
 the homogeneous decay by linearity).
 
+Members reuse memory.  Each scenario call sets its field synthesis up once
+(``noise.field_synthesis``) and makes a ``Workspace``: complex buffers of
+n//2 + 1 entries, a set per thread, at most three, which every member and
+every per-group linear map of that thread writes its n-point
+intermediates into (``out=``).  The rule: a value the reducer keeps (a
+scalar, a KS subsample, a summed power or structure function) is a fresh
+array, since a pool thread starts its next member before the reducer has
+read the last; everything else lives in the workspace.
+
 Row pass policy: a match row passes when
 |estimated - analytic| <= max(tolerance * |analytic|, 3 * stderr); bound
 rows are one-sided with the same 3-sigma statistical allowance.
@@ -27,6 +36,8 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -39,6 +50,7 @@ from .core import Config, GridSpec, SystemParams, validate
 from .dynamics import Trajectory, _integrate, response_transfer
 from .errors import NonFiniteReport, UnknownScenario
 from .estimators import (
+    coefficient_power,
     commutator_from_spectrum,
     decorrelated,
     hilbert_transform,
@@ -51,13 +63,7 @@ from .estimators import (
     windowed_energy,
     write_series_csv,
 )
-from .noise import (
-    dump_realization,
-    field_coefficients,
-    member_seed,
-    pair_coefficients,
-    synthesize_field,
-)
+from .noise import dump_realization, field_synthesis, member_seed, synthesize_field
 from .spectra import SpectrumModel
 
 N_GROUPS = 8  # ensemble split for group-based standard errors
@@ -327,6 +333,50 @@ def run_ensemble(worker, n_ensemble: int, jobs: int, summed=()) -> Ensemble:
                            Ensemble(n_ensemble, summed))
 
 
+class Workspace:
+    """Member-sized scratch arrays of one scenario call, a set per thread.
+
+    Buffer i is a complex half-spectrum of n//2 + 1 entries, allocated on
+    the first request of a thread; ``series(i)`` is the same memory read as
+    n real samples, so one buffer holds one intermediate at a time.  Every
+    later member (or group map) on that thread writes into the same
+    buffers, so members do not page-fault fresh temporaries.  The buffers
+    live as long as the Workspace (the scenario call) and the thread (a
+    pool thread ends with its ``ensemble_reduce``).
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._local = threading.local()
+
+    def spectrum(self, i: int) -> np.ndarray:
+        bufs = vars(self._local).setdefault("bufs", [])
+        while len(bufs) <= i:
+            # an anonymous mapping of its own, unmapped when the buffer dies:
+            # from malloc it would stay behind as free heap in the thread's arena
+            bufs.append(np.frombuffer(mmap.mmap(-1, 16 * (self.n // 2 + 1)), dtype=complex))
+        return bufs[i]
+
+    def series(self, i: int) -> np.ndarray:
+        return self.spectrum(i).view(np.float64)[: self.n]
+
+
+def _variance(x: np.ndarray) -> float:
+    """``x.var()`` bit for bit, without its n-point temporary: x is
+    overwritten with its squared deviations."""
+    mean = np.add.reduce(x) / x.size
+    np.square(np.subtract(x, mean, out=x), out=x)
+    return float(np.add.reduce(x) / x.size)
+
+
+def _steady_state(synthesis, H, seed: int, k: int, ws: Workspace) -> np.ndarray:
+    """Member k's steady-state response X = E H in workspace buffer 0
+    (buffer 1 holds the draw's normals until then)."""
+    X = synthesis.draw(member_seed(seed, k), out=ws.spectrum(0), normals=ws.series(1))
+    X *= H
+    return X
+
+
 def _x_decorrelation_time(params: SystemParams) -> float:
     # twelve amplitude e-folds: the subsample is independent enough that
     # the KS tests run at their nominal level despite the small finite-tau
@@ -339,18 +389,23 @@ def _u_decorrelation_time(params: SystemParams) -> float:
     return 12.0 / (params.tau * params.omega0 ** 2)
 
 
-def _energy(params: SystemParams, x_sq, p_sq):
+def _energy(params: SystemParams, x_sq, p_sq, out=None):
     """Oscillator energy (m omega0^2 x^2 + p^2/m)/2 from x^2 and p^2
-    (samples, or means: the steady-state x and p have zero mean)."""
-    return 0.5 * (params.m * params.omega0 ** 2 * x_sq + p_sq / params.m)
+    (samples, or means: the steady-state x and p have zero mean).  Given
+    ``out`` (which may be x_sq), a series is formed in place, and p_sq is
+    overwritten."""
+    if out is None:
+        return 0.5 * (params.m * params.omega0 ** 2 * x_sq + p_sq / params.m)
+    np.multiply(params.m * params.omega0 ** 2, x_sq, out=out)
+    out += np.divide(p_sq, params.m, out=p_sq)
+    return np.multiply(0.5, out, out=out)
 
 
 def _emit_steady(emitter: Emitter, scenario: str, params: SystemParams,
                  grid: GridSpec, x, p, seed, model=None):
     """Member artifacts of a steady-state scenario: the x and p series and,
-    given its spectrum ``model``, the field drawn from ``seed``."""
-    if not emitter.wants("trajectories"):
-        return
+    given its spectrum ``model``, the field drawn from ``seed``.  Callers
+    form x and p only when ``emitter.wants("trajectories")``."""
     if model is not None:
         emitter.field(scenario, synthesize_field(model, params, grid, seed))
     emitter.trajectory(scenario, Trajectory(dt=grid.dt, x=x, v=None, p=p,
@@ -367,22 +422,26 @@ def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: i
     t_dec_x = _x_decorrelation_time(params)
     t_dec_u = _u_decorrelation_time(params)
     H, T = response_transfer(params, grid)
+    synthesis = field_synthesis(model, params, grid)
+    ws = Workspace(n)
 
     def worker(k):
-        X = field_coefficients(model, params, grid, member_seed(seed, k))
-        X *= H  # in place: one complex 2^20-point array per member, not two
-        x, p = np.fft.irfft(X, n), np.fft.irfft(T * X, n)
-        if k == 0:
-            _emit_steady(emitter, scenario, params, grid, x, p,
-                         member_seed(seed, k), model=model)
-        x_var, p_var = x.var(), p.var()
+        X = _steady_state(synthesis, H, seed, k, ws)
+        if k == 0 and emitter.wants("trajectories"):
+            _emit_steady(emitter, scenario, params, grid, np.fft.irfft(X, n),
+                         np.fft.irfft(T * X, n), member_seed(seed, k), model=model)
+        x = np.fft.irfft(X, n, out=ws.series(1))
+        x_sub, x_u = decorrelated(x, dt, t_dec_x), decorrelated(x, dt, t_dec_u)
+        x_var = _variance(x)
+        p = np.fft.irfft(np.multiply(T, X, out=X), n, out=ws.series(1))
+        p_u = decorrelated(p, dt, t_dec_u)
+        p_var = _variance(p)
         return {
             "x_var": x_var,
             "p_var": p_var,
             "u_mean": _energy(params, x_var, p_var),
-            "x_sub": decorrelated(x, dt, t_dec_x),
-            "u_sub": _energy(params, decorrelated(x, dt, t_dec_u) ** 2,
-                             decorrelated(p, dt, t_dec_u) ** 2),
+            "x_sub": x_sub,
+            "u_sub": _energy(params, x_u ** 2, p_u ** 2),
         }
 
     return worker
@@ -430,18 +489,25 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     t_max = 100.0
     lag_ext = lag_count(1.2 * t_max, dt, n)
     H, T = response_transfer(params, grid)
+    synthesis = field_synthesis(model, params, grid)
+    ws = Workspace(n)
 
     def worker(k):
-        X = H * field_coefficients(model, params, grid, member_seed(seed, k))
-        return {"power": X.real ** 2 + X.imag ** 2}
+        X = _steady_state(synthesis, H, seed, k, ws)
+        return {"power": coefficient_power(X, out=ws.spectrum(1)).copy()}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
     # C_xx + C_xp on lags -lag_ext..lag_ext from one transform per group:
     # C_xx is the even part, C_xp (T imaginary) the odd part
     u = np.arange(-lag_ext, lag_ext + 1)
-    windows = acc.map_groups("power", lambda pw: np.fft.irfft(pw * (1.0 + T), n)[u] / n,
-                             jobs)
+    one_plus_t = 1.0 + T
+
+    def window(pw):
+        cross = np.multiply(pw, one_plus_t, out=ws.spectrum(0))
+        return np.fft.irfft(cross, n, out=ws.series(1))[u] / n
+
+    windows = acc.map_groups("power", window, jobs)
 
     mean_power = acc.total("power")
     spec_x = spectrum_from_power(mean_power, n, dt)
@@ -498,29 +564,37 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     lag_max = lag_count(max(t_sweep), dt, n)
     m, w0 = params.m, params.omega0
     H, T = response_transfer(params, grid)
+    synthesis = field_synthesis(model, params, grid)
+    ws = Workspace(n)
 
     def worker(k):
-        X = H * field_coefficients(model, params, grid, member_seed(seed, k))
-        energy = _energy(params, np.fft.irfft(X, n) ** 2, np.fft.irfft(T * X, n) ** 2)
-        res = {"power": X.real ** 2 + X.imag ** 2,
-               "inst_sd": windowed_energy(energy, dt, dt).dispersion}
+        X = _steady_state(synthesis, H, seed, k, ws)
+        res = {"power": coefficient_power(X, out=ws.spectrum(1)).copy()}
+        x_sq = np.square(np.fft.irfft(X, n, out=ws.series(1)), out=ws.series(1))
+        p = np.fft.irfft(np.multiply(T, X, out=X), n, out=ws.series(2))
+        energy = _energy(params, x_sq, np.square(p, out=p), out=x_sq)
         for t in t_sweep:
             stats = windowed_energy(energy, t, dt)
             res[f"T{t:g}"], res[f"mean_T{t:g}"] = stats.t_window, stats.mean
             res[f"var_T{t:g}"], res[f"sd_T{t:g}"] = stats.samples.var(), stats.dispersion
+        # the single-sample window of windowed_energy: the dispersion of the
+        # instantaneous energy; last, as it overwrites the series
+        res["inst_sd"] = math.sqrt(_variance(energy))
         return res
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
     lags = np.arange(lag_max + 1)
-    t_sq = np.abs(T) ** 2
+    one_plus_t, t_sq = 1.0 + T, np.abs(T) ** 2
 
     def window(pw):
         """(C_xx, C_pp, C_xp) on lags 0..lag_max of one group's power."""
-        y = np.fft.irfft(pw * (1.0 + T), n) / n  # even part C_xx, odd part C_xp
-        back = y[-lags]
-        cpp = np.fft.irfft(pw * t_sq, n)[lags] / n
-        return np.stack([0.5 * (y[lags] + back), cpp, 0.5 * (y[lags] - back)])
+        spec, y = ws.spectrum(0), ws.series(1)
+        np.fft.irfft(np.multiply(pw, one_plus_t, out=spec), n, out=y)
+        y /= n  # even part C_xx, odd part C_xp
+        fwd, back = y[lags], y[-lags]
+        cpp = np.fft.irfft(np.multiply(pw, t_sq, out=spec), n, out=y)[lags] / n
+        return np.stack([0.5 * (fwd + back), cpp, 0.5 * (fwd - back)])
 
     corr = acc.map_groups("power", window, jobs)
 
@@ -590,11 +664,12 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
         params, np.zeros(n_keep), dt, x0=amp * math.cos(phase),
         v0=-amp * (params.omega0 * math.sin(phase) + gamma * math.cos(phase)))
     H, _ = response_transfer(params, grid)
+    synthesis = field_synthesis(model, params, grid)
+    ws = Workspace(n)
 
     def worker(k):
-        X = field_coefficients(model, params, grid, member_seed(seed, k))
-        X *= H
-        return {"x_sq": np.fft.irfft(X, n)[:n_keep] ** 2}
+        X = _steady_state(synthesis, H, seed, k, ws)
+        return {"x_sq": np.fft.irfft(X, n, out=ws.series(1))[:n_keep] ** 2}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("x_sq",))
     var_x = acc.total("x_sq")
@@ -650,24 +725,31 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     pred = analytic.free_particle(params, kT, 1.0, grid.omega_cut)
     H, T = response_transfer(params, grid)
     omega = grid.domega * np.arange(n // 2 + 1)
+    i_omega, omega_sq = 1j * omega, omega ** 2
+    synthesis = field_synthesis(model, params, grid)
+    ws = Workspace(n)
 
     def worker(k):
-        X = field_coefficients(model, params, grid, member_seed(seed, k))
-        X *= H
-        if k == 0:
+        X = _steady_state(synthesis, H, seed, k, ws)
+        if k == 0 and emitter.wants("trajectories"):
             _emit_steady(emitter, "free_thermal", params, grid, np.fft.irfft(X, n),
                          np.fft.irfft(T * X, n), member_seed(seed, k))
-        # the velocity V = i omega X of the same draw
-        return {"power": X.real ** 2 + X.imag ** 2,
-                "v_var": mean_square(1j * omega * X, n)}
+        power = coefficient_power(X, out=ws.spectrum(1)).copy()
+        # the velocity V = i omega X of the same draw; X is spent after it
+        V = np.multiply(i_omega, X, out=ws.spectrum(1))
+        return {"power": power, "v_var": mean_square(V, n, out=X)}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
     def structure_functions(pw):
         """Position structure function at deltas and fit_deltas, then the
         velocity one at the asymptote lags, of one group's power."""
-        return np.concatenate([mean_square_displacement(pw, n, x_lags),
-                               mean_square_displacement(omega ** 2 * pw, n, v_lags)])
+        spec, c = ws.spectrum(0), ws.series(1)
+        np.copyto(spec, pw)
+        sf_x = mean_square_displacement(spec, n, x_lags, out=c)
+        sf_v = mean_square_displacement(np.multiply(omega_sq, pw, out=spec), n, v_lags,
+                                        out=c)
+        return np.concatenate([sf_x, sf_v])
 
     sf = acc.map_groups("power", structure_functions, jobs)
     n_d, n_x = deltas.size, len(x_lags)
@@ -703,13 +785,17 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     deltas = np.geomspace(t_lo, t_hi, 24)
     lags = [lag_count(t, dt, n) for t in deltas]
     H, T = response_transfer(params, grid)
+    synthesis = field_synthesis(model, params, grid)
+    ws = Workspace(n)
 
     def worker(k):
-        X = field_coefficients(model, params, grid, member_seed(seed, k))
-        X *= H
+        X = _steady_state(synthesis, H, seed, k, ws)
         # per member: the weighted fit needs the ensemble variance of each lag
-        sf = mean_square_displacement(X.real ** 2 + X.imag ** 2, n, lags)
-        return {"sf": sf, "sf_sq": sf ** 2, "p_var": mean_square(T * X, n)}
+        power = ws.spectrum(2)
+        np.copyto(power, coefficient_power(X, out=ws.spectrum(1)))
+        sf = mean_square_displacement(power, n, lags, out=ws.series(1))
+        p_var = mean_square(np.multiply(T, X, out=X), n, out=ws.spectrum(1))
+        return {"sf": sf, "sf_sq": sf ** 2, "p_var": p_var}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("sf", "sf_sq"))
     n_ens = grid.n_ensemble
@@ -766,25 +852,35 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     n = grid.n_samples
     # normal modes x_pm = (x1 +- x2)/sqrt(2), driven by eps_pm
     (Hp, Tp), (Hm, Tm) = (response_transfer(q, grid) for q in (pp, pm))
+    synthesis = field_synthesis(model, params, grid)
+    ws = Workspace(n)
 
     def worker(k):
-        Ep, Em = pair_coefficients(model, params, grid, member_seed(seed, k))
-        Xp, Xm = Hp * Ep, Hm * Em
-        xp, xm = np.fft.irfft(Xp, n), np.fft.irfft(Xm, n)
-        xp_var, xm_var = xp.var(), xm.var()
-        # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p
-        p_sq = mean_square(Tp * Xp, n) + mean_square(Tm * Xm, n)
+        Ep, Em = synthesis.draw_pair(member_seed(seed, k), plus=ws.spectrum(0),
+                                     minus=ws.spectrum(1), scratch=ws.spectrum(2))
+        Xp, Xm = np.multiply(Hp, Ep, out=Ep), np.multiply(Hm, Em, out=Em)
         if k == 0 and emitter.wants("trajectories"):
+            xp, xm = np.fft.irfft(Xp, n), np.fft.irfft(Xm, n)
             p_plus, p_minus = np.fft.irfft(Tp * Xp, n), np.fft.irfft(Tm * Xm, n)
             _emit_steady(emitter, "dipoles", params, grid, (xp + xm) / root2,
                          (p_plus + p_minus) / root2, member_seed(seed, k))
+        xp = np.fft.irfft(Xp, n, out=ws.series(2))
+        xp_sub = decorrelated(xp, grid.dt, t_dec)
+        xp_var = _variance(xp)
+        xm = np.fft.irfft(Xm, n, out=ws.series(2))
+        xm_sub = decorrelated(xm, grid.dt, t_dec)
+        xm_var = _variance(xm)
+        # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p;
+        # buffer 2 holds each momentum, Xp's buffer (spent) its power
+        p_sq = mean_square(np.multiply(Tp, Xp, out=ws.spectrum(2)), n, out=Xp)
+        p_sq += mean_square(np.multiply(Tm, Xm, out=ws.spectrum(2)), n, out=Xp)
         return {
             "xp_var": xp_var, "xm_var": xm_var,
             "cross": 0.5 * (xp_var - xm_var),
             "h_mean": (p_sq / (2 * m) + 0.5 * m * w0 ** 2 * (xp_var + xm_var)
                        - 0.5 * K * (xp_var - xm_var)),
-            "xp_sub": decorrelated(xp, grid.dt, t_dec),
-            "xm_sub": decorrelated(xm, grid.dt, t_dec),
+            "xp_sub": xp_sub,
+            "xm_sub": xm_sub,
         }
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs)
@@ -914,7 +1010,8 @@ def run_scenario(
     dp, dg = scenario_defaults(name)
     params = dp if params is None else params
     grid = dg if grid is None else grid
-    cfg = validate(params, grid)
+    # a scenario built on a bound oscillator divides by omega0
+    cfg = validate(params, grid, oscillator=dp.omega0 > 0)
 
     emitter = Emitter(out_dir=out_dir, emit=emit)
     t0 = time.perf_counter()

@@ -21,6 +21,13 @@ drives its periodic steady-state response with them directly, and
 ``synthesize_series``/``synthesize_field`` are their ``irfft``, bit for
 bit.
 
+Everything but the normals is fixed by (spectrum, grid), so a scenario
+sets its synthesis up once (``field_synthesis``: the band j_max, the
+resonance check and the amplitudes 0.5 n sqrt(S(omega_j) domega)) and each
+member's ``Synthesis.draw`` only draws the normals and scales them, into
+arrays the caller may reuse from member to member.  ``field_coefficients``
+and ``pair_coefficients`` are that setup and one draw.
+
 Seed splitting: the sub-seed of ensemble member k is a pure function of
 (master seed, k) via numpy's SeedSequence spawn keys, so members can be
 generated in any order, on any number of workers, with identical results.
@@ -70,24 +77,73 @@ def synthesis_band(dt: float, n_samples: int, omega_cut: float) -> int:
     return j_max
 
 
-def _half_spectrum(spectrum, dt: float, n_samples: int, omega_cut: float,
-                   rng: np.random.Generator):
-    """Half-spectrum coefficients of one draw."""
+@dataclass(frozen=True)
+class Synthesis:
+    """One spectrum's synthesis on one lattice, set up once per scenario:
+    the band j = 1..j_max and the amplitudes 0.5 n sqrt(S(omega_j) domega).
+
+    ``draw`` fills the half-spectrum of one realization; every member of an
+    ensemble shares the setup, so the spectrum is evaluated once.
+    """
+
+    n_samples: int
+    j_max: int
+    amplitude: np.ndarray
+
+    def draw(self, seed, out=None, normals=None) -> np.ndarray:
+        """Half-spectrum coefficients E_j (j = 0..n/2) of the draw from
+        ``seed`` (an int, a SeedSequence or a Generator).
+
+        ``out`` (complex, n//2 + 1 entries) receives them, zeros outside
+        the band included; ``normals`` (real, at least 2 j_max entries)
+        holds the draw's standard normals.  Their prior contents are
+        ignored, and the result is the same as with fresh arrays.
+        """
+        j = self.j_max
+        half = np.empty(self.n_samples // 2 + 1, dtype=complex) if out is None else out
+        rng = np.random.default_rng(seed)
+        ab = (rng.standard_normal(2 * j) if normals is None
+              else rng.standard_normal(out=normals[: 2 * j]))
+        half[0] = 0.0
+        half[j + 1 :] = 0.0
+        # irfft convention: x_k = (1/n) * (c_0 + 2 * sum_j Re[c_j e^{2pi i jk/n}] + ...),
+        # with c_j = amplitude_j * (a_j - i b_j)
+        np.multiply(self.amplitude, ab[:j], out=half.real[1 : j + 1])
+        np.negative(ab[j:], out=ab[j:])
+        np.multiply(self.amplitude, ab[j:], out=half.imag[1 : j + 1])
+        return half
+
+    def draw_pair(self, seed, plus=None, minus=None, scratch=None):
+        """Half-spectra (E1 + E2)/sqrt(2) and (E1 - E2)/sqrt(2) of the two
+        independent draws from the sub-seeds of ``seed``: the eps_plus and
+        eps_minus of ``synthesize_pair``.
+
+        ``plus``, ``minus`` and ``scratch`` are complex arrays of n//2 + 1
+        entries, as ``draw``'s ``out``; the modes are written into the first
+        two.
+        """
+        size = self.n_samples // 2 + 1
+        plus, minus, scratch = (np.empty(size, dtype=complex) if a is None else a
+                                for a in (plus, minus, scratch))
+        sub1, sub2 = _pair_seeds(seed)
+        e1 = self.draw(sub1, out=plus, normals=minus.view(np.float64))
+        e2 = self.draw(sub2, out=scratch, normals=minus.view(np.float64))
+        np.subtract(e1, e2, out=minus)
+        np.add(e1, e2, out=plus)
+        root2 = math.sqrt(2.0)
+        return np.divide(plus, root2, out=plus), np.divide(minus, root2, out=minus)
+
+
+def _synthesis(spectrum, dt: float, n_samples: int, omega_cut: float) -> Synthesis:
+    """Synthesis of the one-sided spectrum S, evaluated as ``spectrum`` on a
+    1-d array of lattice frequencies."""
     domega = 2.0 * math.pi / (n_samples * dt)
     j_max = synthesis_band(dt, n_samples, omega_cut)
     omegas = domega * np.arange(1, j_max + 1)
     svals = np.asarray(spectrum(omegas), dtype=float)
     if np.any(svals < 0):
         raise InvalidParams(["spectrum must be >= 0 on the synthesis band"])
-
-    amp = np.sqrt(svals * domega)
-    a = rng.standard_normal(j_max)
-    b = rng.standard_normal(j_max)
-
-    half = np.zeros(n_samples // 2 + 1, dtype=complex)
-    # irfft convention: x_k = (1/n) * (c_0 + 2 * sum_j Re[c_j e^{2pi i jk/n}] + ...)
-    half[1 : j_max + 1] = 0.5 * n_samples * amp * (a - 1j * b)
-    return half
+    return Synthesis(n_samples, j_max, 0.5 * n_samples * np.sqrt(svals * domega))
 
 
 def synthesize_series(
@@ -99,7 +155,7 @@ def synthesize_series(
 ) -> np.ndarray:
     """Draw one realization of a Gaussian process with one-sided spectrum S,
     evaluated as ``spectrum`` on a 1-d array of lattice frequencies."""
-    return np.fft.irfft(_half_spectrum(spectrum, dt, n_samples, omega_cut, rng), n_samples)
+    return np.fft.irfft(_synthesis(spectrum, dt, n_samples, omega_cut).draw(rng), n_samples)
 
 
 def _check_resonance_resolved(params: SystemParams, grid: GridSpec):
@@ -110,6 +166,16 @@ def _check_resonance_resolved(params: SystemParams, grid: GridSpec):
                 f"lattice spacing {grid.domega:g} > tau*omega0^2/4 = {limit:g}; "
                 "lengthen the trajectory to resolve the resonance"
             )
+
+
+def field_synthesis(model: SpectrumModel, params: SystemParams, grid: GridSpec) -> Synthesis:
+    """The synthesis of the field spectrum of ``model`` on the grid.
+
+    Raises GridTooCoarse when the lattice cannot resolve the resonance.
+    """
+    _check_resonance_resolved(params, grid)
+    return _synthesis(lambda w: field_spectrum(model, params, w),
+                      grid.dt, grid.n_samples, grid.omega_cut)
 
 
 def field_coefficients(
@@ -123,14 +189,7 @@ def field_coefficients(
     ``np.fft.irfft(E, n)`` is the realization ``synthesize_field`` returns
     for the same seed, bit for bit; E_0 and E_{n/2} are zero.
     """
-    _check_resonance_resolved(params, grid)
-    return _half_spectrum(
-        lambda w: field_spectrum(model, params, w),
-        grid.dt,
-        grid.n_samples,
-        grid.omega_cut,
-        np.random.default_rng(seed),
-    )
+    return field_synthesis(model, params, grid).draw(seed)
 
 
 def synthesize_field(
@@ -207,9 +266,7 @@ def pair_coefficients(
     Drawn from the same sub-seeds, so their ``irfft`` equals the pair's
     modes up to rounding.
     """
-    e1, e2 = (field_coefficients(model, params, grid, s) for s in _pair_seeds(seed))
-    root2 = math.sqrt(2.0)
-    return (e1 + e2) / root2, (e1 - e2) / root2
+    return field_synthesis(model, params, grid).draw_pair(seed)
 
 
 def dump_realization(path, samples: np.ndarray, dt: float, seed, model_label: str,

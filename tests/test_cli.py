@@ -58,6 +58,28 @@ def test_run_writes_byte_identical_reports(tmp_path, capsys):
     assert "runtime" not in report
 
 
+def test_run_reports_resource_usage_on_stderr(tmp_path, capsys):
+    out = tmp_path / "usage"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    usage = lines[lines.index(next(l for l in lines if l.startswith("runtime:"))) + 1]
+    for field in ("resources: user ", " sys ", " minor_faults ", " peak_rss "):
+        assert field in usage
+    assert "resources" not in captured.out
+    assert "resources" not in (out / "ground_state_report.json").read_text()
+    assert "resources" not in (out / "ground_state_report.csv").read_text()
+
+
+def test_run_exits_2_when_an_oscillator_scenario_has_omega0_zero(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"scenario": "coherent_decay", "omega0": 0.0,
+                                  "n_samples": 1 << 14, "n_ensemble": 2})
+    out = tmp_path / "free"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "omega0 must be > 0" in capsys.readouterr().err
+    assert not (out / "coherent_decay_report.json").exists()
+
+
 def test_run_jobs_do_not_change_report(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "j1", tmp_path / "j4"

@@ -9,6 +9,7 @@ from sedlab.dynamics import simulate_oscillator
 from sedlab.errors import LagTooLong, WindowTooLong
 from sedlab.estimators import (
     SpectrumEstimate,
+    coefficient_power,
     commutator,
     commutator_from_spectrum,
     correlation,
@@ -83,6 +84,27 @@ def test_correlation_lag_zero_is_variance():
     x = rng.standard_normal(4096)
     series = correlation(x, x, 5.0, 0.1)
     assert series.values[0] == pytest.approx(x.var(), rel=1e-12)
+
+
+def test_auto_correlation_transforms_once_with_the_same_result(monkeypatch):
+    x = np.random.default_rng(1).standard_normal(4096)
+    separate = correlation(x, x.copy(), 5.0, 0.1).values
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+    auto = correlation(x, x, 5.0, 0.1).values
+    assert len(calls) == 1
+    assert auto.tobytes() == separate.tobytes()
+
+
+def test_coefficient_power_into_borrowed_memory_is_bitwise_fresh():
+    rng = np.random.default_rng(2)
+    coeffs = rng.standard_normal(1001) + 1j * rng.standard_normal(1001)
+    out = np.full(coeffs.size, complex(np.nan, np.nan))
+    borrowed = coefficient_power(coeffs, out=out)
+    assert np.shares_memory(borrowed, out)
+    assert borrowed.tobytes() == (coeffs.real ** 2 + coeffs.imag ** 2).tobytes()
+    assert mean_square(coeffs, 2000, out=out) == mean_square(coeffs, 2000)
 
 
 def test_correlation_lag_guard():

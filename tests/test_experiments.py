@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,14 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sedlab.experiments as experiments
 from sedlab.core import GridSpec, SystemParams
-from sedlab.errors import LagTooLong, SedlabError, UnknownScenario
+from sedlab.errors import InvalidParams, LagTooLong, SedlabError, UnknownScenario
 from sedlab.experiments import (
     N_GROUPS,
     SCENARIO_NAMES,
     Ensemble,
     ExperimentReport,
     Row,
+    Workspace,
+    _variance,
     run_ensemble,
     run_scenario,
     scenario_defaults,
@@ -150,15 +156,120 @@ SMALL_GRIDS = {
     "free_thermal": dict(dt=0.01, n_samples=1 << 17, omega_cut=300.0, n_ensemble=8),
     "free_zpf": dict(n_samples=1 << 17, n_ensemble=8),
     "coherent_decay": dict(n_ensemble=24),
+    "ground_state": dict(n_samples=1 << 16, omega_cut=16.0, n_ensemble=8),
+    "planck_thermal": dict(n_samples=1 << 16, n_ensemble=8),
+    "dipoles": dict(n_samples=1 << 17, n_ensemble=8),
+    "energy_time": dict(dt=1.0, n_samples=1 << 17, omega_cut=3.0, n_ensemble=8),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
 def test_scenario_report_independent_of_jobs(name):
+    # three threads take members in another order than two, so state left
+    # in a reused workspace would show
     grid = _default_grid(name, **SMALL_GRIDS[name])
-    r1 = run_scenario(name, grid=grid, jobs=1)
-    r2 = run_scenario(name, grid=grid, jobs=2)
-    assert r1.to_json() == r2.to_json()
+    reports = [run_scenario(name, grid=grid, jobs=jobs).to_json() for jobs in (1, 2, 3)]
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
+def test_report_holds_with_more_threads_than_cores_switching_often():
+    grid = _default_grid("dipoles", **SMALL_GRIDS["dipoles"])
+    serial = run_scenario("dipoles", grid=grid, jobs=1).to_json()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stressed = run_scenario("dipoles", grid=grid, jobs=6).to_json()
+    finally:
+        sys.setswitchinterval(interval)
+    assert stressed == serial
+
+
+class _Captured(Exception):
+    pass
+
+
+def _member_worker(monkeypatch, name, grid):
+    """The worker ``name`` hands to ensemble_reduce for its members."""
+    captured = []
+
+    def capture(worker, n_ensemble, jobs, reducer, state):
+        captured.append(worker)
+        raise _Captured
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "ensemble_reduce", capture)
+        with pytest.raises(_Captured):
+            run_scenario(name, grid=grid)
+    return captured[0]
+
+
+def _bytes(member):
+    return {key: np.asarray(v).tobytes() for key, v in member.items()}
+
+
+#: energy_time at its default dt: a one-sample window (dt = 1) would
+#: allocate in windowed_energy, and lags of 10,000 need 2^20 samples
+WORKSPACE_GRIDS = dict(SMALL_GRIDS, energy_time=dict(n_ensemble=8))
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_member_after_others_on_its_thread_equals_a_cold_member(name, monkeypatch):
+    grid = _default_grid(name, **WORKSPACE_GRIDS[name])
+    cold = _member_worker(monkeypatch, name, grid)(3)
+    worker = _member_worker(monkeypatch, name, grid)
+    for k in (5, 0, 1):
+        worker(k)
+    assert _bytes(worker(3)) == _bytes(cold)
+
+
+@pytest.mark.parametrize("name", ["commutators", "dipoles", "energy_time",
+                                  "ground_state", "planck_thermal"])
+def test_warmed_member_allocates_less_than_one_series(name, monkeypatch):
+    grid = _default_grid(name, **WORKSPACE_GRIDS[name])
+    worker = _member_worker(monkeypatch, name, grid)
+    worker(0)
+    tracemalloc.start()
+    try:
+        worker(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.n_samples
+
+
+def test_workspace_buffers_are_per_thread():
+    ws = Workspace(1000)
+    main = ws.spectrum(0)
+    assert ws.spectrum(0) is main and main.shape == (501,)
+    assert ws.series(0).shape == (1000,) and np.shares_memory(ws.series(0), main)
+    other = []
+    thread = threading.Thread(target=lambda: other.append(ws.spectrum(0)))
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert not np.shares_memory(other[0], main)
+
+
+@pytest.mark.parametrize("n", [5, 4096, 99991])
+def test_variance_in_place_is_bitwise_numpy_var(n):
+    x = np.random.default_rng(n).standard_normal(n) * 3.7 + 0.2
+    scratch = x.copy()
+    assert _variance(scratch) == x.var()
+
+
+@pytest.mark.parametrize("name", ["coherent_decay", "commutators", "dipoles",
+                                  "energy_time", "ground_state", "planck_thermal"])
+def test_oscillator_scenario_rejects_omega0_zero_before_any_member(name, monkeypatch):
+    def no_members(*args, **kwargs):
+        raise AssertionError("a member ran before validation")
+
+    monkeypatch.setattr(experiments, "ensemble_reduce", no_members)
+    params = replace(scenario_defaults(name)[0], omega0=0.0)
+    with pytest.raises(InvalidParams) as exc:
+        run_scenario(name, params=params, grid=_default_grid(name, n_ensemble=0))
+    assert "omega0 must be > 0, got 0.0" in exc.value.violations
+    assert "n_ensemble must be >= 1, got 0" in exc.value.violations
 
 
 def _check_group_sizes(n_ensemble):

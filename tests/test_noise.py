@@ -10,6 +10,7 @@ from sedlab.estimators import periodogram
 from sedlab.noise import (
     dump_realization,
     field_coefficients,
+    field_synthesis,
     member_seed,
     pair_coefficients,
     synthesize_field,
@@ -169,3 +170,22 @@ def test_field_coefficients_keep_the_resonance_guard():
     short = GridSpec(dt=0.1, n_samples=1 << 12, omega_cut=20.0)
     with pytest.raises(GridTooCoarse):
         field_coefficients(ZPF, PARAMS, short, 1)
+
+
+def test_draws_into_dirty_buffers_equal_fresh_ones():
+    synthesis = field_synthesis(ZPF, PARAMS, GRID)
+    size = GRID.n_samples // 2 + 1
+    out, minus, scratch = (np.full(size, complex(np.nan, np.inf)) for _ in range(3))
+    normals = np.full(GRID.n_samples, np.nan)
+    for k in range(3):
+        seed = member_seed(GRID.seed, k)
+        drawn = synthesis.draw(seed, out=out, normals=normals)
+        assert drawn is out
+        assert drawn.tobytes() == field_coefficients(ZPF, PARAMS, GRID, seed).tobytes()
+        assert drawn[0] == 0.0 and np.all(drawn[synthesis.j_max + 1 :] == 0.0)
+        # a SeedSequence spawns new pair sub-seeds on every call: one each
+        pair = synthesis.draw_pair(member_seed(GRID.seed, k), plus=out, minus=minus,
+                                   scratch=scratch)
+        fresh = pair_coefficients(ZPF, PARAMS, GRID, member_seed(GRID.seed, k))
+        for mode, fresh_mode in zip(pair, fresh):
+            assert mode.tobytes() == fresh_mode.tobytes()
