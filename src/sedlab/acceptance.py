@@ -22,7 +22,7 @@ from . import analytic
 from .core import GridSpec, SystemParams, validate
 from .dynamics import simulate_oscillator
 from .estimators import commutator, correlation, periodogram
-from .experiments import ExperimentReport, ensemble_reduce, run_scenario
+from .experiments import ensemble_reduce, run_scenario
 from .noise import member_seed, synthesize_field
 from .spectra import SpectrumModel, field_spectrum
 
@@ -36,10 +36,6 @@ SCENARIO_CRITERIA = {
     "criterion_7_dipoles": "dipoles",
     "criterion_8_planck": "planck_thermal",
 }
-
-
-def check_report(report: ExperimentReport) -> tuple[bool, list[str]]:
-    return report.all_passed, report.summary_lines()
 
 
 def _property_noise_gaussianity(jobs: int) -> tuple[list[str], bool]:
@@ -189,7 +185,7 @@ def criterion_9_properties(jobs: int = 1, heisenberg_report=None):
     return all_ok, lines
 
 
-def run_all(jobs: int = 1, printer=print) -> bool:
+def run_all(jobs: int = 1) -> bool:
     """Run the full acceptance suite; one line per criterion."""
     ok_all = True
     ground_report = None
@@ -197,15 +193,14 @@ def run_all(jobs: int = 1, printer=print) -> bool:
         report = run_scenario(scenario, jobs=jobs)
         if scenario == "ground_state":
             ground_report = report
-        ok, lines = check_report(report)
+        ok = report.all_passed
         ok_all = ok_all and ok
-        printer(f"{'PASS' if ok else 'FAIL'} {crit} "
-                f"({report.runtime:.1f}s)")
-        for line in lines[1:]:
-            printer(line)
+        print(f"{'PASS' if ok else 'FAIL'} {crit} ({report.runtime:.1f}s)")
+        for line in report.summary_lines()[1:]:
+            print(line)
     ok, lines = criterion_9_properties(jobs=jobs, heisenberg_report=ground_report)
     ok_all = ok_all and ok
-    printer(f"{'PASS' if ok else 'FAIL'} criterion_9_properties")
+    print(f"{'PASS' if ok else 'FAIL'} criterion_9_properties")
     for line in lines:
-        printer(line)
+        print(line)
     return ok_all

@@ -257,7 +257,7 @@ class DipolePrediction:
     quantum_joint_density: object
 
 
-def dipole_prediction(params: SystemParams, K: float | None = None) -> DipolePrediction:
+def dipole_prediction(params: SystemParams) -> DipolePrediction:
     """Normal-mode statistics of the coupled-dipole system.
 
     x_pm variance hbar/(2 m Omega_pm) with Omega_pm = sqrt(omega0^2 -+ K/m);
@@ -269,8 +269,7 @@ def dipole_prediction(params: SystemParams, K: float | None = None) -> DipolePre
     The quantum joint density is qualitative reference material
     (sign/shape of the correlation), not an acceptance quantity.
     """
-    K = params.K if K is None else K
-    hb, m, w0 = params.hbar, params.m, params.omega0
+    hb, m, w0, K = params.hbar, params.m, params.omega0, params.K
     if not abs(K) < m * w0 ** 2:
         raise InvalidParams([f"|K| = {abs(K)} must be < m*omega0^2 = {m * w0 ** 2}"])
     wp = math.sqrt(w0 ** 2 - K / m)
@@ -350,11 +349,11 @@ def planck_prediction(params: SystemParams, kT: float) -> PlanckPrediction:
     )
 
 
-def boltzmann_mean_energy(params: SystemParams, kT: float, rtol: float = 1e-14) -> float:
+def boltzmann_mean_energy(params: SystemParams, kT: float) -> float:
     """Boltzmann-weighted mean over E_n = (n + 1/2) hbar w0, summed numerically.
 
     Independent oracle for the coth closed form; the partial sums are
-    accumulated until the tail is below rtol.
+    accumulated until the next term is below 1e-14 of the partition sum.
     """
     if kT <= 0:
         return 0.5 * params.hbar * params.omega0
@@ -366,7 +365,7 @@ def boltzmann_mean_energy(params: SystemParams, kT: float, rtol: float = 1e-14) 
         w = math.exp(-(n + 0.5) * beta)
         z += w
         ez += (n + 0.5) * params.hbar * params.omega0 * w
-        if w < rtol * z and n > 2:
+        if w < 1e-14 * z and n > 2:
             break
         n += 1
         if n > 100000:

@@ -170,8 +170,9 @@ def validate(params: SystemParams, grid: GridSpec, oscillator: bool = False) -> 
         violations.append(f"dt must be > 0, got {grid.dt}")
     if grid.n_samples < 2:
         violations.append(f"n_samples must be >= 2, got {grid.n_samples}")
-    if grid.n_ensemble < 1:
-        violations.append(f"n_ensemble must be >= 1, got {grid.n_ensemble}")
+    if grid.n_ensemble < 2:
+        # one member has no spread to take a standard error from
+        violations.append(f"n_ensemble must be >= 2, got {grid.n_ensemble}")
 
     if grid.dt > 0:
         prod = grid.dt * grid.omega_cut

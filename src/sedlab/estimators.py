@@ -31,8 +31,8 @@ from scipy.signal import hilbert
 
 from .errors import EmptySeries, InvalidParams, LagTooLong, WindowTooLong
 
-#: One-sided KS critical coefficients c(alpha): D_crit = c / sqrt(n).
-KS_COEFF = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628, 0.001: 1.949}
+#: KS critical coefficient at the 1% level: D_crit = KS_COEFF / sqrt(n).
+KS_COEFF = 1.628
 
 
 @dataclass(frozen=True)
@@ -311,9 +311,9 @@ def ks_distance(series: np.ndarray, cdf) -> float:
     return float(max(d_plus, d_minus))
 
 
-def ks_critical(n: int, alpha: float = 0.01) -> float:
-    """Critical KS distance at the given level for n independent samples."""
-    return KS_COEFF[alpha] / math.sqrt(n)
+def ks_critical(n: int) -> float:
+    """Critical KS distance at the 1% level for n independent samples."""
+    return KS_COEFF / math.sqrt(n)
 
 
 def decorrelated(series: np.ndarray, dt: float, t_decorr: float) -> np.ndarray:

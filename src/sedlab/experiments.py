@@ -6,17 +6,18 @@ embeds the fully resolved configuration in the report, so a report is a
 deterministic function of (name, params, grid, seed) for any worker count.
 
 Every scenario forms its response one way: the half-spectrum
-coefficients of its field (a ``noise.Synthesis`` draw, ``draw_pair`` for
-the dipoles) times the gains of ``dynamics.response_transfer``,
-the periodic steady state on the synthesis lattice, with no burn-in (for
-the free particle, its exact free response).  Lag correlations, spectra
-and structure functions are linear in |X_j|^2, so commutators, energy_time
-and free_thermal add each member's |X_j|^2 into its group and
-inverse-transform each group once; free_zpf, whose weighted fit needs
-per-member values, transforms each member's.  The time series themselves
-are formed only where a statistic needs them (KS subsamples, windowed
-energies, the stationary part of coherent_decay, whose kicked start adds
-the homogeneous decay by linearity).
+coefficients of its field (a ``noise.Synthesis`` draw; for the dipoles,
+one draw per normal mode, each from its own sub-seed of the member) times
+the gains of ``dynamics.response_transfer``, the periodic steady state on
+the synthesis lattice, with no burn-in (for the free particle, its exact
+free response).  Lag correlations, spectra and structure functions are
+linear in |X_j|^2, so commutators, energy_time and free_thermal add each
+member's |X_j|^2 into its group and inverse-transform each group once;
+free_zpf, whose weighted fit needs per-member values, transforms each
+member's.  The time series themselves are formed only where a statistic
+needs them (KS subsamples, windowed energies, the stationary part of
+coherent_decay, whose kicked start adds the homogeneous decay by
+linearity).
 
 Members reuse memory.  Each scenario call sets its field synthesis up once
 (``noise.field_synthesis``) and makes a ``Workspace``: complex buffers of
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import analytic
 from .core import Config, GridSpec, SystemParams, validate
-from .dynamics import Trajectory, _integrate, response_transfer
+from .dynamics import _integrate, response_transfer
 from .errors import NonFiniteReport, UnknownScenario
 from .estimators import (
     coefficient_power,
@@ -140,15 +141,14 @@ class ExperimentReport:
             d["runtime"] = self.runtime
         return d
 
-    def to_json(self, canonical: bool = True) -> str:
-        """Stable-key-order JSON; the canonical form excludes the runtime
-        so that identical (name, params, grid, seed) give byte-identical
-        reports.
+    def to_json(self) -> str:
+        """Canonical JSON: stable key order and no runtime, so that
+        identical (name, params, grid, seed) give byte-identical reports.
 
         Raises NonFiniteReport, naming every offending row, instead of
         writing a NaN or infinity (which is not JSON).
         """
-        d = self.to_dict(include_runtime=not canonical)
+        d = self.to_dict(include_runtime=False)
         bad = [row["quantity"] for row in d["rows"]
                if any(isinstance(v, float) and not math.isfinite(v)
                       for v in row.values())]
@@ -210,15 +210,11 @@ class Emitter:
                 realization.dt, realization.seed, realization.model.label(),
             )
 
-    def trajectory(self, scenario: str, traj: Trajectory, seed):
+    def trajectory(self, scenario: str, dt: float, x, p, seed):
         if self.wants("trajectories"):
-            for name, arr in (("x", traj.x), ("v", traj.v), ("p", traj.p)):
-                if arr is None:
-                    continue
-                dump_realization(
-                    self._path(f"{scenario}_{name}"), arr, traj.dt, seed,
-                    f"trajectory:{name}",
-                )
+            for name, arr in (("x", x), ("p", p)):
+                dump_realization(self._path(f"{scenario}_{name}"), arr, dt, seed,
+                                 f"trajectory:{name}")
 
     def series(self, scenario: str, quantity: str, first_name, first, values,
                stderr=None):
@@ -408,8 +404,7 @@ def _emit_steady(emitter: Emitter, scenario: str, params: SystemParams,
     form x and p only when ``emitter.wants("trajectories")``."""
     if model is not None:
         emitter.field(scenario, synthesize_field(model, params, grid, seed))
-    emitter.trajectory(scenario, Trajectory(dt=grid.dt, x=x, v=None, p=p,
-                                            params=params), seed)
+    emitter.trajectory(scenario, grid.dt, x, p, seed)
 
 
 def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: int,
@@ -850,15 +845,19 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     m, w0, K = params.m, params.omega0, params.K
     root2 = math.sqrt(2.0)
     n = grid.n_samples
-    # normal modes x_pm = (x1 +- x2)/sqrt(2), driven by eps_pm
+    # normal modes x_pm = (x1 +- x2)/sqrt(2), driven by eps_pm = (eps1 +- eps2)/sqrt(2):
+    # an independent pair with the field's spectrum, so each is drawn directly
     (Hp, Tp), (Hm, Tm) = (response_transfer(q, grid) for q in (pp, pm))
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
 
     def worker(k):
-        Ep, Em = synthesis.draw_pair(member_seed(seed, k), plus=ws.spectrum(0),
-                                     minus=ws.spectrum(1), scratch=ws.spectrum(2))
-        Xp, Xm = np.multiply(Hp, Ep, out=Ep), np.multiply(Hm, Em, out=Em)
+        # buffer 2 holds each draw's normals
+        seed_p, seed_m = member_seed(seed, k).spawn(2)
+        Ep = synthesis.draw(seed_p, out=ws.spectrum(0), normals=ws.series(2))
+        Xp = np.multiply(Hp, Ep, out=Ep)
+        Em = synthesis.draw(seed_m, out=ws.spectrum(1), normals=ws.series(2))
+        Xm = np.multiply(Hm, Em, out=Em)
         if k == 0 and emitter.wants("trajectories"):
             xp, xm = np.fft.irfft(Xp, n), np.fft.irfft(Xm, n)
             p_plus, p_minus = np.fft.irfft(Tp * Xp, n), np.fft.irfft(Tm * Xm, n)

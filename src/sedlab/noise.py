@@ -15,9 +15,9 @@ The j = 0 mode is always excluded, which is what makes infrared-divergent
 free-particle spectra (S_x ~ 1/omega) usable: structure functions remain
 finite on the lattice while the raw variance never sees the missing band.
 
-The draw is kept as its half-spectrum coefficients (``field_coefficients``,
-``pair_coefficients``), the numpy ``rfft`` of the series: every scenario
-drives its periodic steady-state response with them directly, and
+The draw is kept as its half-spectrum coefficients (``field_coefficients``),
+the numpy ``rfft`` of the series: every scenario drives its periodic
+steady-state response with them directly, and
 ``synthesize_series``/``synthesize_field`` are their ``irfft``, bit for
 bit.
 
@@ -26,7 +26,11 @@ sets its synthesis up once (``field_synthesis``: the band j_max, the
 resonance check and the amplitudes 0.5 n sqrt(S(omega_j) domega)) and each
 member's ``Synthesis.draw`` only draws the normals and scales them, into
 arrays the caller may reuse from member to member.  ``field_coefficients``
-and ``pair_coefficients`` are that setup and one draw.
+is that setup and one draw.  The dipoles need no second routine: their
+normal modes are driven by eps_pm = (eps1 +- eps2)/sqrt(2), which in each
+bin rotates the standard normals of the independent eps1, eps2 by 45
+degrees and so is itself an independent pair with the same law; each mode
+is one ``draw``, from its own sub-seed of the member.
 
 Seed splitting: the sub-seed of ensemble member k is a pure function of
 (master seed, k) via numpy's SeedSequence spawn keys, so members can be
@@ -112,26 +116,6 @@ class Synthesis:
         np.negative(ab[j:], out=ab[j:])
         np.multiply(self.amplitude, ab[j:], out=half.imag[1 : j + 1])
         return half
-
-    def draw_pair(self, seed, plus=None, minus=None, scratch=None):
-        """Half-spectra (E1 + E2)/sqrt(2) and (E1 - E2)/sqrt(2) of the two
-        independent draws from the sub-seeds of ``seed``: the eps_plus and
-        eps_minus of ``synthesize_pair``.
-
-        ``plus``, ``minus`` and ``scratch`` are complex arrays of n//2 + 1
-        entries, as ``draw``'s ``out``; the modes are written into the first
-        two.
-        """
-        size = self.n_samples // 2 + 1
-        plus, minus, scratch = (np.empty(size, dtype=complex) if a is None else a
-                                for a in (plus, minus, scratch))
-        sub1, sub2 = _pair_seeds(seed)
-        e1 = self.draw(sub1, out=plus, normals=minus.view(np.float64))
-        e2 = self.draw(sub2, out=scratch, normals=minus.view(np.float64))
-        np.subtract(e1, e2, out=minus)
-        np.add(e1, e2, out=plus)
-        root2 = math.sqrt(2.0)
-        return np.divide(plus, root2, out=plus), np.divide(minus, root2, out=minus)
 
 
 def _synthesis(spectrum, dt: float, n_samples: int, omega_cut: float) -> Synthesis:
@@ -255,22 +239,7 @@ def synthesize_pair(
     )
 
 
-def pair_coefficients(
-    model: SpectrumModel,
-    params: SystemParams,
-    grid: GridSpec,
-    seed,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Half-spectrum coefficients of ``synthesize_pair``'s eps_plus, eps_minus.
-
-    Drawn from the same sub-seeds, so their ``irfft`` equals the pair's
-    modes up to rounding.
-    """
-    return field_synthesis(model, params, grid).draw_pair(seed)
-
-
-def dump_realization(path, samples: np.ndarray, dt: float, seed, model_label: str,
-                     extra: dict | None = None):
+def dump_realization(path, samples: np.ndarray, dt: float, seed, model_label: str):
     """Write samples as little-endian float64 with a JSON sidecar."""
     path = Path(path)
     path.with_suffix(".bin").write_bytes(np.asarray(samples, dtype="<f8").tobytes())
@@ -281,6 +250,4 @@ def dump_realization(path, samples: np.ndarray, dt: float, seed, model_label: st
         "model": model_label,
         "dtype": "<f8",
     }
-    if extra:
-        meta.update(extra)
     path.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=2))

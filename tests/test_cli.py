@@ -80,6 +80,14 @@ def test_run_exits_2_when_an_oscillator_scenario_has_omega0_zero(tmp_path, capsy
     assert not (out / "coherent_decay_report.json").exists()
 
 
+def test_run_exits_2_on_a_single_member_ensemble(tmp_path, capsys):
+    out = tmp_path / "single"
+    cfg = write_config(tmp_path, {"n_ensemble": 1})
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "n_ensemble must be >= 2, got 1" in capsys.readouterr().err
+    assert not (out / "ground_state_report.json").exists()
+
+
 def test_run_jobs_do_not_change_report(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "j1", tmp_path / "j4"

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sedlab.experiments as experiments
-from sedlab.core import GridSpec, SystemParams
+from sedlab.core import GridSpec, SystemParams, validate
+from sedlab.dynamics import response_transfer
 from sedlab.errors import InvalidParams, LagTooLong, SedlabError, UnknownScenario
 from sedlab.experiments import (
     N_GROUPS,
@@ -26,6 +27,8 @@ from sedlab.experiments import (
     run_scenario,
     scenario_defaults,
 )
+from sedlab.noise import field_synthesis, member_seed
+from sedlab.spectra import SpectrumModel
 
 FAST_GRID = GridSpec(dt=0.1, n_samples=1 << 16, omega_cut=16.0, n_ensemble=8, seed=420)
 
@@ -116,6 +119,8 @@ def test_emitted_artifacts(tmp_path):
     assert (tmp_path / "ground_state_field.bin").exists()
     assert (tmp_path / "ground_state_field.json").exists()
     assert (tmp_path / "ground_state_x.bin").exists()
+    assert (tmp_path / "ground_state_p.bin").exists()
+    assert not list(tmp_path.glob("ground_state_v.*"))
 
 
 def test_scenario_defaults_are_validated():
@@ -223,6 +228,20 @@ def test_member_after_others_on_its_thread_equals_a_cold_member(name, monkeypatc
     assert _bytes(worker(3)) == _bytes(cold)
 
 
+def test_dipole_member_draws_each_mode_from_one_child_of_its_seed(monkeypatch):
+    grid = _default_grid("dipoles", **SMALL_GRIDS["dipoles"])
+    member = _member_worker(monkeypatch, "dipoles", grid)(3)
+    cfg = validate(scenario_defaults("dipoles")[0], grid)
+    synthesis = field_synthesis(SpectrumModel.zpf(), cfg.params, cfg.grid)
+    children = member_seed(grid.seed, 3).spawn(2)
+    for key, sign, child in (("xp_var", +1, children[0]), ("xm_var", -1, children[1])):
+        H, _ = response_transfer(cfg.params.mode_params(sign), cfg.grid)
+        # np.multiply: ``H * draw(...)`` would be elided to draw *= H, whose
+        # complex products round differently from H * draw's
+        x = np.fft.irfft(np.multiply(H, synthesis.draw(child)), grid.n_samples)
+        assert member[key] == x.var()
+
+
 @pytest.mark.parametrize("name", ["commutators", "dipoles", "energy_time",
                                   "ground_state", "planck_thermal"])
 def test_warmed_member_allocates_less_than_one_series(name, monkeypatch):
@@ -269,7 +288,7 @@ def test_oscillator_scenario_rejects_omega0_zero_before_any_member(name, monkeyp
     with pytest.raises(InvalidParams) as exc:
         run_scenario(name, params=params, grid=_default_grid(name, n_ensemble=0))
     assert "omega0 must be > 0, got 0.0" in exc.value.violations
-    assert "n_ensemble must be >= 1, got 0" in exc.value.violations
+    assert "n_ensemble must be >= 2, got 0" in exc.value.violations
 
 
 def _check_group_sizes(n_ensemble):
@@ -335,8 +354,18 @@ def test_small_ensembles_give_finite_stderr(name, n_samples, n_ensemble):
 
 
 @pytest.mark.parametrize("n_ensemble", [1, 3])
-def test_coherent_decay_runs_odd_and_single_member_ensembles(n_ensemble):
+def test_coherent_decay_runs_odd_and_single_member_ensembles(n_ensemble, monkeypatch):
     grid = _default_grid("coherent_decay", n_ensemble=n_ensemble)
+    if n_ensemble == 1:
+        # one member would report a standard error of 0: refused before it runs
+        def no_members(*args, **kwargs):
+            raise AssertionError("a member ran before validation")
+
+        monkeypatch.setattr(experiments, "ensemble_reduce", no_members)
+        with pytest.raises(InvalidParams) as exc:
+            run_scenario("coherent_decay", grid=grid)
+        assert exc.value.violations == ["n_ensemble must be >= 2, got 1"]
+        return
     report = run_scenario("coherent_decay", grid=grid)
     assert report.config["grid"]["n_ensemble"] == n_ensemble
     rows = json.loads(report.to_json())["rows"]

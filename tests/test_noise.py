@@ -12,7 +12,6 @@ from sedlab.noise import (
     field_coefficients,
     field_synthesis,
     member_seed,
-    pair_coefficients,
     synthesize_field,
     synthesize_pair,
     synthesize_series,
@@ -157,15 +156,6 @@ def test_field_coefficients_are_the_realization_spectrum():
     assert np.array_equal(np.fft.irfft(coeffs, GRID.n_samples), samples)
 
 
-def test_pair_coefficients_are_the_pair_modes():
-    plus, minus = pair_coefficients(ZPF, PARAMS, GRID, 31)
-    pair = synthesize_pair(ZPF, PARAMS, GRID, 31)
-    scale = pair.eps1.samples.std()
-    for coeffs, real in ((plus, pair.eps_plus), (minus, pair.eps_minus)):
-        assert np.max(np.abs(np.fft.irfft(coeffs, GRID.n_samples)
-                             - real.samples)) < 1e-12 * scale
-
-
 def test_field_coefficients_keep_the_resonance_guard():
     short = GridSpec(dt=0.1, n_samples=1 << 12, omega_cut=20.0)
     with pytest.raises(GridTooCoarse):
@@ -175,7 +165,7 @@ def test_field_coefficients_keep_the_resonance_guard():
 def test_draws_into_dirty_buffers_equal_fresh_ones():
     synthesis = field_synthesis(ZPF, PARAMS, GRID)
     size = GRID.n_samples // 2 + 1
-    out, minus, scratch = (np.full(size, complex(np.nan, np.inf)) for _ in range(3))
+    out = np.full(size, complex(np.nan, np.inf))
     normals = np.full(GRID.n_samples, np.nan)
     for k in range(3):
         seed = member_seed(GRID.seed, k)
@@ -183,9 +173,3 @@ def test_draws_into_dirty_buffers_equal_fresh_ones():
         assert drawn is out
         assert drawn.tobytes() == field_coefficients(ZPF, PARAMS, GRID, seed).tobytes()
         assert drawn[0] == 0.0 and np.all(drawn[synthesis.j_max + 1 :] == 0.0)
-        # a SeedSequence spawns new pair sub-seeds on every call: one each
-        pair = synthesis.draw_pair(member_seed(GRID.seed, k), plus=out, minus=minus,
-                                   scratch=scratch)
-        fresh = pair_coefficients(ZPF, PARAMS, GRID, member_seed(GRID.seed, k))
-        for mode, fresh_mode in zip(pair, fresh):
-            assert mode.tobytes() == fresh_mode.tobytes()
