@@ -21,6 +21,13 @@ recursion (``response_transfer``).  It needs no burn-in.  A kicked start
 is, by linearity, that steady state plus the homogeneous decay, which is
 ``_integrate`` on a zero field.
 
+The canonical momentum needs no second transform.  Its gain T is the
+periodic trapezoid rule p[k] - p[k-1] = -(m omega0^2 dt/2)(x[k] + x[k-1]),
+so ``apply_momentum_gain`` applies T to a position series by one
+cumulative sum, and applies it along the lags of a correlation as well:
+the momentum correlations follow from the position ones.
+``canonical_momentum`` is that recursion with the zero-mean constant.
+
 The free particle (omega0 = 0) has no recursion: with no restoring force
 the reduction degenerates.  Its gain is the exact free response
 chi_j = -1/(omega_j^2 (1 - i tau omega_j)), whose squared modulus is
@@ -38,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.signal import lfilter, lfiltic
 
 from .core import GridSpec, SystemParams, burn_in_samples
@@ -122,7 +128,7 @@ def response_transfer(params: SystemParams, grid: GridSpec):
         T_j = -m omega0^2 dt/2 * (1 + z^-1)/(1 - z^-1) = i m omega0^2 dt/2 * cot(pi j/n),
 
     T_0 = 0.  T is purely imaginary, so C_xp = irfft(T |X|^2)/n is odd in
-    the lag.
+    the lag.  Scenarios apply T by its recursion, ``apply_momentum_gain``.
 
     For the free particle (omega0 = 0) H is the exact free response
     chi_j = -1/(omega_j^2 (1 - i tau omega_j)), H_0 = 0, and T = 0.
@@ -147,14 +153,43 @@ def response_transfer(params: SystemParams, grid: GridSpec):
     return h, t
 
 
-def canonical_momentum(x: np.ndarray, params: SystemParams, dt: float) -> np.ndarray:
-    """p(t) from dp/dt = -m*omega0^2*x by trapezoidal accumulation.
+def momentum_step(params: SystemParams, dt: float) -> float:
+    """g = -m omega0^2 dt/2: T = g (1 + z^-1)/(1 - z^-1) of ``response_transfer``."""
+    return -0.5 * params.m * params.omega0 ** 2 * dt
+
+
+def apply_momentum_gain(f: np.ndarray, g: float, y0: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """The recursion y[k] = y[k-1] + g (f[k] + f[k-1]) from y[0] = y0.
+
+    Its z-transfer is g (1 + z^-1)/(1 - z^-1): for g = ``momentum_step``
+    it is the momentum gain T of ``response_transfer``, applied in the time
+    domain (f a position series, y its momentum) or in the lag domain (f a
+    correlation with x in the leading argument, y the same correlation with
+    p there).  It is exact for every sinusoid on the lattice, so it equals
+    the transform route whenever y0 is the right start: p[0] for a series,
+    the lag-0 value for a correlation.  O(n), one cumulative sum into
+    ``out`` (of f's size, not f itself; fresh by default).
+    """
+    out = np.empty_like(f, dtype=float) if out is None else out
+    np.add(f[1:], f[:-1], out=out[1:])
+    out[1:] *= g
+    out[0] = y0
+    return np.cumsum(out, out=out)
+
+
+def canonical_momentum(x: np.ndarray, params: SystemParams, dt: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """p(t) from dp/dt = -m*omega0^2*x by the trapezoid rule: T of
+    ``response_transfer`` applied to x by ``apply_momentum_gain``.
 
     The integration constant is chosen so the series has zero mean over
-    the (stationary) segment.
+    the (stationary) segment; on one period of a steady state this is
+    irfft(T X).  ``out`` (not x) receives p; fresh by default.
     """
-    p = -params.m * params.omega0 ** 2 * cumulative_trapezoid(x, dx=dt, initial=0.0)
-    return p - p.mean()
+    p = apply_momentum_gain(x, momentum_step(params, dt), 0.0, out)
+    p -= p.mean()
+    return p
 
 
 def simulate_oscillator(

@@ -65,11 +65,13 @@ class CommutatorSeries:
 
 @dataclass(frozen=True)
 class EnergyWindowStats:
-    """Windowed energies U_T over disjoint windows."""
+    """Windowed energies U_T over disjoint windows; ``dispersion`` is
+    sqrt(``variance``), the population spread of the samples."""
 
     t_window: float
     samples: np.ndarray
     mean: float
+    variance: float
     dispersion: float
 
 
@@ -291,11 +293,14 @@ def windowed_energy(energy: np.ndarray, t_window: float, dt: float) -> EnergyWin
         edge = energy[w : nw * w + 1 : w]
         integral = dt * (base.sum(axis=1) - 0.5 * base[:, 0] + 0.5 * edge)
         u = integral / t_eff
+    # u.std() is sqrt(u.var()) bit for bit: one pass over u, not two
+    variance = float(u.var())
     return EnergyWindowStats(
         t_window=t_eff,
         samples=u,
         mean=float(u.mean()),
-        dispersion=float(u.std()),
+        variance=variance,
+        dispersion=math.sqrt(variance),
     )
 
 

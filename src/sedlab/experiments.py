@@ -17,7 +17,10 @@ free_zpf, whose weighted fit needs per-member values, transforms each
 member's.  The time series themselves are formed only where a statistic
 needs them (KS subsamples, windowed energies, the stationary part of
 coherent_decay, whose kicked start adds the homogeneous decay by
-linearity).
+linearity), one transform each.  A momentum series or correlation takes
+no transform of its own: the momentum gain T is a trapezoid recursion
+(``dynamics.apply_momentum_gain``), so p comes from x, C_pp from C_xp and
+c_pp from c_xx, each by one cumulative sum.
 
 Members reuse memory.  Each scenario call sets its field synthesis up once
 (``noise.field_synthesis``) and makes a ``Workspace``: complex buffers of
@@ -48,7 +51,13 @@ import numpy as np
 
 from . import analytic
 from .core import Config, GridSpec, SystemParams, validate
-from .dynamics import _integrate, response_transfer
+from .dynamics import (
+    _integrate,
+    apply_momentum_gain,
+    canonical_momentum,
+    momentum_step,
+    response_transfer,
+)
 from .errors import NonFiniteReport, UnknownScenario
 from .estimators import (
     coefficient_power,
@@ -250,37 +259,30 @@ def ensemble_reduce(worker, n_ensemble: int, jobs: int, reducer, state):
 class Ensemble:
     """Member results of one scenario, reduced in member order.
 
-    A worker returns a dict of named values.  Arrays named in ``summed``
-    are added into the sum of the member's group: member k of n is in
-    group k * N_GROUPS // n, so group sizes differ by at most one, and
-    groups are empty when n < N_GROUPS.  Every other value is kept per
-    member, in member order.
+    ``run_ensemble`` makes one from the results of its workers.  A worker
+    returns a dict of named values.  Arrays named in ``summed`` are added
+    into the sum of the member's group: member k of n is in group
+    k * N_GROUPS // n, so group sizes differ by at most one, and groups are
+    empty when n < N_GROUPS.  Every other value is kept per member, in
+    member order.
 
     Standard errors follow one rule.  The mean of a per-member value takes
     the standard error over members (``mean``).  A functional of ensemble
     means takes the standard error of the same functional over the means
     of the nonempty groups, each group sum divided by its own member count
     (``estimate``).
+
+    The sums and values are final when the Ensemble is made, so a summed
+    key's ensemble mean (``total``) and group means (``estimate``) are each
+    formed once, on first use, however many functionals use them.
     """
 
-    def __init__(self, n_ensemble: int, summed=()):
+    def __init__(self, n_ensemble: int, sums=None, values=None):
         self.n = n_ensemble
-        self.group = np.arange(n_ensemble) * N_GROUPS // n_ensemble
-        self.sizes = np.bincount(self.group, minlength=N_GROUPS)
-        self.summed = frozenset(summed)
-        self.sums = {}
-        self.values = {}
-
-    def add(self, k: int, res: dict) -> "Ensemble":
-        """Reducer for ``ensemble_reduce``: fold in member k's results."""
-        for key, v in res.items():
-            if key in self.summed:
-                if key not in self.sums:
-                    self.sums[key] = np.zeros((N_GROUPS,) + np.shape(v))
-                self.sums[key][self.group[k]] += v
-            else:
-                self.values.setdefault(key, []).append(v)
-        return self
+        self.sizes = np.bincount(_member_groups(n_ensemble), minlength=N_GROUPS)
+        self.sums = {} if sums is None else sums
+        self.values = {} if values is None else values
+        self._totals, self._group_means = {}, {}
 
     @staticmethod
     def _mean_stderr(values) -> tuple[float, float]:
@@ -299,34 +301,55 @@ class Ensemble:
 
     def total(self, key: str) -> np.ndarray:
         """Ensemble mean of a summed array."""
-        total = np.zeros(np.shape(self.sums[key][0]))
-        for group_sum in self.sums[key]:
-            total += group_sum
-        return total / self.n
+        if key not in self._totals:
+            total = np.zeros(np.shape(self.sums[key][0]))
+            for group_sum in self.sums[key]:
+                total += group_sum
+            self._totals[key] = total / self.n
+        return self._totals[key]
 
     def estimate(self, f, key: str) -> tuple[float, float]:
         """f of the ensemble mean of ``key``, with the standard error of f
-        over the group means."""
-        groups = np.flatnonzero(self.sizes)
-        means = [self.sums[key][g] / self.sizes[g] for g in groups]
-        _, se = self._mean_stderr([f(m) for m in means])
+        over the group means; f must not modify its argument."""
+        if key not in self._group_means:
+            self._group_means[key] = [self.sums[key][g] / self.sizes[g]
+                                      for g in np.flatnonzero(self.sizes)]
+        _, se = self._mean_stderr([f(m) for m in self._group_means[key]])
         return float(f(self.total(key))), se
 
     def map_groups(self, key: str, linear, jobs: int) -> "Ensemble":
         """The ensemble whose group sums of ``key`` are the linear map
         ``linear`` of these: one call per group, on the worker pool."""
-        out = Ensemble(self.n)
         # a list: one stacked block this large would raise glibc's mmap
         # threshold and leave freed heap untrimmed, raising later peak RSS
-        out.sums[key] = ensemble_reduce(lambda g: linear(self.sums[key][g]), N_GROUPS,
-                                        jobs, lambda acc, g, res: acc + [res], [])
-        return out
+        sums = ensemble_reduce(lambda g: linear(self.sums[key][g]), N_GROUPS,
+                               jobs, lambda acc, g, res: acc + [res], [])
+        return Ensemble(self.n, {key: sums})
+
+
+def _member_groups(n_ensemble: int) -> np.ndarray:
+    """The group of each member, in member order."""
+    return np.arange(n_ensemble) * N_GROUPS // n_ensemble
 
 
 def run_ensemble(worker, n_ensemble: int, jobs: int, summed=()) -> Ensemble:
-    """Run ``worker(k)`` for every member and reduce the results in order."""
-    return ensemble_reduce(worker, n_ensemble, jobs, Ensemble.add,
-                           Ensemble(n_ensemble, summed))
+    """Run ``worker(k)`` for every member and reduce the results in order
+    into an ``Ensemble``, summing the arrays named in ``summed`` by group."""
+    group = _member_groups(n_ensemble)
+
+    def add(acc, k, res):
+        sums, values = acc
+        for key, v in res.items():
+            if key in summed:
+                if key not in sums:
+                    sums[key] = np.zeros((N_GROUPS,) + np.shape(v))
+                sums[key][group[k]] += v
+            else:
+                values.setdefault(key, []).append(v)
+        return acc
+
+    sums, values = ensemble_reduce(worker, n_ensemble, jobs, add, ({}, {}))
+    return Ensemble(n_ensemble, sums, values)
 
 
 class Workspace:
@@ -397,11 +420,49 @@ def _energy(params: SystemParams, x_sq, p_sq, out=None):
     return np.multiply(0.5, out, out=out)
 
 
+def _xp_correlations(pw, one_plus_t, t_sq, g: float, lags, ws: Workspace) -> np.ndarray:
+    """Rows C_xx, C_pp, C_xp on the lags 0..L of one (group's) power
+    ``pw`` = |X_j|^2, with ``one_plus_t`` = 1 + T, ``t_sq`` = |T|^2 and ``g``
+    the ``momentum_step`` of T.
+
+    C_xx and C_xp are the even and odd parts of one transform,
+    irfft(pw (1 + T))/n.  C_pp takes no second one: it is T applied along
+    the lags to C_px = -C_xp (``apply_momentum_gain`` with step -g), from
+    C_pp(0) = <p^2> = 2 sum_j |T_j|^2 pw_j / n^2 by Parseval (T_0 = 0, and
+    T vanishes at Nyquist).
+    """
+    n = ws.n
+    spec, y = ws.spectrum(0), ws.series(1)
+    np.fft.irfft(np.multiply(pw, one_plus_t, out=spec), n, out=y)
+    y /= n
+    fwd, back = y[lags], y[-lags]
+    c = np.empty((3, lags.size))
+    np.multiply(0.5, np.add(fwd, back, out=c[0]), out=c[0])
+    np.multiply(0.5, np.subtract(fwd, back, out=c[2]), out=c[2])
+    apply_momentum_gain(c[2], -g, 2.0 * np.dot(t_sq, pw) / n ** 2, out=c[1])
+    return c
+
+
+def _momentum_commutator(c_xx, spec_x, T, g: float) -> np.ndarray:
+    """c_pp from c_xx = 2 domega sum_j S_j sin(omega_j t) on lags 0, dt, ...
+    (``commutator_from_spectrum`` of the position spectrum ``spec_x``), with
+    no transform: T maps sin(omega_j t) to Im(T_j) cos(omega_j t) and that
+    to -|T_j|^2 sin(omega_j t), so c_pp = -T(T(c_xx)).  The even step
+    starts at 2 domega sum_j Im(T_j) S_j, the odd one at 0.
+    """
+    # a pairwise sum: an error in the start grows linearly over the lags of
+    # the odd step, and np.dot's 4e-15 would grow to 4e-13 of the peak
+    even = apply_momentum_gain(
+        c_xx, g, 2.0 * spec_x.domega * np.sum(T.imag[1:] * spec_x.values))
+    return apply_momentum_gain(even, -g, 0.0)
+
+
 def _emit_steady(emitter: Emitter, scenario: str, params: SystemParams,
                  grid: GridSpec, x, p, seed, model=None):
-    """Member artifacts of a steady-state scenario: the x and p series and,
-    given its spectrum ``model``, the field drawn from ``seed``.  Callers
-    form x and p only when ``emitter.wants("trajectories")``."""
+    """Member artifacts of a steady-state scenario: the x and p series (p
+    by ``canonical_momentum``) and, given its spectrum ``model``, the field
+    drawn from ``seed``.  Callers form x and p only when
+    ``emitter.wants("trajectories")``."""
     if model is not None:
         emitter.field(scenario, synthesize_field(model, params, grid, seed))
     emitter.trajectory(scenario, grid.dt, x, p, seed)
@@ -416,21 +477,21 @@ def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: i
     dt, n = grid.dt, grid.n_samples
     t_dec_x = _x_decorrelation_time(params)
     t_dec_u = _u_decorrelation_time(params)
-    H, T = response_transfer(params, grid)
+    H, _ = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
 
     def worker(k):
         X = _steady_state(synthesis, H, seed, k, ws)
-        if k == 0 and emitter.wants("trajectories"):
-            _emit_steady(emitter, scenario, params, grid, np.fft.irfft(X, n),
-                         np.fft.irfft(T * X, n), member_seed(seed, k), model=model)
         x = np.fft.irfft(X, n, out=ws.series(1))
+        # X is spent: its buffer takes p
+        p = canonical_momentum(x, params, dt, out=ws.series(0))
+        if k == 0 and emitter.wants("trajectories"):
+            _emit_steady(emitter, scenario, params, grid, x, p,
+                         member_seed(seed, k), model=model)
         x_sub, x_u = decorrelated(x, dt, t_dec_x), decorrelated(x, dt, t_dec_u)
-        x_var = _variance(x)
-        p = np.fft.irfft(np.multiply(T, X, out=X), n, out=ws.series(1))
         p_u = decorrelated(p, dt, t_dec_u)
-        p_var = _variance(p)
+        x_var, p_var = _variance(x), _variance(p)
         return {
             "x_var": x_var,
             "p_var": p_var,
@@ -504,13 +565,10 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     windows = acc.map_groups("power", window, jobs)
 
-    mean_power = acc.total("power")
-    spec_x = spectrum_from_power(mean_power, n, dt)
-    spec_p = spectrum_from_power(mean_power * np.abs(T) ** 2, n, dt)
-
+    spec_x = spectrum_from_power(acc.total("power"), n, dt)
     lags = dt * np.arange(int(round(t_max / dt)) + 1)
     c_xx_spec = commutator_from_spectrum(spec_x, t_max, dt).values
-    c_pp_spec = commutator_from_spectrum(spec_p, t_max, dt).values
+    c_pp_spec = _momentum_commutator(c_xx_spec, spec_x, T, momentum_step(params, dt))
 
     def hilbert_route(two_sided):
         h = 2.0 * hilbert_transform(two_sided)
@@ -565,13 +623,14 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     def worker(k):
         X = _steady_state(synthesis, H, seed, k, ws)
         res = {"power": coefficient_power(X, out=ws.spectrum(1)).copy()}
-        x_sq = np.square(np.fft.irfft(X, n, out=ws.series(1)), out=ws.series(1))
-        p = np.fft.irfft(np.multiply(T, X, out=X), n, out=ws.series(2))
-        energy = _energy(params, x_sq, np.square(p, out=p), out=x_sq)
+        x = np.fft.irfft(X, n, out=ws.series(1))
+        # X is spent: its buffer takes p
+        p = canonical_momentum(x, params, dt, out=ws.series(0))
+        energy = _energy(params, np.square(x, out=x), np.square(p, out=p), out=x)
         for t in t_sweep:
             stats = windowed_energy(energy, t, dt)
             res[f"T{t:g}"], res[f"mean_T{t:g}"] = stats.t_window, stats.mean
-            res[f"var_T{t:g}"], res[f"sd_T{t:g}"] = stats.samples.var(), stats.dispersion
+            res[f"var_T{t:g}"], res[f"sd_T{t:g}"] = stats.variance, stats.dispersion
         # the single-sample window of windowed_energy: the dispersion of the
         # instantaneous energy; last, as it overwrites the series
         res["inst_sd"] = math.sqrt(_variance(energy))
@@ -580,18 +639,9 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
     lags = np.arange(lag_max + 1)
-    one_plus_t, t_sq = 1.0 + T, np.abs(T) ** 2
-
-    def window(pw):
-        """(C_xx, C_pp, C_xp) on lags 0..lag_max of one group's power."""
-        spec, y = ws.spectrum(0), ws.series(1)
-        np.fft.irfft(np.multiply(pw, one_plus_t, out=spec), n, out=y)
-        y /= n  # even part C_xx, odd part C_xp
-        fwd, back = y[lags], y[-lags]
-        cpp = np.fft.irfft(np.multiply(pw, t_sq, out=spec), n, out=y)[lags] / n
-        return np.stack([0.5 * (fwd + back), cpp, 0.5 * (fwd - back)])
-
-    corr = acc.map_groups("power", window, jobs)
+    one_plus_t, t_sq, g = 1.0 + T, np.abs(T) ** 2, momentum_step(params, dt)
+    corr = acc.map_groups(
+        "power", lambda pw: _xp_correlations(pw, one_plus_t, t_sq, g, lags, ws), jobs)
 
     def corr_route_delta_u(c, t_window):
         n_lag = int(round(t_window / dt))
@@ -718,7 +768,7 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     x_lags = [lag_count(t, dt, n) for t in (*deltas, *fit_deltas)]
     v_lags = [lag_count(t, dt, n) for t in (50.0, 100.0)]
     pred = analytic.free_particle(params, kT, 1.0, grid.omega_cut)
-    H, T = response_transfer(params, grid)
+    H, _ = response_transfer(params, grid)
     omega = grid.domega * np.arange(n // 2 + 1)
     i_omega, omega_sq = 1j * omega, omega ** 2
     synthesis = field_synthesis(model, params, grid)
@@ -727,8 +777,9 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     def worker(k):
         X = _steady_state(synthesis, H, seed, k, ws)
         if k == 0 and emitter.wants("trajectories"):
-            _emit_steady(emitter, "free_thermal", params, grid, np.fft.irfft(X, n),
-                         np.fft.irfft(T * X, n), member_seed(seed, k))
+            x = np.fft.irfft(X, n)
+            _emit_steady(emitter, "free_thermal", params, grid, x,
+                         canonical_momentum(x, params, dt), member_seed(seed, k))
         power = coefficient_power(X, out=ws.spectrum(1)).copy()
         # the velocity V = i omega X of the same draw; X is spent after it
         V = np.multiply(i_omega, X, out=ws.spectrum(1))
@@ -860,7 +911,8 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         Xm = np.multiply(Hm, Em, out=Em)
         if k == 0 and emitter.wants("trajectories"):
             xp, xm = np.fft.irfft(Xp, n), np.fft.irfft(Xm, n)
-            p_plus, p_minus = np.fft.irfft(Tp * Xp, n), np.fft.irfft(Tm * Xm, n)
+            p_plus = canonical_momentum(xp, pp, grid.dt)
+            p_minus = canonical_momentum(xm, pm, grid.dt)
             _emit_steady(emitter, "dipoles", params, grid, (xp + xm) / root2,
                          (p_plus + p_minus) / root2, member_seed(seed, k))
         xp = np.fft.irfft(Xp, n, out=ws.series(2))

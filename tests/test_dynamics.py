@@ -9,7 +9,9 @@ from sedlab.dynamics import (
     Trajectory,
     _integrate,
     _propagator,
+    apply_momentum_gain,
     canonical_momentum,
+    momentum_step,
     response_transfer,
     sample_from_spectrum,
     simulate_dipoles,
@@ -288,6 +290,21 @@ def test_steady_state_of_each_dipole_mode():
                                              cfg.grid)
         assert dx <= 1e-10
         assert dp <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1, 99991])
+def test_momentum_recursion_is_the_momentum_transfer(n):
+    cfg = validate(PARAMS, GridSpec(dt=0.1, n_samples=n, omega_cut=16.0))
+    h, t = response_transfer(cfg.params, cfg.grid)
+    X = h * field_coefficients(ZPF, cfg.params, cfg.grid, member_seed(5, 0))
+    x, p_ref = np.fft.irfft(X, n), np.fft.irfft(t * X, n)
+    scale = np.ptp(p_ref)
+    g = momentum_step(cfg.params, cfg.grid.dt)
+    assert np.max(np.abs(apply_momentum_gain(x, g, p_ref[0]) - p_ref)) <= 1e-12 * scale
+    out = np.empty(n)
+    p = canonical_momentum(x, cfg.params, cfg.grid.dt, out=out)
+    assert p is out
+    assert np.max(np.abs(p - p_ref)) <= 1e-12 * scale
 
 
 def test_transfer_is_zero_above_the_band_and_momentum_gain_imaginary():

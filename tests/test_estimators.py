@@ -253,6 +253,14 @@ def test_windowed_energy_single_sample_limit():
     assert stats.dispersion == pytest.approx(0.5, rel=0.02)
 
 
+@pytest.mark.parametrize("t_window", [0.1, 1.0, 10.0])
+def test_windowed_energy_dispersion_is_the_root_of_its_variance(t_window):
+    energy = np.random.default_rng(11).exponential(0.5, 1 << 14)
+    stats = windowed_energy(energy, t_window, 0.1)
+    assert stats.variance == stats.samples.var()
+    assert stats.dispersion == stats.samples.std()
+
+
 def test_windowed_energy_mean_stable_for_any_window():
     rng = np.random.default_rng(10)
     n = 1 << 16

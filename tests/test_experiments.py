@@ -13,8 +13,13 @@ from hypothesis import strategies as st
 
 import sedlab.experiments as experiments
 from sedlab.core import GridSpec, SystemParams, validate
-from sedlab.dynamics import response_transfer
+from sedlab.dynamics import momentum_step, response_transfer
 from sedlab.errors import InvalidParams, LagTooLong, SedlabError, UnknownScenario
+from sedlab.estimators import (
+    coefficient_power,
+    commutator_from_spectrum,
+    spectrum_from_power,
+)
 from sedlab.experiments import (
     N_GROUPS,
     SCENARIO_NAMES,
@@ -22,7 +27,9 @@ from sedlab.experiments import (
     ExperimentReport,
     Row,
     Workspace,
+    _momentum_commutator,
     _variance,
+    _xp_correlations,
     run_ensemble,
     run_scenario,
     scenario_defaults,
@@ -257,6 +264,57 @@ def test_warmed_member_allocates_less_than_one_series(name, monkeypatch):
     assert peak < 8 * grid.n_samples
 
 
+@pytest.mark.parametrize("name, per_member, per_operation", [
+    ("commutators", 0, N_GROUPS + 1),   # the group windows and c_xx
+    ("energy_time", 1, N_GROUPS),       # x per member, a window per group
+    ("ground_state", 1, 0),
+    ("planck_thermal", 1, 0),
+])
+def test_series_transforms_per_operation(name, per_member, per_operation, monkeypatch):
+    # the momentum comes from x by its recursion, never by a transform
+    grid = _default_grid(name, **SMALL_GRIDS[name])
+    lengths = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft",
+                        lambda a, n=None, *args, **kw: lengths.append(n) or irfft(a, n, *args, **kw))
+    run_scenario(name, grid=grid)
+    assert lengths.count(grid.n_samples) == per_member * grid.n_ensemble + per_operation
+    assert len(lengths) == lengths.count(grid.n_samples)
+
+
+def _steady_power(name, n_samples):
+    """One member's |X_j|^2 on ``name``'s default grid at n_samples, with
+    that scenario's validated configuration and gain T."""
+    params, grid = scenario_defaults(name)
+    cfg = validate(params, replace(grid, n_samples=n_samples))
+    H, T = response_transfer(cfg.params, cfg.grid)
+    synthesis = field_synthesis(SpectrumModel.zpf(), cfg.params, cfg.grid)
+    X = np.multiply(H, synthesis.draw(member_seed(cfg.grid.seed, 0)))
+    return cfg, coefficient_power(X), T
+
+
+@pytest.mark.parametrize("n_samples", [1 << 16, (1 << 16) + 1])
+def test_lag_correlations_match_their_transforms(n_samples):
+    cfg, pw, T = _steady_power("energy_time", n_samples)
+    n, lags = n_samples, np.arange(n_samples // 10)
+    c = _xp_correlations(pw, 1.0 + T, np.abs(T) ** 2, momentum_step(cfg.params, cfg.grid.dt),
+                         lags, Workspace(n))
+    for row, gain in zip(c, (1.0, np.abs(T) ** 2, T)):
+        ref = np.fft.irfft(pw * gain, n)[lags] / n
+        assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_momentum_commutator_matches_the_spectral_route():
+    cfg, pw, T = _steady_power("commutators", 1 << 16)
+    n, dt = cfg.grid.n_samples, cfg.grid.dt
+    spec_x = spectrum_from_power(pw, n, dt)
+    c_xx = commutator_from_spectrum(spec_x, 100.0, dt).values
+    ref = commutator_from_spectrum(spectrum_from_power(pw * np.abs(T) ** 2, n, dt),
+                                   100.0, dt).values
+    c_pp = _momentum_commutator(c_xx, spec_x, T, momentum_step(cfg.params, dt))
+    assert np.max(np.abs(c_pp - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_workspace_buffers_are_per_thread():
     ws = Workspace(1000)
     main = ws.spectrum(0)
@@ -339,6 +397,17 @@ def test_accumulator_identical_at_jobs_1_and_3(n_ensemble):
     assert digest(1) == digest(3)
 
 
+def test_group_means_are_formed_once_per_key():
+    acc = run_ensemble(_synthetic_worker, 20, 1, summed=("power",))
+    seen = []
+    first = acc.estimate(lambda m: seen.append(m) or float(m.sum()), "power")
+    second = acc.estimate(lambda m: seen.append(m) or float(m.sum()), "power")
+    assert first == second
+    half = len(seen) // 2
+    assert all(a is b for a, b in zip(seen[:half], seen[half:]))
+    assert seen[half - 1] is acc.total("power")
+
+
 @pytest.mark.parametrize("name, n_samples, n_ensemble", [
     ("commutators", 1 << 16, 4),
     ("commutators", 1 << 16, 12),
@@ -370,6 +439,17 @@ def test_coherent_decay_runs_odd_and_single_member_ensembles(n_ensemble, monkeyp
     assert report.config["grid"]["n_ensemble"] == n_ensemble
     rows = json.loads(report.to_json())["rows"]
     assert all(math.isfinite(r["estimated"]) and math.isfinite(r["stderr"]) for r in rows)
+
+
+@pytest.mark.parametrize("n_ensemble", [2, 3, 7])
+@pytest.mark.parametrize("name", sorted(SMALL_GRIDS))
+def test_small_ensembles_give_honest_reports_at_every_jobs(name, n_ensemble):
+    grid = _default_grid(name, **dict(SMALL_GRIDS[name], n_ensemble=n_ensemble))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        reports = [run_scenario(name, grid=grid, jobs=jobs) for jobs in (1, 2)]
+    assert all(math.isfinite(r.stderr) for r in reports[0].rows)
+    assert reports[1].to_json() == reports[0].to_json()
 
 
 def test_free_thermal_lag_beyond_the_periodicity_guard_is_refused(monkeypatch):
