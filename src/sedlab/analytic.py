@@ -1,13 +1,15 @@
 """Closed-form predictions, evaluated exactly.
 
-Every quantity the simulator estimates has its closed form here.  Where a
-printed expression is internally inconsistent, the variance-consistent
-(corrected) form is used and the printed one is exposed alongside, never
-silently merged:
+Every analytic value a report row compares against has its closed form
+here, and only here; so has every value ``sedlab analytic`` prints.  The
+only other entries are oracles of those forms (the Boltzmann sum, the
+stationary correlations).  Where a printed expression is internally
+inconsistent, the variance-consistent (corrected) form is used and the
+printed one is exposed alongside, never silently merged:
 
-* Gaussian densities are generated from the variances fixed by the second
-  moments (ground-state x variance hbar/(2 m omega0), etc.); printed
-  exponents that imply twice that variance are treated as factor-2 slips.
+* Gaussian distributions take the variances fixed by the second moments
+  (ground-state x variance hbar/(2 m omega0), etc.); printed exponents
+  that imply twice that variance are treated as factor-2 slips.
 * The amplitude decay rate is the pole rate gamma = tau*omega0^2/2
   everywhere.
 * The windowed-energy dispersion returns three forms: the corrected
@@ -33,14 +35,6 @@ from .errors import InvalidParams
 EULER_GAMMA = 0.5772156649015329
 
 
-def _gaussian_density(var: float):
-    def density(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-x ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-
-    return density
-
-
 def _gaussian_cdf(var: float):
     sig = math.sqrt(var)
 
@@ -51,14 +45,6 @@ def _gaussian_cdf(var: float):
         return 0.5 * (1.0 + erf(x / (sig * math.sqrt(2.0))))
 
     return cdf
-
-
-def _exponential_density(mean: float):
-    def density(u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u >= 0, np.exp(-u / mean) / mean, 0.0)
-
-    return density
 
 
 def _exponential_cdf(mean: float):
@@ -76,14 +62,12 @@ class GroundStateStats:
     x_var: float
     p_var: float
     mean_energy: float
-    x_density: object
     x_cdf: object
-    energy_density: object
     energy_cdf: object
 
 
 def ground_state(params: SystemParams) -> GroundStateStats:
-    """Ground-state moments and densities in the tau -> 0 limit.
+    """Ground-state moments and distributions in the tau -> 0 limit.
 
     x_var = hbar/(2 m omega0), p_var = m hbar omega0 / 2, mean energy
     hbar omega0 / 2.
@@ -98,9 +82,7 @@ def ground_state(params: SystemParams) -> GroundStateStats:
         x_var=x_var,
         p_var=p_var,
         mean_energy=mean_energy,
-        x_density=_gaussian_density(x_var),
         x_cdf=_gaussian_cdf(x_var),
-        energy_density=_exponential_density(mean_energy),
         energy_cdf=_exponential_cdf(mean_energy),
     )
 
@@ -189,6 +171,7 @@ class FreeParticlePrediction:
 
     thermal_dx2: float
     thermal_v_var: float
+    zpf_log_slope: float
     zpf_dx2: float
     zpf_dv2: float
     zpf_dv2_nonphysical: bool | None
@@ -197,16 +180,16 @@ class FreeParticlePrediction:
 
 def free_particle(
     params: SystemParams,
-    kT: float,
     delta_t: float,
     omega_c: float,
 ) -> FreeParticlePrediction:
-    """Closed-form free-particle dispersions.
+    """Closed-form free-particle dispersions at temperature ``params.kT``.
 
     Thermal (Rayleigh-Jeans) driving: Brownian structure function
     2 tau kT dt / m and equilibrium velocity variance kT/m.  Zeropoint
     driving: logarithmic position dispersion
-    (2 hbar tau / pi m)(C + ln(dt/tau)) for dt >> tau, and a
+    (2 hbar tau / pi m)(C + ln(dt/tau)) for dt >> tau, whose slope in
+    ln(dt) is ``zpf_log_slope``, and a
     cutoff-dependent velocity dispersion (2 hbar / pi m tau) ln(omega_c tau)
     flagged nonphysical when it exceeds c^2 (a known breakdown of the
     nonrelativistic treatment).  The electron-size output
@@ -214,16 +197,20 @@ def free_particle(
     """
     if delta_t <= 0:
         raise InvalidParams([f"delta_t must be > 0, got {delta_t}"])
-    hb, m, tau = params.hbar, params.m, params.tau
+    if params.kT < 0:
+        raise InvalidParams([f"kT must be >= 0, got {params.kT}"])
+    hb, m, tau, kT = params.hbar, params.m, params.tau, params.kT
     thermal_dx2 = 2.0 * tau * kT * delta_t / m
     thermal_v_var = kT / m
-    zpf_dx2 = (2.0 * hb * tau / (math.pi * m)) * (EULER_GAMMA + math.log(delta_t / tau))
+    log_slope = 2.0 * hb * tau / (math.pi * m)
+    zpf_dx2 = log_slope * (EULER_GAMMA + math.log(delta_t / tau))
     zpf_dv2 = (2.0 * hb / (math.pi * m * tau)) * math.log(max(omega_c * tau, 1.0 + 1e-15))
     nonphys = None if params.c is None else bool(zpf_dv2 > params.c ** 2)
     size = math.sqrt(4.0 * EULER_GAMMA * hb * tau / (3.0 * math.pi * m))
     return FreeParticlePrediction(
         thermal_dx2=thermal_dx2,
         thermal_v_var=thermal_v_var,
+        zpf_log_slope=log_slope,
         zpf_dx2=zpf_dx2,
         zpf_dv2=zpf_dv2,
         zpf_dv2_nonphysical=nonphys,
@@ -243,18 +230,12 @@ class DipolePrediction:
 
     x_plus_var: float
     x_minus_var: float
-    v_plus_var: float
-    v_minus_var: float
     cross_cov: float
     mean_H: float
     E_int_exact: float
     E_int_paper_series: float
-    rho_plus: object
-    rho_minus: object
     rho_plus_cdf: object
     rho_minus_cdf: object
-    joint_density: object
-    quantum_joint_density: object
 
 
 def dipole_prediction(params: SystemParams) -> DipolePrediction:
@@ -266,8 +247,6 @@ def dipole_prediction(params: SystemParams) -> DipolePrediction:
     authoritative; the printed series coefficient -K^2 hbar/(2 m^2 omega0^3)
     disagrees with the expansion of the exact form, which gives
     -K^2 hbar/(8 m^2 omega0^3), and is exposed for comparison only.
-    The quantum joint density is qualitative reference material
-    (sign/shape of the correlation), not an acceptance quantity.
     """
     hb, m, w0, K = params.hbar, params.m, params.omega0, params.K
     if not abs(K) < m * w0 ** 2:
@@ -276,43 +255,16 @@ def dipole_prediction(params: SystemParams) -> DipolePrediction:
     wm = math.sqrt(w0 ** 2 + K / m)
     xp_var = hb / (2.0 * m * wp)
     xm_var = hb / (2.0 * m * wm)
-    vp_var = hb * wp / (2.0 * m)
-    vm_var = hb * wm / (2.0 * m)
     mean_h = 0.5 * hb * (wp + wm)
-    e_exact = mean_h - hb * w0
-    e_series = -K ** 2 * hb / (2.0 * m ** 2 * w0 ** 3)
-
-    rp = _gaussian_density(xp_var)
-    rm = _gaussian_density(xm_var)
-
-    def joint(x1, x2):
-        r2 = math.sqrt(2.0)
-        return rp((np.asarray(x1) + np.asarray(x2)) / r2) * rm((np.asarray(x1) - np.asarray(x2)) / r2)
-
-    a = m * w0 / hb  # ground-state 1/(2 var)
-
-    def quantum_joint(x1, x2):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        norm = (a / math.pi) / (1.0 + K ** 2 / (4.0 * m ** 2 * w0 ** 4))
-        poly = (1.0 + K * x1 * x2 / (4.0 * m * hb * w0 ** 3)) ** 2
-        return norm * poly * np.exp(-a * (x1 ** 2 + x2 ** 2))
-
     return DipolePrediction(
         x_plus_var=xp_var,
         x_minus_var=xm_var,
-        v_plus_var=vp_var,
-        v_minus_var=vm_var,
         cross_cov=0.5 * (xp_var - xm_var),
         mean_H=mean_h,
-        E_int_exact=e_exact,
-        E_int_paper_series=e_series,
-        rho_plus=rp,
-        rho_minus=rm,
+        E_int_exact=mean_h - hb * w0,
+        E_int_paper_series=-K ** 2 * hb / (2.0 * m ** 2 * w0 ** 3),
         rho_plus_cdf=_gaussian_cdf(xp_var),
         rho_minus_cdf=_gaussian_cdf(xm_var),
-        joint_density=joint,
-        quantum_joint_density=quantum_joint,
     )
 
 
@@ -321,15 +273,13 @@ class PlanckPrediction:
     """Oscillator in Planck radiation at temperature kT."""
 
     mean_energy: float
-    energy_density: object
     energy_cdf: object
-    quantum_levels: object
 
 
-def planck_prediction(params: SystemParams, kT: float) -> PlanckPrediction:
-    """Mean oscillator energy (hbar w0/2) coth(hbar w0 / 2kT) and its
-    exponential energy density; quantum levels E_n = (n + 1/2) hbar w0
-    provided as reference values."""
+def planck_prediction(params: SystemParams) -> PlanckPrediction:
+    """Mean oscillator energy (hbar w0/2) coth(hbar w0 / 2kT) at temperature
+    ``params.kT``, and its exponential energy distribution."""
+    kT = params.kT
     if kT < 0:
         raise InvalidParams([f"kT must be >= 0, got {kT}"])
     hb, w0 = params.hbar, params.omega0
@@ -337,27 +287,19 @@ def planck_prediction(params: SystemParams, kT: float) -> PlanckPrediction:
         mean = 0.5 * hb * w0
     else:
         mean = 0.5 * hb * w0 / math.tanh(hb * w0 / (2.0 * kT))
-
-    def levels(n):
-        return (np.asarray(n) + 0.5) * hb * w0
-
-    return PlanckPrediction(
-        mean_energy=mean,
-        energy_density=_exponential_density(mean),
-        energy_cdf=_exponential_cdf(mean),
-        quantum_levels=levels,
-    )
+    return PlanckPrediction(mean_energy=mean, energy_cdf=_exponential_cdf(mean))
 
 
-def boltzmann_mean_energy(params: SystemParams, kT: float) -> float:
-    """Boltzmann-weighted mean over E_n = (n + 1/2) hbar w0, summed numerically.
+def boltzmann_mean_energy(params: SystemParams) -> float:
+    """Boltzmann-weighted mean over E_n = (n + 1/2) hbar w0 at temperature
+    ``params.kT``, summed numerically.
 
     Independent oracle for the coth closed form; the partial sums are
     accumulated until the next term is below 1e-14 of the partition sum.
     """
-    if kT <= 0:
+    if params.kT <= 0:
         return 0.5 * params.hbar * params.omega0
-    beta = params.hbar * params.omega0 / kT
+    beta = params.hbar * params.omega0 / params.kT
     z = 0.0
     ez = 0.0
     n = 0
@@ -371,24 +313,3 @@ def boltzmann_mean_energy(params: SystemParams, kT: float) -> float:
         if n > 100000:
             break
     return ez / z
-
-
-def quantum_reference_densities(params: SystemParams):
-    """Normalized ground and first-excited oscillator position densities.
-
-    rho_1 has a node at x = 0; both integrate to one; rho_0 has variance
-    hbar/(2 m omega0).
-    """
-    if params.omega0 <= 0:
-        raise InvalidParams(["quantum_reference_densities requires omega0 > 0"])
-    a = params.m * params.omega0 / params.hbar
-
-    def rho0(x):
-        x = np.asarray(x, dtype=float)
-        return math.sqrt(a / math.pi) * np.exp(-a * x ** 2)
-
-    def rho1(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * a ** 1.5 / math.sqrt(math.pi) * x ** 2 * np.exp(-a * x ** 2)
-
-    return rho0, rho1

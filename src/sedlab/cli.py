@@ -11,6 +11,7 @@ byte-identical for any ``--jobs`` value.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -47,6 +48,22 @@ def _load_config(path) -> dict:
     return data
 
 
+def _jobs(flag, file_cfg: dict) -> int:
+    """Worker threads: the --jobs flag, else the config file's "jobs", else
+    SEDLAB_JOBS, else 1; an integer >= 1."""
+    if flag is not None:
+        source, jobs = "--jobs", flag
+    elif "jobs" in file_cfg:
+        source, jobs = "config jobs", file_cfg["jobs"]
+    else:
+        source, jobs = "SEDLAB_JOBS", os.environ.get("SEDLAB_JOBS", "1")
+        with contextlib.suppress(ValueError):
+            jobs = int(jobs)
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"{source} must be an integer >= 1, got {jobs!r}")
+    return jobs
+
+
 def _resolve(scenario: str, file_cfg: dict, args) -> tuple[SystemParams, GridSpec, dict]:
     params, grid = scenario_defaults(scenario)
     pd = dataclasses.asdict(params)
@@ -56,21 +73,18 @@ def _resolve(scenario: str, file_cfg: dict, args) -> tuple[SystemParams, GridSpe
             pd[key] = val
         elif key in _GRID_KEYS:
             gd[key] = val
-    if "seed" in file_cfg:
-        gd["seed"] = int(file_cfg["seed"])
     if args.seed is not None:
         gd["seed"] = args.seed
-    jobs = args.jobs
-    if jobs is None:
-        jobs = file_cfg.get("jobs", int(os.environ.get("SEDLAB_JOBS", "1")))
-    meta = {
-        "out": args.out or file_cfg.get("out") or "sedlab_out",
-        "emit": tuple(args.emit) if args.emit else tuple(file_cfg.get("emit", ["report"])),
-        "jobs": int(jobs),
-    }
-    for flag in meta["emit"]:
+    emit = args.emit or file_cfg.get("emit", ["report"])
+    if not isinstance(emit, list):
+        raise ConfigError(f"emit must be a list of flags, got {emit!r}")
+    for flag in emit:
         if flag not in _EMIT_CHOICES:
             raise ConfigError(f"unknown emit flag {flag!r}; valid: {_EMIT_CHOICES}")
+    out = args.out or file_cfg.get("out") or "sedlab_out"
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a directory name, got {out!r}")
+    meta = {"out": out, "emit": tuple(emit), "jobs": _jobs(args.jobs, file_cfg)}
     return SystemParams(**pd), GridSpec(**gd), meta
 
 
@@ -112,7 +126,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     from .acceptance import run_all
 
-    ok = run_all(jobs=args.jobs)
+    ok = run_all(jobs=_jobs(args.jobs, {}))
     print("acceptance suite:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -140,10 +154,10 @@ def _cmd_analytic(args) -> int:
               f"cross={dp.cross_cov:g} mean_H={dp.mean_H:.9g} "
               f"E_int_exact={dp.E_int_exact:g} E_int_paper_series={dp.E_int_paper_series:g}")
     elif q == "planck":
-        pp = analytic.planck_prediction(params, params.kT)
+        pp = analytic.planck_prediction(params)
         print(f"mean_energy={pp.mean_energy:.9g}")
     elif q == "free_particle":
-        fp = analytic.free_particle(params, params.kT, args.t, args.omega_c)
+        fp = analytic.free_particle(params, args.t, args.omega_c)
         print(f"thermal_dx2={fp.thermal_dx2:g} thermal_v_var={fp.thermal_v_var:g} "
               f"zpf_dx2={fp.zpf_dx2:g} zpf_dv2={fp.zpf_dv2:g} "
               f"nonphysical={fp.zpf_dv2_nonphysical} electron_size={fp.electron_size:g}")
@@ -157,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sedlab",
         description="Zeropoint-field simulation scenarios and their closed-form checks.",
     )
-    default_jobs = int(os.environ.get("SEDLAB_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="print scenario names").set_defaults(fn=_cmd_list)
@@ -175,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="run the full acceptance suite")
-    p_ver.add_argument("--jobs", type=int, default=default_jobs)
+    p_ver.add_argument("--jobs", type=int, default=None,
+                       help="worker threads (default: SEDLAB_JOBS, then 1)")
     p_ver.set_defaults(fn=_cmd_verify)
 
     p_ana = sub.add_parser("analytic", help="print closed forms, no simulation")

@@ -9,8 +9,10 @@ tau is the single small parameter.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import InvalidParams
 
@@ -103,14 +105,23 @@ class Config:
     grid: GridSpec
 
 
-def resolve_defaults(params: SystemParams, grid: GridSpec) -> tuple[SystemParams, GridSpec]:
-    """Fill in derived quantities: omega_cut and, from e, c."""
-    if grid.omega_cut is None:
-        grid = replace(grid, omega_cut=5.0 / params.tau)
-    if params.e is not None and params.c is None:
-        c = (2.0 * params.e ** 2 / (3.0 * params.m * params.tau)) ** (1.0 / 3.0)
-        params = replace(params, c=c)
-    return params, grid
+def _type_violations(obj) -> dict:
+    """Messages, by field name, for the fields of the dataclass ``obj`` whose
+    value does not fit the annotation: an ``int`` field takes an integer (not
+    a bool), a ``float`` one a real within the float range (no inf, no NaN,
+    no int that would overflow), and ``| None`` admits None."""
+    bad = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "int":
+            ok, kind = isinstance(v, numbers.Integral), "an integer"
+        else:
+            ok = (v is None and f.type.endswith("| None")
+                  or isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max)
+            kind = "a finite real number"
+        if isinstance(v, bool) or not ok:
+            bad[f.name] = f"{f.name} must be {kind}, got {v!r}"
+    return bad
 
 
 def validate(params: SystemParams, grid: GridSpec, oscillator: bool = False) -> Config:
@@ -118,28 +129,35 @@ def validate(params: SystemParams, grid: GridSpec, oscillator: bool = False) -> 
 
     ``oscillator`` marks a configuration that drives a bound oscillator,
     whose omega0 must then be > 0 (omega0 = 0 is the free particle).
+    A field of the wrong type is reported as such, and the range checks
+    that read it are skipped.
 
     Raises
     ------
     InvalidParams
         Listing *every* violated invariant, not just the first.
     """
-    violations = []
+    bad = {**_type_violations(params), **_type_violations(grid)}
+    violations = list(bad.values())
 
-    if not params.hbar > 0:
+    def typed(*names) -> bool:
+        return not bad.keys() & set(names)
+
+    if typed("hbar") and not params.hbar > 0:
         violations.append(f"hbar must be > 0, got {params.hbar}")
-    if not params.m > 0:
+    if typed("m") and not params.m > 0:
         violations.append(f"m must be > 0, got {params.m}")
-    if oscillator and not params.omega0 > 0:
-        violations.append(f"omega0 must be > 0, got {params.omega0}")
-    elif params.omega0 < 0:
-        violations.append(f"omega0 must be >= 0, got {params.omega0}")
-    if not params.tau > 0:
+    if typed("omega0"):
+        if oscillator and not params.omega0 > 0:
+            violations.append(f"omega0 must be > 0, got {params.omega0}")
+        elif params.omega0 < 0:
+            violations.append(f"omega0 must be >= 0, got {params.omega0}")
+    if typed("tau") and not params.tau > 0:
         violations.append(f"tau must be > 0, got {params.tau}")
-    if params.kT < 0:
+    if typed("kT") and params.kT < 0:
         violations.append(f"kT must be >= 0, got {params.kT}")
 
-    tw = params.tau * params.omega0
+    tw = params.tau * params.omega0 if typed("tau", "omega0") else 0.0
     if tw >= TAU_OMEGA_REJECT:
         violations.append(
             f"tau*omega0 = {tw:g} exceeds the hard limit {TAU_OMEGA_REJECT}"
@@ -151,30 +169,41 @@ def validate(params: SystemParams, grid: GridSpec, oscillator: bool = False) -> 
             stacklevel=2,
         )
 
-    if params.K != 0.0 and not abs(params.K) < params.m * params.omega0 ** 2:
+    if (typed("K", "m", "omega0") and params.K != 0.0
+            and not abs(params.K) < params.m * params.omega0 ** 2):
         violations.append(
             f"|K| = {abs(params.K):g} must be < m*omega0^2 = "
             f"{params.m * params.omega0 ** 2:g} (real normal modes)"
         )
 
-    if params.e is not None and params.c is not None and params.c > 0:
+    if (typed("e", "c", "m", "tau") and params.e is not None
+            and params.c is not None and params.c > 0):
         tau_ec = 2.0 * params.e ** 2 / (3.0 * params.m * params.c ** 3)
         if abs(tau_ec - params.tau) > 1e-12 * params.tau:
             violations.append(
                 f"tau = {params.tau!r} inconsistent with 2e^2/(3mc^3) = {tau_ec!r}"
             )
 
-    params, grid = resolve_defaults(params, grid)
+    # the derived defaults: omega_cut and, from e, c (they divide by m and tau)
+    if typed("e", "m", "tau") and params.m > 0 and params.tau > 0:
+        if grid.omega_cut is None:
+            grid = replace(grid, omega_cut=5.0 / params.tau)
+        if params.e is not None and params.c is None:
+            c = (2.0 * params.e ** 2 / (3.0 * params.m * params.tau)) ** (1.0 / 3.0)
+            params = replace(params, c=c)
 
-    if not grid.dt > 0:
+    if typed("dt") and not grid.dt > 0:
         violations.append(f"dt must be > 0, got {grid.dt}")
-    if grid.n_samples < 2:
+    if typed("n_samples") and grid.n_samples < 2:
         violations.append(f"n_samples must be >= 2, got {grid.n_samples}")
-    if grid.n_ensemble < 2:
+    if typed("n_ensemble") and grid.n_ensemble < 2:
         # one member has no spread to take a standard error from
         violations.append(f"n_ensemble must be >= 2, got {grid.n_ensemble}")
+    if typed("seed") and grid.seed < 0:
+        violations.append(f"seed must be >= 0, got {grid.seed}")
 
-    if grid.dt > 0:
+    if (typed("dt", "n_samples", "omega_cut", "omega0") and grid.dt > 0
+            and grid.omega_cut is not None):
         prod = grid.dt * grid.omega_cut
         if prod > math.pi * (1.0 + 1e-12):
             violations.append(

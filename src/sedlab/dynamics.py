@@ -62,10 +62,6 @@ class Trajectory:
     p: np.ndarray
     params: SystemParams
 
-    @property
-    def n_samples(self) -> int:
-        return self.x.size
-
 
 def _propagator(params: SystemParams, dt: float):
     """Exact one-step (A, B) of the reduced system for piecewise-constant input."""

@@ -34,6 +34,10 @@ from .errors import EmptySeries, InvalidParams, LagTooLong, WindowTooLong
 #: KS critical coefficient at the 1% level: D_crit = KS_COEFF / sqrt(n).
 KS_COEFF = 1.628
 
+#: The Hilbert route transforms a two-sided correlation over HILBERT_MARGIN
+#: times the longest lag it keeps, which leaves its end effects outside.
+HILBERT_MARGIN = 1.2
+
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
@@ -48,16 +52,9 @@ class SpectrumEstimate:
 
 
 @dataclass(frozen=True)
-class CorrelationSeries:
-    """Lag correlation on a uniform nonnegative lag grid."""
-
-    lags: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class CommutatorSeries:
-    """Real coefficients c(t) with [a(0), b(t)] = i c(t)."""
+class LagSeries:
+    """Values on a uniform nonnegative lag grid: a lag correlation, or the
+    real coefficients c(t) of a commutator [a(0), b(t)] = i c(t)."""
 
     lags: np.ndarray
     values: np.ndarray
@@ -150,10 +147,10 @@ def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float):
     return np.fft.irfft(np.conj(fa) * fb, m), lags, n
 
 
-def correlation(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float) -> CorrelationSeries:
+def correlation(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float) -> LagSeries:
     """Unbiased lag estimator of C_ab(u) = <a(t) b(t+u)> for u in [0, max_lag]."""
     raw, lags, n = _cross_raw(a, b, max_lag, dt)
-    return CorrelationSeries(
+    return LagSeries(
         lags=dt * np.arange(lags + 1),
         values=raw[: lags + 1] / (n - np.arange(lags + 1)),
     )
@@ -181,7 +178,15 @@ def hilbert_transform(values: np.ndarray) -> np.ndarray:
     return np.imag(hilbert(buf))[off : off + v.size]
 
 
-def commutator_from_spectrum(spec: SpectrumEstimate, max_lag: float, dt: float) -> CommutatorSeries:
+def hilbert_commutator(two_sided: np.ndarray, n_lags: int) -> np.ndarray:
+    """Commutator coefficients c = 2 H[C_ab] on the first n_lags lags from
+    the centre of a two-sided correlation C_ab on lags -L..L (the Hilbert
+    route); take L from ``lag_count(HILBERT_MARGIN * max_lag, ...)``."""
+    mid = np.asarray(two_sided).size // 2
+    return (2.0 * hilbert_transform(two_sided))[mid : mid + n_lags]
+
+
+def commutator_from_spectrum(spec: SpectrumEstimate, max_lag: float, dt: float) -> LagSeries:
     """Auto-commutator coefficients c(t) = 2 * sum_j S_j sin(omega_j t) domega."""
     lags_n = int(round(max_lag / dt))
     # the full lattice of the series the spectrum came from
@@ -193,7 +198,7 @@ def commutator_from_spectrum(spec: SpectrumEstimate, max_lag: float, dt: float) 
     ks = np.arange(lags_n + 1)
     values = 2.0 * spec.domega * sines
     values[0] = 0.0
-    return CommutatorSeries(lags=dt * ks, values=values)
+    return LagSeries(lags=dt * ks, values=values)
 
 
 def commutator(
@@ -202,14 +207,14 @@ def commutator(
     max_lag: float,
     dt: float,
     method: str | None = None,
-) -> CommutatorSeries:
+) -> LagSeries:
     """Commutator coefficient series for stationary processes a, b.
 
     The auto case (``b is a``) defaults to the spectral sine-transform
     route; the cross case to the discrete Hilbert transform of the
-    cross-correlation.  End effects of the Hilbert route are excluded by
-    computing on an extended lag window and discarding 5% of the lags at
-    each end.
+    cross-correlation (``hilbert_commutator``), taken over
+    HILBERT_MARGIN * max_lag; LagTooLong is raised when that exceeds the
+    periodicity guard.
     """
     if method is None:
         method = "spectral" if b is a else "hilbert"
@@ -226,18 +231,9 @@ def commutator(
     if method != "hilbert":
         raise InvalidParams([f"unknown commutator method {method!r}"])
 
-    n = np.asarray(a).size
-    end_discard = 0.05
-    ext = max_lag / (1.0 - 2.0 * end_discard)
-    ext = min(ext, (n // 10) * dt)
-    lags, values = two_sided_correlation(a, b, ext, dt)
-    h = 2.0 * hilbert_transform(values)
-    keep = int(math.floor(end_discard * lags.size))
-    if keep:
-        lags, h = lags[keep:-keep], h[keep:-keep]
-    mid = lags.size // 2
-    stop = mid + int(round(max_lag / dt)) + 1
-    return CommutatorSeries(lags=lags[mid:stop], values=h[mid:stop])
+    n_lags = int(round(max_lag / dt)) + 1
+    _, values = two_sided_correlation(a, b, HILBERT_MARGIN * max_lag, dt)
+    return LagSeries(lags=dt * np.arange(n_lags), values=hilbert_commutator(values, n_lags))
 
 
 def structure_function(x: np.ndarray, dt: float, delta_ts) -> np.ndarray:

@@ -60,9 +60,11 @@ from .dynamics import (
 )
 from .errors import NonFiniteReport, UnknownScenario
 from .estimators import (
+    HILBERT_MARGIN,
     coefficient_power,
     commutator_from_spectrum,
     decorrelated,
+    hilbert_commutator,
     hilbert_transform,
     ks_critical,
     ks_distance,
@@ -177,11 +179,7 @@ class ExperimentReport:
             wr = csv.writer(fh)
             wr.writerow(["quantity", "estimated", "stderr", "analytic",
                          "rel_error", "tolerance", "kind", "pass", "note"])
-            for r in self.rows:
-                d = r.to_dict()
-                wr.writerow([d[k] for k in ("quantity", "estimated", "stderr",
-                                            "analytic", "rel_error", "tolerance",
-                                            "kind", "pass", "note")])
+            wr.writerows(r.to_dict().values() for r in self.rows)  # in that order
 
     def summary_lines(self):
         out = [f"scenario {self.scenario} (seed {self.seed})"]
@@ -212,18 +210,18 @@ class Emitter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
 
-    def field(self, scenario: str, realization):
-        if self.wants("trajectories"):
-            dump_realization(
-                self._path(f"{scenario}_field"), realization.samples,
-                realization.dt, realization.seed, realization.model.label(),
-            )
-
-    def trajectory(self, scenario: str, dt: float, x, p, seed):
-        if self.wants("trajectories"):
-            for name, arr in (("x", x), ("p", p)):
-                dump_realization(self._path(f"{scenario}_{name}"), arr, dt, seed,
-                                 f"trajectory:{name}")
+    def steady(self, scenario: str, params: SystemParams, grid: GridSpec, x, p,
+               seed, model=None):
+        """Member artifacts of a steady-state scenario: x, p and, given its
+        spectrum ``model``, the field drawn from ``seed``.  Callers form x
+        and p (by ``canonical_momentum``) only if ``wants("trajectories")``."""
+        if model is not None:
+            f = synthesize_field(model, params, grid, seed)
+            dump_realization(self._path(f"{scenario}_field"), f.samples, f.dt,
+                             f.seed, model.label())
+        for name, arr in (("x", x), ("p", p)):
+            dump_realization(self._path(f"{scenario}_{name}"), arr, grid.dt, seed,
+                             f"trajectory:{name}")
 
     def series(self, scenario: str, quantity: str, first_name, first, values,
                stderr=None):
@@ -420,26 +418,31 @@ def _energy(params: SystemParams, x_sq, p_sq, out=None):
     return np.multiply(0.5, out, out=out)
 
 
-def _xp_correlations(pw, one_plus_t, t_sq, g: float, lags, ws: Workspace) -> np.ndarray:
-    """Rows C_xx, C_pp, C_xp on the lags 0..L of one (group's) power
+def _lag_window(pw, one_plus_t, lag: int, ws: Workspace) -> np.ndarray:
+    """irfft(pw (1 + T))/n on the lags -lag..lag of one (group's) power
+    ``pw`` = |X_j|^2, with ``one_plus_t`` = 1 + T: C_xx + C_xp, whose even
+    part is C_xx and odd part (T imaginary) C_xp."""
+    cross = np.multiply(pw, one_plus_t, out=ws.spectrum(0))
+    return np.fft.irfft(cross, ws.n, out=ws.series(1))[np.arange(-lag, lag + 1)] / ws.n
+
+
+def _xp_correlations(pw, one_plus_t, t_sq, g: float, lag: int, ws: Workspace) -> np.ndarray:
+    """Rows C_xx, C_pp, C_xp on the lags 0..lag of one (group's) power
     ``pw`` = |X_j|^2, with ``one_plus_t`` = 1 + T, ``t_sq`` = |T|^2 and ``g``
     the ``momentum_step`` of T.
 
-    C_xx and C_xp are the even and odd parts of one transform,
-    irfft(pw (1 + T))/n.  C_pp takes no second one: it is T applied along
-    the lags to C_px = -C_xp (``apply_momentum_gain`` with step -g), from
+    C_xx and C_xp are the even and odd parts of one ``_lag_window``.  C_pp
+    takes no second transform: it is T applied along the lags to
+    C_px = -C_xp (``apply_momentum_gain`` with step -g), from
     C_pp(0) = <p^2> = 2 sum_j |T_j|^2 pw_j / n^2 by Parseval (T_0 = 0, and
     T vanishes at Nyquist).
     """
-    n = ws.n
-    spec, y = ws.spectrum(0), ws.series(1)
-    np.fft.irfft(np.multiply(pw, one_plus_t, out=spec), n, out=y)
-    y /= n
-    fwd, back = y[lags], y[-lags]
-    c = np.empty((3, lags.size))
+    w = _lag_window(pw, one_plus_t, lag, ws)
+    fwd, back = w[lag:], w[lag::-1]
+    c = np.empty((3, lag + 1))
     np.multiply(0.5, np.add(fwd, back, out=c[0]), out=c[0])
     np.multiply(0.5, np.subtract(fwd, back, out=c[2]), out=c[2])
-    apply_momentum_gain(c[2], -g, 2.0 * np.dot(t_sq, pw) / n ** 2, out=c[1])
+    apply_momentum_gain(c[2], -g, 2.0 * np.dot(t_sq, pw) / ws.n ** 2, out=c[1])
     return c
 
 
@@ -455,17 +458,6 @@ def _momentum_commutator(c_xx, spec_x, T, g: float) -> np.ndarray:
     even = apply_momentum_gain(
         c_xx, g, 2.0 * spec_x.domega * np.sum(T.imag[1:] * spec_x.values))
     return apply_momentum_gain(even, -g, 0.0)
-
-
-def _emit_steady(emitter: Emitter, scenario: str, params: SystemParams,
-                 grid: GridSpec, x, p, seed, model=None):
-    """Member artifacts of a steady-state scenario: the x and p series (p
-    by ``canonical_momentum``) and, given its spectrum ``model``, the field
-    drawn from ``seed``.  Callers form x and p only when
-    ``emitter.wants("trajectories")``."""
-    if model is not None:
-        emitter.field(scenario, synthesize_field(model, params, grid, seed))
-    emitter.trajectory(scenario, grid.dt, x, p, seed)
 
 
 def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: int,
@@ -487,8 +479,8 @@ def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: i
         # X is spent: its buffer takes p
         p = canonical_momentum(x, params, dt, out=ws.series(0))
         if k == 0 and emitter.wants("trajectories"):
-            _emit_steady(emitter, scenario, params, grid, x, p,
-                         member_seed(seed, k), model=model)
+            emitter.steady(scenario, params, grid, x, p, member_seed(seed, k),
+                           model=model)
         x_sub, x_u = decorrelated(x, dt, t_dec_x), decorrelated(x, dt, t_dec_u)
         p_u = decorrelated(p, dt, t_dec_u)
         x_var, p_var = _variance(x), _variance(p)
@@ -543,7 +535,7 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     model = SpectrumModel.zpf()
     dt, n = grid.dt, grid.n_samples
     t_max = 100.0
-    lag_ext = lag_count(1.2 * t_max, dt, n)
+    lag_ext = lag_count(HILBERT_MARGIN * t_max, dt, n)
     H, T = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
@@ -554,35 +546,22 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
-    # C_xx + C_xp on lags -lag_ext..lag_ext from one transform per group:
-    # C_xx is the even part, C_xp (T imaginary) the odd part
-    u = np.arange(-lag_ext, lag_ext + 1)
     one_plus_t = 1.0 + T
-
-    def window(pw):
-        cross = np.multiply(pw, one_plus_t, out=ws.spectrum(0))
-        return np.fft.irfft(cross, n, out=ws.series(1))[u] / n
-
-    windows = acc.map_groups("power", window, jobs)
+    windows = acc.map_groups(
+        "power", lambda pw: _lag_window(pw, one_plus_t, lag_ext, ws), jobs)
 
     spec_x = spectrum_from_power(acc.total("power"), n, dt)
     lags = dt * np.arange(int(round(t_max / dt)) + 1)
     c_xx_spec = commutator_from_spectrum(spec_x, t_max, dt).values
     c_pp_spec = _momentum_commutator(c_xx_spec, spec_x, T, momentum_step(params, dt))
 
-    def hilbert_route(two_sided):
-        h = 2.0 * hilbert_transform(two_sided)
-        return h[lag_ext : lag_ext + lags.size]
-
     total = windows.total("power")
-    c_xx_h = hilbert_route(0.5 * (total + total[::-1]))
+    c_xx_h = hilbert_commutator(0.5 * (total + total[::-1]), lags.size)
     c_xp0, cxp0_se = windows.estimate(
-        lambda w: hilbert_route(0.5 * (w - w[::-1]))[0], "power")
+        lambda w: hilbert_commutator(0.5 * (w - w[::-1]), 1)[0], "power")
 
     hb, m, w0 = params.hbar, params.m, params.omega0
-    env = np.exp(-params.damping_rate * lags)
-    ref_xx = hb / (m * w0) * np.sin(w0 * lags) * env
-    ref_pp = hb * m * w0 * np.sin(w0 * lags) * env
+    ref_xx, ref_pp, _ = analytic.commutator_closed(params, lags)
     peak_xx = hb / (m * w0)
     peak_pp = hb * m * w0
 
@@ -600,7 +579,8 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         Row("c_xp_zero", c_xp0, cxp0_se, params.hbar, 0.05,
             note="equal-time x-p commutator, Hilbert route"),
         Row("c_xx_max_dev", dev_xx, 0.0, 0.05, 0.0, kind="upper_bound",
-            note="max |c_xx - (hbar/m w0) sin(w0 t) e^{-gamma t}| / peak, t in [0,100]"),
+            note="max |c_xx - (hbar/m w0)(sin(w0 t) + tau w0 sign(t) cos(w0 t)) "
+                 "e^{-gamma t}| / peak, t in [0,100]"),
         Row("c_pp_max_dev", dev_pp, 0.0, 0.05, 0.0, kind="upper_bound",
             note="max |c_pp - hbar m w0 sin(w0 t) e^{-gamma t}| / peak"),
         Row("route_agreement", route_dev, 0.0, 0.05, 0.0, kind="upper_bound",
@@ -638,10 +618,9 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
-    lags = np.arange(lag_max + 1)
     one_plus_t, t_sq, g = 1.0 + T, np.abs(T) ** 2, momentum_step(params, dt)
     corr = acc.map_groups(
-        "power", lambda pw: _xp_correlations(pw, one_plus_t, t_sq, g, lags, ws), jobs)
+        "power", lambda pw: _xp_correlations(pw, one_plus_t, t_sq, g, lag_max, ws), jobs)
 
     def corr_route_delta_u(c, t_window):
         n_lag = int(round(t_window / dt))
@@ -651,9 +630,10 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     um, um_se = acc.mean(f"mean_T{t_sweep[0]:g}")
     inst, inst_se = acc.mean("inst_sd")
+    u0 = analytic.ground_state(params).mean_energy
     rows = [
-        Row("u_mean", um, um_se, 0.5 * params.hbar * w0, 0.03),
-        Row("delta_u_small_t", inst, inst_se, 0.5 * params.hbar * w0, 0.10,
+        Row("u_mean", um, um_se, u0, 0.03),
+        Row("delta_u_small_t", inst, inst_se, u0, 0.10,
             note="window of a single sample; small-T limit of Delta U_T"),
     ]
 
@@ -682,7 +662,7 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
             std_se * t_eff, 0.5 * params.hbar, 0.0, kind="lower_bound",
             note="Delta U_T * T >= hbar/2"))
 
-    emitter.series("energy_time", "cxx", "lag", lags[::100] * dt,
+    emitter.series("energy_time", "cxx", "lag", np.arange(0, lag_max + 1, 100) * dt,
                    corr.total("power")[0][::100])
     return rows
 
@@ -755,8 +735,7 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
 
 def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     params, grid = cfg.params, cfg.grid
-    kT = params.kT
-    model = SpectrumModel.rayleigh_jeans(kT)
+    model = SpectrumModel.rayleigh_jeans(params.kT)
     dt, n = grid.dt, grid.n_samples
 
     # the synthesis lattice misses the band below domega = 2 pi / duration,
@@ -767,7 +746,7 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     fit_deltas = np.linspace(2.0, 20.0, 10)
     x_lags = [lag_count(t, dt, n) for t in (*deltas, *fit_deltas)]
     v_lags = [lag_count(t, dt, n) for t in (50.0, 100.0)]
-    pred = analytic.free_particle(params, kT, 1.0, grid.omega_cut)
+    pred = analytic.free_particle(params, 1.0, grid.omega_cut)
     H, _ = response_transfer(params, grid)
     omega = grid.domega * np.arange(n // 2 + 1)
     i_omega, omega_sq = 1j * omega, omega ** 2
@@ -778,8 +757,8 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         X = _steady_state(synthesis, H, seed, k, ws)
         if k == 0 and emitter.wants("trajectories"):
             x = np.fft.irfft(X, n)
-            _emit_steady(emitter, "free_thermal", params, grid, x,
-                         canonical_momentum(x, params, dt), member_seed(seed, k))
+            emitter.steady("free_thermal", params, grid, x,
+                           canonical_momentum(x, params, dt), member_seed(seed, k))
         power = coefficient_power(X, out=ws.spectrum(1)).copy()
         # the velocity V = i omega X of the same draw; X is spent after it
         V = np.multiply(i_omega, X, out=ws.spectrum(1))
@@ -808,13 +787,12 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
                    sf.total("power")[:n_d])
 
     rows = [
-        Row("structure_slope", slope, slope_se,
-            2.0 * params.tau * kT / params.m, 0.10,
+        Row("structure_slope", slope, slope_se, pred.thermal_dx2, 0.10,
             note="Brownian slope of the position structure function"),
         Row("v_variance", v_var, v_se, pred.thermal_v_var, 0.05,
             note="equipartition kT/m"),
         Row("v_structure_asymptote", sfv, sfv_se,
-            2.0 * kT / params.m, 0.10, kind="info",
+            2.0 * pred.thermal_v_var, 0.10, kind="info",
             note="large-lag velocity structure function approaches 2 kT/m; "
                  "the printed form reads kT/m, which is the equilibrium "
                  "variance, not the structure-function asymptote"),
@@ -872,9 +850,9 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     emitter.series("free_zpf", "structure_function", "delta_t", deltas, sf_mean,
                    np.sqrt(sf_var / n_ens))
 
-    slope_ref = 2.0 * params.hbar * params.tau / (math.pi * params.m)
+    pred = analytic.free_particle(params, 1.0, grid.omega_cut)
     rows = [
-        Row("log_slope", slope, slope_se, slope_ref, 0.15,
+        Row("log_slope", slope, slope_se, pred.zpf_log_slope, 0.15,
             note="d(Delta x^2)/d(ln t); zeropoint diffusion is logarithmic"),
         Row("euler_intercept", euler_est, euler_se,
             analytic.EULER_GAMMA, 0.25,
@@ -913,8 +891,8 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
             xp, xm = np.fft.irfft(Xp, n), np.fft.irfft(Xm, n)
             p_plus = canonical_momentum(xp, pp, grid.dt)
             p_minus = canonical_momentum(xm, pm, grid.dt)
-            _emit_steady(emitter, "dipoles", params, grid, (xp + xm) / root2,
-                         (p_plus + p_minus) / root2, member_seed(seed, k))
+            emitter.steady("dipoles", params, grid, (xp + xm) / root2,
+                           (p_plus + p_minus) / root2, member_seed(seed, k))
         xp = np.fft.irfft(Xp, n, out=ws.series(2))
         xp_sub = decorrelated(xp, grid.dt, t_dec)
         xp_var = _variance(xp)
@@ -966,14 +944,14 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
 def _scenario_planck_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     params = cfg.params
-    pred = analytic.planck_prediction(params, params.kT)
+    pred = analytic.planck_prediction(params)
     worker = _oscillator_worker("planck_thermal", SpectrumModel.planck(params.kT),
                                 cfg, seed, emitter)
     acc = run_ensemble(worker, cfg.grid.n_ensemble, jobs)
 
     u_mean, u_se = acc.mean("u_mean")
     u_pool = acc.pool("u_sub")
-    boltz = analytic.boltzmann_mean_energy(params, params.kT)
+    boltz = analytic.boltzmann_mean_energy(params)
 
     rows = [
         Row("mean_energy", u_mean, u_se, pred.mean_energy, 0.03),

@@ -66,10 +66,6 @@ class FieldRealization:
     seed: object
     omega_cut: float
 
-    @property
-    def n_samples(self) -> int:
-        return self.samples.size
-
 
 def synthesis_band(dt: float, n_samples: int, omega_cut: float) -> int:
     """Highest lattice index j_max of the synthesis band; coefficients above it are zero."""

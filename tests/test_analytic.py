@@ -1,10 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sedlab import analytic
 from sedlab.analytic import (
     EULER_GAMMA,
     boltzmann_mean_energy,
@@ -16,7 +16,6 @@ from sedlab.analytic import (
     ground_state,
     heisenberg_product,
     planck_prediction,
-    quantum_reference_densities,
 )
 from sedlab.core import SystemParams
 from sedlab.errors import InvalidParams
@@ -24,22 +23,34 @@ from sedlab.errors import InvalidParams
 PARAMS = SystemParams(tau=0.01)
 
 
+def cdf_mean(cdf):
+    """Mean of a distribution on u >= 0: the integral of 1 - F."""
+    return quad(lambda u: 1.0 - float(cdf(u)), 0.0, np.inf)[0]
+
+
+def cdf_variance(cdf):
+    """Variance of a distribution symmetric about 0: E x^2 is the integral
+    of 2u (1 - F(u) + F(-u)) over u >= 0."""
+    tail = lambda u: 2.0 * u * (1.0 - float(cdf(u)) + float(cdf(-u)))
+    return quad(tail, 0.0, np.inf)[0]
+
+
 def test_ground_state_internal_units():
     gs = ground_state(PARAMS)
     assert gs.x_var == 0.5
     assert gs.p_var == 0.5
     assert gs.mean_energy == 0.5
-    assert gs.energy_density(0.0) == pytest.approx(2.0)
+    assert gs.energy_cdf(0.5) == pytest.approx(1.0 - math.exp(-1.0))
 
 
 def test_ground_state_densities_normalized():
+    """The CDFs of the KS rows hold the ground-state moments."""
     gs = ground_state(PARAMS)
-    total, _ = quad(gs.x_density, -np.inf, np.inf)
-    assert total == pytest.approx(1.0, abs=1e-10)
-    second, _ = quad(lambda x: x ** 2 * gs.x_density(x), -np.inf, np.inf)
-    assert second == pytest.approx(gs.x_var, rel=1e-9)
-    etot, _ = quad(gs.energy_density, 0.0, np.inf)
-    assert etot == pytest.approx(1.0, abs=1e-10)
+    assert gs.x_cdf(0.0) == 0.5
+    assert gs.x_cdf(-np.inf) == 0.0 and gs.x_cdf(np.inf) == 1.0
+    assert cdf_variance(gs.x_cdf) == pytest.approx(gs.x_var, rel=1e-9)
+    assert gs.energy_cdf(-1.0) == 0.0
+    assert cdf_mean(gs.energy_cdf) == pytest.approx(gs.mean_energy, rel=1e-9)
 
 
 def test_ground_state_requires_bound_particle():
@@ -63,6 +74,30 @@ def test_commutator_closed_oddness():
     pos, _, _ = commutator_closed(PARAMS, t)
     neg, _, _ = commutator_closed(PARAMS, -t)
     assert np.allclose(neg, -pos, rtol=1e-12)
+
+
+def test_commutator_closed_matches_the_position_spectrum():
+    """Oracle for c_xx, tau term included: 2 * integral S_x(w) sin(w t) dw
+    of the exact finite-tau spectrum, by quadrature split at the
+    resonance, within 5e-3 of the peak for t in [0.05, 100].  The
+    tau-less form sin(w0 t) e^{-gamma t} misses it by 9.9e-3."""
+    from sedlab.spectra import SpectrumModel, position_spectrum
+
+    sx = lambda w: position_spectrum(SpectrumModel.zpf(), PARAMS, w)
+    w0 = PARAMS.omega0
+    parts = ((0.0, w0), (w0, 2.0 * w0), (2.0 * w0, np.inf))
+
+    def c_xx_quad(t):
+        return 2.0 * sum(quad(sx, lo, hi, weight="sin", wvar=t, limit=200)[0]
+                         for lo, hi in parts)
+
+    t = np.linspace(0.05, 100.0, 101)
+    ref = np.array([c_xx_quad(u) for u in t])
+    c_xx, _, _ = commutator_closed(PARAMS, t)
+    peak = PARAMS.hbar / (PARAMS.m * w0)
+    assert np.max(np.abs(c_xx - ref)) < 5e-3 * peak
+    tau_less = peak * np.sin(w0 * t) * np.exp(-PARAMS.damping_rate * t)
+    assert np.max(np.abs(tau_less - ref)) > 5e-3 * peak
 
 
 def test_correlations_match_commutators_through_hilbert_pair():
@@ -121,25 +156,25 @@ def test_energy_time_uncertainty_domain():
 
 
 def test_free_particle_thermal_values():
-    pred = free_particle(PARAMS, kT=1.0, delta_t=100.0, omega_c=500.0)
+    pred = free_particle(replace(PARAMS, kT=1.0), delta_t=100.0, omega_c=500.0)
     assert pred.thermal_dx2 == pytest.approx(2.0, rel=1e-12)
     assert pred.thermal_v_var == pytest.approx(1.0, rel=1e-12)
 
 
 def test_free_particle_zpf_log_identity():
     # delta_t / tau = e makes the bracket C + 1
-    pred = free_particle(PARAMS, kT=0.0, delta_t=PARAMS.tau * math.e,
-                         omega_c=500.0)
+    pred = free_particle(PARAMS, delta_t=PARAMS.tau * math.e, omega_c=500.0)
     expected = 2.0 * PARAMS.tau / math.pi * (EULER_GAMMA + 1.0)
     assert pred.zpf_dx2 == pytest.approx(expected, rel=1e-12)
+    assert pred.zpf_log_slope == pytest.approx(2.0 * PARAMS.tau / math.pi, rel=1e-15)
 
 
 def test_free_particle_velocity_dispersion_flagged_nonphysical():
     params = SystemParams(tau=0.01, c=1.0, e=math.sqrt(3.0 * 0.01 / 2.0))
-    pred = free_particle(params, kT=0.0, delta_t=1.0, omega_c=1e4)
+    pred = free_particle(params, delta_t=1.0, omega_c=1e4)
     assert pred.zpf_dv2 > params.c ** 2
     assert pred.zpf_dv2_nonphysical is True
-    unknown = free_particle(PARAMS, kT=0.0, delta_t=1.0, omega_c=1e4)
+    unknown = free_particle(PARAMS, delta_t=1.0, omega_c=1e4)
     assert unknown.zpf_dv2_nonphysical is None
 
 
@@ -177,24 +212,10 @@ def test_dipole_symmetries():
     assert plus.x_plus_var == pytest.approx(minus.x_minus_var, rel=1e-14)
 
 
-def test_dipole_joint_density_correlation_sign():
-    pred = dipole_prediction(SystemParams(tau=0.01, K=0.1))
-    h = 1e-4
-
-    def mixed_log_derivative(density):
-        f = lambda a, b: math.log(float(density(a, b)))
-        return (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4.0 * h * h)
-
-    assert mixed_log_derivative(pred.joint_density) > 0.0
-    assert mixed_log_derivative(pred.quantum_joint_density) > 0.0
-    neg = dipole_prediction(SystemParams(tau=0.01, K=-0.1))
-    assert mixed_log_derivative(neg.joint_density) < 0.0
-
-
 def test_dipole_mode_density_matches_variance():
     pred = dipole_prediction(SystemParams(tau=0.01, K=0.1))
-    second, _ = quad(lambda x: x ** 2 * pred.rho_plus(x), -np.inf, np.inf)
-    assert second == pytest.approx(pred.x_plus_var, rel=1e-9)
+    assert cdf_variance(pred.rho_plus_cdf) == pytest.approx(pred.x_plus_var, rel=1e-9)
+    assert cdf_variance(pred.rho_minus_cdf) == pytest.approx(pred.x_minus_var, rel=1e-9)
 
 
 def test_dipole_rejects_strong_coupling():
@@ -203,45 +224,33 @@ def test_dipole_rejects_strong_coupling():
 
 
 def test_planck_mean_energy():
-    pred = planck_prediction(PARAMS, kT=0.5)
+    pred = planck_prediction(replace(PARAMS, kT=0.5))
     assert pred.mean_energy == pytest.approx(0.6565176427496656, rel=1e-12)
-    assert planck_prediction(PARAMS, kT=0.0).mean_energy == pytest.approx(0.5)
+    assert planck_prediction(PARAMS).mean_energy == pytest.approx(0.5)
+
+
+def test_planck_rejects_negative_temperature():
+    with pytest.raises(InvalidParams, match="kT must be >= 0"):
+        planck_prediction(replace(PARAMS, kT=-0.1))
 
 
 def test_planck_boltzmann_oracle():
     for kT in (0.2, 0.5, 2.0):
-        pred = planck_prediction(PARAMS, kT)
-        oracle = boltzmann_mean_energy(PARAMS, kT)
+        params = replace(PARAMS, kT=kT)
+        pred = planck_prediction(params)
+        oracle = boltzmann_mean_energy(params)
         assert abs(oracle - pred.mean_energy) < 1e-10 * pred.mean_energy
 
 
 def test_planck_classical_limit():
     for kT in (50.0, 200.0):
-        pred = planck_prediction(PARAMS, kT)
+        pred = planck_prediction(replace(PARAMS, kT=kT))
         assert pred.mean_energy == pytest.approx(kT, rel=0.01)
 
 
-def test_planck_quantum_levels():
-    pred = planck_prediction(PARAMS, kT=0.5)
-    assert pred.quantum_levels(1) == pytest.approx(1.5)
-    assert pred.quantum_levels(0) == pytest.approx(0.5)
-
-
 def test_planck_density_mean_consistent():
-    pred = planck_prediction(PARAMS, kT=0.5)
-    mean, _ = quad(lambda u: u * pred.energy_density(u), 0.0, np.inf)
-    assert mean == pytest.approx(pred.mean_energy, rel=1e-9)
-
-
-def test_quantum_reference_densities():
-    rho0, rho1 = quantum_reference_densities(PARAMS)
-    assert rho1(0.0) == 0.0
-    n0, _ = quad(rho0, -np.inf, np.inf)
-    n1, _ = quad(rho1, -np.inf, np.inf)
-    assert n0 == pytest.approx(1.0, abs=1e-10)
-    assert n1 == pytest.approx(1.0, abs=1e-10)
-    var0, _ = quad(lambda x: x ** 2 * rho0(x), -np.inf, np.inf)
-    assert var0 == pytest.approx(0.5, rel=1e-9)
+    pred = planck_prediction(replace(PARAMS, kT=0.5))
+    assert cdf_mean(pred.energy_cdf) == pytest.approx(pred.mean_energy, rel=1e-9)
 
 
 def test_closed_forms_against_spectral_quadrature():

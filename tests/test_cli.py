@@ -203,3 +203,84 @@ def test_run_exits_2_when_a_lag_exceeds_the_periodicity_guard(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "periodicity guard" in capsys.readouterr().err
     assert not (out / "free_thermal_report.json").exists()
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["ground_state"], "x_var=0.5 p_var=0.5 mean_energy=0.5"),
+    (["heisenberg"], "x_var*p_var=0.25"),
+    (["commutators", "--t", "2.5"], "c_xx(2.5)=0.583126 c_pp=0.591038 c_xp=-0.801144"),
+    (["energy_fluctuation", "--t", "50"],
+     "recomputed=0.443548 paper_printed=0.393469 window_exact=0.461586"),
+    (["dipoles", "--K", "0.1"],
+     "x_plus_var=0.527046 x_minus_var=0.476731 cross=0.0251575 mean_H=0.998746073 "
+     "E_int_exact=-0.00125393 E_int_paper_series=-0.005"),
+    (["planck", "--kT", "0.5"], "mean_energy=0.656517643"),
+    (["free_particle", "--kT", "1.0", "--t", "2.0"],
+     "thermal_dx2=0.04 thermal_v_var=1 zpf_dx2=0.0374048 zpf_dv2=102.46 "
+     "nonphysical=None electron_size=0.0494952"),
+])
+def test_analytic_prints_every_quantity(argv, printed, capsys):
+    assert main(["analytic", "--quantity", *argv]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
+@pytest.mark.parametrize("quantity", ["planck", "free_particle"])
+def test_analytic_rejects_negative_temperature(quantity, capsys):
+    assert main(["analytic", "--quantity", quantity, "--kT", "-1"]) == 2
+    assert "kT must be >= 0, got -1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"dt": "0.1"}, "dt must be a finite real number, got '0.1'"),
+    ({"dt": None}, "dt must be a finite real number, got None"),
+    ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+    ({"n_ensemble": 8.5}, "n_ensemble must be an integer, got 8.5"),
+    ({"n_samples": 32768.0}, "n_samples must be an integer, got 32768.0"),
+])
+def test_run_exits_2_on_a_config_value_of_the_wrong_type(bad, message, tmp_path, capsys):
+    # a second, range violation is listed in the same message
+    cfg = write_config(tmp_path, {**bad, "kT": -1.0})
+    out = tmp_path / "typed"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "kT must be >= 0, got -1.0" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "ground_state_report.json").exists()
+
+
+def test_bad_jobs_environment_exits_2_only_where_jobs_are_read(monkeypatch, capsys):
+    monkeypatch.setenv("SEDLAB_JOBS", "two")
+    assert main(["list"]) == 0
+    assert main(["run", "--scenario", "ground_state"]) == 2
+    assert "SEDLAB_JOBS must be an integer >= 1, got 'two'" in capsys.readouterr().err
+    assert main(["verify"]) == 2
+    assert "SEDLAB_JOBS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["x", 0, 1.5, True])
+def test_bad_config_jobs_exits_2(jobs, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"jobs": jobs})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "j")]) == 2
+    assert f"config jobs must be an integer >= 1, got {jobs!r}" in capsys.readouterr().err
+
+
+def test_jobs_flag_below_one_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--jobs", "0"]) == 2
+    assert "--jobs must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
+def test_config_emit_must_be_a_list(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"emit": "report"})
+    out = tmp_path / "emit"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "emit must be a list of flags, got 'report'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_out_must_be_a_directory_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"out": 5})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "out must be a directory name, got 5" in capsys.readouterr().err
+    assert {p.name for p in tmp_path.iterdir()} == {"cfg.json"}

@@ -108,3 +108,44 @@ def test_mode_params_split_frequencies():
     assert plus.omega0 == pytest.approx(0.9 ** 0.5)
     assert minus.omega0 == pytest.approx(1.1 ** 0.5)
     assert plus.K == 0.0
+
+
+def test_lists_type_violations_with_the_others():
+    params = SystemParams(tau="0.01", m=True, kT=-1.0, e=None, c=float("nan"))
+    grid = GridSpec(dt=None, n_samples=32768.0, n_ensemble=8.5, seed="abc",
+                    omega_cut=None)
+    with pytest.raises(InvalidParams) as exc:
+        validate(params, grid)
+    assert exc.value.violations == [
+        "m must be a finite real number, got True",
+        "tau must be a finite real number, got '0.01'",
+        "c must be a finite real number, got nan",
+        "dt must be a finite real number, got None",
+        "n_samples must be an integer, got 32768.0",
+        "n_ensemble must be an integer, got 8.5",
+        "seed must be an integer, got 'abc'",
+        "kT must be >= 0, got -1.0",
+    ]
+
+
+def test_run_scenario_rejects_a_wrong_type_before_any_member():
+    from sedlab.experiments import run_scenario
+
+    with pytest.raises(InvalidParams, match="n_samples must be an integer"):
+        run_scenario("ground_state", grid=GridSpec(n_samples=float(1 << 16)))
+
+
+def test_rejects_a_negative_seed():
+    with pytest.raises(InvalidParams, match="seed must be >= 0, got -1"):
+        validate(SystemParams(tau=0.01),
+                 GridSpec(dt=0.05, n_samples=1 << 15, omega_cut=20.0, seed=-1))
+
+
+def test_a_real_beyond_the_float_range_is_a_type_violation():
+    with pytest.raises(InvalidParams) as exc:
+        validate(SystemParams(tau=0.01, kT=10 ** 400, K=float("inf")),
+                 GridSpec(dt=0.05, n_samples=1 << 15, omega_cut=20.0))
+    assert exc.value.violations == [
+        f"kT must be a finite real number, got {10 ** 400!r}",
+        "K must be a finite real number, got inf",
+    ]

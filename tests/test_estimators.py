@@ -13,6 +13,7 @@ from sedlab.estimators import (
     commutator,
     commutator_from_spectrum,
     correlation,
+    hilbert_commutator,
     hilbert_transform,
     ks_critical,
     ks_distance,
@@ -175,8 +176,7 @@ def test_commutator_routes_agree_on_oscillator():
     c_spec = commutator_from_spectrum(spec, 50.0, 0.1)
     mean_corr = corr_pos / count
     two = np.concatenate([mean_corr[:0:-1], mean_corr])
-    h = 2.0 * hilbert_transform(two)
-    c_hilb = h[mean_corr.size - 1 : mean_corr.size - 1 + c_spec.values.size]
+    c_hilb = hilbert_commutator(two, c_spec.values.size)
 
     ref = np.sin(c_spec.lags) * np.exp(-GAMMA * c_spec.lags)
     strong = np.abs(ref) > 0.3
@@ -192,6 +192,20 @@ def test_equal_time_xp_commutator_is_hbar():
         count += 1
     c_xp0 = (acc / count)[0]
     assert c_xp0 == pytest.approx(1.0, rel=0.05)
+
+
+def test_hilbert_commutator_keeps_every_lag_or_raises():
+    # the Hilbert route spans 1.2 max_lag: 180 of the guard's 200 at
+    # max_lag 150; at 195 it would need 234, past the guard
+    rng = np.random.default_rng(5)
+    n, dt = 20000, 0.1
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    c = commutator(a, b, 150.0, dt, method="hilbert")
+    assert c.values.size == 1501 and c.lags[-1] == pytest.approx(150.0)
+    _, two = two_sided_correlation(a, b, 180.0, dt)
+    assert np.array_equal(c.values, hilbert_commutator(two, 1501))
+    with pytest.raises(LagTooLong):
+        commutator(a, b, 195.0, dt, method="hilbert")
 
 
 def test_hilbert_transform_lorentzian_pair():

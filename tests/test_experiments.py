@@ -298,7 +298,7 @@ def test_lag_correlations_match_their_transforms(n_samples):
     cfg, pw, T = _steady_power("energy_time", n_samples)
     n, lags = n_samples, np.arange(n_samples // 10)
     c = _xp_correlations(pw, 1.0 + T, np.abs(T) ** 2, momentum_step(cfg.params, cfg.grid.dt),
-                         lags, Workspace(n))
+                         lags[-1], Workspace(n))
     for row, gain in zip(c, (1.0, np.abs(T) ** 2, T)):
         ref = np.fft.irfft(pw * gain, n)[lags] / n
         assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -45,7 +45,7 @@ def test_sample_variance_matches_band_integral():
 def test_sample_mean_near_zero():
     f = synthesize_field(ZPF, PARAMS, GRID, 5)
     sigma = f.samples.std()
-    assert abs(f.samples.mean()) < 5.0 * sigma / math.sqrt(f.n_samples) + 1e-12
+    assert abs(f.samples.mean()) < 5.0 * sigma / math.sqrt(f.samples.size) + 1e-12
 
 
 def test_fixed_seed_is_bit_identical():
@@ -143,7 +143,7 @@ def test_dump_realization_roundtrip(tmp_path):
     assert np.array_equal(raw, f.samples)
     meta = json.loads((tmp_path / "field.json").read_text())
     assert meta["dt"] == f.dt
-    assert meta["n"] == f.n_samples
+    assert meta["n"] == f.samples.size
     assert meta["model"] == "zpf"
 
 
