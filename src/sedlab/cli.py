@@ -38,7 +38,9 @@ class ConfigError(Exception):
 def _load_config(path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: malformed JSON or UTF-8, or an integer literal beyond the
+    # interpreter's digit limit
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a flat JSON object")

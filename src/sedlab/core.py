@@ -108,19 +108,26 @@ class Config:
 def _type_violations(obj) -> dict:
     """Messages, by field name, for the fields of the dataclass ``obj`` whose
     value does not fit the annotation: an ``int`` field takes an integer (not
-    a bool), a ``float`` one a real within the float range (no inf, no NaN,
-    no int that would overflow), and ``| None`` admits None."""
+    a bool) within int64, a ``float`` one a real within the float range (no
+    inf, no NaN, no int that would overflow), and ``| None`` admits None."""
     bad = {}
     for f in fields(obj):
         v = getattr(obj, f.name)
         if f.type == "int":
             ok, kind = isinstance(v, numbers.Integral), "an integer"
+            if ok and not -(1 << 63) <= v < 1 << 63:
+                # numpy sizes and counts are int64
+                ok, kind = False, "an integer within int64"
         else:
             ok = (v is None and f.type.endswith("| None")
                   or isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max)
             kind = "a finite real number"
         if isinstance(v, bool) or not ok:
-            bad[f.name] = f"{f.name} must be {kind}, got {v!r}"
+            try:
+                shown = repr(v)
+            except ValueError:  # an int beyond the interpreter's digit limit
+                shown = f"an integer of {v.bit_length()} bits"
+            bad[f.name] = f"{f.name} must be {kind}, got {shown}"
     return bad
 
 
@@ -201,8 +208,13 @@ def validate(params: SystemParams, grid: GridSpec, oscillator: bool = False) -> 
         violations.append(f"n_ensemble must be >= 2, got {grid.n_ensemble}")
     if typed("seed") and grid.seed < 0:
         violations.append(f"seed must be >= 0, got {grid.seed}")
+    finite_duration = False
+    if typed("dt", "n_samples") and grid.dt > 0:
+        finite_duration = math.isfinite(grid.duration)
+        if not finite_duration:
+            violations.append(f"duration dt*n_samples = {grid.duration:g} must be finite")
 
-    if (typed("dt", "n_samples", "omega_cut", "omega0") and grid.dt > 0
+    if (finite_duration and typed("omega_cut", "omega0")
             and grid.omega_cut is not None):
         prod = grid.dt * grid.omega_cut
         if prod > math.pi * (1.0 + 1e-12):

@@ -34,6 +34,10 @@ from .errors import EmptySeries, InvalidParams, LagTooLong, WindowTooLong
 #: KS critical coefficient at the 1% level: D_crit = KS_COEFF / sqrt(n).
 KS_COEFF = 1.628
 
+#: ``decorrelated`` rounds its stride up to a multiple of this, which keeps
+#: the fold of a power-of-two lattice at n/32 bins or fewer.
+STRIDE_QUANTUM = 32
+
 #: The Hilbert route transforms a two-sided correlation over HILBERT_MARGIN
 #: times the longest lag it keeps, which leaves its end effects outside.
 HILBERT_MARGIN = 1.2
@@ -109,10 +113,14 @@ def coefficient_power(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.n
 
 def mean_square(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> float:
     """Time average of x^2 for x = irfft(coeffs, n), by Parseval; ``out``
-    as for ``coefficient_power``."""
+    as for ``coefficient_power``.
+
+    ``coeffs`` may stop short of the Nyquist bin: entries j = 0..b-1 of the
+    half-spectrum, b <= n//2 + 1, with zeros above (a band).
+    """
     w = coefficient_power(coeffs, out)
     total = w[0] + 2.0 * w[1:].sum()
-    if n % 2 == 0:
+    if n % 2 == 0 and w.size == n // 2 + 1:
         total -= w[-1]  # the Nyquist bin appears once
     return float(total) / n ** 2
 
@@ -317,14 +325,41 @@ def ks_critical(n: int) -> float:
     return KS_COEFF / math.sqrt(n)
 
 
-def decorrelated(series: np.ndarray, dt: float, t_decorr: float) -> np.ndarray:
-    """Subsample at the decorrelation spacing for independence-based tests.
+def decorrelated(coeffs: np.ndarray, n: int, dt: float, t_decorr: float) -> np.ndarray:
+    """The samples x[::s] of x = irfft(coeffs, n) at the decorrelation
+    spacing, for independence-based tests, without forming x.
 
-    Returns a copy, not a strided view: an ensemble keeps every member's
-    subsample, and a view would keep each member's whole series alive.
+    ``coeffs`` holds the half-spectrum entries j = 0..b-1, b <= n//2 + 1,
+    with zeros above (a band; see ``mean_square``).  The stride s is
+    t_decorr/dt rounded up to a multiple of STRIDE_QUANTUM, so that on a
+    power-of-two lattice L = n/gcd(s, n) is at most n/STRIDE_QUANTUM.
+
+    By the aliasing theorem, x[s m] depends on the spectrum only through its
+    fold onto L bins, F_r = sum_q X_{r + qL} over the full Hermitian
+    spectrum: x[s m] = (L/n) irfft(F, L)[(s/gcd) m mod L].  The band and its
+    conjugate mirror (bin -j mod L) are folded separately; j = 0 and an
+    even-n Nyquist bin, which are their own mirrors, enter at half weight,
+    so that, as in ``irfft``, only their real parts count.  The cost is
+    one pass over the band and one L-point transform.  The result is a
+    fresh array.
     """
-    stride = max(1, int(round(t_decorr / dt)))
-    return np.asarray(series)[::stride].copy()
+    coeffs = np.asarray(coeffs)
+    b = coeffs.size
+    s = STRIDE_QUANTUM * -(-max(1, int(round(t_decorr / dt))) // STRIDE_QUANTUM)
+    g = math.gcd(s, n)
+    bins = n // g
+    whole, rest = divmod(b, bins)
+    fold = np.zeros(bins, dtype=complex)
+    if whole:
+        np.sum(coeffs[: whole * bins].reshape(whole, bins), axis=0, out=fold)
+    fold[:rest] += coeffs[whole * bins :]
+    fold[0] -= 0.5 * coeffs[0]
+    if n % 2 == 0 and b == n // 2 + 1:
+        fold[(n // 2) % bins] -= 0.5 * coeffs[-1]
+    r = np.arange(bins // 2 + 1)
+    half = fold[r] + np.conj(fold[-r % bins])
+    picks = (s // g) * np.arange((n - 1) // s + 1) % bins
+    return (bins / n) * np.fft.irfft(half, bins)[picks]
 
 
 def write_series_csv(path, first_name: str, first, values, stderr=None):

@@ -14,13 +14,18 @@ free response).  Lag correlations, spectra and structure functions are
 linear in |X_j|^2, so commutators, energy_time and free_thermal add each
 member's |X_j|^2 into its group and inverse-transform each group once;
 free_zpf, whose weighted fit needs per-member values, transforms each
-member's.  The time series themselves are formed only where a statistic
-needs them (KS subsamples, windowed energies, the stationary part of
+member's.  Variances come from the band of X by Parseval
+(``estimators.mean_square``), and KS subsamples from folds of it
+(``estimators.decorrelated``: one transform of at most n/32 points on a
+power-of-two lattice), so ground_state, planck_thermal and dipoles form
+no n-point series.  The time series themselves are formed only where a
+statistic needs them (windowed energies, the stationary part of
 coherent_decay, whose kicked start adds the homogeneous decay by
 linearity), one transform each.  A momentum series or correlation takes
 no transform of its own: the momentum gain T is a trapezoid recursion
 (``dynamics.apply_momentum_gain``), so p comes from x, C_pp from C_xp and
-c_pp from c_xx, each by one cumulative sum.
+c_pp from c_xx, each by one cumulative sum; where there is no series, P
+is T X.
 
 Members reuse memory.  Each scenario call sets its field synthesis up once
 (``noise.field_synthesis``) and makes a ``Workspace``: complex buffers of
@@ -388,8 +393,11 @@ def _variance(x: np.ndarray) -> float:
 
 def _steady_state(synthesis, H, seed: int, k: int, ws: Workspace) -> np.ndarray:
     """Member k's steady-state response X = E H in workspace buffer 0
-    (buffer 1 holds the draw's normals until then)."""
-    X = synthesis.draw(member_seed(seed, k), out=ws.spectrum(0), normals=ws.series(1))
+    (buffer 1 holds the draw's normals until then), on the first H.size
+    entries of the half-spectrum: given H on the band alone, X is the band
+    and the zeros above it are neither written nor multiplied."""
+    X = synthesis.draw(member_seed(seed, k), out=ws.spectrum(0)[: H.size],
+                       normals=ws.series(1))
     X *= H
     return X
 
@@ -464,26 +472,29 @@ def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: i
                        emitter: Emitter):
     """Member of the single-oscillator scenarios: the variances of the
     steady-state x and p, the mean energy, and decorrelated position and
-    energy subsamples for the KS tests."""
+    energy subsamples for the KS tests, all from the band of X and of
+    P = T X (Parseval and ``decorrelated``), with no n-point transform."""
     params, grid = cfg.params, cfg.grid
     dt, n = grid.dt, grid.n_samples
     t_dec_x = _x_decorrelation_time(params)
     t_dec_u = _u_decorrelation_time(params)
-    H, _ = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
+    band = synthesis.j_max + 1
+    H, T = (gain[:band] for gain in response_transfer(params, grid))
     ws = Workspace(n)
 
     def worker(k):
         X = _steady_state(synthesis, H, seed, k, ws)
-        x = np.fft.irfft(X, n, out=ws.series(1))
-        # X is spent: its buffer takes p
-        p = canonical_momentum(x, params, dt, out=ws.series(0))
         if k == 0 and emitter.wants("trajectories"):
-            emitter.steady(scenario, params, grid, x, p, member_seed(seed, k),
-                           model=model)
-        x_sub, x_u = decorrelated(x, dt, t_dec_x), decorrelated(x, dt, t_dec_u)
-        p_u = decorrelated(p, dt, t_dec_u)
-        x_var, p_var = _variance(x), _variance(p)
+            x = np.fft.irfft(X, n)
+            emitter.steady(scenario, params, grid, x, canonical_momentum(x, params, dt),
+                           member_seed(seed, k), model=model)
+        # buffer 1 (the draw's normals, spent) takes each power
+        x_var = mean_square(X, n, out=ws.spectrum(1)[:band])
+        x_sub, x_u = decorrelated(X, n, dt, t_dec_x), decorrelated(X, n, dt, t_dec_u)
+        P = np.multiply(T, X, out=X)  # X is spent
+        p_var = mean_square(P, n, out=ws.spectrum(1)[:band])
+        p_u = decorrelated(P, n, dt, t_dec_u)
         return {
             "x_var": x_var,
             "p_var": p_var,
@@ -875,17 +886,19 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     root2 = math.sqrt(2.0)
     n = grid.n_samples
     # normal modes x_pm = (x1 +- x2)/sqrt(2), driven by eps_pm = (eps1 +- eps2)/sqrt(2):
-    # an independent pair with the field's spectrum, so each is drawn directly
-    (Hp, Tp), (Hm, Tm) = (response_transfer(q, grid) for q in (pp, pm))
+    # an independent pair with the field's spectrum, so each is drawn directly,
+    # on the band alone (the draws and gains are zero above it)
     synthesis = field_synthesis(model, params, grid)
+    band = synthesis.j_max + 1
+    Hp, Tp, Hm, Tm = (gain[:band] for q in (pp, pm) for gain in response_transfer(q, grid))
     ws = Workspace(n)
 
     def worker(k):
-        # buffer 2 holds each draw's normals
+        # buffer 2 holds each draw's normals, then each power
         seed_p, seed_m = member_seed(seed, k).spawn(2)
-        Ep = synthesis.draw(seed_p, out=ws.spectrum(0), normals=ws.series(2))
+        Ep = synthesis.draw(seed_p, out=ws.spectrum(0)[:band], normals=ws.series(2))
         Xp = np.multiply(Hp, Ep, out=Ep)
-        Em = synthesis.draw(seed_m, out=ws.spectrum(1), normals=ws.series(2))
+        Em = synthesis.draw(seed_m, out=ws.spectrum(1)[:band], normals=ws.series(2))
         Xm = np.multiply(Hm, Em, out=Em)
         if k == 0 and emitter.wants("trajectories"):
             xp, xm = np.fft.irfft(Xp, n), np.fft.irfft(Xm, n)
@@ -893,16 +906,14 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
             p_minus = canonical_momentum(xm, pm, grid.dt)
             emitter.steady("dipoles", params, grid, (xp + xm) / root2,
                            (p_plus + p_minus) / root2, member_seed(seed, k))
-        xp = np.fft.irfft(Xp, n, out=ws.series(2))
-        xp_sub = decorrelated(xp, grid.dt, t_dec)
-        xp_var = _variance(xp)
-        xm = np.fft.irfft(Xm, n, out=ws.series(2))
-        xm_sub = decorrelated(xm, grid.dt, t_dec)
-        xm_var = _variance(xm)
+        power = ws.spectrum(2)[:band]
+        xp_var, xm_var = mean_square(Xp, n, out=power), mean_square(Xm, n, out=power)
+        xp_sub = decorrelated(Xp, n, grid.dt, t_dec)
+        xm_sub = decorrelated(Xm, n, grid.dt, t_dec)
         # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p;
-        # buffer 2 holds each momentum, Xp's buffer (spent) its power
-        p_sq = mean_square(np.multiply(Tp, Xp, out=ws.spectrum(2)), n, out=Xp)
-        p_sq += mean_square(np.multiply(Tm, Xm, out=ws.spectrum(2)), n, out=Xp)
+        # each momentum overwrites its (spent) position
+        p_sq = mean_square(np.multiply(Tp, Xp, out=Xp), n, out=power)
+        p_sq += mean_square(np.multiply(Tm, Xm, out=Xm), n, out=power)
         return {
             "xp_var": xp_var, "xm_var": xm_var,
             "cross": 0.5 * (xp_var - xm_var),

@@ -95,7 +95,8 @@ class Synthesis:
         ``seed`` (an int, a SeedSequence or a Generator).
 
         ``out`` (complex, n//2 + 1 entries) receives them, zeros outside
-        the band included; ``normals`` (real, at least 2 j_max entries)
+        the band included, or, given only the j_max + 1 entries of the
+        band, the band alone; ``normals`` (real, at least 2 j_max entries)
         holds the draw's standard normals.  Their prior contents are
         ignored, and the result is the same as with fresh arrays.
         """

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import sedlab.acceptance  # noqa: F401  (binds the acceptance layer)
 from sedlab import experiments
+from sedlab.core import GridSpec
 
 LAYER_TRACE = Path(__file__).resolve().parents[1] / "benchmark" / "layer_trace.py"
 
@@ -35,3 +36,17 @@ def test_tracer_resolves_every_layer_function():
 def test_ensemble_reduce_signature():
     params = list(inspect.signature(experiments.ensemble_reduce).parameters)
     assert params == ["worker", "n_ensemble", "jobs", "reducer", "state"]
+
+
+def test_ks_subsamples_are_estimators_spans_with_their_fold():
+    # benchmark's estimators.ks_s adds up the self time of these spans
+    tr = _layer_trace()
+    tracer = tr.Tracer()
+    grid = GridSpec(dt=0.1, n_samples=1 << 16, omega_cut=16.0, n_ensemble=2)
+    with tr.instrument(tracer):
+        experiments.run_scenario("ground_state", grid=grid)
+    folds = [sp for sp in tracer.spans
+             if sp.layer == "estimators" and sp.name == "decorrelated"]
+    assert len(folds) == 3 * grid.n_ensemble
+    assert all(sp.fft_calls == 1 and 32 * sp.fft_points <= grid.n_samples for sp in folds)
+    assert tr.summarize(tracer.spans)["estimators"].by_name["decorrelated"] > 0.0

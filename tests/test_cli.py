@@ -236,6 +236,14 @@ def test_analytic_rejects_negative_temperature(quantity, capsys):
     ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
     ({"n_ensemble": 8.5}, "n_ensemble must be an integer, got 8.5"),
     ({"n_samples": 32768.0}, "n_samples must be an integer, got 32768.0"),
+    pytest.param({"n_samples": 10 ** 400},
+                 f"n_samples must be an integer within int64, got {10 ** 400!r}",
+                 id="n_samples-beyond-int64"),
+    pytest.param({"n_ensemble": 10 ** 30},
+                 f"n_ensemble must be an integer within int64, got {10 ** 30!r}",
+                 id="n_ensemble-beyond-int64"),
+    pytest.param({"dt": 1e304, "omega_cut": 1e-305},
+                 "duration dt*n_samples = inf must be finite", id="infinite-duration"),
 ])
 def test_run_exits_2_on_a_config_value_of_the_wrong_type(bad, message, tmp_path, capsys):
     # a second, range violation is listed in the same message
@@ -284,3 +292,10 @@ def test_config_out_must_be_a_directory_name(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
     assert "out must be a directory name, got 5" in capsys.readouterr().err
     assert {p.name for p in tmp_path.iterdir()} == {"cfg.json"}
+
+
+def test_run_exits_2_on_an_integer_literal_too_long_to_read(tmp_path, capsys):
+    cfg = tmp_path / "long.json"
+    cfg.write_text('{"scenario": "ground_state", "n_samples": 1' + "0" * 5000 + "}")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "long")]) == 2
+    assert "cannot read config" in capsys.readouterr().err

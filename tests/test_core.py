@@ -149,3 +149,32 @@ def test_a_real_beyond_the_float_range_is_a_type_violation():
         f"kT must be a finite real number, got {10 ** 400!r}",
         "K must be a finite real number, got inf",
     ]
+
+
+@pytest.mark.parametrize("grid, violation", [
+    pytest.param(GridSpec(n_samples=10 ** 400),
+                 f"n_samples must be an integer within int64, got {10 ** 400!r}",
+                 id="n_samples"),
+    pytest.param(GridSpec(n_samples=1 << 16, omega_cut=16.0, n_ensemble=10 ** 30),
+                 f"n_ensemble must be an integer within int64, got {10 ** 30!r}",
+                 id="n_ensemble"),
+    pytest.param(GridSpec(omega_cut=16.0, seed=1 << 63),
+                 f"seed must be an integer within int64, got {1 << 63!r}", id="seed"),
+    pytest.param(GridSpec(n_samples=10 ** 5000),
+                 "n_samples must be an integer within int64, got an integer of 16610 bits",
+                 id="n_samples-too-long-to-print"),
+    pytest.param(GridSpec(dt=1e303, omega_cut=1e-300),
+                 "duration dt*n_samples = inf must be finite", id="duration"),
+])
+def test_an_integer_beyond_int64_or_an_infinite_duration_is_a_violation(grid, violation):
+    with pytest.raises(InvalidParams) as exc:
+        validate(SystemParams(tau=0.01, kT=-1.0), grid)
+    assert sorted(exc.value.violations) == sorted([violation, "kT must be >= 0, got -1.0"])
+
+
+def test_run_scenario_rejects_an_ensemble_beyond_int64_before_any_member():
+    from sedlab.experiments import run_scenario
+
+    grid = GridSpec(n_samples=1 << 16, omega_cut=16.0, n_ensemble=10 ** 30)
+    with pytest.raises(InvalidParams, match="n_ensemble must be an integer within int64"):
+        run_scenario("ground_state", grid=grid)

@@ -13,6 +13,7 @@ from sedlab.estimators import (
     commutator,
     commutator_from_spectrum,
     correlation,
+    decorrelated,
     hilbert_commutator,
     hilbert_transform,
     ks_critical,
@@ -346,6 +347,47 @@ def test_spectrum_helpers_match_the_series_route():
         assert np.allclose(viaps.values, direct.values, rtol=1e-12)
         assert np.array_equal(viaps.omega, direct.omega)
         assert mean_square(coeffs, n) == pytest.approx(np.mean(x ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, stride, band", [
+    (4096, 64, 1500),    # s divides n
+    (4096, 96, 1500),    # gcd 32: neither divides nor is coprime
+    (1001, 32, 501),     # odd n, s coprime to n (L = n)
+    (2187, 96, 800),     # odd n, gcd 3
+    (1000, 1024, 501),   # s > n: one sample
+    (4096, 1024, 2049),  # nonzero Nyquist bin, band far longer than L = 4
+    (4097, 32, 2049),    # odd n, whole half-spectrum
+    (1 << 16, 24000, 16690),  # ground_state's small grid, L = 1024
+])
+def test_decorrelated_fold_matches_the_series_subsample(n, stride, band):
+    rng = np.random.default_rng(n + stride)
+    coeffs = rng.standard_normal(band) + 1j * rng.standard_normal(band)
+    x = np.fft.irfft(coeffs, n)
+    dt = 0.25
+    sub = decorrelated(coeffs, n, dt, stride * dt)
+    ref = x[::stride]
+    assert sub.shape == ref.shape
+    assert np.max(np.abs(sub - ref)) <= 1e-12 * np.ptp(x)
+
+
+def test_decorrelated_rounds_its_stride_up_to_a_multiple_of_32():
+    n = 1 << 20
+    coeffs = np.random.default_rng(9).standard_normal(70000).astype(complex)
+    x = np.fft.irfft(coeffs, n)
+    # the dipoles' x+ stride: 26,667 samples becomes 26,688 (L = 16,384)
+    sub = decorrelated(coeffs, n, 0.1, 24.0 / (0.01 * 0.9))
+    assert sub.size == 40
+    assert np.max(np.abs(sub - x[::26688])) <= 1e-12 * np.ptp(x)
+
+
+@pytest.mark.parametrize("n", [4096, 4097])
+def test_mean_square_of_a_band_is_the_series_variance(n):
+    rng = np.random.default_rng(n)
+    coeffs = np.zeros(n // 2 + 1, dtype=complex)
+    coeffs[1:900] = rng.standard_normal(899) + 1j * rng.standard_normal(899)
+    var = np.fft.irfft(coeffs, n).var()
+    assert mean_square(coeffs[:900], n) == pytest.approx(var, rel=1e-12)
+    assert mean_square(coeffs, n) == pytest.approx(var, rel=1e-12)
 
 
 def test_commutator_from_spectrum_on_an_odd_lattice():

@@ -18,6 +18,7 @@ from sedlab.errors import InvalidParams, LagTooLong, SedlabError, UnknownScenari
 from sedlab.estimators import (
     coefficient_power,
     commutator_from_spectrum,
+    mean_square,
     spectrum_from_power,
 )
 from sedlab.experiments import (
@@ -245,8 +246,8 @@ def test_dipole_member_draws_each_mode_from_one_child_of_its_seed(monkeypatch):
         H, _ = response_transfer(cfg.params.mode_params(sign), cfg.grid)
         # np.multiply: ``H * draw(...)`` would be elided to draw *= H, whose
         # complex products round differently from H * draw's
-        x = np.fft.irfft(np.multiply(H, synthesis.draw(child)), grid.n_samples)
-        assert member[key] == x.var()
+        X = np.multiply(H, synthesis.draw(child))[: synthesis.j_max + 1]
+        assert member[key] == mean_square(X, grid.n_samples)
 
 
 @pytest.mark.parametrize("name", ["commutators", "dipoles", "energy_time",
@@ -264,22 +265,32 @@ def test_warmed_member_allocates_less_than_one_series(name, monkeypatch):
     assert peak < 8 * grid.n_samples
 
 
-@pytest.mark.parametrize("name, per_member, per_operation", [
-    ("commutators", 0, N_GROUPS + 1),   # the group windows and c_xx
-    ("energy_time", 1, N_GROUPS),       # x per member, a window per group
-    ("ground_state", 1, 0),
-    ("planck_thermal", 1, 0),
+@pytest.mark.parametrize("name, per_member, per_operation, folds", [
+    # the group windows and c_xx
+    pytest.param("commutators", 0, N_GROUPS + 1, 0, id="commutators-0-9"),
+    # x per member, a window per group
+    pytest.param("energy_time", 1, N_GROUPS, 0, id="energy_time-1-8"),
+    # folds of x at two strides and of p at one
+    pytest.param("ground_state", 0, 0, 3, id="ground_state-0-0"),
+    pytest.param("planck_thermal", 0, 0, 3, id="planck_thermal-0-0"),
+    # folds of x+ and x-
+    pytest.param("dipoles", 0, 0, 2, id="dipoles-0-0"),
 ])
-def test_series_transforms_per_operation(name, per_member, per_operation, monkeypatch):
-    # the momentum comes from x by its recursion, never by a transform
+def test_series_transforms_per_operation(name, per_member, per_operation, folds,
+                                         monkeypatch):
+    # the momentum comes from x by its recursion, or from P = T X, never by a
+    # transform of its own; KS subsamples are folds of at most n/32 points
     grid = _default_grid(name, **SMALL_GRIDS[name])
     lengths = []
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft",
                         lambda a, n=None, *args, **kw: lengths.append(n) or irfft(a, n, *args, **kw))
     run_scenario(name, grid=grid)
-    assert lengths.count(grid.n_samples) == per_member * grid.n_ensemble + per_operation
-    assert len(lengths) == lengths.count(grid.n_samples)
+    n = grid.n_samples
+    assert lengths.count(n) == per_member * grid.n_ensemble + per_operation
+    folded = [m for m in lengths if m != n]
+    assert len(folded) == folds * grid.n_ensemble
+    assert all(32 * m <= n for m in folded)
 
 
 def _steady_power(name, n_samples):

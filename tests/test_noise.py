@@ -173,3 +173,8 @@ def test_draws_into_dirty_buffers_equal_fresh_ones():
         assert drawn is out
         assert drawn.tobytes() == field_coefficients(ZPF, PARAMS, GRID, seed).tobytes()
         assert drawn[0] == 0.0 and np.all(drawn[synthesis.j_max + 1 :] == 0.0)
+        # the band alone, into a dirty band-sized buffer
+        band = out[: synthesis.j_max + 1]
+        band[:] = complex(np.nan, np.inf)
+        fresh = field_coefficients(ZPF, PARAMS, GRID, seed)[: band.size]
+        assert synthesis.draw(seed, out=band, normals=normals).tobytes() == fresh.tobytes()
