@@ -42,6 +42,12 @@ STRIDE_QUANTUM = 32
 #: times the longest lag it keeps, which leaves its end effects outside.
 HILBERT_MARGIN = 1.2
 
+#: A lag correlation by the padded-transform route costs about as much as
+#: FFT_LAG_SUMS * log2(m) direct lag sums per m-point transform (numpy's
+#: pocketfft against ``einsum``, 2^14 to 2^21 points); ``_cross_raw``
+#: takes whichever route is cheaper by this count.
+FFT_LAG_SUMS = 2.7
+
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
@@ -125,9 +131,16 @@ def mean_square(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> fl
     return float(total) / n ** 2
 
 
+def _lag_samples(max_lag: float, dt: float) -> int:
+    """max_lag in samples; InvalidParams unless max_lag is finite and >= 0."""
+    if not (math.isfinite(max_lag) and max_lag >= 0):
+        raise InvalidParams([f"max_lag must be finite and >= 0, got {max_lag!r}"])
+    return int(round(max_lag / dt))
+
+
 def lag_count(max_lag: float, dt: float, n: int) -> int:
     """Lag samples in max_lag, within the periodicity guard of n/10."""
-    lag_samples = int(round(max_lag / dt))
+    lag_samples = _lag_samples(max_lag, dt)
     if lag_samples > n // 10:
         raise LagTooLong(
             f"max_lag {max_lag:g} = {lag_samples} samples exceeds n/10 = {n // 10} "
@@ -136,11 +149,15 @@ def lag_count(max_lag: float, dt: float, n: int) -> int:
     return lag_samples
 
 
-def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float):
-    """sum_t a(t) b(t+u) of the demeaned series at every lag of a buffer whose
-    padding keeps lags within +-max_lag free of wrap-around.
+def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float, two_sided: bool):
+    """sum_t a(t) b(t+u) of the demeaned series on the lags u = 0..L, or
+    -L..L if ``two_sided``, with L = ``lag_count(max_lag, dt, n)``.
 
-    Entry u is lag u, entry m - u is lag -u.  Returns (raw, lag count, n).
+    Each sum is formed directly (one ``einsum`` per lag; ``np.dot`` would
+    go to a threaded BLAS, which oversubscribes the cores under member
+    threads) when that costs less than the transforms of the padded route
+    (see FFT_LAG_SUMS): rfft of each series, zero-padded against
+    wrap-around, and one irfft.  Returns (u, raw, n).
     """
     auto = b is a
     a = np.asarray(a, dtype=float)
@@ -149,27 +166,31 @@ def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float):
         raise EmptySeries("series must be nonempty and of equal length")
     n = a.size
     lags = lag_count(max_lag, dt, n)
+    u = np.arange(-lags if two_sided else 0, lags + 1)
+    a = a - a.mean()
+    b = a if auto else b - b.mean()
     m = next_fast_len(n + lags + 1)
-    fa = np.fft.rfft(a - a.mean(), m)
-    fb = fa if auto else np.fft.rfft(b - b.mean(), m)
-    return np.fft.irfft(np.conj(fa) * fb, m), lags, n
+    if u.size * n <= FFT_LAG_SUMS * (2 if auto else 3) * m * math.log2(m):
+        # lag k < 0 is sum_t a(t - k) b(t)
+        raw = np.array([np.einsum("i,i->", a[: n - k], b[k:]) if k >= 0
+                        else np.einsum("i,i->", b[: n + k], a[-k:]) for k in u])
+        return u, raw, n
+    fa = np.fft.rfft(a, m)
+    fb = fa if auto else np.fft.rfft(b, m)
+    return u, np.fft.irfft(np.conj(fa) * fb, m)[u], n
 
 
 def correlation(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float) -> LagSeries:
     """Unbiased lag estimator of C_ab(u) = <a(t) b(t+u)> for u in [0, max_lag]."""
-    raw, lags, n = _cross_raw(a, b, max_lag, dt)
-    return LagSeries(
-        lags=dt * np.arange(lags + 1),
-        values=raw[: lags + 1] / (n - np.arange(lags + 1)),
-    )
+    u, raw, n = _cross_raw(a, b, max_lag, dt, two_sided=False)
+    return LagSeries(lags=dt * u, values=raw / (n - u))
 
 
 def two_sided_correlation(a, b, max_lag: float, dt: float):
     """C_ab(u) on u = -max_lag..max_lag; negative lags C_ab(-u) = C_ba(u)
-    come from the tail of the same cross transform."""
-    raw, lags, n = _cross_raw(a, b, max_lag, dt)
-    u = np.arange(-lags, lags + 1)
-    return dt * u, raw[u] / (n - np.abs(u))
+    come from the same cross sums."""
+    u, raw, n = _cross_raw(a, b, max_lag, dt, two_sided=True)
+    return dt * u, raw / (n - np.abs(u))
 
 
 def hilbert_transform(values: np.ndarray) -> np.ndarray:
@@ -194,9 +215,35 @@ def hilbert_commutator(two_sided: np.ndarray, n_lags: int) -> np.ndarray:
     return (2.0 * hilbert_transform(two_sided))[mid : mid + n_lags]
 
 
+def hilbert_zero_functional(gain: np.ndarray, n: int, lag: int) -> np.ndarray:
+    """Weights K with K @ pw = ``hilbert_commutator(odd part of w, 1)[0]``
+    for every real power pw, where w = irfft(pw gain, n)/n on the lags
+    -lag..lag: the Hilbert route's c(0) of a lattice correlation as one
+    linear functional of its power, formed by one n-point transform.
+
+    c(0) is h @ w with h = -2 ``hilbert_transform``(e_mid), the middle row
+    of the route, read off as its transposed column: the kernel is odd, so
+    the row is, and h sees only the odd part of w.  With h placed on the
+    lags -lag..lag (mod n) and G = rfft(h),
+    h @ w = sum_j c_j Re(pw_j gain_j conj(G_j)) / n^2, where c_j is 1 at
+    j = 0 and at an even-n Nyquist bin and 2 elsewhere, as in ``irfft``.
+    """
+    e_mid = np.zeros(2 * lag + 1)
+    e_mid[lag] = 1.0
+    h = np.zeros(n)
+    h[np.arange(-lag, lag + 1)] = -2.0 * hilbert_transform(e_mid)
+    G = np.conj(np.fft.rfft(h))
+    G *= gain
+    weights = np.full(G.size, 2.0 / n ** 2)
+    weights[0] = 1.0 / n ** 2
+    if n % 2 == 0:
+        weights[-1] = 1.0 / n ** 2
+    return np.multiply(weights, G.real, out=weights)
+
+
 def commutator_from_spectrum(spec: SpectrumEstimate, max_lag: float, dt: float) -> LagSeries:
     """Auto-commutator coefficients c(t) = 2 * sum_j S_j sin(omega_j t) domega."""
-    lags_n = int(round(max_lag / dt))
+    lags_n = _lag_samples(max_lag, dt)
     # the full lattice of the series the spectrum came from
     n_full = int(round(2.0 * math.pi / (spec.domega * dt)))
     half = np.zeros(n_full // 2 + 1, dtype=complex)
@@ -239,7 +286,7 @@ def commutator(
     if method != "hilbert":
         raise InvalidParams([f"unknown commutator method {method!r}"])
 
-    n_lags = int(round(max_lag / dt)) + 1
+    n_lags = _lag_samples(max_lag, dt) + 1
     _, values = two_sided_correlation(a, b, HILBERT_MARGIN * max_lag, dt)
     return LagSeries(lags=dt * np.arange(n_lags), values=hilbert_commutator(values, n_lags))
 

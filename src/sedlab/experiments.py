@@ -11,11 +11,14 @@ one draw per normal mode, each from its own sub-seed of the member) times
 the gains of ``dynamics.response_transfer``, the periodic steady state on
 the synthesis lattice, with no burn-in (for the free particle, its exact
 free response).  Lag correlations, spectra and structure functions are
-linear in |X_j|^2, so commutators, energy_time and free_thermal add each
-member's |X_j|^2 into its group and inverse-transform each group once;
-free_zpf, whose weighted fit needs per-member values, transforms each
-member's.  Variances come from the band of X by Parseval
-(``estimators.mean_square``), and KS subsamples from folds of it
+linear in |X_j|^2, so energy_time and free_thermal add each member's
+|X_j|^2 into its group and inverse-transform each group once; free_zpf,
+whose weighted fit needs per-member values, transforms each member's.
+commutators inverse-transforms only the ensemble power: its one per-group
+value, c_xp(0) by the Hilbert route, is one linear functional K of the
+power (``estimators.hilbert_zero_functional``), so each group's is the
+product K |X_j|^2, with no transform.  Variances come from the band of X
+by Parseval (``estimators.mean_square``), and KS subsamples from folds of it
 (``estimators.decorrelated``: one transform of at most n/32 points on a
 power-of-two lattice), so ground_state, planck_thermal and dipoles form
 no n-point series.  The time series themselves are formed only where a
@@ -53,6 +56,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.stats import kstwo
 
 from . import analytic
 from .core import Config, GridSpec, SystemParams, validate
@@ -71,6 +75,7 @@ from .estimators import (
     decorrelated,
     hilbert_commutator,
     hilbert_transform,
+    hilbert_zero_functional,
     ks_critical,
     ks_distance,
     lag_count,
@@ -402,6 +407,15 @@ def _steady_state(synthesis, H, seed: int, k: int, ws: Workspace) -> np.ndarray:
     return X
 
 
+def _ks_row(quantity: str, pool: np.ndarray, cdf, note: str) -> Row:
+    """The KS distance of ``pool`` from ``cdf`` as an upper-bound row at
+    its 1% critical value; the note ends with the sample count and the
+    exact p-value P(D_n >= d), which the pass rule does not read."""
+    d = ks_distance(pool, cdf)
+    return Row(quantity, d, 0.0, ks_critical(pool.size), 0.0, kind="upper_bound",
+               note=f"{note}; n={pool.size}, p={kstwo.sf(d, pool.size):.4g}")
+
+
 def _x_decorrelation_time(params: SystemParams) -> float:
     # twelve amplitude e-folds: the subsample is independent enough that
     # the KS tests run at their nominal level despite the small finite-tau
@@ -528,13 +542,10 @@ def _scenario_ground_state(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         Row("x_variance", x_var, x_se, gs.x_var, 0.03),
         Row("p_variance", p_var, p_se, gs.p_var, 0.03),
         Row("mean_energy", u_mean, u_se, gs.mean_energy, 0.03),
-        Row("position_ks", ks_distance(x_pool, gs.x_cdf), 0.0,
-            ks_critical(x_pool.size), 0.0, kind="upper_bound",
-            note=f"KS vs Gaussian(var={gs.x_var:g}) at the 1% level, "
-                 f"n={x_pool.size} decorrelated samples"),
-        Row("energy_ks", ks_distance(u_pool, gs.energy_cdf), 0.0,
-            ks_critical(u_pool.size), 0.0, kind="upper_bound",
-            note=f"KS vs exponential(mean={gs.mean_energy:g}) at the 1% level"),
+        _ks_row("position_ks", x_pool, gs.x_cdf,
+                f"KS vs Gaussian(var={gs.x_var:g}) at the 1% level, decorrelated samples"),
+        _ks_row("energy_ks", u_pool, gs.energy_cdf,
+                f"KS vs exponential(mean={gs.mean_energy:g}) at the 1% level"),
         Row("heisenberg_product", heis, heis_se,
             analytic.heisenberg_product(params), 0.06),
     ]
@@ -558,18 +569,16 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
     one_plus_t = 1.0 + T
-    windows = acc.map_groups(
-        "power", lambda pw: _lag_window(pw, one_plus_t, lag_ext, ws), jobs)
-
     spec_x = spectrum_from_power(acc.total("power"), n, dt)
     lags = dt * np.arange(int(round(t_max / dt)) + 1)
     c_xx_spec = commutator_from_spectrum(spec_x, t_max, dt).values
     c_pp_spec = _momentum_commutator(c_xx_spec, spec_x, T, momentum_step(params, dt))
 
-    total = windows.total("power")
-    c_xx_h = hilbert_commutator(0.5 * (total + total[::-1]), lags.size)
-    c_xp0, cxp0_se = windows.estimate(
-        lambda w: hilbert_commutator(0.5 * (w - w[::-1]), 1)[0], "power")
+    window = _lag_window(acc.total("power"), one_plus_t, lag_ext, ws)
+    c_xx_h = hilbert_commutator(0.5 * (window + window[::-1]), lags.size)
+    # c_xp(0) by the Hilbert route is linear in each group's power
+    xp_zero = hilbert_zero_functional(one_plus_t, n, lag_ext)
+    c_xp0, cxp0_se = acc.estimate(lambda pw: float(xp_zero @ pw), "power")
 
     hb, m, w0 = params.hbar, params.m, params.omega0
     ref_xx, ref_pp, _ = analytic.commutator_closed(params, lags)
@@ -939,11 +948,10 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
             note="<x1 x2> = (<x+^2> - <x-^2>)/2"),
         Row("mean_energy_H", h_mean, h_se, pred.mean_H, 0.005,
             note="canonical-momentum energies; exact normal-mode value"),
-        Row("mode_plus_ks", ks_distance(xp_pool, pred.rho_plus_cdf), 0.0,
-            ks_critical(xp_pool.size), 0.0, kind="upper_bound",
-            note="x+ vs its normal-mode Gaussian at the 1% level"),
-        Row("mode_minus_ks", ks_distance(xm_pool, pred.rho_minus_cdf), 0.0,
-            ks_critical(xm_pool.size), 0.0, kind="upper_bound"),
+        _ks_row("mode_plus_ks", xp_pool, pred.rho_plus_cdf,
+                "x+ vs its normal-mode Gaussian at the 1% level"),
+        _ks_row("mode_minus_ks", xm_pool, pred.rho_minus_cdf,
+                "x- vs its normal-mode Gaussian at the 1% level"),
         Row("interaction_energy_series", pred.E_int_exact, 0.0,
             pred.E_int_paper_series, 0.0, kind="info",
             note="exact E_int vs the printed series coefficient "
@@ -966,9 +974,8 @@ def _scenario_planck_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter
 
     rows = [
         Row("mean_energy", u_mean, u_se, pred.mean_energy, 0.03),
-        Row("energy_ks", ks_distance(u_pool, pred.energy_cdf), 0.0,
-            ks_critical(u_pool.size), 0.0, kind="upper_bound",
-            note=f"energy histogram vs exponential(mean={pred.mean_energy:.6g})"),
+        _ks_row("energy_ks", u_pool, pred.energy_cdf,
+                f"energy histogram vs exponential(mean={pred.mean_energy:.6g})"),
         Row("boltzmann_oracle", boltz, 0.0, pred.mean_energy, 1e-10,
             note="Boltzmann sum over E_n = (n+1/2) hbar w0 vs the coth form"),
     ]

@@ -6,6 +6,7 @@ line per criterion.  The same checks back ``sedlab verify``.
 
 import os
 
+import numpy as np
 import pytest
 
 from sedlab.acceptance import (
@@ -93,3 +94,20 @@ def test_scenario_registry_covers_all_criteria():
                                    _property_periodogram_calibration])
 def test_pooled_properties_independent_of_jobs(check):
     assert check(1) == check(2)
+
+
+def test_fourth_moment_transforms_only_its_syntheses(monkeypatch):
+    # its 51-lag correlations are direct sums: the padded transforms of the
+    # correlation route would show as rfft calls
+    irfft, calls = np.fft.irfft, []
+
+    def no_rfft(*args, **kwargs):
+        raise AssertionError("the fourth moment took a forward transform")
+
+    monkeypatch.setattr(np.fft, "rfft", no_rfft)
+    monkeypatch.setattr(np.fft, "irfft",
+                        lambda *a, **k: calls.append(1) or irfft(*a, **k))
+    _, ok = _property_fourth_moment(1)
+    assert ok
+    # one synthesized field per member of its 16
+    assert len(calls) == 16

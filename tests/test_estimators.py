@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import sedlab.estimators as estimators
 from sedlab.core import GridSpec, SystemParams
 from sedlab.dynamics import simulate_oscillator
-from sedlab.errors import LagTooLong, WindowTooLong
+from sedlab.errors import InvalidParams, LagTooLong, WindowTooLong
 from sedlab.estimators import (
     SpectrumEstimate,
     coefficient_power,
@@ -16,6 +17,7 @@ from sedlab.estimators import (
     decorrelated,
     hilbert_commutator,
     hilbert_transform,
+    hilbert_zero_functional,
     ks_critical,
     ks_distance,
     lag_count,
@@ -89,14 +91,18 @@ def test_correlation_lag_zero_is_variance():
 
 
 def test_auto_correlation_transforms_once_with_the_same_result(monkeypatch):
+    # 51 lags are direct sums, no transform; 401 lags take the padded
+    # route, where the auto case transforms its series once
     x = np.random.default_rng(1).standard_normal(4096)
-    separate = correlation(x, x.copy(), 5.0, 0.1).values
-    calls = []
     rfft = np.fft.rfft
-    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
-    auto = correlation(x, x, 5.0, 0.1).values
-    assert len(calls) == 1
-    assert auto.tobytes() == separate.tobytes()
+    for max_lag, transforms in ((5.0, 0), (40.0, 1)):
+        separate = correlation(x, x.copy(), max_lag, 0.1).values
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+            auto = correlation(x, x, max_lag, 0.1).values
+        assert len(calls) == transforms
+        assert auto.tobytes() == separate.tobytes()
 
 
 def test_coefficient_power_into_borrowed_memory_is_bitwise_fresh():
@@ -400,3 +406,77 @@ def test_commutator_from_spectrum_on_an_odd_lattice():
     c = commutator_from_spectrum(spec, 30.0, dt)
     ref = 2.0 * 1.5 * domega * np.sin(j * domega * c.lags)
     assert np.allclose(c.values, ref, rtol=0.0, atol=1e-12)
+
+
+def _routes(monkeypatch, f, *args):
+    """f(*args) by direct lag sums and by the padded transforms."""
+    out = []
+    for weight in (math.inf, 0.0):
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "FFT_LAG_SUMS", weight)
+            out.append(f(*args))
+    return out
+
+
+@pytest.mark.parametrize("n", [4096, 4097])
+@pytest.mark.parametrize("lags", [20, 400])  # below and above the crossover
+@pytest.mark.parametrize("auto", [True, False])
+def test_direct_lag_sums_match_the_transform_route(n, lags, auto, monkeypatch):
+    rng = np.random.default_rng(n + lags)
+    a = rng.standard_normal(n) + 0.4
+    b = a if auto else np.roll(a, 5) + 0.7 * rng.standard_normal(n)
+    dt = 0.1
+    direct, padded = _routes(monkeypatch, correlation, a, b, lags * dt, dt)
+    scale = abs(padded.values[0])
+    assert np.array_equal(direct.lags, padded.lags)
+    assert np.max(np.abs(direct.values - padded.values)) <= 1e-12 * scale
+    (d_lags, d_two), (p_lags, p_two) = _routes(
+        monkeypatch, two_sided_correlation, a, b, lags * dt, dt)
+    assert np.array_equal(d_lags, p_lags) and d_lags.size == 2 * lags + 1
+    assert np.max(np.abs(d_two - p_two)) <= 1e-12 * scale
+
+
+def test_the_route_switches_between_the_crossover_lags(monkeypatch):
+    # 2^18 points: 51 lags (the fourth-moment property) are direct sums,
+    # 961 two-sided lags (its commutator structure) take the transforms
+    x = np.random.default_rng(5).standard_normal(1 << 18)
+    rfft, calls = np.fft.rfft, []
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+    correlation(x, x, 5.0, 0.1)
+    assert calls == []
+    two_sided_correlation(x, x ** 2, 48.0, 0.1)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("max_lag", [-1.0, -0.01, math.nan, math.inf])
+def test_negative_or_non_finite_max_lag_is_refused(max_lag):
+    # n = 4096 at dt = 0.1: -1 gave a broadcasting error, empty arrays or a
+    # commutator of 4,087 values on no lags; NaN an integer conversion error
+    x = np.random.default_rng(6).standard_normal(4096)
+    p = np.roll(x, 3)
+    message = f"max_lag must be finite and >= 0, got {max_lag!r}"
+    spec = periodogram(x, 0.1)
+    for call in (
+        lambda: lag_count(max_lag, 0.1, x.size),
+        lambda: correlation(x, p, max_lag, 0.1),
+        lambda: two_sided_correlation(x, p, max_lag, 0.1),
+        lambda: commutator(x, x, max_lag, 0.1),
+        lambda: commutator(x, p, max_lag, 0.1),
+        lambda: commutator_from_spectrum(spec, max_lag, 0.1),
+    ):
+        with pytest.raises(InvalidParams) as exc:
+            call()
+        assert exc.value.violations == [message]
+
+
+@pytest.mark.parametrize("n", [4096, 4097])
+def test_hilbert_zero_functional_on_a_full_spectrum(n):
+    # every bin carries power, the Nyquist bin of even n included, and the
+    # gain is a generic complex one
+    rng = np.random.default_rng(n)
+    pw = rng.standard_normal(n // 2 + 1) ** 2
+    gain = rng.standard_normal(pw.size) + 1j * rng.standard_normal(pw.size)
+    lag = 300
+    w = np.fft.irfft(pw * gain, n)[np.arange(-lag, lag + 1)] / n
+    ref = hilbert_commutator(0.5 * (w - w[::-1]), 1)[0]
+    assert abs(hilbert_zero_functional(gain, n, lag) @ pw - ref) <= 1e-12 * abs(ref)

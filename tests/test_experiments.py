@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -10,14 +11,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import kstwo
 
 import sedlab.experiments as experiments
 from sedlab.core import GridSpec, SystemParams, validate
 from sedlab.dynamics import momentum_step, response_transfer
 from sedlab.errors import InvalidParams, LagTooLong, SedlabError, UnknownScenario
 from sedlab.estimators import (
+    HILBERT_MARGIN,
     coefficient_power,
     commutator_from_spectrum,
+    hilbert_commutator,
+    hilbert_zero_functional,
+    ks_critical,
+    lag_count,
     mean_square,
     spectrum_from_power,
 )
@@ -28,6 +35,7 @@ from sedlab.experiments import (
     ExperimentReport,
     Row,
     Workspace,
+    _lag_window,
     _momentum_commutator,
     _variance,
     _xp_correlations,
@@ -266,8 +274,9 @@ def test_warmed_member_allocates_less_than_one_series(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name, per_member, per_operation, folds", [
-    # the group windows and c_xx
-    pytest.param("commutators", 0, N_GROUPS + 1, 0, id="commutators-0-9"),
+    # the ensemble window and the spectral c_xx (c_xp(0) per group is a
+    # product with a functional, whose one transform is an rfft)
+    pytest.param("commutators", 0, 2, 0, id="commutators-0-2"),
     # x per member, a window per group
     pytest.param("energy_time", 1, N_GROUPS, 0, id="energy_time-1-8"),
     # folds of x at two strides and of p at one
@@ -313,6 +322,16 @@ def test_lag_correlations_match_their_transforms(n_samples):
     for row, gain in zip(c, (1.0, np.abs(T) ** 2, T)):
         ref = np.fft.irfft(pw * gain, n)[lags] / n
         assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_samples", [1 << 16, (1 << 16) + 1])
+def test_xp_zero_functional_matches_the_hilbert_route(n_samples):
+    cfg, pw, T = _steady_power("commutators", n_samples)
+    n = cfg.grid.n_samples
+    lag = lag_count(HILBERT_MARGIN * 100.0, cfg.grid.dt, n)
+    w = _lag_window(pw, 1.0 + T, lag, Workspace(n))
+    ref = hilbert_commutator(0.5 * (w - w[::-1]), 1)[0]
+    assert abs(hilbert_zero_functional(1.0 + T, n, lag) @ pw - ref) <= 1e-12 * abs(ref)
 
 
 def test_momentum_commutator_matches_the_spectral_route():
@@ -495,3 +514,21 @@ def test_non_finite_report_is_refused():
     with pytest.raises(SedlabError) as exc:
         report.to_json()
     assert str(exc.value).endswith("rows bad_estimate, bad_stderr")
+
+
+KS_ROWS = {"ground_state": ("position_ks", "energy_ks"),
+           "planck_thermal": ("energy_ks",),
+           "dipoles": ("mode_plus_ks", "mode_minus_ks")}
+
+
+@pytest.mark.parametrize("name", sorted(KS_ROWS))
+def test_ks_rows_state_their_exact_p_value(name):
+    grid = _default_grid(name, **SMALL_GRIDS[name])
+    reports = [run_scenario(name, grid=grid, jobs=jobs) for jobs in (1, 2)]
+    assert reports[1].to_json() == reports[0].to_json()
+    rows = {r.quantity: r for r in reports[0].rows}
+    for quantity in KS_ROWS[name]:
+        row = rows[quantity]
+        n, p = re.search(r"; n=(\d+), p=(\S+)$", row.note).groups()
+        assert row.analytic == ks_critical(int(n))
+        assert float(p) == pytest.approx(kstwo.sf(row.estimated, int(n)), rel=1e-3)
