@@ -23,7 +23,7 @@ from .core import GridSpec, SystemParams, validate
 from .dynamics import simulate_oscillator
 from .estimators import commutator, correlation, periodogram
 from .experiments import ensemble_reduce, run_scenario
-from .noise import member_seed, synthesize_field
+from .noise import FieldRealization, field_synthesis, member_seed, synthesize_field
 from .spectra import SpectrumModel, field_spectrum
 
 SCENARIO_CRITERIA = {
@@ -52,15 +52,28 @@ def _property_noise_gaussianity(jobs: int) -> tuple[list[str], bool]:
             f"(need >= 1e-3), excess kurtosis {kurt:+.4f}"], ok
 
 
+def _member_fields(model: SpectrumModel, params: SystemParams, grid: GridSpec):
+    """Member k's field, ``synthesize_field`` of ``member_seed(grid.seed, k)``
+    bit for bit, from a synthesis set up once."""
+    synthesis = field_synthesis(model, params, grid)
+
+    def field(k):
+        seed = member_seed(grid.seed, k)
+        return FieldRealization(grid.dt, np.fft.irfft(synthesis.draw(seed), grid.n_samples),
+                                model, seed, grid.omega_cut)
+
+    return field
+
+
 def _property_periodogram_calibration(jobs: int) -> tuple[list[str], bool]:
     params = SystemParams(tau=0.01)
     grid = GridSpec(dt=0.1, n_samples=1 << 16, omega_cut=20.0, seed=515, n_ensemble=64)
     validate(params, grid)
     model = SpectrumModel.zpf()
+    field = _member_fields(model, params, grid)
 
     def worker(k):
-        f = synthesize_field(model, params, grid, member_seed(grid.seed, k))
-        return periodogram(f.samples, grid.dt)
+        return periodogram(field(k).samples, grid.dt)
 
     mean_spec = ensemble_reduce(worker, grid.n_ensemble, jobs,
                                 lambda acc, k, est: acc + est.values,
@@ -103,11 +116,11 @@ def _property_fourth_moment(jobs: int) -> tuple[list[str], bool]:
     params = SystemParams(tau=0.01)
     grid = GridSpec(dt=0.1, n_samples=1 << 18, omega_cut=20.0, seed=808, n_ensemble=16)
     validate(params, grid)
-    model = SpectrumModel.zpf()
+    field = _member_fields(SpectrumModel.zpf(), params, grid)
 
     def worker(k):
-        f = synthesize_field(model, params, grid, member_seed(grid.seed, k))
-        x = simulate_oscillator(params, f).x
+        # reads x alone, so the trajectory's v and p are never formed
+        x = simulate_oscillator(params, field(k)).x
         c = correlation(x, x, 5.0, grid.dt).values
         x2 = x ** 2
         c2 = correlation(x2, x2, 5.0, grid.dt).values

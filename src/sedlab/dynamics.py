@@ -42,7 +42,6 @@ property suite's path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter, lfiltic
@@ -52,15 +51,27 @@ from .errors import BurnInExceedsTrajectory, InvalidParams
 from .noise import FieldPair, FieldRealization, synthesis_band, synthesize_series
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Time series of one system realization on a uniform grid."""
+    """Time series of one system realization on a uniform grid.
 
-    dt: float
-    x: np.ndarray
-    v: np.ndarray | None
-    p: np.ndarray
-    params: SystemParams
+    ``v`` and ``p`` are given as arrays (v may be None), or as functions of
+    no argument that form them, as ``simulate_oscillator`` gives them: such
+    a function runs on the first read of its attribute, and its array is
+    kept, so a reader of x alone forms neither.
+    """
+
+    def __init__(self, dt: float, x: np.ndarray, v, p, params: SystemParams):
+        self.dt, self.x, self.params = dt, x, params
+        self._series = {"v": v, "p": p}
+
+    def _formed(self, name: str):
+        series = self._series[name]
+        if callable(series):
+            series = self._series[name] = series()
+        return series
+
+    v = property(lambda self: self._formed("v"))
+    p = property(lambda self: self._formed("p"))
 
 
 def _propagator(params: SystemParams, dt: float):
@@ -86,6 +97,13 @@ def _integrate(params: SystemParams, eps: np.ndarray, dt: float,
     Returns (x, v) with x[k], v[k] the state at t = k*dt; the field sample
     eps[k] acts on [k*dt, (k+1)*dt).
     """
+    x = _positions(params, eps, dt, x0, v0)
+    return x, _velocities(params, eps, dt, x, v0)
+
+
+def _positions(params: SystemParams, eps: np.ndarray, dt: float,
+               x0: float, v0: float) -> np.ndarray:
+    """The x of ``_integrate``, by its two-term recursion alone."""
     n = eps.size
     (a11, a12, a21, a22), (b1, b2) = _propagator(params, dt)
     tr, det = a11 + a22, math.exp(-2.0 * params.damping_rate * dt)
@@ -99,13 +117,45 @@ def _integrate(params: SystemParams, eps: np.ndarray, dt: float,
         c2 = a12 * b2 - a22 * b1
         zi = lfiltic([b1, c2], [1.0, -tr, det], y=[x[1], x[0]], x=[eps[0]])
         x[2:], _ = lfilter([b1, c2], [1.0, -tr, det], eps[1 : n - 1], zi=zi)
+    return x
 
+
+def _velocities(params: SystemParams, eps: np.ndarray, dt: float,
+                x: np.ndarray, v0: float) -> np.ndarray:
+    """The v of ``_integrate``, from its x: each step solved for v."""
+    n = eps.size
+    (a11, a12, a21, a22), (b1, b2) = _propagator(params, dt)
     v = np.empty(n)
     v[0] = v0
     if n > 1:
         v[:-1] = (x[1:] - a11 * x[:-1] - b1 * eps[:-1]) / a12
         v[-1] = a21 * x[-2] + a22 * v[-2] + b2 * eps[-2]
-    return x, v
+    return v
+
+
+def _lattice_phases(n: int, size: int) -> np.ndarray:
+    """The half-angle phases e^{-i pi j/n}, j = 0..size-1, from two tables.
+
+    With m = ceil(sqrt(size)) and j = q m + r, the phase is the product of
+    a coarse entry e^{-i pi q m/n} and a fine one e^{-i pi r/n}: about
+    2 sqrt(size) sines and cosines instead of a complex exponential per
+    bin (pocketfft forms its twiddles the same way).  The tables are
+    evaluated in long double, and the product as c + c (f - 1), with the
+    fine entry less one, f - 1 = -2 sin^2(a/2) - i sin(a), which is small:
+    where long double is the x87 extended format, every phase is within
+    about 1.1e-16 of its exact value, and within 4e-16 of
+    ``np.exp(-1j * pi * j / n)``, whose argument rounds.
+    """
+    m = math.isqrt(max(size - 1, 0)) + 1
+    rows = -(-size // m)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    coarse = pi * (m * np.arange(rows, dtype=np.longdouble)) / n
+    fine = pi * np.arange(m, dtype=np.longdouble) / n
+    c = (np.cos(coarse) - 1j * np.sin(coarse)).astype(complex)
+    f_m1 = (-2.0 * np.sin(0.5 * fine) ** 2 - 1j * np.sin(fine)).astype(complex)
+    phases = np.multiply.outer(c, f_m1)
+    phases += c[:, None]
+    return phases.ravel()[:size]
 
 
 def response_transfer(params: SystemParams, grid: GridSpec):
@@ -123,8 +173,16 @@ def response_transfer(params: SystemParams, grid: GridSpec):
 
         T_j = -m omega0^2 dt/2 * (1 + z^-1)/(1 - z^-1) = i m omega0^2 dt/2 * cot(pi j/n),
 
-    T_0 = 0.  T is purely imaginary, so C_xp = irfft(T |X|^2)/n is odd in
-    the lag.  Scenarios apply T by its recursion, ``apply_momentum_gain``.
+    T_0 = 0.  T is purely imaginary (its real part is exactly 0), so
+    C_xp = irfft(T |X|^2)/n is odd in the lag.  Scenarios apply T by its
+    recursion, ``apply_momentum_gain``.
+
+    Both come from the half-angle phases w_j = e^{-i pi j/n} of
+    ``_lattice_phases`` (within about 1e-16 of exact): z^-1 = w^2, and
+    cot(pi j/n) = -Re(w_j)/Im(w_j), so no bin takes an exponential or a
+    tangent.  On the default grids H differs from the complex-exponential
+    evaluation by at most 3e-12 relative (near the resonance, where the
+    denominator is small), and T by rounding.
 
     For the free particle (omega0 = 0) H is the exact free response
     chi_j = -1/(omega_j^2 (1 - i tau omega_j)), H_0 = 0, and T = 0.
@@ -133,19 +191,28 @@ def response_transfer(params: SystemParams, grid: GridSpec):
     where the field has no power.
     """
     dt, n = grid.dt, grid.n_samples
-    j = np.arange(synthesis_band(dt, n, grid.omega_cut) + 1)
+    band = synthesis_band(dt, n, grid.omega_cut) + 1
     h = np.zeros(n // 2 + 1, dtype=complex)
     t = np.zeros(n // 2 + 1, dtype=complex)
     if params.omega0 == 0.0:
-        w = grid.domega * j[1:]
-        h[1 : j.size] = -1.0 / (w ** 2 * (1.0 - 1j * params.tau * w))
+        w = grid.domega * np.arange(1, band)
+        h[1:band] = -1.0 / (w ** 2 * (1.0 - 1j * params.tau * w))
         return h, t
     (a11, a12, a21, a22), (b1, b2) = _propagator(params, dt)
     tr, det = a11 + a22, math.exp(-2.0 * params.damping_rate * dt)
     c2 = a12 * b2 - a22 * b1
-    zinv = np.exp(-2j * math.pi * j / n)
-    h[: j.size] = zinv * (b1 + c2 * zinv) / (1.0 + zinv * (det * zinv - tr))
-    t[1 : j.size] = 0.5j * params.m * params.omega0 ** 2 * dt / np.tan(math.pi * j[1:] / n)
+    phases = _lattice_phases(n, band)
+    tb = np.divide(phases.real[1:], phases.imag[1:], out=t.imag[1:band])
+    tb *= momentum_step(params, dt)
+    zinv = np.square(phases, out=phases)
+    hb = np.multiply(c2, zinv, out=h[:band])
+    hb += b1
+    hb *= zinv
+    den = np.multiply(det, zinv)
+    den -= tr
+    den *= zinv
+    den += 1.0
+    hb /= den
     return h, t
 
 
@@ -217,10 +284,11 @@ def simulate_oscillator(
             f"burn-in {nb} samples >= trajectory length {eps.size}"
         )
 
-    x, v = _integrate(params, eps, dt)
-    x, v = x[nb:], v[nb:]
-    p = canonical_momentum(x, params, dt)
-    return Trajectory(dt=dt, x=x, v=v, p=p, params=params)
+    x_all = _positions(params, eps, dt, 0.0, 0.0)
+    x = x_all[nb:]
+    return Trajectory(dt=dt, x=x,
+                      v=lambda: _velocities(params, eps, dt, x_all, 0.0)[nb:],
+                      p=lambda: canonical_momentum(x, params, dt), params=params)
 
 
 def sample_from_spectrum(

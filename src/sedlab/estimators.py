@@ -117,17 +117,23 @@ def coefficient_power(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.n
     return np.add(re_sq, im_sq, out=re_sq)
 
 
-def mean_square(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> float:
-    """Time average of x^2 for x = irfft(coeffs, n), by Parseval; ``out``
-    as for ``coefficient_power``.
+def mean_square(coeffs: np.ndarray, n: int) -> float:
+    """Time average of x^2 for x = irfft(coeffs, n), by Parseval.
 
     ``coeffs`` may stop short of the Nyquist bin: entries j = 0..b-1 of the
     half-spectrum, b <= n//2 + 1, with zeros above (a band).
+
+    One pass and no temporary: sum_j |c_j|^2 is the dot product of the
+    coefficients' float64 view with itself (``einsum``: ``np.dot`` would
+    go to a threaded BLAS, which oversubscribes the cores under member
+    threads).  Every bin counts twice but j = 0 and an even-n Nyquist bin,
+    which appear once.  A non-contiguous input is copied first.
     """
-    w = coefficient_power(coeffs, out)
-    total = w[0] + 2.0 * w[1:].sum()
-    if n % 2 == 0 and w.size == n // 2 + 1:
-        total -= w[-1]  # the Nyquist bin appears once
+    c = np.ascontiguousarray(coeffs, dtype=complex)
+    v = c.view(np.float64)
+    total = 2.0 * np.einsum("i,i->", v, v) - (v[0] ** 2 + v[1] ** 2)
+    if n % 2 == 0 and c.size == n // 2 + 1:
+        total -= v[-2] ** 2 + v[-1] ** 2
     return float(total) / n ** 2
 
 
@@ -319,6 +325,11 @@ def mean_square_displacement(power: np.ndarray, n: int, lags, out=None) -> np.nd
     return 2.0 / n * (c[0] - c[lags])
 
 
+def window_samples(t_window: float, dt: float) -> int:
+    """Samples in a window of length t_window: t_window/dt rounded, at least 1."""
+    return max(1, int(round(t_window / dt)))
+
+
 def windowed_energy(energy: np.ndarray, t_window: float, dt: float) -> EnergyWindowStats:
     """Time-averaged energies over disjoint windows of length t_window.
 
@@ -329,7 +340,7 @@ def windowed_energy(energy: np.ndarray, t_window: float, dt: float) -> EnergyWin
     window of a single sample is the instantaneous energy.
     """
     n = energy.size
-    w = max(1, int(round(t_window / dt)))
+    w = window_samples(t_window, dt)
     if w > n // 10 and w > 1:
         raise WindowTooLong(f"t_window {t_window:g} exceeds duration/10")
     if w == 1:

@@ -18,7 +18,8 @@ commutators inverse-transforms only the ensemble power: its one per-group
 value, c_xp(0) by the Hilbert route, is one linear functional K of the
 power (``estimators.hilbert_zero_functional``), so each group's is the
 product K |X_j|^2, with no transform.  Variances come from the band of X
-by Parseval (``estimators.mean_square``), and KS subsamples from folds of it
+by Parseval (``estimators.mean_square``: one pass over the coefficients,
+no power array), and KS subsamples from folds of it
 (``estimators.decorrelated``: one transform of at most n/32 points on a
 power-of-two lattice), so ground_state, planck_thermal and dipoles form
 no n-point series.  The time series themselves are formed only where a
@@ -82,6 +83,7 @@ from .estimators import (
     mean_square,
     mean_square_displacement,
     spectrum_from_power,
+    window_samples,
     windowed_energy,
     write_series_csv,
 )
@@ -388,12 +390,12 @@ class Workspace:
         return self.spectrum(i).view(np.float64)[: self.n]
 
 
-def _variance(x: np.ndarray) -> float:
-    """``x.var()`` bit for bit, without its n-point temporary: x is
-    overwritten with its squared deviations."""
+def _mean_variance(x: np.ndarray) -> tuple[float, float]:
+    """``(x.mean(), x.var())`` bit for bit, without var's n-point
+    temporary: x is overwritten with its squared deviations."""
     mean = np.add.reduce(x) / x.size
     np.square(np.subtract(x, mean, out=x), out=x)
-    return float(np.add.reduce(x) / x.size)
+    return float(mean), float(np.add.reduce(x) / x.size)
 
 
 def _steady_state(synthesis, H, seed: int, k: int, ws: Workspace) -> np.ndarray:
@@ -498,16 +500,17 @@ def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: i
     ws = Workspace(n)
 
     def worker(k):
+        # buffer 0 holds X, then P over it; buffer 1 the draw's normals (the
+        # Parseval sums need no buffer)
         X = _steady_state(synthesis, H, seed, k, ws)
         if k == 0 and emitter.wants("trajectories"):
             x = np.fft.irfft(X, n)
             emitter.steady(scenario, params, grid, x, canonical_momentum(x, params, dt),
                            member_seed(seed, k), model=model)
-        # buffer 1 (the draw's normals, spent) takes each power
-        x_var = mean_square(X, n, out=ws.spectrum(1)[:band])
+        x_var = mean_square(X, n)
         x_sub, x_u = decorrelated(X, n, dt, t_dec_x), decorrelated(X, n, dt, t_dec_u)
         P = np.multiply(T, X, out=X)  # X is spent
-        p_var = mean_square(P, n, out=ws.spectrum(1)[:band])
+        p_var = mean_square(P, n)
         p_u = decorrelated(P, n, dt, t_dec_u)
         return {
             "x_var": x_var,
@@ -614,6 +617,8 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     model = SpectrumModel.zpf()
     dt, n = grid.dt, grid.n_samples
     t_sweep = [1.0, 10.0, 100.0, 1000.0, 10000.0]
+    single = [t for t in t_sweep if window_samples(t, dt) == 1]
+    windows = [t for t in t_sweep if t not in single]
     lag_max = lag_count(max(t_sweep), dt, n)
     m, w0 = params.m, params.omega0
     H, T = response_transfer(params, grid)
@@ -627,13 +632,17 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         # X is spent: its buffer takes p
         p = canonical_momentum(x, params, dt, out=ws.series(0))
         energy = _energy(params, np.square(x, out=x), np.square(p, out=p), out=x)
-        for t in t_sweep:
+        for t in windows:
             stats = windowed_energy(energy, t, dt)
             res[f"T{t:g}"], res[f"mean_T{t:g}"] = stats.t_window, stats.mean
             res[f"var_T{t:g}"], res[f"sd_T{t:g}"] = stats.variance, stats.dispersion
-        # the single-sample window of windowed_energy: the dispersion of the
-        # instantaneous energy; last, as it overwrites the series
-        res["inst_sd"] = math.sqrt(_variance(energy))
+        # the instantaneous energy, which is windowed_energy's single-sample
+        # window (bit for bit); last, as it overwrites the series
+        mean, var = _mean_variance(energy)
+        res["inst_sd"] = math.sqrt(var)
+        for t in single:
+            res[f"T{t:g}"], res[f"mean_T{t:g}"] = dt, mean
+            res[f"var_T{t:g}"], res[f"sd_T{t:g}"] = var, res["inst_sd"]
         return res
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
@@ -780,9 +789,8 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
             emitter.steady("free_thermal", params, grid, x,
                            canonical_momentum(x, params, dt), member_seed(seed, k))
         power = coefficient_power(X, out=ws.spectrum(1)).copy()
-        # the velocity V = i omega X of the same draw; X is spent after it
-        V = np.multiply(i_omega, X, out=ws.spectrum(1))
-        return {"power": power, "v_var": mean_square(V, n, out=X)}
+        # the velocity V = i omega X of the same draw, over the spent X
+        return {"power": power, "v_var": mean_square(np.multiply(i_omega, X, out=X), n)}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
@@ -838,7 +846,7 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         power = ws.spectrum(2)
         np.copyto(power, coefficient_power(X, out=ws.spectrum(1)))
         sf = mean_square_displacement(power, n, lags, out=ws.series(1))
-        p_var = mean_square(np.multiply(T, X, out=X), n, out=ws.spectrum(1))
+        p_var = mean_square(np.multiply(T, X, out=X), n)
         return {"sf": sf, "sf_sq": sf ** 2, "p_var": p_var}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("sf", "sf_sq"))
@@ -903,7 +911,8 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     ws = Workspace(n)
 
     def worker(k):
-        # buffer 2 holds each draw's normals, then each power
+        # buffers 0 and 1 hold the modes' X, then their P; buffer 2 each
+        # draw's normals (the Parseval sums need no buffer)
         seed_p, seed_m = member_seed(seed, k).spawn(2)
         Ep = synthesis.draw(seed_p, out=ws.spectrum(0)[:band], normals=ws.series(2))
         Xp = np.multiply(Hp, Ep, out=Ep)
@@ -915,14 +924,13 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
             p_minus = canonical_momentum(xm, pm, grid.dt)
             emitter.steady("dipoles", params, grid, (xp + xm) / root2,
                            (p_plus + p_minus) / root2, member_seed(seed, k))
-        power = ws.spectrum(2)[:band]
-        xp_var, xm_var = mean_square(Xp, n, out=power), mean_square(Xm, n, out=power)
+        xp_var, xm_var = mean_square(Xp, n), mean_square(Xm, n)
         xp_sub = decorrelated(Xp, n, grid.dt, t_dec)
         xm_sub = decorrelated(Xm, n, grid.dt, t_dec)
         # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p;
         # each momentum overwrites its (spent) position
-        p_sq = mean_square(np.multiply(Tp, Xp, out=Xp), n, out=power)
-        p_sq += mean_square(np.multiply(Tm, Xm, out=Xm), n, out=power)
+        p_sq = mean_square(np.multiply(Tp, Xp, out=Xp), n)
+        p_sq += mean_square(np.multiply(Tm, Xm, out=Xm), n)
         return {
             "xp_var": xp_var, "xm_var": xm_var,
             "cross": 0.5 * (xp_var - xm_var),

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +89,12 @@ class Synthesis:
     n_samples: int
     j_max: int
     amplitude: np.ndarray
+    #: -amplitude, for the imaginary parts: (-a) b = -(a b) exactly, so
+    #: the normals need no negation pass
+    neg_amplitude: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "neg_amplitude", np.negative(self.amplitude))
 
     def draw(self, seed, out=None, normals=None) -> np.ndarray:
         """Half-spectrum coefficients E_j (j = 0..n/2) of the draw from
@@ -110,8 +116,7 @@ class Synthesis:
         # irfft convention: x_k = (1/n) * (c_0 + 2 * sum_j Re[c_j e^{2pi i jk/n}] + ...),
         # with c_j = amplitude_j * (a_j - i b_j)
         np.multiply(self.amplitude, ab[:j], out=half.real[1 : j + 1])
-        np.negative(ab[j:], out=ab[j:])
-        np.multiply(self.amplitude, ab[j:], out=half.imag[1 : j + 1])
+        np.multiply(self.neg_amplitude, ab[j:], out=half.imag[1 : j + 1])
         return half
 
 

@@ -68,17 +68,10 @@ class SpectrumModel:
 
 
 def _coth(x):
-    """coth(x) for x > 0, stable for both tiny and large arguments."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < 1e-4
-    big = x > 20.0
-    mid = ~(small | big)
-    xs = x[small]
-    out[small] = 1.0 / xs + xs / 3.0
-    out[big] = 1.0
-    out[mid] = 1.0 / np.tanh(x[mid])
-    return out
+    """coth(x) for x > 0, as 1/tanh(x), which needs no cases: for tiny x,
+    tanh(x) = x - x^3/3 to rounding, so this is 1/x + x/3, and from about
+    x = 19 on, tanh(x) rounds to 1."""
+    return 1.0 / np.tanh(np.asarray(x, dtype=float))
 
 
 def field_spectrum(model: SpectrumModel, params: SystemParams, omega):

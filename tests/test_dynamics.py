@@ -8,6 +8,7 @@ from sedlab.core import GridSpec, SystemParams, validate
 from sedlab.dynamics import (
     Trajectory,
     _integrate,
+    _lattice_phases,
     _propagator,
     apply_momentum_gain,
     canonical_momentum,
@@ -317,6 +318,45 @@ def test_transfer_is_zero_above_the_band_and_momentum_gain_imaginary():
     assert np.all(h[: band + 1] != 0.0)
     # low-frequency gain of the position response is 1/omega0^2
     assert h[0] == pytest.approx(1.0 / PARAMS.omega0 ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1, 99991, 1 << 20])
+def test_lattice_phases_match_the_complex_exponential(n):
+    for size in (1, 2, 1000, n // 3, n // 2 + 1):
+        ref = np.exp(-1j * math.pi * np.arange(size) / n)
+        assert np.max(np.abs(_lattice_phases(n, size) - ref)) <= 4e-16
+
+
+def _transfer_by_exponential(params, grid):
+    """``response_transfer`` of a bound oscillator as a complex exponential
+    and a tangent per bin: the oracle of its two-table phases."""
+    dt, n = grid.dt, grid.n_samples
+    j = np.arange(synthesis_band(dt, n, grid.omega_cut) + 1)
+    (a11, a12, a21, a22), (b1, b2) = _propagator(params, dt)
+    tr, det = a11 + a22, math.exp(-2.0 * params.damping_rate * dt)
+    c2 = a12 * b2 - a22 * b1
+    zinv = np.exp(-2j * math.pi * j / n)
+    h = zinv * (b1 + c2 * zinv) / (1.0 + zinv * (det * zinv - tr))
+    t = np.zeros(j.size, dtype=complex)
+    t[1:] = 0.5j * params.m * params.omega0 ** 2 * dt / np.tan(math.pi * j[1:] / n)
+    return h, t
+
+
+@pytest.mark.parametrize("name, params", [
+    ("ground_state", None), ("planck_thermal", None), ("dipoles", +1), ("dipoles", -1),
+])
+def test_transfer_matches_the_exponential_oracle(name, params):
+    params_default, grid = scenario_defaults(name)
+    params = params_default if params is None else params_default.mode_params(params)
+    cfg = validate(params, grid)
+    h, t = response_transfer(cfg.params, cfg.grid)
+    h_ref, t_ref = _transfer_by_exponential(cfg.params, cfg.grid)
+    band = h_ref.size
+    assert np.max(np.abs(h[:band] - h_ref) / np.abs(h_ref)) <= 1e-11
+    # T by -Re/Im of the phase: relative, or beside the gain where cot is ~0
+    g = abs(momentum_step(cfg.params, cfg.grid.dt))
+    assert np.all(np.abs(t[:band] - t_ref) <= 1e-14 * np.maximum(np.abs(t_ref), g))
+    assert np.all(t.real == 0.0)
 
 
 def test_free_transfer_is_the_exact_free_response_on_the_band():

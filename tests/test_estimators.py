@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,7 +113,44 @@ def test_coefficient_power_into_borrowed_memory_is_bitwise_fresh():
     borrowed = coefficient_power(coeffs, out=out)
     assert np.shares_memory(borrowed, out)
     assert borrowed.tobytes() == (coeffs.real ** 2 + coeffs.imag ** 2).tobytes()
-    assert mean_square(coeffs, 2000, out=out) == mean_square(coeffs, 2000)
+
+
+def test_mean_square_leaves_its_input_and_allocates_no_band():
+    rng = np.random.default_rng(2)
+    coeffs = rng.standard_normal(100_001) + 1j * rng.standard_normal(100_001)
+    before = coeffs.tobytes()
+    mean_square(coeffs, 1 << 18)
+    tracemalloc.start()
+    try:
+        mean_square(coeffs, 1 << 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert coeffs.tobytes() == before
+    # one band of reals would be 800 kB
+    assert peak < 8 * 1000
+
+
+@pytest.mark.parametrize("n, band, contiguous", [
+    (4096, 2049, True),   # the full half-spectrum, with its Nyquist bin
+    (4097, 2049, True),   # odd n: no Nyquist bin
+    (4096, 900, True),    # a band
+    (4097, 900, True),
+    (4096, 2049, False),  # a strided view
+    (4097, 900, False),
+])
+def test_mean_square_is_the_series_mean_square(n, band, contiguous):
+    rng = np.random.default_rng(n + band)
+    coeffs = rng.standard_normal(band) + 1j * rng.standard_normal(band)
+    coeffs[0] = coeffs[0].real  # irfft reads the real part of j = 0 only
+    if band == n // 2 + 1 and n % 2 == 0:
+        coeffs[-1] = coeffs[-1].real  # and of the Nyquist bin
+    if not contiguous:
+        strided = np.empty(2 * band, dtype=complex)[::2]
+        strided[:] = coeffs
+        coeffs = strided
+    x = np.fft.irfft(coeffs, n)
+    assert mean_square(coeffs, n) == pytest.approx(np.mean(x ** 2), rel=1e-12)
 
 
 def test_correlation_lag_guard():

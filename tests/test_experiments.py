@@ -37,7 +37,7 @@ from sedlab.experiments import (
     Workspace,
     _lag_window,
     _momentum_commutator,
-    _variance,
+    _mean_variance,
     _xp_correlations,
     run_ensemble,
     run_scenario,
@@ -229,8 +229,7 @@ def _bytes(member):
     return {key: np.asarray(v).tobytes() for key, v in member.items()}
 
 
-#: energy_time at its default dt: a one-sample window (dt = 1) would
-#: allocate in windowed_energy, and lags of 10,000 need 2^20 samples
+#: energy_time at its default dt: lags of 10,000 need 2^20 samples
 WORKSPACE_GRIDS = dict(SMALL_GRIDS, energy_time=dict(n_ensemble=8))
 
 
@@ -258,10 +257,16 @@ def test_dipole_member_draws_each_mode_from_one_child_of_its_seed(monkeypatch):
         assert member[key] == mean_square(X, grid.n_samples)
 
 
-@pytest.mark.parametrize("name", ["commutators", "dipoles", "energy_time",
-                                  "ground_state", "planck_thermal"])
-def test_warmed_member_allocates_less_than_one_series(name, monkeypatch):
-    grid = _default_grid(name, **WORKSPACE_GRIDS[name])
+@pytest.mark.parametrize("name, changes", [
+    *(pytest.param(name, WORKSPACE_GRIDS[name], id=name)
+      for name in ("commutators", "dipoles", "energy_time", "ground_state",
+                   "planck_thermal")),
+    # dt = 1: the T = 1 window is one sample, whose mean and variance come
+    # from the in-place pass that gives inst_sd
+    pytest.param("energy_time", SMALL_GRIDS["energy_time"], id="energy_time-one-sample"),
+])
+def test_warmed_member_allocates_less_than_one_series(name, changes, monkeypatch):
+    grid = _default_grid(name, **changes)
     worker = _member_worker(monkeypatch, name, grid)
     worker(0)
     tracemalloc.start()
@@ -362,7 +367,7 @@ def test_workspace_buffers_are_per_thread():
 def test_variance_in_place_is_bitwise_numpy_var(n):
     x = np.random.default_rng(n).standard_normal(n) * 3.7 + 0.2
     scratch = x.copy()
-    assert _variance(scratch) == x.var()
+    assert _mean_variance(scratch) == (x.mean(), x.var())
 
 
 @pytest.mark.parametrize("name", ["coherent_decay", "commutators", "dipoles",

@@ -11,6 +11,7 @@ from sedlab.errors import (
 )
 from sedlab.spectra import (
     SpectrumModel,
+    _coth,
     field_spectrum,
     momentum_spectrum,
     position_spectrum,
@@ -50,6 +51,14 @@ def test_all_models_vanish_at_zero_frequency():
 def test_planck_coth_factor():
     got = field_spectrum(SpectrumModel.planck(0.5), PARAMS, 1.0)
     assert got == pytest.approx(0.01 / math.pi * COTH_1, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-5, 19.9, 20.1, 700.0])
+def test_coth_matches_its_series(x):
+    # coth x = 1/x + x/3 - x^3/45 + ... near 0, and 1 + 2 e^{-2x} + ... far out
+    series = 1.0 / x + x / 3.0 - x ** 3 / 45.0 if x < 1.0 else 1.0 + 2.0 * math.exp(-2.0 * x)
+    assert _coth(x) == pytest.approx(series, rel=1e-15)
+    assert _coth(np.array([x]))[0] == _coth(x)
 
 
 def test_planck_reduces_to_zpf_at_low_temperature():
