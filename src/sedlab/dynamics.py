@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
 
 from .core import GridSpec, SystemParams, burn_in_samples
 from .errors import BurnInExceedsTrajectory, InvalidParams
@@ -104,6 +103,8 @@ def _integrate(params: SystemParams, eps: np.ndarray, dt: float,
 def _positions(params: SystemParams, eps: np.ndarray, dt: float,
                x0: float, v0: float) -> np.ndarray:
     """The x of ``_integrate``, by its two-term recursion alone."""
+    from scipy.signal import lfilter, lfiltic
+
     n = eps.size
     (a11, a12, a21, a22), (b1, b2) = _propagator(params, dt)
     tr, det = a11 + a22, math.exp(-2.0 * params.damping_rate * dt)

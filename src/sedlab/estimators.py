@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.signal import hilbert
 
 from .errors import EmptySeries, InvalidParams, LagTooLong, WindowTooLong
 
@@ -165,6 +163,8 @@ def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float, two_side
     (see FFT_LAG_SUMS): rfft of each series, zero-padded against
     wrap-around, and one irfft.  Returns (u, raw, n).
     """
+    from scipy.fft import next_fast_len
+
     auto = b is a
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -205,6 +205,9 @@ def hilbert_transform(values: np.ndarray) -> np.ndarray:
     The input is embedded centered in a zero-padded buffer so the FFT
     periodicity does not wrap the long-range kernel back into the data.
     """
+    from scipy.fft import next_fast_len
+    from scipy.signal import hilbert
+
     v = np.asarray(values, dtype=float)
     m = next_fast_len(max(4 * v.size, 64))
     buf = np.zeros(m)

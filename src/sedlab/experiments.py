@@ -57,7 +57,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import kstwo
 
 from . import analytic
 from .core import Config, GridSpec, SystemParams, validate
@@ -413,6 +412,8 @@ def _ks_row(quantity: str, pool: np.ndarray, cdf, note: str) -> Row:
     """The KS distance of ``pool`` from ``cdf`` as an upper-bound row at
     its 1% critical value; the note ends with the sample count and the
     exact p-value P(D_n >= d), which the pass rule does not read."""
+    from scipy.stats import kstwo
+
     d = ks_distance(pool, cdf)
     return Row(quantity, d, 0.0, ks_critical(pool.size), 0.0, kind="upper_bound",
                note=f"{note}; n={pool.size}, p={kstwo.sf(d, pool.size):.4g}")
@@ -487,12 +488,13 @@ def _momentum_commutator(c_xx, spec_x, T, g: float) -> np.ndarray:
 def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: int,
                        emitter: Emitter):
     """Member of the single-oscillator scenarios: the variances of the
-    steady-state x and p, the mean energy, and decorrelated position and
-    energy subsamples for the KS tests, all from the band of X and of
+    steady-state x and p, the mean energy, and decorrelated energy
+    subsamples for the KS tests (and position ones for ground_state, the
+    one scenario with a position KS row), all from the band of X and of
     P = T X (Parseval and ``decorrelated``), with no n-point transform."""
     params, grid = cfg.params, cfg.grid
     dt, n = grid.dt, grid.n_samples
-    t_dec_x = _x_decorrelation_time(params)
+    t_dec_x = _x_decorrelation_time(params) if scenario == "ground_state" else None
     t_dec_u = _u_decorrelation_time(params)
     synthesis = field_synthesis(model, params, grid)
     band = synthesis.j_max + 1
@@ -508,15 +510,16 @@ def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: i
             emitter.steady(scenario, params, grid, x, canonical_momentum(x, params, dt),
                            member_seed(seed, k), model=model)
         x_var = mean_square(X, n)
-        x_sub, x_u = decorrelated(X, n, dt, t_dec_x), decorrelated(X, n, dt, t_dec_u)
+        position_ks = {} if t_dec_x is None else {"x_sub": decorrelated(X, n, dt, t_dec_x)}
+        x_u = decorrelated(X, n, dt, t_dec_u)
         P = np.multiply(T, X, out=X)  # X is spent
         p_var = mean_square(P, n)
         p_u = decorrelated(P, n, dt, t_dec_u)
         return {
+            **position_ks,
             "x_var": x_var,
             "p_var": p_var,
             "u_mean": _energy(params, x_var, p_var),
-            "x_sub": x_sub,
             "u_sub": _energy(params, x_u ** 2, p_u ** 2),
         }
 
@@ -564,6 +567,10 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     H, T = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
+    one_plus_t = 1.0 + T
+    # c_xp(0) by the Hilbert route is linear in each group's power; its
+    # weights depend on the grid alone, so they are formed before the members
+    xp_zero = hilbert_zero_functional(one_plus_t, n, lag_ext)
 
     def worker(k):
         X = _steady_state(synthesis, H, seed, k, ws)
@@ -571,7 +578,6 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
-    one_plus_t = 1.0 + T
     spec_x = spectrum_from_power(acc.total("power"), n, dt)
     lags = dt * np.arange(int(round(t_max / dt)) + 1)
     c_xx_spec = commutator_from_spectrum(spec_x, t_max, dt).values
@@ -579,8 +585,6 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     window = _lag_window(acc.total("power"), one_plus_t, lag_ext, ws)
     c_xx_h = hilbert_commutator(0.5 * (window + window[::-1]), lags.size)
-    # c_xp(0) by the Hilbert route is linear in each group's power
-    xp_zero = hilbert_zero_functional(one_plus_t, n, lag_ext)
     c_xp0, cxp0_se = acc.estimate(lambda pw: float(xp_zero @ pw), "power")
 
     hb, m, w0 = params.hbar, params.m, params.omega0

@@ -125,11 +125,16 @@ def _synthesis(spectrum, dt: float, n_samples: int, omega_cut: float) -> Synthes
     1-d array of lattice frequencies."""
     domega = 2.0 * math.pi / (n_samples * dt)
     j_max = synthesis_band(dt, n_samples, omega_cut)
-    omegas = domega * np.arange(1, j_max + 1)
+    omegas = np.arange(1.0, j_max + 1)
+    omegas *= domega
     svals = np.asarray(spectrum(omegas), dtype=float)
     if np.any(svals < 0):
         raise InvalidParams(["spectrum must be >= 0 on the synthesis band"])
-    return Synthesis(n_samples, j_max, 0.5 * n_samples * np.sqrt(svals * domega))
+    # 0.5 n sqrt(S domega), in one array: svals may be the caller's own
+    amplitude = np.multiply(svals, domega)
+    np.sqrt(amplitude, out=amplitude)
+    amplitude *= 0.5 * n_samples
+    return Synthesis(n_samples, j_max, amplitude)
 
 
 def synthesize_series(

@@ -16,10 +16,10 @@ here (approximations live in the analytic module, where tau -> 0 is taken).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import SystemParams
 from .errors import (
@@ -67,11 +67,12 @@ class SpectrumModel:
         return self.kind
 
 
-def _coth(x):
+def _coth(x, out=None):
     """coth(x) for x > 0, as 1/tanh(x), which needs no cases: for tiny x,
     tanh(x) = x - x^3/3 to rounding, so this is 1/x + x/3, and from about
-    x = 19 on, tanh(x) rounds to 1."""
-    return 1.0 / np.tanh(np.asarray(x, dtype=float))
+    x = 19 on, tanh(x) rounds to 1.  Given ``out`` (which may be x), it is
+    formed there."""
+    return np.divide(1.0, np.tanh(np.asarray(x, dtype=float), out=out), out=out)
 
 
 def field_spectrum(model: SpectrumModel, params: SystemParams, omega):
@@ -79,6 +80,10 @@ def field_spectrum(model: SpectrumModel, params: SystemParams, omega):
 
     Planck reduces to pure zeropoint pointwise as kT -> 0; every closed
     form vanishes at omega = 0 through its omega-power prefactor.
+
+    The zeropoint form is evaluated in the result array, and the Planck
+    factor in one more: each operation is applied in place, in the order
+    of the formula, so the values are the formula's to the last bit.
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega < 0):
@@ -86,17 +91,17 @@ def field_spectrum(model: SpectrumModel, params: SystemParams, omega):
     scalar = omega.ndim == 0
     w = np.atleast_1d(omega)
 
-    zpf = params.hbar * params.tau * w ** 3 / (math.pi * params.m)
-    if model.kind == ZPF:
-        s = zpf
-    elif model.kind == PLANCK:
-        if model.kT == 0.0:
-            s = zpf
-        else:
-            arg = params.hbar * w / (2.0 * model.kT)
-            s = np.where(w > 0, zpf * _coth(np.where(w > 0, arg, 1.0)), 0.0)
-    else:
+    if model.kind == RAYLEIGH_JEANS:
         s = 2.0 * model.kT * params.tau * w ** 2 / (math.pi * params.m)
+    else:
+        s = np.power(w, 3)
+        s *= params.hbar * params.tau
+        s /= math.pi * params.m
+        if model.kind == PLANCK and model.kT != 0.0:
+            arg = np.multiply(params.hbar, w)
+            arg /= 2.0 * model.kT
+            arg[w == 0] = 1.0  # s is 0 there, and coth(1) keeps it so
+            s *= _coth(arg, out=arg)
     return float(s[0]) if scalar else s
 
 
@@ -156,6 +161,8 @@ def spectral_moment(
     QuadratureFailure
         If the accumulated error estimate exceeds 1e-9*|result| + 1e-14.
     """
+    from scipy.integrate import quad
+
     if omega_lo < 0 or omega_hi <= omega_lo:
         raise InvalidParams([f"bad range [{omega_lo}, {omega_hi}]"])
 
@@ -172,11 +179,9 @@ def spectral_moment(
         return w ** n * spectrum(np.asarray(w))
 
     total, err = 0.0, 0.0
-    import warnings as _warnings
-
     for a, b in zip(pts[:-1], pts[1:]):
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             try:
                 out = quad(integrand, a, b, epsabs=1e-14, epsrel=1e-11,
                            limit=500, full_output=1)

@@ -286,7 +286,8 @@ def test_warmed_member_allocates_less_than_one_series(name, changes, monkeypatch
     pytest.param("energy_time", 1, N_GROUPS, 0, id="energy_time-1-8"),
     # folds of x at two strides and of p at one
     pytest.param("ground_state", 0, 0, 3, id="ground_state-0-0"),
-    pytest.param("planck_thermal", 0, 0, 3, id="planck_thermal-0-0"),
+    # no position KS row: folds of x and of p at the energy's stride alone
+    pytest.param("planck_thermal", 0, 0, 2, id="planck_thermal-0-0"),
     # folds of x+ and x-
     pytest.param("dipoles", 0, 0, 2, id="dipoles-0-0"),
 ])
