@@ -328,6 +328,17 @@ def mean_square_displacement(power: np.ndarray, n: int, lags, out=None) -> np.nd
     return 2.0 / n * (c[0] - c[lags])
 
 
+def mean_square_displacement_variance(power: np.ndarray, n: int, lags) -> np.ndarray:
+    """Variance of ``mean_square_displacement`` at the lag indices ``lags``
+    (an array) of a series whose bins j = 1..n/2-1 are independent complex
+    Gaussians of mean power m_j = ``power``: each |X_j|^2 is exponential, of
+    variance m_j^2 (Brockwell & Davis, *Time Series: Theory and Methods*,
+    §10.3), so Var SF(d) = (16/n^4) sum_j m_j^2 (1 - cos 2 pi j d/n)^2
+    = (8/n^3) (3/2 r(0) - 2 r(d) + r(2d)/2), with r = irfft(m^2, n)."""
+    r = np.fft.irfft(np.square(power), n)
+    return 8.0 / n ** 3 * (1.5 * r[0] - 2.0 * r[lags] + 0.5 * r[2 * lags])
+
+
 def window_samples(t_window: float, dt: float) -> int:
     """Samples in a window of length t_window: t_window/dt rounded, at least 1."""
     return max(1, int(round(t_window / dt)))

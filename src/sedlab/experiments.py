@@ -5,35 +5,36 @@ of (master seed, member index), reduces member results in index order, and
 embeds the fully resolved configuration in the report, so a report is a
 deterministic function of (name, params, grid, seed) for any worker count.
 
-Every scenario forms its response one way: the half-spectrum
-coefficients of its field (a ``noise.Synthesis`` draw; for the dipoles,
-one draw per normal mode, each from its own sub-seed of the member) times
-the gains of ``dynamics.response_transfer``, the periodic steady state on
-the synthesis lattice, with no burn-in (for the free particle, its exact
-free response).  Lag correlations, spectra and structure functions are
-linear in |X_j|^2, so energy_time and free_thermal add each member's
-|X_j|^2 into its group and inverse-transform each group once; free_zpf,
-whose weighted fit needs per-member values, transforms each member's.
-commutators inverse-transforms only the ensemble power: its one per-group
-value, c_xp(0) by the Hilbert route, is one linear functional K of the
-power (``estimators.hilbert_zero_functional``), so each group's is the
-product K |X_j|^2, with no transform.  Variances come from the band of X
-by Parseval (``estimators.mean_square``: one pass over the coefficients,
+Every scenario forms its response one way: the half-spectrum coefficients
+of its field (a ``noise.Synthesis`` draw; for the dipoles, one draw per
+normal mode, each from its own sub-seed of the member) times the gains of
+``dynamics.response_transfer``, the periodic steady state on the synthesis
+lattice, with no burn-in (for the free particle, its exact free response).
+Lag correlations, spectra and structure functions are linear in |X_j|^2,
+so energy_time, free_thermal and free_zpf add each member's |X_j|^2 into
+its group and inverse-transform each group once (free_zpf's fit weights,
+each lag's model variance, take one transform of the squared ensemble
+power).  commutators inverse-transforms only the ensemble power: its one
+per-group value, c_xp(0) by the Hilbert route, is one linear functional K
+of the power (``estimators.hilbert_zero_functional``), so each group's is
+the product K |X_j|^2, with no transform.  Variances come from the band of
+X by Parseval (``estimators.mean_square``: one pass over the coefficients,
 no power array), and KS subsamples from folds of it
 (``estimators.decorrelated``: one transform of at most n/32 points on a
-power-of-two lattice), so ground_state, planck_thermal and dipoles form
-no n-point series.  The time series themselves are formed only where a
-statistic needs them (windowed energies, the stationary part of
-coherent_decay, whose kicked start adds the homogeneous decay by
-linearity), one transform each.  A momentum series or correlation takes
-no transform of its own: the momentum gain T is a trapezoid recursion
-(``dynamics.apply_momentum_gain``), so p comes from x, C_pp from C_xp and
-c_pp from c_xx, each by one cumulative sum; where there is no series, P
-is T X.
+power-of-two lattice), in one routine per mode (``_mode``), so
+ground_state, planck_thermal and dipoles form no n-point series (``--emit
+trajectories`` rebuilds member 0 apart from the members).  The time series
+themselves are formed only where a statistic needs them (windowed
+energies, the stationary part of coherent_decay, whose kicked start adds
+the homogeneous decay by linearity), one transform each.  A momentum
+series or correlation takes no transform of its own: the momentum gain T
+is a trapezoid recursion (``dynamics.apply_momentum_gain``), so p comes
+from x, C_pp from C_xp and c_pp from c_xx, each by one cumulative sum;
+where there is no series, P is T X.
 
 Members reuse memory.  Each scenario call sets its field synthesis up once
 (``noise.field_synthesis``) and makes a ``Workspace``: complex buffers of
-n//2 + 1 entries, a set per thread, at most three, which every member and
+n//2 + 1 entries, a set per thread, at most two, which every member and
 every per-group linear map of that thread writes its n-point
 intermediates into (``out=``).  The rule: a value the reducer keeps (a
 scalar, a KS subsample, a summed power or structure function) is a fresh
@@ -61,13 +62,13 @@ import numpy as np
 from . import analytic
 from .core import Config, GridSpec, SystemParams, validate
 from .dynamics import (
-    _integrate,
+    _positions,
     apply_momentum_gain,
     canonical_momentum,
     momentum_step,
     response_transfer,
 )
-from .errors import NonFiniteReport, UnknownScenario
+from .errors import InvalidParams, NonFiniteReport, UnknownScenario
 from .estimators import (
     HILBERT_MARGIN,
     coefficient_power,
@@ -81,12 +82,13 @@ from .estimators import (
     lag_count,
     mean_square,
     mean_square_displacement,
+    mean_square_displacement_variance,
     spectrum_from_power,
     window_samples,
     windowed_energy,
     write_series_csv,
 )
-from .noise import dump_realization, field_synthesis, member_seed, synthesize_field
+from .noise import dump_realization, field_synthesis, member_seed
 from .spectra import SpectrumModel
 
 N_GROUPS = 8  # ensemble split for group-based standard errors
@@ -221,15 +223,13 @@ class Emitter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
 
-    def steady(self, scenario: str, params: SystemParams, grid: GridSpec, x, p,
-               seed, model=None):
-        """Member artifacts of a steady-state scenario: x, p and, given its
-        spectrum ``model``, the field drawn from ``seed``.  Callers form x
-        and p (by ``canonical_momentum``) only if ``wants("trajectories")``."""
-        if model is not None:
-            f = synthesize_field(model, params, grid, seed)
-            dump_realization(self._path(f"{scenario}_field"), f.samples, f.dt,
-                             f.seed, model.label())
+    def steady(self, scenario: str, grid: GridSpec, x, p, seed, field=None):
+        """Member artifacts of a steady-state scenario: x, p and, given
+        ``field`` = (series, model label), the field drawn from ``seed``.
+        Callers form them only if ``wants("trajectories")``."""
+        if field is not None:
+            dump_realization(self._path(f"{scenario}_field"), field[0], grid.dt, seed,
+                             field[1])
         for name, arr in (("x", x), ("p", p)):
             dump_realization(self._path(f"{scenario}_{name}"), arr, grid.dt, seed,
                              f"trajectory:{name}")
@@ -397,15 +397,35 @@ def _mean_variance(x: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.add.reduce(x) / x.size)
 
 
-def _steady_state(synthesis, H, seed: int, k: int, ws: Workspace) -> np.ndarray:
-    """Member k's steady-state response X = E H in workspace buffer 0
-    (buffer 1 holds the draw's normals until then), on the first H.size
-    entries of the half-spectrum: given H on the band alone, X is the band
-    and the zeros above it are neither written nor multiplied."""
-    X = synthesis.draw(member_seed(seed, k), out=ws.spectrum(0)[: H.size],
-                       normals=ws.series(1))
+def _steady_state(synthesis, H, seed, ws: Workspace) -> np.ndarray:
+    """The steady-state response X = E H to the draw from ``seed`` in
+    workspace buffer 0 (buffer 1 holds the draw's normals until then), on the
+    first H.size entries of the half-spectrum: given H on the band alone, X
+    is the band and the zeros above it are neither written nor multiplied."""
+    X = synthesis.draw(seed, out=ws.spectrum(0)[: H.size], normals=ws.series(1))
     X *= H
     return X
+
+
+def _mode(synthesis, H, T, seed, ws: Workspace, dt: float, x_dec=(), p_dec=()):
+    """One mode of a member with no n-point transform: X = E H from ``seed``
+    (``_steady_state``, in buffers 0 and 1), then P = T X over it, and of
+    each the Parseval mean square and the ``decorrelated`` subsamples at the
+    times ``x_dec`` and ``p_dec``.  Returns (<x^2>, x subsamples, <p^2>, p
+    subsamples)."""
+    n = synthesis.n_samples
+    X = _steady_state(synthesis, H, seed, ws)
+    x_sq, x_subs = mean_square(X, n), [decorrelated(X, n, dt, t) for t in x_dec]
+    P = np.multiply(T, X, out=X)  # X is spent
+    return x_sq, x_subs, mean_square(P, n), [decorrelated(P, n, dt, t) for t in p_dec]
+
+
+def _structure_function(pw, gain, lags, ws: Workspace) -> np.ndarray:
+    """``mean_square_displacement`` at ``lags`` of ``gain`` times one
+    (group's) power ``pw``, formed in workspace buffer 0 (complex, so the
+    transform takes no converted copy) and transformed into buffer 1."""
+    spec = np.multiply(gain, pw, out=ws.spectrum(0))
+    return mean_square_displacement(spec, ws.n, lags, out=ws.series(1))
 
 
 def _ks_row(quantity: str, pool: np.ndarray, cdf, note: str) -> Row:
@@ -490,37 +510,29 @@ def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: i
     """Member of the single-oscillator scenarios: the variances of the
     steady-state x and p, the mean energy, and decorrelated energy
     subsamples for the KS tests (and position ones for ground_state, the
-    one scenario with a position KS row), all from the band of X and of
-    P = T X (Parseval and ``decorrelated``), with no n-point transform."""
+    one scenario with a position KS row), all from one ``_mode``."""
     params, grid = cfg.params, cfg.grid
     dt, n = grid.dt, grid.n_samples
-    t_dec_x = _x_decorrelation_time(params) if scenario == "ground_state" else None
     t_dec_u = _u_decorrelation_time(params)
+    x_dec = (t_dec_u, _x_decorrelation_time(params)) if scenario == "ground_state" else (t_dec_u,)
     synthesis = field_synthesis(model, params, grid)
-    band = synthesis.j_max + 1
-    H, T = (gain[:band] for gain in response_transfer(params, grid))
+    H, T = (gain[: synthesis.j_max + 1] for gain in response_transfer(params, grid))
     ws = Workspace(n)
+    if emitter.wants("trajectories"):
+        seed0 = member_seed(seed, 0)
+        x = np.fft.irfft(_steady_state(synthesis, H, seed0, Workspace(n)), n)
+        emitter.steady(scenario, grid, x, canonical_momentum(x, params, dt), seed0,
+                       field=(np.fft.irfft(synthesis.draw(seed0), n), model.label()))
 
     def worker(k):
-        # buffer 0 holds X, then P over it; buffer 1 the draw's normals (the
-        # Parseval sums need no buffer)
-        X = _steady_state(synthesis, H, seed, k, ws)
-        if k == 0 and emitter.wants("trajectories"):
-            x = np.fft.irfft(X, n)
-            emitter.steady(scenario, params, grid, x, canonical_momentum(x, params, dt),
-                           member_seed(seed, k), model=model)
-        x_var = mean_square(X, n)
-        position_ks = {} if t_dec_x is None else {"x_sub": decorrelated(X, n, dt, t_dec_x)}
-        x_u = decorrelated(X, n, dt, t_dec_u)
-        P = np.multiply(T, X, out=X)  # X is spent
-        p_var = mean_square(P, n)
-        p_u = decorrelated(P, n, dt, t_dec_u)
+        x_var, (x_u, *x_sub), p_var, (p_u,) = _mode(
+            synthesis, H, T, member_seed(seed, k), ws, dt, x_dec, (t_dec_u,))
         return {
-            **position_ks,
             "x_var": x_var,
             "p_var": p_var,
             "u_mean": _energy(params, x_var, p_var),
             "u_sub": _energy(params, x_u ** 2, p_u ** 2),
+            **{"x_sub": sub for sub in x_sub},
         }
 
     return worker
@@ -573,7 +585,7 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     xp_zero = hilbert_zero_functional(one_plus_t, n, lag_ext)
 
     def worker(k):
-        X = _steady_state(synthesis, H, seed, k, ws)
+        X = _steady_state(synthesis, H, member_seed(seed, k), ws)
         return {"power": coefficient_power(X, out=ws.spectrum(1)).copy()}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
@@ -630,7 +642,7 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     ws = Workspace(n)
 
     def worker(k):
-        X = _steady_state(synthesis, H, seed, k, ws)
+        X = _steady_state(synthesis, H, member_seed(seed, k), ws)
         res = {"power": coefficient_power(X, out=ws.spectrum(1)).copy()}
         x = np.fft.irfft(X, n, out=ws.series(1))
         # X is spent: its buffer takes p
@@ -718,7 +730,7 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
     gamma = params.damping_rate
     t_obs = 2.0 / gamma            # two amplitude e-folds
     n_keep = int(round(1.25 * t_obs / dt)) + 1
-    mean_x, _ = _integrate(
+    mean_x = _positions(
         params, np.zeros(n_keep), dt, x0=amp * math.cos(phase),
         v0=-amp * (params.omega0 * math.sin(phase) + gamma * math.cos(phase)))
     H, _ = response_transfer(params, grid)
@@ -726,7 +738,7 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
     ws = Workspace(n)
 
     def worker(k):
-        X = _steady_state(synthesis, H, seed, k, ws)
+        X = _steady_state(synthesis, H, member_seed(seed, k), ws)
         return {"x_sq": np.fft.irfft(X, n, out=ws.series(1))[:n_keep] ** 2}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("x_sq",))
@@ -785,30 +797,24 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     i_omega, omega_sq = 1j * omega, omega ** 2
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
+    if emitter.wants("trajectories"):
+        x = np.fft.irfft(_steady_state(synthesis, H, member_seed(seed, 0), Workspace(n)), n)
+        emitter.steady("free_thermal", grid, x, canonical_momentum(x, params, dt),
+                       member_seed(seed, 0))
 
     def worker(k):
-        X = _steady_state(synthesis, H, seed, k, ws)
-        if k == 0 and emitter.wants("trajectories"):
-            x = np.fft.irfft(X, n)
-            emitter.steady("free_thermal", params, grid, x,
-                           canonical_momentum(x, params, dt), member_seed(seed, k))
+        X = _steady_state(synthesis, H, member_seed(seed, k), ws)
         power = coefficient_power(X, out=ws.spectrum(1)).copy()
         # the velocity V = i omega X of the same draw, over the spent X
         return {"power": power, "v_var": mean_square(np.multiply(i_omega, X, out=X), n)}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
-    def structure_functions(pw):
-        """Position structure function at deltas and fit_deltas, then the
-        velocity one at the asymptote lags, of one group's power."""
-        spec, c = ws.spectrum(0), ws.series(1)
-        np.copyto(spec, pw)
-        sf_x = mean_square_displacement(spec, n, x_lags, out=c)
-        sf_v = mean_square_displacement(np.multiply(omega_sq, pw, out=spec), n, v_lags,
-                                        out=c)
-        return np.concatenate([sf_x, sf_v])
-
-    sf = acc.map_groups("power", structure_functions, jobs)
+    # the position structure function at deltas and fit_deltas, then the
+    # velocity one (power gain omega^2) at the asymptote lags
+    sf = acc.map_groups("power", lambda pw: np.concatenate(
+        [_structure_function(pw, 1.0, x_lags, ws),
+         _structure_function(pw, omega_sq, v_lags, ws)]), jobs)
     n_d, n_x = deltas.size, len(x_lags)
     slope, slope_se = sf.estimate(
         lambda s: np.polyfit(fit_deltas, s[n_d:n_x], 1)[0], "power")
@@ -839,48 +845,38 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     t_lo = 100.0 * params.tau
     t_hi = (n // 10 - 1) * dt
     deltas = np.geomspace(t_lo, t_hi, 24)
-    lags = [lag_count(t, dt, n) for t in deltas]
+    lags = np.array([lag_count(t, dt, n) for t in deltas])
+    if lags.min() == 0:
+        # SF(0) = 0 has no variance: the fit would weight it infinitely
+        raise InvalidParams([f"shortest lag 100 tau = {t_lo:g} is under dt/2 = {dt / 2:g}"])
     H, T = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
 
     def worker(k):
-        X = _steady_state(synthesis, H, seed, k, ws)
-        # per member: the weighted fit needs the ensemble variance of each lag
-        power = ws.spectrum(2)
-        np.copyto(power, coefficient_power(X, out=ws.spectrum(1)))
-        sf = mean_square_displacement(power, n, lags, out=ws.series(1))
-        p_var = mean_square(np.multiply(T, X, out=X), n)
-        return {"sf": sf, "sf_sq": sf ** 2, "p_var": p_var}
+        X = _steady_state(synthesis, H, member_seed(seed, k), ws)
+        power = coefficient_power(X, out=ws.spectrum(1)).copy()
+        return {"power": power, "p_var": mean_square(np.multiply(T, X, out=X), n)}
 
-    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("sf", "sf_sq"))
-    n_ens = grid.n_ensemble
-    sf_mean = acc.total("sf")
-    sf_var = acc.total("sf_sq") - sf_mean ** 2
-    weights = 1.0 / np.maximum(sf_var / n_ens, 1e-30)
+    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
+    sf = acc.map_groups("power", lambda pw: _structure_function(pw, 1.0, lags, ws), jobs)
+    # a member's variance at each lag, from the ensemble power alone
+    sf_var = mean_square_displacement_variance(acc.total("power"), n, lags)
     logd = np.log(deltas)
 
-    def wls(sf):
-        w = weights
-        sw = w.sum()
-        mx = (w * logd).sum() / sw
-        my = (w * sf).sum() / sw
-        slope = (w * (logd - mx) * (sf - my)).sum() / (w * (logd - mx) ** 2).sum()
-        intercept = my - slope * mx
-        return slope, intercept
+    def fit(sf):
+        # weighted least squares on ln(delta), weights 1/variance
+        return np.polyfit(logd, sf, 1, w=sf_var ** -0.5)
 
-    def euler(sf):
-        # intercept/slope = C + ln(1/tau) when the log law holds
-        slope, intercept = wls(sf)
-        return intercept / slope + math.log(params.tau)
-
-    slope, slope_se = acc.estimate(lambda sf: wls(sf)[0], "sf")
-    euler_est, euler_se = acc.estimate(euler, "sf")
+    slope, slope_se = sf.estimate(lambda s: fit(s)[0], "power")
+    # intercept/slope = C + ln(1/tau) when the log law holds
+    euler_est, euler_se = sf.estimate(
+        lambda s: fit(s)[1] / fit(s)[0] + math.log(params.tau), "power")
     p_var, _ = acc.mean("p_var")
 
-    emitter.series("free_zpf", "structure_function", "delta_t", deltas, sf_mean,
-                   np.sqrt(sf_var / n_ens))
+    emitter.series("free_zpf", "structure_function", "delta_t", deltas, sf.total("power"),
+                   np.sqrt(sf_var / grid.n_ensemble))
 
     pred = analytic.free_particle(params, 1.0, grid.omega_cut)
     rows = [
@@ -904,37 +900,29 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     pp, pm = params.mode_params(+1), params.mode_params(-1)
     t_dec = _x_decorrelation_time(pp)
     m, w0, K = params.m, params.omega0, params.K
-    root2 = math.sqrt(2.0)
-    n = grid.n_samples
+    dt, n = grid.dt, grid.n_samples
     # normal modes x_pm = (x1 +- x2)/sqrt(2), driven by eps_pm = (eps1 +- eps2)/sqrt(2):
     # an independent pair with the field's spectrum, so each is drawn directly,
     # on the band alone (the draws and gains are zero above it)
     synthesis = field_synthesis(model, params, grid)
-    band = synthesis.j_max + 1
-    Hp, Tp, Hm, Tm = (gain[:band] for q in (pp, pm) for gain in response_transfer(q, grid))
+    gains = [tuple(g[: synthesis.j_max + 1] for g in response_transfer(q, grid))
+             for q in (pp, pm)]
     ws = Workspace(n)
+    if emitter.wants("trajectories"):
+        xp, xm = (np.fft.irfft(_steady_state(synthesis, H, child, Workspace(n)), n)
+                  for (H, _), child in zip(gains, member_seed(seed, 0).spawn(2)))
+        p_sum = canonical_momentum(xp, pp, dt) + canonical_momentum(xm, pm, dt)
+        root2 = math.sqrt(2.0)
+        emitter.steady("dipoles", grid, (xp + xm) / root2, p_sum / root2,
+                       member_seed(seed, 0))
 
     def worker(k):
-        # buffers 0 and 1 hold the modes' X, then their P; buffer 2 each
-        # draw's normals (the Parseval sums need no buffer)
-        seed_p, seed_m = member_seed(seed, k).spawn(2)
-        Ep = synthesis.draw(seed_p, out=ws.spectrum(0)[:band], normals=ws.series(2))
-        Xp = np.multiply(Hp, Ep, out=Ep)
-        Em = synthesis.draw(seed_m, out=ws.spectrum(1)[:band], normals=ws.series(2))
-        Xm = np.multiply(Hm, Em, out=Em)
-        if k == 0 and emitter.wants("trajectories"):
-            xp, xm = np.fft.irfft(Xp, n), np.fft.irfft(Xm, n)
-            p_plus = canonical_momentum(xp, pp, grid.dt)
-            p_minus = canonical_momentum(xm, pm, grid.dt)
-            emitter.steady("dipoles", params, grid, (xp + xm) / root2,
-                           (p_plus + p_minus) / root2, member_seed(seed, k))
-        xp_var, xm_var = mean_square(Xp, n), mean_square(Xm, n)
-        xp_sub = decorrelated(Xp, n, grid.dt, t_dec)
-        xm_sub = decorrelated(Xm, n, grid.dt, t_dec)
-        # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p;
-        # each momentum overwrites its (spent) position
-        p_sq = mean_square(np.multiply(Tp, Xp, out=Xp), n)
-        p_sq += mean_square(np.multiply(Tm, Xm, out=Xm), n)
+        # each mode in turn, in buffers 0 and 1, from one child of the seed
+        (xp_var, (xp_sub,), pp_sq, _), (xm_var, (xm_sub,), pm_sq, _) = (
+            _mode(synthesis, H, T, child, ws, dt, (t_dec,))
+            for (H, T), child in zip(gains, member_seed(seed, k).spawn(2)))
+        # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p
+        p_sq = pp_sq + pm_sq
         return {
             "xp_var": xp_var, "xm_var": xm_var,
             "cross": 0.5 * (xp_var - xm_var),

@@ -21,11 +21,14 @@ from sedlab.estimators import (
     HILBERT_MARGIN,
     coefficient_power,
     commutator_from_spectrum,
+    decorrelated,
     hilbert_commutator,
     hilbert_zero_functional,
     ks_critical,
     lag_count,
     mean_square,
+    mean_square_displacement,
+    mean_square_displacement_variance,
     spectrum_from_power,
 )
 from sedlab.experiments import (
@@ -38,12 +41,13 @@ from sedlab.experiments import (
     _lag_window,
     _momentum_commutator,
     _mean_variance,
+    _x_decorrelation_time,
     _xp_correlations,
     run_ensemble,
     run_scenario,
     scenario_defaults,
 )
-from sedlab.noise import field_synthesis, member_seed
+from sedlab.noise import field_synthesis, member_seed, synthesize_field
 from sedlab.spectra import SpectrumModel
 
 FAST_GRID = GridSpec(dt=0.1, n_samples=1 << 16, omega_cut=16.0, n_ensemble=8, seed=420)
@@ -137,6 +141,44 @@ def test_emitted_artifacts(tmp_path):
     assert (tmp_path / "ground_state_x.bin").exists()
     assert (tmp_path / "ground_state_p.bin").exists()
     assert not list(tmp_path.glob("ground_state_v.*"))
+    cfg = validate(scenario_defaults("ground_state")[0], FAST_GRID)
+    field = synthesize_field(SpectrumModel.zpf(), cfg.params, cfg.grid,
+                             member_seed(FAST_GRID.seed, 0))
+    assert (tmp_path / "ground_state_field.bin").read_bytes() == field.samples.tobytes()
+
+
+def _response(synthesis, H, seed):
+    """X as a member forms it: the draw on H's bins, then times H in place."""
+    X = synthesis.draw(seed, out=np.empty(H.size, dtype=complex))
+    X *= H
+    return X
+
+
+@pytest.mark.parametrize("name", ["free_thermal", "dipoles"])
+def test_emitted_trajectory_is_member_zero_at_every_jobs(name, tmp_path):
+    grid = _default_grid(name, **SMALL_GRIDS[name])
+    for jobs in (1, 2):
+        run_scenario(name, grid=grid, jobs=jobs, out_dir=tmp_path / str(jobs),
+                     emit=("trajectories",))
+    names = sorted(f.name for f in (tmp_path / "1").iterdir())
+    assert names == sorted(f.name for f in (tmp_path / "2").iterdir())
+    for f in names:
+        assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes()
+    cfg = validate(scenario_defaults(name)[0], grid)
+    model = (SpectrumModel.rayleigh_jeans(cfg.params.kT) if name == "free_thermal"
+             else SpectrumModel.zpf())
+    synthesis = field_synthesis(model, cfg.params, cfg.grid)
+    n = grid.n_samples
+    if name == "dipoles":
+        band = synthesis.j_max + 1
+        xp, xm = (np.fft.irfft(_response(synthesis, response_transfer(
+            cfg.params.mode_params(sign), cfg.grid)[0][:band], child), n)
+            for sign, child in zip((+1, -1), member_seed(grid.seed, 0).spawn(2)))
+        x = (xp + xm) / math.sqrt(2.0)
+    else:
+        H, _ = response_transfer(cfg.params, cfg.grid)
+        x = np.fft.irfft(_response(synthesis, H, member_seed(grid.seed, 0)), n)
+    assert (tmp_path / "1" / f"{name}_x.bin").read_bytes() == x.tobytes()
 
 
 def test_scenario_defaults_are_validated():
@@ -248,18 +290,21 @@ def test_dipole_member_draws_each_mode_from_one_child_of_its_seed(monkeypatch):
     member = _member_worker(monkeypatch, "dipoles", grid)(3)
     cfg = validate(scenario_defaults("dipoles")[0], grid)
     synthesis = field_synthesis(SpectrumModel.zpf(), cfg.params, cfg.grid)
+    band, n = synthesis.j_max + 1, grid.n_samples
+    t_dec = _x_decorrelation_time(cfg.params.mode_params(+1))
     children = member_seed(grid.seed, 3).spawn(2)
-    for key, sign, child in (("xp_var", +1, children[0]), ("xm_var", -1, children[1])):
+    for mode, sign, child in (("xp", +1, children[0]), ("xm", -1, children[1])):
         H, _ = response_transfer(cfg.params.mode_params(sign), cfg.grid)
-        # np.multiply: ``H * draw(...)`` would be elided to draw *= H, whose
-        # complex products round differently from H * draw's
-        X = np.multiply(H, synthesis.draw(child))[: synthesis.j_max + 1]
-        assert member[key] == mean_square(X, grid.n_samples)
+        # X *= H and H * X round some complex products differently, which
+        # mean_square alone need not show: the subsample bytes do
+        X = _response(synthesis, H[:band], child)
+        assert member[f"{mode}_var"] == mean_square(X, n)
+        assert member[f"{mode}_sub"].tobytes() == decorrelated(X, n, grid.dt, t_dec).tobytes()
 
 
 @pytest.mark.parametrize("name, changes", [
     *(pytest.param(name, WORKSPACE_GRIDS[name], id=name)
-      for name in ("commutators", "dipoles", "energy_time", "ground_state",
+      for name in ("commutators", "dipoles", "energy_time", "free_zpf", "ground_state",
                    "planck_thermal")),
     # dt = 1: the T = 1 window is one sample, whose mean and variance come
     # from the in-place pass that gives inst_sd
@@ -290,6 +335,8 @@ def test_warmed_member_allocates_less_than_one_series(name, changes, monkeypatch
     pytest.param("planck_thermal", 0, 0, 2, id="planck_thermal-0-0"),
     # folds of x+ and x-
     pytest.param("dipoles", 0, 0, 2, id="dipoles-0-0"),
+    # a structure function per group, and the model variance of its lags
+    pytest.param("free_zpf", 0, N_GROUPS + 1, 0, id="free_zpf-0-9"),
 ])
 def test_series_transforms_per_operation(name, per_member, per_operation, folds,
                                          monkeypatch):
@@ -317,6 +364,33 @@ def _steady_power(name, n_samples):
     synthesis = field_synthesis(SpectrumModel.zpf(), cfg.params, cfg.grid)
     X = np.multiply(H, synthesis.draw(member_seed(cfg.grid.seed, 0)))
     return cfg, coefficient_power(X), T
+
+
+def test_structure_function_model_variance_matches_the_spread_over_members():
+    # free_zpf's fit weights: each |X_j|^2 is exponential, so the variance of
+    # a member's structure function follows from the mean power alone
+    params, grid = scenario_defaults("free_zpf")
+    cfg = validate(params, replace(grid, n_samples=1 << 16))
+    n, dt, members = cfg.grid.n_samples, cfg.grid.dt, 400
+    deltas = np.geomspace(100.0 * params.tau, (n // 10 - 1) * dt, 24)
+    lags = np.array([lag_count(t, dt, n) for t in deltas])
+    H, _ = response_transfer(cfg.params, cfg.grid)
+    synthesis = field_synthesis(SpectrumModel.zpf(), cfg.params, cfg.grid)
+    sf = np.array([
+        mean_square_displacement(coefficient_power(
+            _response(synthesis, H, member_seed(cfg.grid.seed, k))), n, lags)
+        for k in range(members)])
+    # E|X_j|^2 = 2 |H_j|^2 amplitude_j^2 on the band
+    power = np.zeros(n // 2 + 1)
+    band = slice(1, synthesis.j_max + 1)
+    power[band] = 2.0 * np.abs(H[band]) ** 2 * synthesis.amplitude ** 2
+    model = mean_square_displacement_variance(power, n, lags)
+    spread = sf.var(axis=0, ddof=1)
+    # the spread's own standard error, from the fourth central moment
+    dev4 = np.mean((sf - sf.mean(axis=0)) ** 4, axis=0)
+    assert np.all(np.abs(spread - model) <= 4.0 * np.sqrt((dev4 - spread ** 2) / members))
+    # the model is not vacuous: the spread varies over more than a decade
+    assert spread.max() > 10.0 * spread.min()
 
 
 @pytest.mark.parametrize("n_samples", [1 << 16, (1 << 16) + 1])
@@ -500,6 +574,18 @@ def test_free_thermal_lag_beyond_the_periodicity_guard_is_refused(monkeypatch):
                                                 n_samples=1 << 16))
     with pytest.raises(LagTooLong):
         run_scenario("free_thermal", grid=grid)
+
+
+def test_free_zpf_lag_under_half_a_sample_is_refused(monkeypatch):
+    def no_members(*args, **kwargs):
+        raise AssertionError("a member ran before the lags were checked")
+
+    monkeypatch.setattr(experiments, "ensemble_reduce", no_members)
+    # 100 tau = 1 is a third of dt: the shortest lag would be 0 samples
+    grid = _default_grid("free_zpf", dt=3.0, n_samples=1 << 14, omega_cut=1.0)
+    with pytest.raises(InvalidParams) as exc:
+        run_scenario("free_zpf", grid=grid)
+    assert exc.value.violations == ["shortest lag 100 tau = 1 is under dt/2 = 1.5"]
 
 
 def test_group_stderr_uses_actual_group_sizes():
