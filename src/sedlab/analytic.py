@@ -174,7 +174,6 @@ class FreeParticlePrediction:
     zpf_log_slope: float
     zpf_dx2: float
     zpf_dv2: float
-    zpf_dv2_nonphysical: bool | None
     electron_size: float
 
 
@@ -190,8 +189,8 @@ def free_particle(
     driving: logarithmic position dispersion
     (2 hbar tau / pi m)(C + ln(dt/tau)) for dt >> tau, whose slope in
     ln(dt) is ``zpf_log_slope``, and a
-    cutoff-dependent velocity dispersion (2 hbar / pi m tau) ln(omega_c tau)
-    flagged nonphysical when it exceeds c^2 (a known breakdown of the
+    cutoff-dependent velocity dispersion (2 hbar / pi m tau) ln(omega_c tau),
+    which is nonphysical where it exceeds c^2 (a known breakdown of the
     nonrelativistic treatment).  The electron-size output
     sqrt(4 C hbar tau / 3 pi m) is an order-of-magnitude quantity only.
     """
@@ -205,7 +204,6 @@ def free_particle(
     log_slope = 2.0 * hb * tau / (math.pi * m)
     zpf_dx2 = log_slope * (EULER_GAMMA + math.log(delta_t / tau))
     zpf_dv2 = (2.0 * hb / (math.pi * m * tau)) * math.log(max(omega_c * tau, 1.0 + 1e-15))
-    nonphys = None if params.c is None else bool(zpf_dv2 > params.c ** 2)
     size = math.sqrt(4.0 * EULER_GAMMA * hb * tau / (3.0 * math.pi * m))
     return FreeParticlePrediction(
         thermal_dx2=thermal_dx2,
@@ -213,7 +211,6 @@ def free_particle(
         zpf_log_slope=log_slope,
         zpf_dx2=zpf_dx2,
         zpf_dv2=zpf_dv2,
-        zpf_dv2_nonphysical=nonphys,
         electron_size=size,
     )
 

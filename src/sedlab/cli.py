@@ -20,15 +20,14 @@ import sys
 from pathlib import Path
 
 from . import analytic
-from .core import GridSpec, SystemParams
+from .core import GridSpec, SystemParams, validate
 from .errors import SedlabError
 from .experiments import SCENARIO_NAMES, run_scenario, scenario_defaults
+from .report import EMIT_KINDS
 
 _PARAM_KEYS = {f.name for f in dataclasses.fields(SystemParams)}
 _GRID_KEYS = {f.name for f in dataclasses.fields(GridSpec)}
 _META_KEYS = {"scenario", "seed", "out", "emit", "jobs"}
-
-_EMIT_CHOICES = ("report", "trajectories", "spectra")
 
 
 class ConfigError(Exception):
@@ -81,8 +80,8 @@ def _resolve(scenario: str, file_cfg: dict, args) -> tuple[SystemParams, GridSpe
     if not isinstance(emit, list):
         raise ConfigError(f"emit must be a list of flags, got {emit!r}")
     for flag in emit:
-        if flag not in _EMIT_CHOICES:
-            raise ConfigError(f"unknown emit flag {flag!r}; valid: {_EMIT_CHOICES}")
+        if flag not in EMIT_KINDS:
+            raise ConfigError(f"unknown emit flag {flag!r}; valid: {EMIT_KINDS}")
     out = args.out or file_cfg.get("out") or "sedlab_out"
     if not isinstance(out, str):
         raise ConfigError(f"out must be a directory name, got {out!r}")
@@ -103,17 +102,10 @@ def _cmd_run(args) -> int:
         raise ConfigError("no scenario given (use --scenario or a config file)")
     params, grid, meta = _resolve(scenario, file_cfg, args)
 
-    out_dir = Path(meta["out"])
-    report = run_scenario(
-        scenario, params=params, grid=grid, jobs=meta["jobs"],
-        out_dir=out_dir, emit=meta["emit"],
-    )
-
+    report = run_scenario(scenario, params=params, grid=grid, jobs=meta["jobs"],
+                          out_dir=meta["out"], emit=meta["emit"])
     if "report" in meta["emit"]:
-        text = report.to_json()  # a non-finite value raises before any write
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{scenario}_report.json").write_text(text)
-        report.write_csv(out_dir / f"{scenario}_report.csv")
+        report.write(meta["out"])
 
     for line in report.summary_lines():
         print(line)
@@ -134,10 +126,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
-    params = SystemParams(
-        tau=args.tau, omega0=args.omega0, kT=args.kT, K=args.K,
-    )
     q = args.quantity
+    params = validate(SystemParams(tau=args.tau, omega0=args.omega0, kT=args.kT, K=args.K),
+                      oscillator=q != "free_particle").params
     if q == "ground_state":
         gs = analytic.ground_state(params)
         print(f"x_var={gs.x_var:g} p_var={gs.p_var:g} mean_energy={gs.mean_energy:g}")
@@ -162,7 +153,7 @@ def _cmd_analytic(args) -> int:
         fp = analytic.free_particle(params, args.t, args.omega_c)
         print(f"thermal_dx2={fp.thermal_dx2:g} thermal_v_var={fp.thermal_v_var:g} "
               f"zpf_dx2={fp.zpf_dx2:g} zpf_dv2={fp.zpf_dv2:g} "
-              f"nonphysical={fp.zpf_dv2_nonphysical} electron_size={fp.electron_size:g}")
+              f"electron_size={fp.electron_size:g}")
     else:
         raise ConfigError(f"unknown quantity {q!r}")
     return 0

@@ -1,9 +1,9 @@
 """Physical parameters, internal unit system, and grid configuration.
 
 Internal units are hbar = m = omega0 = 1 by default.  All driving enters
-through the reduced field eps(t) = e*E(t)/m, so the charge e and the light
-speed c never appear in the simulation hot path; the radiation-damping time
-tau is the single small parameter.
+through the reduced field eps(t) = e*E(t)/m, and the charge e and the light
+speed c enter only through the radiation-damping time tau = 2e^2/(3mc^3),
+the single small parameter; so tau is set, and e and c are not.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class SystemParams:
     K : float
         Dipole coupling (units of m*omega0^2); 0 unless the two-dipole
         scenario is run.
-    e, c : float or None
-        Charge and light speed, used only for order-of-magnitude checks.
-        When both are given they must satisfy tau = 2 e^2 / (3 m c^3);
-        when only e is given, c is derived from that relation.
     """
 
     hbar: float = 1.0
@@ -55,8 +51,6 @@ class SystemParams:
     tau: float = 0.01
     kT: float = 0.0
     K: float = 0.0
-    e: float | None = None
-    c: float | None = None
 
     @property
     def damping_rate(self) -> float:
@@ -102,7 +96,7 @@ class Config:
     """Validated (params, grid) pair with defaults resolved; immutable."""
 
     params: SystemParams
-    grid: GridSpec
+    grid: GridSpec | None
 
 
 def _type_violations(obj) -> dict:
@@ -131,20 +125,24 @@ def _type_violations(obj) -> dict:
     return bad
 
 
-def validate(params: SystemParams, grid: GridSpec, oscillator: bool = False) -> Config:
+def validate(params: SystemParams, grid: GridSpec | None = None,
+             oscillator: bool = False) -> Config:
     """Check every invariant and return the validated configuration.
 
     ``oscillator`` marks a configuration that drives a bound oscillator,
     whose omega0 must then be > 0 (omega0 = 0 is the free particle).
-    A field of the wrong type is reported as such, and the range checks
-    that read it are skipped.
+    Without a ``grid`` only the parameters are checked.  A field of the
+    wrong type is reported as such, and the range checks that read it are
+    skipped.
 
     Raises
     ------
     InvalidParams
         Listing *every* violated invariant, not just the first.
     """
-    bad = {**_type_violations(params), **_type_violations(grid)}
+    bad = _type_violations(params)
+    if grid is not None:
+        bad.update(_type_violations(grid))
     violations = list(bad.values())
 
     def typed(*names) -> bool:
@@ -183,55 +181,41 @@ def validate(params: SystemParams, grid: GridSpec, oscillator: bool = False) -> 
             f"{params.m * params.omega0 ** 2:g} (real normal modes)"
         )
 
-    if (typed("e", "c", "m", "tau") and params.e is not None
-            and params.c is not None and params.c > 0):
-        tau_ec = 2.0 * params.e ** 2 / (3.0 * params.m * params.c ** 3)
-        if abs(tau_ec - params.tau) > 1e-12 * params.tau:
-            violations.append(
-                f"tau = {params.tau!r} inconsistent with 2e^2/(3mc^3) = {tau_ec!r}"
-            )
-
-    # the derived defaults: omega_cut and, from e, c (they divide by m and tau)
-    if typed("e", "m", "tau") and params.m > 0 and params.tau > 0:
-        if grid.omega_cut is None:
+    if grid is not None:  # its omega_cut defaults to 5/tau
+        if typed("tau") and params.tau > 0 and grid.omega_cut is None:
             grid = replace(grid, omega_cut=5.0 / params.tau)
-        if params.e is not None and params.c is None:
-            c = (2.0 * params.e ** 2 / (3.0 * params.m * params.tau)) ** (1.0 / 3.0)
-            params = replace(params, c=c)
-
-    if typed("dt") and not grid.dt > 0:
-        violations.append(f"dt must be > 0, got {grid.dt}")
-    if typed("n_samples") and grid.n_samples < 2:
-        violations.append(f"n_samples must be >= 2, got {grid.n_samples}")
-    if typed("n_ensemble") and grid.n_ensemble < 2:
-        # one member has no spread to take a standard error from
-        violations.append(f"n_ensemble must be >= 2, got {grid.n_ensemble}")
-    if typed("seed") and grid.seed < 0:
-        violations.append(f"seed must be >= 0, got {grid.seed}")
-    finite_duration = False
-    if typed("dt", "n_samples") and grid.dt > 0:
-        finite_duration = math.isfinite(grid.duration)
-        if not finite_duration:
-            violations.append(f"duration dt*n_samples = {grid.duration:g} must be finite")
-
-    if (finite_duration and typed("omega_cut", "omega0")
-            and grid.omega_cut is not None):
-        prod = grid.dt * grid.omega_cut
-        if prod > math.pi * (1.0 + 1e-12):
-            violations.append(
-                f"Nyquist violated: dt*omega_cut = {prod:g} > pi"
-            )
-        if params.omega0 > 0:
-            need = 100.0 * 2.0 * math.pi / params.omega0
-            if grid.duration < need:
+        if typed("dt") and not grid.dt > 0:
+            violations.append(f"dt must be > 0, got {grid.dt}")
+        if typed("n_samples") and grid.n_samples < 2:
+            violations.append(f"n_samples must be >= 2, got {grid.n_samples}")
+        if typed("n_ensemble") and grid.n_ensemble < 2:
+            # one member has no spread to take a standard error from
+            violations.append(f"n_ensemble must be >= 2, got {grid.n_ensemble}")
+        if typed("seed") and grid.seed < 0:
+            violations.append(f"seed must be >= 0, got {grid.seed}")
+        finite_duration = False
+        if typed("dt", "n_samples") and grid.dt > 0:
+            finite_duration = math.isfinite(grid.duration)
+            if not finite_duration:
                 violations.append(
-                    f"duration {grid.duration:g} < 100 periods = {need:g} "
-                    "(long-run stationarity)"
+                    f"duration dt*n_samples = {grid.duration:g} must be finite")
+
+        if (finite_duration and typed("omega_cut", "omega0")
+                and grid.omega_cut is not None):
+            prod = grid.dt * grid.omega_cut
+            if prod > math.pi * (1.0 + 1e-12):
+                violations.append(f"Nyquist violated: dt*omega_cut = {prod:g} > pi")
+            if params.omega0 > 0:
+                need = 100.0 * 2.0 * math.pi / params.omega0
+                if grid.duration < need:
+                    violations.append(
+                        f"duration {grid.duration:g} < 100 periods = {need:g} "
+                        "(long-run stationarity)"
+                    )
+            if grid.omega_cut <= params.omega0:
+                violations.append(
+                    f"omega_cut = {grid.omega_cut:g} must exceed omega0 = {params.omega0:g}"
                 )
-        if grid.omega_cut <= params.omega0:
-            violations.append(
-                f"omega_cut = {grid.omega_cut:g} must exceed omega0 = {params.omega0:g}"
-            )
 
     if violations:
         raise InvalidParams(violations)

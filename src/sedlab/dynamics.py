@@ -301,7 +301,7 @@ def sample_from_spectrum(
     """Sample a position process directly from its one-sided spectrum.
 
     The oracle of the free-particle response: from the same seed it draws
-    the normals ``field_coefficients`` draws, so its |rfft(x)|^2 is
+    the normals ``Synthesis.draw`` draws, so its |rfft(x)|^2 is
     |H_j E_j|^2 of ``response_transfer``.  The canonical momentum of the
     free particle has a nil spectrum, so p is identically zero; v is
     omitted.

@@ -21,7 +21,6 @@ primary (lower-noise) route.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -433,12 +432,3 @@ def decorrelated(coeffs: np.ndarray, n: int, dt: float, t_decorr: float) -> np.n
     picks = (s // g) * np.arange((n - 1) // s + 1) % bins
     return (bins / n) * np.fft.irfft(half, bins)[picks]
 
-
-def write_series_csv(path, first_name: str, first, values, stderr=None):
-    """Export a series as CSV ``lag_or_omega,value,stderr``."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow([first_name, "value", "stderr"])
-        se = stderr if stderr is not None else np.zeros(len(first))
-        for row in zip(first, values, se):
-            wr.writerow([repr(float(row[0])), repr(float(row[1])), repr(float(row[2]))])

@@ -1,4 +1,5 @@
-"""Named end-to-end scenarios producing reproducible pass/fail reports.
+"""The ensemble engine and the named end-to-end scenarios, each giving a
+reproducible pass/fail ``report.ExperimentReport``.
 
 Every scenario draws its ensemble from sub-seeds that are pure functions
 of (master seed, member index), reduces member results in index order, and
@@ -22,15 +23,18 @@ X by Parseval (``estimators.mean_square``: one pass over the coefficients,
 no power array), and KS subsamples from folds of it
 (``estimators.decorrelated``: one transform of at most n/32 points on a
 power-of-two lattice), in one routine per mode (``_mode``), so
-ground_state, planck_thermal and dipoles form no n-point series (``--emit
-trajectories`` rebuilds member 0 apart from the members).  The time series
-themselves are formed only where a statistic needs them (windowed
-energies, the stationary part of coherent_decay, whose kicked start adds
-the homogeneous decay by linearity), one transform each.  A momentum
-series or correlation takes no transform of its own: the momentum gain T
-is a trapezoid recursion (``dynamics.apply_momentum_gain``), so p comes
-from x, C_pp from C_xp and c_pp from c_xx, each by one cumulative sum;
-where there is no series, P is T X.
+ground_state, planck_thermal and dipoles form no n-point series.  The
+time series themselves are formed only where a statistic needs them
+(windowed energies, the stationary part of coherent_decay, whose kicked
+start adds the homogeneous decay by linearity), one transform each.  A
+momentum series or correlation takes no transform of its own: the
+momentum gain T is a trapezoid recursion (``dynamics.apply_momentum_gain``),
+so p comes from x, C_pp from C_xp and c_pp from c_xx, each by one
+cumulative sum; where there is no series, P is T X.
+
+``--emit trajectories`` rebuilds member 0 from its seed apart from the
+members (``_emit_member_zero``); coherent_decay, whose members are not
+one steady state, writes none.  ``report`` writes every file.
 
 Members reuse memory.  Each scenario call sets its field synthesis up once
 (``noise.field_synthesis``) and makes a ``Workspace``: complex buffers of
@@ -40,22 +44,16 @@ intermediates into (``out=``).  The rule: a value the reducer keeps (a
 scalar, a KS subsample, a summed power or structure function) is a fresh
 array, since a pool thread starts its next member before the reducer has
 read the last; everything else lives in the workspace.
-
-Row pass policy: a match row passes when
-|estimated - analytic| <= max(tolerance * |analytic|, 3 * stderr); bound
-rows are one-sided with the same 3-sigma statistical allowance.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import asdict
 
 import numpy as np
 
@@ -68,7 +66,7 @@ from .dynamics import (
     momentum_step,
     response_transfer,
 )
-from .errors import InvalidParams, NonFiniteReport, UnknownScenario
+from .errors import InvalidParams, UnknownScenario
 from .estimators import (
     HILBERT_MARGIN,
     coefficient_power,
@@ -86,161 +84,12 @@ from .estimators import (
     spectrum_from_power,
     window_samples,
     windowed_energy,
-    write_series_csv,
 )
-from .noise import dump_realization, field_synthesis, member_seed
+from .noise import field_synthesis, member_seed
+from .report import Emitter, ExperimentReport, Row
 from .spectra import SpectrumModel
 
 N_GROUPS = 8  # ensemble split for group-based standard errors
-
-
-# ---------------------------------------------------------------------------
-# report structure
-
-@dataclass
-class Row:
-    quantity: str
-    estimated: float
-    stderr: float
-    analytic: float
-    tolerance: float
-    kind: str = "match"  # match | lower_bound | upper_bound | info
-    note: str = ""
-
-    @property
-    def rel_error(self) -> float | None:
-        if self.analytic == 0.0:
-            return None
-        return (self.estimated - self.analytic) / abs(self.analytic)
-
-    @property
-    def passed(self) -> bool | None:
-        if self.kind == "info":
-            return None
-        slack = 3.0 * self.stderr
-        if self.kind == "match":
-            return abs(self.estimated - self.analytic) <= max(
-                self.tolerance * abs(self.analytic), slack
-            )
-        if self.kind == "lower_bound":
-            return self.estimated >= self.analytic - slack
-        if self.kind == "upper_bound":
-            return self.estimated <= self.analytic + slack
-        raise ValueError(f"unknown row kind {self.kind}")
-
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "estimated": self.estimated,
-            "stderr": self.stderr,
-            "analytic": self.analytic,
-            "rel_error": self.rel_error,
-            "tolerance": self.tolerance,
-            "kind": self.kind,
-            "pass": self.passed,
-            "note": self.note,
-        }
-
-
-@dataclass
-class ExperimentReport:
-    scenario: str
-    config: dict
-    rows: list
-    runtime: float
-    seed: int
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows if r.passed is not None)
-
-    def to_dict(self, include_runtime: bool = True) -> dict:
-        d = {
-            "scenario": self.scenario,
-            "config": self.config,
-            "seed": self.seed,
-            "rows": [r.to_dict() for r in self.rows],
-        }
-        if include_runtime:
-            d["runtime"] = self.runtime
-        return d
-
-    def to_json(self) -> str:
-        """Canonical JSON: stable key order and no runtime, so that
-        identical (name, params, grid, seed) give byte-identical reports.
-
-        Raises NonFiniteReport, naming every offending row, instead of
-        writing a NaN or infinity (which is not JSON).
-        """
-        d = self.to_dict(include_runtime=False)
-        bad = [row["quantity"] for row in d["rows"]
-               if any(isinstance(v, float) and not math.isfinite(v)
-                      for v in row.values())]
-        if bad:
-            raise NonFiniteReport(
-                f"scenario {self.scenario}: non-finite values in rows "
-                + ", ".join(bad))
-        try:
-            return json.dumps(d, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        except ValueError as exc:
-            raise NonFiniteReport(f"scenario {self.scenario}: {exc}") from exc
-
-    def write_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["quantity", "estimated", "stderr", "analytic",
-                         "rel_error", "tolerance", "kind", "pass", "note"])
-            wr.writerows(r.to_dict().values() for r in self.rows)  # in that order
-
-    def summary_lines(self):
-        out = [f"scenario {self.scenario} (seed {self.seed})"]
-        for r in self.rows:
-            status = {True: "PASS", False: "FAIL", None: "INFO"}[r.passed]
-            rel = "" if r.rel_error is None else f" rel={r.rel_error:+.3%}"
-            out.append(
-                f"  [{status}] {r.quantity}: est={r.estimated:.6g} "
-                f"ana={r.analytic:.6g}{rel} (tol={r.tolerance:g}, stderr={r.stderr:.2g})"
-            )
-        return out
-
-
-# ---------------------------------------------------------------------------
-# emission of artifacts (binary dumps, plot-ready CSV)
-
-class Emitter:
-    """Writes optional artifacts under an output directory."""
-
-    def __init__(self, out_dir=None, emit=()):
-        self.out_dir = Path(out_dir) if out_dir else None
-        self.emit = set(emit)
-
-    def wants(self, kind: str) -> bool:
-        return self.out_dir is not None and kind in self.emit
-
-    def _path(self, name: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self.out_dir / name
-
-    def steady(self, scenario: str, grid: GridSpec, x, p, seed, field=None):
-        """Member artifacts of a steady-state scenario: x, p and, given
-        ``field`` = (series, model label), the field drawn from ``seed``.
-        Callers form them only if ``wants("trajectories")``."""
-        if field is not None:
-            dump_realization(self._path(f"{scenario}_field"), field[0], grid.dt, seed,
-                             field[1])
-        for name, arr in (("x", x), ("p", p)):
-            dump_realization(self._path(f"{scenario}_{name}"), arr, grid.dt, seed,
-                             f"trajectory:{name}")
-
-    def series(self, scenario: str, quantity: str, first_name, first, values,
-               stderr=None):
-        if self.wants("spectra"):
-            write_series_csv(
-                self._path(f"{scenario}_{quantity}.csv"),
-                first_name, first, values, stderr,
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +269,28 @@ def _mode(synthesis, H, T, seed, ws: Workspace, dt: float, x_dec=(), p_dec=()):
     return x_sq, x_subs, mean_square(P, n), [decorrelated(P, n, dt, t) for t in p_dec]
 
 
+def _emit_member_zero(emitter: Emitter, scenario: str, grid: GridSpec, synthesis, modes,
+                      seed: int, label=None):
+    """``--emit trajectories``: member 0's x and p (and, given the model
+    ``label``, its field), rebuilt from its seed apart from the members.
+    ``modes`` are (H, params) pairs; the dipoles' two are drawn as in their
+    member, from the children of the seed, and x = (x+ + x-)/sqrt(2)."""
+    if not emitter.wants("trajectories"):
+        return
+    n, dt, seed0 = grid.n_samples, grid.dt, member_seed(seed, 0)
+    # children of a second sequence: spawning would change seed0's repr
+    seeds = [seed0] if len(modes) == 1 else member_seed(seed, 0).spawn(2)
+    xs = [np.fft.irfft(_steady_state(synthesis, H, s, Workspace(n)), n)
+          for (H, _), s in zip(modes, seeds)]
+    ps = [canonical_momentum(x, q, dt) for x, (_, q) in zip(xs, modes)]
+    if label is not None:
+        emitter.dump(f"{scenario}_field", np.fft.irfft(synthesis.draw(seed0), n), dt,
+                     seed0, label)
+    for name, parts in (("x", xs), ("p", ps)):
+        emitter.dump(f"{scenario}_{name}", np.sum(parts, axis=0) / math.sqrt(len(parts)),
+                     dt, seed0, f"trajectory:{name}")
+
+
 def _structure_function(pw, gain, lags, ws: Workspace) -> np.ndarray:
     """``mean_square_displacement`` at ``lags`` of ``gain`` times one
     (group's) power ``pw``, formed in workspace buffer 0 (complex, so the
@@ -518,11 +389,8 @@ def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: i
     synthesis = field_synthesis(model, params, grid)
     H, T = (gain[: synthesis.j_max + 1] for gain in response_transfer(params, grid))
     ws = Workspace(n)
-    if emitter.wants("trajectories"):
-        seed0 = member_seed(seed, 0)
-        x = np.fft.irfft(_steady_state(synthesis, H, seed0, Workspace(n)), n)
-        emitter.steady(scenario, grid, x, canonical_momentum(x, params, dt), seed0,
-                       field=(np.fft.irfft(synthesis.draw(seed0), n), model.label()))
+    _emit_member_zero(emitter, scenario, grid, synthesis, [(H, params)], seed,
+                      model.label())
 
     def worker(k):
         x_var, (x_u, *x_sub), p_var, (p_u,) = _mode(
@@ -579,6 +447,7 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     H, T = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
+    _emit_member_zero(emitter, "commutators", grid, synthesis, [(H, params)], seed)
     one_plus_t = 1.0 + T
     # c_xp(0) by the Hilbert route is linear in each group's power; its
     # weights depend on the grid alone, so they are formed before the members
@@ -640,6 +509,7 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     H, T = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
+    _emit_member_zero(emitter, "energy_time", grid, synthesis, [(H, params)], seed)
 
     def worker(k):
         X = _steady_state(synthesis, H, member_seed(seed, k), ws)
@@ -797,10 +667,7 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     i_omega, omega_sq = 1j * omega, omega ** 2
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
-    if emitter.wants("trajectories"):
-        x = np.fft.irfft(_steady_state(synthesis, H, member_seed(seed, 0), Workspace(n)), n)
-        emitter.steady("free_thermal", grid, x, canonical_momentum(x, params, dt),
-                       member_seed(seed, 0))
+    _emit_member_zero(emitter, "free_thermal", grid, synthesis, [(H, params)], seed)
 
     def worker(k):
         X = _steady_state(synthesis, H, member_seed(seed, k), ws)
@@ -852,6 +719,7 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     H, T = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
+    _emit_member_zero(emitter, "free_zpf", grid, synthesis, [(H, params)], seed)
 
     def worker(k):
         X = _steady_state(synthesis, H, member_seed(seed, k), ws)
@@ -908,13 +776,8 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     gains = [tuple(g[: synthesis.j_max + 1] for g in response_transfer(q, grid))
              for q in (pp, pm)]
     ws = Workspace(n)
-    if emitter.wants("trajectories"):
-        xp, xm = (np.fft.irfft(_steady_state(synthesis, H, child, Workspace(n)), n)
-                  for (H, _), child in zip(gains, member_seed(seed, 0).spawn(2)))
-        p_sum = canonical_momentum(xp, pp, dt) + canonical_momentum(xm, pm, dt)
-        root2 = math.sqrt(2.0)
-        emitter.steady("dipoles", grid, (xp + xm) / root2, p_sum / root2,
-                       member_seed(seed, 0))
+    _emit_member_zero(emitter, "dipoles", grid, synthesis,
+                      [(H, q) for (H, _), q in zip(gains, (pp, pm))], seed)
 
     def worker(k):
         # each mode in turn, in buffers 0 and 1, from one child of the seed

@@ -15,7 +15,7 @@ The j = 0 mode is always excluded, which is what makes infrared-divergent
 free-particle spectra (S_x ~ 1/omega) usable: structure functions remain
 finite on the lattice while the raw variance never sees the missing band.
 
-The draw is kept as its half-spectrum coefficients (``field_coefficients``),
+The draw is kept as its half-spectrum coefficients (``Synthesis.draw``),
 the numpy ``rfft`` of the series: every scenario drives its periodic
 steady-state response with them directly, and
 ``synthesize_series``/``synthesize_field`` are their ``irfft``, bit for
@@ -25,12 +25,12 @@ Everything but the normals is fixed by (spectrum, grid), so a scenario
 sets its synthesis up once (``field_synthesis``: the band j_max, the
 resonance check and the amplitudes 0.5 n sqrt(S(omega_j) domega)) and each
 member's ``Synthesis.draw`` only draws the normals and scales them, into
-arrays the caller may reuse from member to member.  ``field_coefficients``
-is that setup and one draw.  The dipoles need no second routine: their
-normal modes are driven by eps_pm = (eps1 +- eps2)/sqrt(2), which in each
-bin rotates the standard normals of the independent eps1, eps2 by 45
-degrees and so is itself an independent pair with the same law; each mode
-is one ``draw``, from its own sub-seed of the member.
+arrays the caller may reuse from member to member.  The dipoles need no
+second routine: their normal modes are driven by
+eps_pm = (eps1 +- eps2)/sqrt(2), which in each bin rotates the standard
+normals of the independent eps1, eps2 by 45 degrees and so is itself an
+independent pair with the same law; each mode is one ``draw``, from its
+own sub-seed of the member.
 
 Seed splitting: the sub-seed of ensemble member k is a pure function of
 (master seed, k) via numpy's SeedSequence spawn keys, so members can be
@@ -39,10 +39,8 @@ generated in any order, on any number of workers, with identical results.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -169,20 +167,6 @@ def field_synthesis(model: SpectrumModel, params: SystemParams, grid: GridSpec) 
                       grid.dt, grid.n_samples, grid.omega_cut)
 
 
-def field_coefficients(
-    model: SpectrumModel,
-    params: SystemParams,
-    grid: GridSpec,
-    seed,
-) -> np.ndarray:
-    """Half-spectrum coefficients E_j (j = 0..n/2) of one field realization.
-
-    ``np.fft.irfft(E, n)`` is the realization ``synthesize_field`` returns
-    for the same seed, bit for bit; E_0 and E_{n/2} are zero.
-    """
-    return field_synthesis(model, params, grid).draw(seed)
-
-
 def synthesize_field(
     model: SpectrumModel,
     params: SystemParams,
@@ -194,7 +178,7 @@ def synthesize_field(
     ``seed`` may be an int or a SeedSequence; identical seeds give
     bit-identical samples regardless of scheduling.
     """
-    samples = np.fft.irfft(field_coefficients(model, params, grid, seed),
+    samples = np.fft.irfft(field_synthesis(model, params, grid).draw(seed),
                            grid.n_samples)
     return FieldRealization(
         dt=grid.dt, samples=samples, model=model, seed=seed, omega_cut=grid.omega_cut
@@ -211,11 +195,6 @@ class FieldPair:
     eps_minus: FieldRealization
 
 
-def _pair_seeds(seed):
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return ss.spawn(2)
-
-
 def synthesize_pair(
     model: SpectrumModel,
     params: SystemParams,
@@ -227,7 +206,8 @@ def synthesize_pair(
     The pm combinations are statistically independent of each other and
     carry the same target spectrum as each input.
     """
-    sub1, sub2 = _pair_seeds(seed)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    sub1, sub2 = ss.spawn(2)
     f1 = synthesize_field(model, params, grid, sub1)
     f2 = synthesize_field(model, params, grid, sub2)
     root2 = math.sqrt(2.0)
@@ -245,16 +225,3 @@ def synthesize_pair(
         eps_minus=combo((f1.samples - f2.samples) / root2, "minus"),
     )
 
-
-def dump_realization(path, samples: np.ndarray, dt: float, seed, model_label: str):
-    """Write samples as little-endian float64 with a JSON sidecar."""
-    path = Path(path)
-    path.with_suffix(".bin").write_bytes(np.asarray(samples, dtype="<f8").tobytes())
-    meta = {
-        "dt": dt,
-        "n": int(np.asarray(samples).size),
-        "seed": repr(seed),
-        "model": model_label,
-        "dtype": "<f8",
-    }
-    path.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=2))

@@ -169,15 +169,6 @@ def test_free_particle_zpf_log_identity():
     assert pred.zpf_log_slope == pytest.approx(2.0 * PARAMS.tau / math.pi, rel=1e-15)
 
 
-def test_free_particle_velocity_dispersion_flagged_nonphysical():
-    params = SystemParams(tau=0.01, c=1.0, e=math.sqrt(3.0 * 0.01 / 2.0))
-    pred = free_particle(params, delta_t=1.0, omega_c=1e4)
-    assert pred.zpf_dv2 > params.c ** 2
-    assert pred.zpf_dv2_nonphysical is True
-    unknown = free_particle(PARAMS, delta_t=1.0, omega_c=1e4)
-    assert unknown.zpf_dv2_nonphysical is None
-
-
 def test_heisenberg_product():
     assert heisenberg_product(PARAMS) == pytest.approx(0.25)
     # invariant under omega0 rescaling

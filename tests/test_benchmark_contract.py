@@ -8,19 +8,26 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 import sedlab.acceptance  # noqa: F401  (binds the acceptance layer)
 from sedlab import experiments
 from sedlab.core import GridSpec
 
-LAYER_TRACE = Path(__file__).resolve().parents[1] / "benchmark" / "layer_trace.py"
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
-def _layer_trace():
-    spec = importlib.util.spec_from_file_location("sedlab_layer_trace", LAYER_TRACE)
+def _load(name: str):
+    """The benchmark's module ``name``.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"sedlab_{name}", BENCHMARK / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses resolve through it
     spec.loader.exec_module(module)
     return module
+
+
+def _layer_trace():
+    return _load("layer_trace")
 
 
 def test_tracer_resolves_every_layer_function():
@@ -50,3 +57,14 @@ def test_ks_subsamples_are_estimators_spans_with_their_fold():
     assert len(folds) == 3 * grid.n_ensemble
     assert all(sp.fft_calls == 1 and 32 * sp.fft_points <= grid.n_samples for sp in folds)
     assert tr.summarize(tracer.spans)["estimators"].by_name["decorrelated"] > 0.0
+
+
+@pytest.mark.parametrize("workload", ["lag_spectra", "trajectories"])
+def test_setup_probe_reaches_the_ensemble_of_every_scenario(workload, monkeypatch):
+    # the probe replaces experiments.ensemble_reduce and raises at the first
+    # member; a scenario that bound it elsewhere would finish without one
+    measure = _load("measure")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the probe prepends src/
+    orig = experiments.ensemble_reduce
+    assert measure.measure_setup(measure.WORKLOADS[workload], 1)["setup_s"] > 0.0
+    assert experiments.ensemble_reduce is orig

@@ -217,7 +217,7 @@ def test_run_exits_2_when_a_lag_exceeds_the_periodicity_guard(tmp_path, capsys):
     (["planck", "--kT", "0.5"], "mean_energy=0.656517643"),
     (["free_particle", "--kT", "1.0", "--t", "2.0"],
      "thermal_dx2=0.04 thermal_v_var=1 zpf_dx2=0.0374048 zpf_dv2=102.46 "
-     "nonphysical=None electron_size=0.0494952"),
+     "electron_size=0.0494952"),
 ])
 def test_analytic_prints_every_quantity(argv, printed, capsys):
     assert main(["analytic", "--quantity", *argv]) == 0
@@ -228,6 +228,20 @@ def test_analytic_prints_every_quantity(argv, printed, capsys):
 def test_analytic_rejects_negative_temperature(quantity, capsys):
     assert main(["analytic", "--quantity", quantity, "--kT", "-1"]) == 2
     assert "kT must be >= 0, got -1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, violations", [
+    (["free_particle", "--tau", "0"], ["tau must be > 0, got 0.0"]),
+    (["free_particle", "--tau", "-1"], ["tau must be > 0, got -1.0"]),
+    (["heisenberg", "--tau", "nan"], ["tau must be a finite real number, got nan"]),
+    (["planck", "--kT", "0", "--omega0", "-2"], ["omega0 must be > 0, got -2.0"]),
+    (["ground_state", "--tau", "5"], ["tau*omega0 = 5 exceeds the hard limit 0.5"]),
+])
+def test_analytic_validates_its_parameters(argv, violations, capsys):
+    assert main(["analytic", "--quantity", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + "; ".join(violations) + "\n"
 
 
 @pytest.mark.parametrize("bad, message", [

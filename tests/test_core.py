@@ -51,25 +51,6 @@ def test_rejects_strong_dipole_coupling():
     assert any("normal modes" in v for v in exc.value.violations)
 
 
-def test_charge_and_light_speed_must_match_tau():
-    # tau = 2 e^2 / (3 m c^3); with e = c = 1 that is 2/3, not 0.01
-    with pytest.raises(InvalidParams) as exc:
-        validate(SystemParams(tau=0.01, e=1.0, c=1.0),
-                 GridSpec(dt=0.05, n_samples=1 << 15, omega_cut=20.0))
-    assert any("2e^2/(3mc^3)" in v for v in exc.value.violations)
-
-    ok = SystemParams(tau=2.0 / 3.0 * 1e-2, e=0.1, c=1.0)
-    validate(ok, GridSpec(dt=0.05, n_samples=1 << 15, omega_cut=20.0))
-
-
-def test_light_speed_derived_from_charge():
-    cfg = validate(SystemParams(tau=0.01, e=0.1),
-                   GridSpec(dt=0.05, n_samples=1 << 15, omega_cut=20.0))
-    c = cfg.params.c
-    assert c is not None
-    assert abs(2.0 * 0.1 ** 2 / (3.0 * c ** 3) - 0.01) < 1e-12 * 0.01
-
-
 def test_default_cutoffs_resolved():
     cfg = validate(SystemParams(tau=0.01), GridSpec(dt=0.001, n_samples=1 << 20))
     assert cfg.grid.omega_cut == pytest.approx(500.0)
@@ -111,7 +92,7 @@ def test_mode_params_split_frequencies():
 
 
 def test_lists_type_violations_with_the_others():
-    params = SystemParams(tau="0.01", m=True, kT=-1.0, e=None, c=float("nan"))
+    params = SystemParams(tau="0.01", m=True, kT=-1.0, K=float("nan"))
     grid = GridSpec(dt=None, n_samples=32768.0, n_ensemble=8.5, seed="abc",
                     omega_cut=None)
     with pytest.raises(InvalidParams) as exc:
@@ -119,7 +100,7 @@ def test_lists_type_violations_with_the_others():
     assert exc.value.violations == [
         "m must be a finite real number, got True",
         "tau must be a finite real number, got '0.01'",
-        "c must be a finite real number, got nan",
+        "K must be a finite real number, got nan",
         "dt must be a finite real number, got None",
         "n_samples must be an integer, got 32768.0",
         "n_ensemble must be an integer, got 8.5",

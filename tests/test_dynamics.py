@@ -23,7 +23,7 @@ from sedlab.estimators import periodogram, structure_function
 from sedlab.experiments import scenario_defaults
 from sedlab.noise import (
     FieldRealization,
-    field_coefficients,
+    field_synthesis,
     member_seed,
     synthesis_band,
     synthesize_field,
@@ -274,7 +274,7 @@ def _steady_state_vs_integrator(params, coeffs, grid):
 def test_steady_state_is_the_periodic_limit_of_the_integrator():
     params, grid = scenario_defaults("commutators")
     cfg = validate(params, grid)
-    coeffs = field_coefficients(ZPF, cfg.params, cfg.grid, member_seed(cfg.grid.seed, 0))
+    coeffs = field_synthesis(ZPF, cfg.params, cfg.grid).draw(member_seed(cfg.grid.seed, 0))
     dx, dp = _steady_state_vs_integrator(cfg.params, coeffs, cfg.grid)
     assert dx <= 1e-10
     assert dp <= 1e-10
@@ -285,7 +285,7 @@ def test_steady_state_of_each_dipole_mode():
     cfg = validate(params, grid)
     # the dipoles scenario's draws of eps_plus and eps_minus for member 0
     children = member_seed(cfg.grid.seed, 0).spawn(2)
-    modes = [field_coefficients(ZPF, cfg.params, cfg.grid, child) for child in children]
+    modes = [field_synthesis(ZPF, cfg.params, cfg.grid).draw(child) for child in children]
     for sign, coeffs in zip((+1, -1), modes):
         dx, dp = _steady_state_vs_integrator(cfg.params.mode_params(sign), coeffs,
                                              cfg.grid)
@@ -297,7 +297,7 @@ def test_steady_state_of_each_dipole_mode():
 def test_momentum_recursion_is_the_momentum_transfer(n):
     cfg = validate(PARAMS, GridSpec(dt=0.1, n_samples=n, omega_cut=16.0))
     h, t = response_transfer(cfg.params, cfg.grid)
-    X = h * field_coefficients(ZPF, cfg.params, cfg.grid, member_seed(5, 0))
+    X = h * field_synthesis(ZPF, cfg.params, cfg.grid).draw(member_seed(5, 0))
     x, p_ref = np.fft.irfft(X, n), np.fft.irfft(t * X, n)
     scale = np.ptp(p_ref)
     g = momentum_step(cfg.params, cfg.grid.dt)
@@ -383,7 +383,7 @@ def test_free_response_power_matches_the_direct_sampler(name, model):
     cfg = validate(params, replace(grid, n_samples=1 << 17))
     seed = member_seed(cfg.grid.seed, 3)
     h, _ = response_transfer(cfg.params, cfg.grid)
-    X = h * field_coefficients(model, cfg.params, cfg.grid, seed)
+    X = h * field_synthesis(model, cfg.params, cfg.grid).draw(seed)
     power = np.abs(X) ** 2
 
     def s_x(w):

@@ -29,9 +29,9 @@ from sedlab.estimators import (
     structure_function,
     two_sided_correlation,
     windowed_energy,
-    write_series_csv,
 )
 from sedlab.noise import member_seed, synthesize_field, synthesize_series
+from sedlab.report import Emitter
 from sedlab.spectra import SpectrumModel, field_spectrum, position_transfer
 
 PARAMS = SystemParams(tau=0.01)
@@ -345,8 +345,9 @@ def test_ks_distance_detects_wrong_scale():
 
 
 def test_write_series_csv(tmp_path):
-    path = tmp_path / "series.csv"
-    write_series_csv(path, "lag", [0.0, 0.1], [1.0, 2.0], [0.01, 0.02])
+    path = tmp_path / "s_series.csv"
+    Emitter(tmp_path, ("spectra",)).series("s", "series", "lag", [0.0, 0.1], [1.0, 2.0],
+                                           [0.01, 0.02])
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["lag", "value", "stderr"]

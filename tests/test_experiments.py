@@ -154,13 +154,15 @@ def _response(synthesis, H, seed):
     return X
 
 
-@pytest.mark.parametrize("name", ["free_thermal", "dipoles"])
+@pytest.mark.parametrize("name", ["free_thermal", "dipoles", "commutators", "energy_time",
+                                  "free_zpf"])
 def test_emitted_trajectory_is_member_zero_at_every_jobs(name, tmp_path):
     grid = _default_grid(name, **SMALL_GRIDS[name])
     for jobs in (1, 2):
         run_scenario(name, grid=grid, jobs=jobs, out_dir=tmp_path / str(jobs),
                      emit=("trajectories",))
     names = sorted(f.name for f in (tmp_path / "1").iterdir())
+    assert names == [f"{name}_{q}.{ext}" for q in "px" for ext in ("bin", "json")]
     assert names == sorted(f.name for f in (tmp_path / "2").iterdir())
     for f in names:
         assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes()
@@ -179,6 +181,18 @@ def test_emitted_trajectory_is_member_zero_at_every_jobs(name, tmp_path):
         H, _ = response_transfer(cfg.params, cfg.grid)
         x = np.fft.irfft(_response(synthesis, H, member_seed(grid.seed, 0)), n)
     assert (tmp_path / "1" / f"{name}_x.bin").read_bytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("name", ["ground_state", "dipoles"])
+def test_emitted_sidecars_record_the_seed_of_member_zero(name, tmp_path):
+    # the dipoles draw from children of member 0's seed; spawning them from
+    # the recorded sequence would change its repr
+    grid = _default_grid(name, **SMALL_GRIDS[name])
+    run_scenario(name, grid=grid, out_dir=tmp_path, emit=("trajectories",))
+    sidecars = sorted(tmp_path.glob("*.json"))
+    assert len(sidecars) == (3 if name == "ground_state" else 2)
+    for f in sidecars:
+        assert json.loads(f.read_text())["seed"] == repr(member_seed(grid.seed, 0))
 
 
 def test_scenario_defaults_are_validated():

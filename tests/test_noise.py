@@ -8,14 +8,13 @@ from sedlab.core import GridSpec, SystemParams
 from sedlab.errors import GridTooCoarse
 from sedlab.estimators import periodogram
 from sedlab.noise import (
-    dump_realization,
-    field_coefficients,
     field_synthesis,
     member_seed,
     synthesize_field,
     synthesize_pair,
     synthesize_series,
 )
+from sedlab.report import Emitter
 from sedlab.spectra import SpectrumModel, field_spectrum
 
 PARAMS = SystemParams(tau=0.01)
@@ -126,8 +125,8 @@ def test_derivative_series_consistency():
     # the velocity V = i omega E of a field draw against finite differences
     free = SystemParams(tau=0.01, omega0=0.0)
     grid = GridSpec(dt=0.05, n_samples=4096, omega_cut=5.0)
-    coeffs = field_coefficients(SpectrumModel.rayleigh_jeans(1.0), free, grid,
-                                member_seed(5, 0))
+    coeffs = field_synthesis(SpectrumModel.rayleigh_jeans(1.0), free, grid).draw(
+        member_seed(5, 0))
     omega = grid.domega * np.arange(coeffs.size)
     x = np.fft.irfft(coeffs, grid.n_samples)
     v = np.fft.irfft(1j * omega * coeffs, grid.n_samples)
@@ -138,18 +137,19 @@ def test_derivative_series_consistency():
 
 def test_dump_realization_roundtrip(tmp_path):
     f = synthesize_field(ZPF, PARAMS, GRID, 77)
-    dump_realization(tmp_path / "field", f.samples, f.dt, 77, f.model.label())
+    Emitter(tmp_path, ("trajectories",)).dump("field", f.samples, f.dt, 77, f.model.label())
     raw = np.frombuffer((tmp_path / "field.bin").read_bytes(), dtype="<f8")
     assert np.array_equal(raw, f.samples)
     meta = json.loads((tmp_path / "field.json").read_text())
     assert meta["dt"] == f.dt
     assert meta["n"] == f.samples.size
     assert meta["model"] == "zpf"
+    assert meta["seed"] == "77"
 
 
 def test_field_coefficients_are_the_realization_spectrum():
     seed = member_seed(GRID.seed, 3)
-    coeffs = field_coefficients(ZPF, PARAMS, GRID, seed)
+    coeffs = field_synthesis(ZPF, PARAMS, GRID).draw(seed)
     assert coeffs.shape == (GRID.n_samples // 2 + 1,)
     assert coeffs[0] == 0.0 and coeffs[-1] == 0.0
     samples = synthesize_field(ZPF, PARAMS, GRID, seed).samples
@@ -159,7 +159,7 @@ def test_field_coefficients_are_the_realization_spectrum():
 def test_field_coefficients_keep_the_resonance_guard():
     short = GridSpec(dt=0.1, n_samples=1 << 12, omega_cut=20.0)
     with pytest.raises(GridTooCoarse):
-        field_coefficients(ZPF, PARAMS, short, 1)
+        field_synthesis(ZPF, PARAMS, short)
 
 
 def test_draws_into_dirty_buffers_equal_fresh_ones():
@@ -171,10 +171,10 @@ def test_draws_into_dirty_buffers_equal_fresh_ones():
         seed = member_seed(GRID.seed, k)
         drawn = synthesis.draw(seed, out=out, normals=normals)
         assert drawn is out
-        assert drawn.tobytes() == field_coefficients(ZPF, PARAMS, GRID, seed).tobytes()
+        assert drawn.tobytes() == field_synthesis(ZPF, PARAMS, GRID).draw(seed).tobytes()
         assert drawn[0] == 0.0 and np.all(drawn[synthesis.j_max + 1 :] == 0.0)
         # the band alone, into a dirty band-sized buffer
         band = out[: synthesis.j_max + 1]
         band[:] = complex(np.nan, np.inf)
-        fresh = field_coefficients(ZPF, PARAMS, GRID, seed)[: band.size]
+        fresh = field_synthesis(ZPF, PARAMS, GRID).draw(seed)[: band.size]
         assert synthesis.draw(seed, out=band, normals=normals).tobytes() == fresh.tobytes()
