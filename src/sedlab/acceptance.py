@@ -22,7 +22,7 @@ from . import analytic
 from .core import GridSpec, SystemParams, validate
 from .dynamics import simulate_oscillator
 from .estimators import commutator, correlation, periodogram
-from .experiments import ensemble_reduce, run_scenario
+from .experiments import run_ensemble, run_scenario
 from .noise import FieldRealization, field_synthesis, member_seed, synthesize_field
 from .spectra import SpectrumModel, field_spectrum
 
@@ -73,11 +73,10 @@ def _property_periodogram_calibration(jobs: int) -> tuple[list[str], bool]:
     field = _member_fields(model, params, grid)
 
     def worker(k):
-        return periodogram(field(k).samples, grid.dt)
+        return {"spectrum": periodogram(field(k).samples, grid.dt).values}
 
-    mean_spec = ensemble_reduce(worker, grid.n_ensemble, jobs,
-                                lambda acc, k, est: acc + est.values,
-                                0.0) / grid.n_ensemble
+    mean_spec = run_ensemble(worker, grid.n_ensemble, jobs,
+                             summed=("spectrum",)).total("spectrum")
     omega = grid.domega * np.arange(1, mean_spec.size + 1)
     target = field_spectrum(model, params, omega)
 
@@ -125,10 +124,9 @@ def _property_fourth_moment(jobs: int) -> tuple[list[str], bool]:
         x2 = x ** 2
         c2 = correlation(x2, x2, 5.0, grid.dt).values
         # Gaussian identity: <x(t)^2 x(t')^2> - <x^2>^2 - 2 <x(t)x(t')>^2 = 0
-        return c2 - 2.0 * c ** 2
+        return {"resid": c2 - 2.0 * c ** 2}
 
-    resid = ensemble_reduce(worker, grid.n_ensemble, jobs,
-                            lambda acc, k, r: acc + r, 0.0) / grid.n_ensemble
+    resid = run_ensemble(worker, grid.n_ensemble, jobs, summed=("resid",)).total("resid")
     scale = 2.0 * analytic.ground_state(params).x_var ** 2
     worst = float(np.max(np.abs(resid)) / scale)
     ok = worst < 0.10

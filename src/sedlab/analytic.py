@@ -203,7 +203,7 @@ def free_particle(
     thermal_v_var = kT / m
     log_slope = 2.0 * hb * tau / (math.pi * m)
     zpf_dx2 = log_slope * (EULER_GAMMA + math.log(delta_t / tau))
-    zpf_dv2 = (2.0 * hb / (math.pi * m * tau)) * math.log(max(omega_c * tau, 1.0 + 1e-15))
+    zpf_dv2 = (2.0 * hb / (math.pi * m * tau)) * math.log(omega_c * tau)
     size = math.sqrt(4.0 * EULER_GAMMA * hb * tau / (3.0 * math.pi * m))
     return FreeParticlePrediction(
         thermal_dx2=thermal_dx2,

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import resource
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import analytic
 from .core import GridSpec, SystemParams, validate
-from .errors import SedlabError
+from .errors import InvalidParams, SedlabError
 from .experiments import SCENARIO_NAMES, run_scenario, scenario_defaults
 from .report import EMIT_KINDS
 
@@ -127,8 +128,22 @@ def _cmd_verify(args) -> int:
 
 def _cmd_analytic(args) -> int:
     q = args.quantity
-    params = validate(SystemParams(tau=args.tau, omega0=args.omega0, kT=args.kT, K=args.K),
-                      oscillator=q != "free_particle").params
+    free = q == "free_particle"
+    # the free particle reads tau and kT alone: no omega0, no coupling
+    params = (SystemParams(tau=args.tau, omega0=0.0, kT=args.kT) if free
+              else SystemParams(tau=args.tau, omega0=args.omega0, kT=args.kT, K=args.K))
+    violations = []
+    try:
+        validate(params, oscillator=not free)
+    except InvalidParams as exc:
+        violations = exc.violations
+    if not math.isfinite(args.t):
+        violations.append(f"--t must be finite, got {args.t}")
+    if free and args.tau > 0 and not args.omega_c * args.tau > 1.0:
+        # zpf_dv2 is (2 hbar/pi m tau) ln(omega_c tau); a bad tau is listed above
+        violations.append(f"omega_c*tau = {args.omega_c * args.tau:g} must be > 1")
+    if violations:
+        raise InvalidParams(violations)
     if q == "ground_state":
         gs = analytic.ground_state(params)
         print(f"x_var={gs.x_var:g} p_var={gs.p_var:g} mean_energy={gs.mean_energy:g}")

@@ -216,6 +216,15 @@ def validate(params: SystemParams, grid: GridSpec | None = None,
                 violations.append(
                     f"omega_cut = {grid.omega_cut:g} must exceed omega0 = {params.omega0:g}"
                 )
+        # the field's lattice must resolve the oscillator's resonance width
+        if (finite_duration and typed("omega0", "tau")
+                and params.omega0 > 0 and params.tau > 0):
+            limit = params.tau * params.omega0 ** 2 / 4.0
+            if grid.domega > limit:
+                violations.append(
+                    f"lattice spacing {grid.domega:g} > tau*omega0^2/4 = {limit:g}; "
+                    "lengthen the trajectory to resolve the resonance"
+                )
 
     if violations:
         raise InvalidParams(violations)

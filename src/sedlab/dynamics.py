@@ -160,8 +160,8 @@ def _lattice_phases(n: int, size: int) -> np.ndarray:
 
 
 def response_transfer(params: SystemParams, grid: GridSpec):
-    """Steady-state gains (H_j, T_j), j = 0..n//2, of the oscillator on one
-    period of the grid, for fields synthesized on it.
+    """Steady-state gains (H_j, T_j) of the oscillator on one period of the
+    grid, on the synthesis band j = 0..j_max of the fields drawn on it.
 
     For a field with half-spectrum coefficients E_j (the numpy ``rfft`` of
     one period of its samples) the periodic steady state of
@@ -188,32 +188,32 @@ def response_transfer(params: SystemParams, grid: GridSpec):
     For the free particle (omega0 = 0) H is the exact free response
     chi_j = -1/(omega_j^2 (1 - i tau omega_j)), H_0 = 0, and T = 0.
 
-    Both are evaluated on the synthesis band only and are zero above it,
-    where the field has no power.
+    Above the band the field has no power, so the gains stop there: each
+    has j_max + 1 entries, as a ``Synthesis.draw`` has.
     """
     dt, n = grid.dt, grid.n_samples
     band = synthesis_band(dt, n, grid.omega_cut) + 1
-    h = np.zeros(n // 2 + 1, dtype=complex)
-    t = np.zeros(n // 2 + 1, dtype=complex)
+    t = np.zeros(band, dtype=complex)
     if params.omega0 == 0.0:
+        h = np.zeros(band, dtype=complex)
         w = grid.domega * np.arange(1, band)
-        h[1:band] = -1.0 / (w ** 2 * (1.0 - 1j * params.tau * w))
+        h[1:] = -1.0 / (w ** 2 * (1.0 - 1j * params.tau * w))
         return h, t
     (a11, a12, a21, a22), (b1, b2) = _propagator(params, dt)
     tr, det = a11 + a22, math.exp(-2.0 * params.damping_rate * dt)
     c2 = a12 * b2 - a22 * b1
     phases = _lattice_phases(n, band)
-    tb = np.divide(phases.real[1:], phases.imag[1:], out=t.imag[1:band])
+    tb = np.divide(phases.real[1:], phases.imag[1:], out=t.imag[1:])
     tb *= momentum_step(params, dt)
     zinv = np.square(phases, out=phases)
-    hb = np.multiply(c2, zinv, out=h[:band])
-    hb += b1
-    hb *= zinv
+    h = np.multiply(c2, zinv)
+    h += b1
+    h *= zinv
     den = np.multiply(det, zinv)
     den -= tr
     den *= zinv
     den += 1.0
-    hb /= den
+    h /= den
     return h, t
 
 

@@ -31,10 +31,6 @@ class QuadratureFailure(SedlabError):
     """Adaptive quadrature did not reach the requested accuracy."""
 
 
-class GridTooCoarse(SedlabError):
-    """Frequency lattice too coarse to resolve the resonance."""
-
-
 class BurnInExceedsTrajectory(SedlabError):
     """The stationarity burn-in would discard the whole trajectory."""
 

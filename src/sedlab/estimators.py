@@ -90,10 +90,13 @@ def periodogram(series: np.ndarray, dt: float) -> SpectrumEstimate:
 def spectrum_from_power(power: np.ndarray, n: int, dt: float) -> SpectrumEstimate:
     """One-sided density from the mean |rfft|^2 of length-n series.
 
-    Bins j = 1..n//2 on omega_j = j * 2*pi/(n*dt); the mean bin is dropped.
+    Bins j = 1..b-1 on omega_j = j * 2*pi/(n*dt) for a power of b entries:
+    the whole half-spectrum (b = n//2 + 1) or a band with zeros above it;
+    the mean bin is dropped.
     """
-    values = dt / (math.pi * n) * np.asarray(power, dtype=float)[1:]
-    if n % 2 == 0:
+    power = np.asarray(power, dtype=float)
+    values = dt / (math.pi * n) * power[1:]
+    if n % 2 == 0 and power.size == n // 2 + 1:
         values[-1] *= 0.5  # Nyquist bin appears once in the two-sided sum
     domega = 2.0 * math.pi / (n * dt)
     omega = domega * np.arange(1, values.size + 1)
@@ -235,16 +238,17 @@ def hilbert_zero_functional(gain: np.ndarray, n: int, lag: int) -> np.ndarray:
     lags -lag..lag (mod n) and G = rfft(h),
     h @ w = sum_j c_j Re(pw_j gain_j conj(G_j)) / n^2, where c_j is 1 at
     j = 0 and at an even-n Nyquist bin and 2 elsewhere, as in ``irfft``.
+    K has the size of ``gain``: a band gain (zero above) gives the band's K.
     """
     e_mid = np.zeros(2 * lag + 1)
     e_mid[lag] = 1.0
     h = np.zeros(n)
     h[np.arange(-lag, lag + 1)] = -2.0 * hilbert_transform(e_mid)
-    G = np.conj(np.fft.rfft(h))
+    G = np.conj(np.fft.rfft(h)[: gain.size])
     G *= gain
     weights = np.full(G.size, 2.0 / n ** 2)
     weights[0] = 1.0 / n ** 2
-    if n % 2 == 0:
+    if n % 2 == 0 and G.size == n // 2 + 1:
         weights[-1] = 1.0 / n ** 2
     return np.multiply(weights, G.real, out=weights)
 
@@ -252,10 +256,11 @@ def hilbert_zero_functional(gain: np.ndarray, n: int, lag: int) -> np.ndarray:
 def commutator_from_spectrum(spec: SpectrumEstimate, max_lag: float, dt: float) -> LagSeries:
     """Auto-commutator coefficients c(t) = 2 * sum_j S_j sin(omega_j t) domega."""
     lags_n = _lag_samples(max_lag, dt)
-    # the full lattice of the series the spectrum came from
+    # the full lattice of the series the spectrum came from; irfft pads
+    # the bins above the spectrum's with zeros
     n_full = int(round(2.0 * math.pi / (spec.domega * dt)))
-    half = np.zeros(n_full // 2 + 1, dtype=complex)
-    half[1 : spec.values.size + 1] = -1j * spec.values
+    half = np.zeros(spec.values.size + 1, dtype=complex)
+    half[1:] = -1j * spec.values
     # irfft of -i S_j is (2/n) sum_j S_j sin(2 pi j k / n), for all k at once
     sines = np.fft.irfft(half, n_full)[: lags_n + 1] * (0.5 * n_full)
     ks = np.arange(lags_n + 1)

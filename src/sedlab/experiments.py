@@ -11,6 +11,11 @@ of its field (a ``noise.Synthesis`` draw; for the dipoles, one draw per
 normal mode, each from its own sub-seed of the member) times the gains of
 ``dynamics.response_transfer``, the periodic steady state on the synthesis
 lattice, with no burn-in (for the free particle, its exact free response).
+Every half-spectrum, from the draw to the transform, holds the band
+j = 0..j_max alone (the draw, the gains, X, its power, the group sums and
+their totals): above the band the field has no power, and
+``irfft(band, n)`` pads the zero tail itself, so no member writes,
+multiplies or transforms it.
 Lag correlations, spectra and structure functions are linear in |X_j|^2,
 so energy_time, free_thermal and free_zpf add each member's |X_j|^2 into
 its group and inverse-transform each group once (free_zpf's fit weights,
@@ -36,10 +41,15 @@ cumulative sum; where there is no series, P is T X.
 members (``_emit_member_zero``); coherent_decay, whose members are not
 one steady state, writes none.  ``report`` writes every file.
 
+Every ensemble, the property suite's included, is reduced by
+``run_ensemble`` into an ``Ensemble``: per-member values in member order,
+and the group sums of the summed arrays, a list of one array per group,
+min(N_GROUPS, n) groups and none empty.
+
 Members reuse memory.  Each scenario call sets its field synthesis up once
 (``noise.field_synthesis``) and makes a ``Workspace``: complex buffers of
 n//2 + 1 entries, a set per thread, at most two, which every member and
-every per-group linear map of that thread writes its n-point
+every per-group linear map of that thread writes its band and n-point
 intermediates into (``out=``).  The rule: a value the reducer keeps (a
 scalar, a KS subsample, a summed power or structure function) is a fresh
 array, since a pool thread starts its next member before the reducer has
@@ -119,16 +129,16 @@ class Ensemble:
 
     ``run_ensemble`` makes one from the results of its workers.  A worker
     returns a dict of named values.  Arrays named in ``summed`` are added
-    into the sum of the member's group: member k of n is in group
-    k * N_GROUPS // n, so group sizes differ by at most one, and groups are
-    empty when n < N_GROUPS.  Every other value is kept per member, in
-    member order.
+    into the sum of the member's group: the n members form
+    G = min(N_GROUPS, n) groups, member k in group k * G // n, so every
+    group holds a member and group sizes differ by at most one.  A summed
+    key holds a list of its G group sums.  Every other value is kept per
+    member, in member order.
 
     Standard errors follow one rule.  The mean of a per-member value takes
     the standard error over members (``mean``).  A functional of ensemble
-    means takes the standard error of the same functional over the means
-    of the nonempty groups, each group sum divided by its own member count
-    (``estimate``).
+    means takes the standard error of the same functional over the group
+    means, each group sum divided by its own member count (``estimate``).
 
     The sums and values are final when the Ensemble is made, so a summed
     key's ensemble mean (``total``) and group means (``estimate``) are each
@@ -137,7 +147,7 @@ class Ensemble:
 
     def __init__(self, n_ensemble: int, sums=None, values=None):
         self.n = n_ensemble
-        self.sizes = np.bincount(_member_groups(n_ensemble), minlength=N_GROUPS)
+        self.sizes = np.bincount(_member_groups(n_ensemble))
         self.sums = {} if sums is None else sums
         self.values = {} if values is None else values
         self._totals, self._group_means = {}, {}
@@ -170,24 +180,22 @@ class Ensemble:
         """f of the ensemble mean of ``key``, with the standard error of f
         over the group means; f must not modify its argument."""
         if key not in self._group_means:
-            self._group_means[key] = [self.sums[key][g] / self.sizes[g]
-                                      for g in np.flatnonzero(self.sizes)]
+            self._group_means[key] = [s / size for s, size in zip(self.sums[key], self.sizes)]
         _, se = self._mean_stderr([f(m) for m in self._group_means[key]])
         return float(f(self.total(key))), se
 
     def map_groups(self, key: str, linear, jobs: int) -> "Ensemble":
         """The ensemble whose group sums of ``key`` are the linear map
         ``linear`` of these: one call per group, on the worker pool."""
-        # a list: one stacked block this large would raise glibc's mmap
-        # threshold and leave freed heap untrimmed, raising later peak RSS
-        sums = ensemble_reduce(lambda g: linear(self.sums[key][g]), N_GROUPS,
+        sums = ensemble_reduce(lambda g: linear(self.sums[key][g]), self.sizes.size,
                                jobs, lambda acc, g, res: acc + [res], [])
         return Ensemble(self.n, {key: sums})
 
 
 def _member_groups(n_ensemble: int) -> np.ndarray:
-    """The group of each member, in member order."""
-    return np.arange(n_ensemble) * N_GROUPS // n_ensemble
+    """The group of each member, in member order: min(N_GROUPS, n)
+    consecutive runs of members, none empty."""
+    return np.arange(n_ensemble) * min(N_GROUPS, n_ensemble) // n_ensemble
 
 
 def run_ensemble(worker, n_ensemble: int, jobs: int, summed=()) -> Ensemble:
@@ -198,12 +206,17 @@ def run_ensemble(worker, n_ensemble: int, jobs: int, summed=()) -> Ensemble:
     def add(acc, k, res):
         sums, values = acc
         for key, v in res.items():
-            if key in summed:
-                if key not in sums:
-                    sums[key] = np.zeros((N_GROUPS,) + np.shape(v))
-                sums[key][group[k]] += v
-            else:
+            if key not in summed:
                 values.setdefault(key, []).append(v)
+                continue
+            # one array per group, never a stacked block: freeing a block
+            # this large would raise glibc's mmap threshold and leave freed
+            # heap untrimmed, raising later peak RSS
+            group_sums = sums.setdefault(key, [])
+            if len(group_sums) == group[k]:  # the first member of its group
+                group_sums.append(np.array(v, dtype=float))
+            else:
+                group_sums[-1] += v
         return acc
 
     sums, values = ensemble_reduce(worker, n_ensemble, jobs, add, ({}, {}))
@@ -247,10 +260,9 @@ def _mean_variance(x: np.ndarray) -> tuple[float, float]:
 
 
 def _steady_state(synthesis, H, seed, ws: Workspace) -> np.ndarray:
-    """The steady-state response X = E H to the draw from ``seed`` in
-    workspace buffer 0 (buffer 1 holds the draw's normals until then), on the
-    first H.size entries of the half-spectrum: given H on the band alone, X
-    is the band and the zeros above it are neither written nor multiplied."""
+    """The steady-state response X = E H on the band to the draw from
+    ``seed``, in workspace buffer 0 (buffer 1 holds the draw's normals until
+    then)."""
     X = synthesis.draw(seed, out=ws.spectrum(0)[: H.size], normals=ws.series(1))
     X *= H
     return X
@@ -295,7 +307,7 @@ def _structure_function(pw, gain, lags, ws: Workspace) -> np.ndarray:
     """``mean_square_displacement`` at ``lags`` of ``gain`` times one
     (group's) power ``pw``, formed in workspace buffer 0 (complex, so the
     transform takes no converted copy) and transformed into buffer 1."""
-    spec = np.multiply(gain, pw, out=ws.spectrum(0))
+    spec = np.multiply(gain, pw, out=ws.spectrum(0)[: pw.size])
     return mean_square_displacement(spec, ws.n, lags, out=ws.series(1))
 
 
@@ -338,7 +350,7 @@ def _lag_window(pw, one_plus_t, lag: int, ws: Workspace) -> np.ndarray:
     """irfft(pw (1 + T))/n on the lags -lag..lag of one (group's) power
     ``pw`` = |X_j|^2, with ``one_plus_t`` = 1 + T: C_xx + C_xp, whose even
     part is C_xx and odd part (T imaginary) C_xp."""
-    cross = np.multiply(pw, one_plus_t, out=ws.spectrum(0))
+    cross = np.multiply(pw, one_plus_t, out=ws.spectrum(0)[: pw.size])
     return np.fft.irfft(cross, ws.n, out=ws.series(1))[np.arange(-lag, lag + 1)] / ws.n
 
 
@@ -387,7 +399,7 @@ def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: i
     t_dec_u = _u_decorrelation_time(params)
     x_dec = (t_dec_u, _x_decorrelation_time(params)) if scenario == "ground_state" else (t_dec_u,)
     synthesis = field_synthesis(model, params, grid)
-    H, T = (gain[: synthesis.j_max + 1] for gain in response_transfer(params, grid))
+    H, T = response_transfer(params, grid)
     ws = Workspace(n)
     _emit_member_zero(emitter, scenario, grid, synthesis, [(H, params)], seed,
                       model.label())
@@ -455,7 +467,7 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     def worker(k):
         X = _steady_state(synthesis, H, member_seed(seed, k), ws)
-        return {"power": coefficient_power(X, out=ws.spectrum(1)).copy()}
+        return {"power": coefficient_power(X, out=ws.spectrum(1)[: X.size]).copy()}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
 
@@ -513,7 +525,7 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     def worker(k):
         X = _steady_state(synthesis, H, member_seed(seed, k), ws)
-        res = {"power": coefficient_power(X, out=ws.spectrum(1)).copy()}
+        res = {"power": coefficient_power(X, out=ws.spectrum(1)[: X.size]).copy()}
         x = np.fft.irfft(X, n, out=ws.series(1))
         # X is spent: its buffer takes p
         p = canonical_momentum(x, params, dt, out=ws.series(0))
@@ -663,7 +675,7 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     v_lags = [lag_count(t, dt, n) for t in (50.0, 100.0)]
     pred = analytic.free_particle(params, 1.0, grid.omega_cut)
     H, _ = response_transfer(params, grid)
-    omega = grid.domega * np.arange(n // 2 + 1)
+    omega = grid.domega * np.arange(H.size)
     i_omega, omega_sq = 1j * omega, omega ** 2
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
@@ -671,7 +683,7 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     def worker(k):
         X = _steady_state(synthesis, H, member_seed(seed, k), ws)
-        power = coefficient_power(X, out=ws.spectrum(1)).copy()
+        power = coefficient_power(X, out=ws.spectrum(1)[: X.size]).copy()
         # the velocity V = i omega X of the same draw, over the spent X
         return {"power": power, "v_var": mean_square(np.multiply(i_omega, X, out=X), n)}
 
@@ -723,7 +735,7 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     def worker(k):
         X = _steady_state(synthesis, H, member_seed(seed, k), ws)
-        power = coefficient_power(X, out=ws.spectrum(1)).copy()
+        power = coefficient_power(X, out=ws.spectrum(1)[: X.size]).copy()
         return {"power": power, "p_var": mean_square(np.multiply(T, X, out=X), n)}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
@@ -770,11 +782,9 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     m, w0, K = params.m, params.omega0, params.K
     dt, n = grid.dt, grid.n_samples
     # normal modes x_pm = (x1 +- x2)/sqrt(2), driven by eps_pm = (eps1 +- eps2)/sqrt(2):
-    # an independent pair with the field's spectrum, so each is drawn directly,
-    # on the band alone (the draws and gains are zero above it)
+    # an independent pair with the field's spectrum, so each is drawn directly
     synthesis = field_synthesis(model, params, grid)
-    gains = [tuple(g[: synthesis.j_max + 1] for g in response_transfer(q, grid))
-             for q in (pp, pm)]
+    gains = [response_transfer(q, grid) for q in (pp, pm)]
     ws = Workspace(n)
     _emit_member_zero(emitter, "dipoles", grid, synthesis,
                       [(H, q) for (H, _), q in zip(gains, (pp, pm))], seed)

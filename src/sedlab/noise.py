@@ -15,15 +15,15 @@ The j = 0 mode is always excluded, which is what makes infrared-divergent
 free-particle spectra (S_x ~ 1/omega) usable: structure functions remain
 finite on the lattice while the raw variance never sees the missing band.
 
-The draw is kept as its half-spectrum coefficients (``Synthesis.draw``),
-the numpy ``rfft`` of the series: every scenario drives its periodic
-steady-state response with them directly, and
-``synthesize_series``/``synthesize_field`` are their ``irfft``, bit for
-bit.
+The draw is kept as its half-spectrum coefficients on the band j = 0..J
+(``Synthesis.draw``), the numpy ``rfft`` of the series with its zero tail
+left off: every scenario drives its periodic steady-state response with
+them directly, and ``synthesize_series``/``synthesize_field`` are their
+``irfft`` at n points, which pads the tail itself.
 
 Everything but the normals is fixed by (spectrum, grid), so a scenario
-sets its synthesis up once (``field_synthesis``: the band j_max, the
-resonance check and the amplitudes 0.5 n sqrt(S(omega_j) domega)) and each
+sets its synthesis up once (``field_synthesis``: the band j_max and the
+amplitudes 0.5 n sqrt(S(omega_j) domega)) and each
 member's ``Synthesis.draw`` only draws the normals and scales them, into
 arrays the caller may reuse from member to member.  The dipoles need no
 second routine: their normal modes are driven by
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GridSpec, SystemParams
-from .errors import GridTooCoarse, InvalidParams
+from .errors import InvalidParams
 from .spectra import SpectrumModel, field_spectrum
 
 
@@ -95,27 +95,26 @@ class Synthesis:
         object.__setattr__(self, "neg_amplitude", np.negative(self.amplitude))
 
     def draw(self, seed, out=None, normals=None) -> np.ndarray:
-        """Half-spectrum coefficients E_j (j = 0..n/2) of the draw from
-        ``seed`` (an int, a SeedSequence or a Generator).
+        """Half-spectrum coefficients E_j (j = 0..j_max, the band) of the
+        draw from ``seed`` (an int, a SeedSequence or a Generator); every
+        coefficient above the band is zero, so ``irfft(E, n)`` is the series.
 
-        ``out`` (complex, n//2 + 1 entries) receives them, zeros outside
-        the band included, or, given only the j_max + 1 entries of the
-        band, the band alone; ``normals`` (real, at least 2 j_max entries)
-        holds the draw's standard normals.  Their prior contents are
-        ignored, and the result is the same as with fresh arrays.
+        ``out`` (complex, j_max + 1 entries) receives them; ``normals``
+        (real, at least 2 j_max entries) holds the draw's standard normals.
+        Their prior contents are ignored, and the result is the same as with
+        fresh arrays.
         """
         j = self.j_max
-        half = np.empty(self.n_samples // 2 + 1, dtype=complex) if out is None else out
+        band = np.empty(j + 1, dtype=complex) if out is None else out
         rng = np.random.default_rng(seed)
         ab = (rng.standard_normal(2 * j) if normals is None
               else rng.standard_normal(out=normals[: 2 * j]))
-        half[0] = 0.0
-        half[j + 1 :] = 0.0
+        band[0] = 0.0
         # irfft convention: x_k = (1/n) * (c_0 + 2 * sum_j Re[c_j e^{2pi i jk/n}] + ...),
         # with c_j = amplitude_j * (a_j - i b_j)
-        np.multiply(self.amplitude, ab[:j], out=half.real[1 : j + 1])
-        np.multiply(self.neg_amplitude, ab[j:], out=half.imag[1 : j + 1])
-        return half
+        np.multiply(self.amplitude, ab[:j], out=band.real[1:])
+        np.multiply(self.neg_amplitude, ab[j:], out=band.imag[1:])
+        return band
 
 
 def _synthesis(spectrum, dt: float, n_samples: int, omega_cut: float) -> Synthesis:
@@ -147,22 +146,8 @@ def synthesize_series(
     return np.fft.irfft(_synthesis(spectrum, dt, n_samples, omega_cut).draw(rng), n_samples)
 
 
-def _check_resonance_resolved(params: SystemParams, grid: GridSpec):
-    if params.omega0 > 0:
-        limit = params.tau * params.omega0 ** 2 / 4.0
-        if grid.domega > limit:
-            raise GridTooCoarse(
-                f"lattice spacing {grid.domega:g} > tau*omega0^2/4 = {limit:g}; "
-                "lengthen the trajectory to resolve the resonance"
-            )
-
-
 def field_synthesis(model: SpectrumModel, params: SystemParams, grid: GridSpec) -> Synthesis:
-    """The synthesis of the field spectrum of ``model`` on the grid.
-
-    Raises GridTooCoarse when the lattice cannot resolve the resonance.
-    """
-    _check_resonance_resolved(params, grid)
+    """The synthesis of the field spectrum of ``model`` on the grid."""
     return _synthesis(lambda w: field_spectrum(model, params, w),
                       grid.dt, grid.n_samples, grid.omega_cut)
 

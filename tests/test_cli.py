@@ -218,6 +218,11 @@ def test_run_exits_2_when_a_lag_exceeds_the_periodicity_guard(tmp_path, capsys):
     (["free_particle", "--kT", "1.0", "--t", "2.0"],
      "thermal_dx2=0.04 thermal_v_var=1 zpf_dx2=0.0374048 zpf_dv2=102.46 "
      "electron_size=0.0494952"),
+    # the free particle has no omega0, so the oscillator's tau*omega0 limit
+    # does not apply to it
+    (["free_particle", "--tau", "0.6"],
+     "thermal_dx2=0 thermal_v_var=0 zpf_dx2=0.415601 zpf_dv2=6.0519 "
+     "electron_size=0.383389"),
 ])
 def test_analytic_prints_every_quantity(argv, printed, capsys):
     assert main(["analytic", "--quantity", *argv]) == 0
@@ -236,6 +241,14 @@ def test_analytic_rejects_negative_temperature(quantity, capsys):
     (["heisenberg", "--tau", "nan"], ["tau must be a finite real number, got nan"]),
     (["planck", "--kT", "0", "--omega0", "-2"], ["omega0 must be > 0, got -2.0"]),
     (["ground_state", "--tau", "5"], ["tau*omega0 = 5 exceeds the hard limit 0.5"]),
+    (["commutators", "--t", "nan"], ["--t must be finite, got nan"]),
+    (["free_particle", "--t", "inf"], ["--t must be finite, got inf"]),
+    (["energy_fluctuation", "--t", "inf"], ["--t must be finite, got inf"]),
+    # zpf_dv2 takes ln(omega_c tau), which the clamp at 1 used to hide
+    (["free_particle", "--omega-c", "-1"], ["omega_c*tau = -0.01 must be > 1"]),
+    (["free_particle", "--omega-c", "100"], ["omega_c*tau = 1 must be > 1"]),
+    (["free_particle", "--kT", "-1", "--t", "nan"],
+     ["kT must be >= 0, got -1.0", "--t must be finite, got nan"]),
 ])
 def test_analytic_validates_its_parameters(argv, violations, capsys):
     assert main(["analytic", "--quantity", *argv]) == 2

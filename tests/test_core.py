@@ -8,7 +8,7 @@ from sedlab.errors import InvalidParams
 
 def test_accepts_reference_configuration():
     params = SystemParams(tau=0.01, omega0=1.0)
-    grid = GridSpec(dt=0.005, n_samples=1 << 17, omega_cut=500.0)
+    grid = GridSpec(dt=0.005, n_samples=1 << 19, omega_cut=500.0)
     cfg = validate(params, grid)
     assert cfg.params.tau == 0.01
     assert cfg.grid.omega_cut == 500.0
@@ -52,7 +52,7 @@ def test_rejects_strong_dipole_coupling():
 
 
 def test_default_cutoffs_resolved():
-    cfg = validate(SystemParams(tau=0.01), GridSpec(dt=0.001, n_samples=1 << 20))
+    cfg = validate(SystemParams(tau=0.01), GridSpec(dt=0.005, n_samples=1 << 20))
     assert cfg.grid.omega_cut == pytest.approx(500.0)
 
 
@@ -65,7 +65,7 @@ def test_requires_cutoff_above_resonance():
 
 def test_validation_is_pure():
     params = SystemParams(tau=0.01)
-    grid = GridSpec(dt=0.05, n_samples=1 << 15, omega_cut=20.0)
+    grid = GridSpec(dt=0.05, n_samples=1 << 16, omega_cut=20.0)
     assert validate(params, grid) == validate(params, grid)
 
 
@@ -125,7 +125,7 @@ def test_rejects_a_negative_seed():
 def test_a_real_beyond_the_float_range_is_a_type_violation():
     with pytest.raises(InvalidParams) as exc:
         validate(SystemParams(tau=0.01, kT=10 ** 400, K=float("inf")),
-                 GridSpec(dt=0.05, n_samples=1 << 15, omega_cut=20.0))
+                 GridSpec(dt=0.05, n_samples=1 << 16, omega_cut=20.0))
     assert exc.value.violations == [
         f"kT must be a finite real number, got {10 ** 400!r}",
         "K must be a finite real number, got inf",

@@ -394,6 +394,19 @@ def test_spectrum_helpers_match_the_series_route():
         assert mean_square(coeffs, n) == pytest.approx(np.mean(x ** 2), rel=1e-12)
 
 
+@pytest.mark.parametrize("n, band", [(4096, 1500), (4096, 2048), (4097, 1500), (4097, 2049)])
+def test_spectrum_from_a_band_power_is_the_full_spectrum_on_the_band(n, band):
+    # a band of b bins stops short of the Nyquist bin, and only a power that
+    # reaches it halves it
+    full = np.random.default_rng(n).standard_normal(n // 2 + 1) ** 2
+    full[band:] = 0.0
+    from_band = spectrum_from_power(full[:band], n, 0.1)
+    from_full = spectrum_from_power(full, n, 0.1)
+    assert from_band.values.size == band - 1
+    assert np.array_equal(from_band.values, from_full.values[: band - 1])
+    assert np.array_equal(from_band.omega, from_full.omega[: band - 1])
+
+
 @pytest.mark.parametrize("n, stride, band", [
     (4096, 64, 1500),    # s divides n
     (4096, 96, 1500),    # gcd 32: neither divides nor is coprime

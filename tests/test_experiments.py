@@ -47,7 +47,7 @@ from sedlab.experiments import (
     run_scenario,
     scenario_defaults,
 )
-from sedlab.noise import field_synthesis, member_seed, synthesize_field
+from sedlab.noise import field_synthesis, member_seed, synthesis_band, synthesize_field
 from sedlab.spectra import SpectrumModel
 
 FAST_GRID = GridSpec(dt=0.1, n_samples=1 << 16, omega_cut=16.0, n_ensemble=8, seed=420)
@@ -357,13 +357,21 @@ def test_series_transforms_per_operation(name, per_member, per_operation, folds,
     # the momentum comes from x by its recursion, or from P = T X, never by a
     # transform of its own; KS subsamples are folds of at most n/32 points
     grid = _default_grid(name, **SMALL_GRIDS[name])
-    lengths = []
+    lengths, sizes = [], []
     irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft",
-                        lambda a, n=None, *args, **kw: lengths.append(n) or irfft(a, n, *args, **kw))
+
+    def counted(a, n=None, *args, **kw):
+        lengths.append(n)
+        sizes.append(np.size(a))
+        return irfft(a, n, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
     run_scenario(name, grid=grid)
     n = grid.n_samples
     assert lengths.count(n) == per_member * grid.n_ensemble + per_operation
+    # every n-point transform reads the band alone: irfft pads the zero tail
+    band = synthesis_band(grid.dt, n, validate(scenario_defaults(name)[0], grid).grid.omega_cut)
+    assert all(size == band + 1 for size, m in zip(sizes, lengths) if m == n)
     folded = [m for m in lengths if m != n]
     assert len(folded) == folds * grid.n_ensemble
     assert all(32 * m <= n for m in folded)
@@ -475,9 +483,9 @@ def test_oscillator_scenario_rejects_omega0_zero_before_any_member(name, monkeyp
 
 def _check_group_sizes(n_ensemble):
     sizes = Ensemble(n_ensemble).sizes
-    assert sizes.size == N_GROUPS
+    assert sizes.size == min(N_GROUPS, n_ensemble)
     assert sizes.sum() == n_ensemble
-    assert sizes.max() - sizes[sizes > 0].min() <= 1
+    assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
 
 
 @pytest.mark.parametrize("n_ensemble", [1, 3, 4, 8, 12, 64, 100])
@@ -500,10 +508,16 @@ def test_grouping_invariants_and_member_order(n_ensemble):
     assert acc.values["k"] == list(range(n_ensemble))
     expected = [_synthetic_worker(k) for k in range(n_ensemble)]
     assert np.array_equal(acc.pool("sub"), np.concatenate([e["sub"] for e in expected]))
-    groups = np.arange(n_ensemble) * N_GROUPS // n_ensemble
-    for g in range(N_GROUPS):
+    n_groups = min(N_GROUPS, n_ensemble)
+    groups = np.arange(n_ensemble) * n_groups // n_ensemble
+    # the nonempty groups of k * N_GROUPS // n, in their order: for n >= 8
+    # the same groups, below it each member a group of its own
+    _, wide = np.unique(np.arange(n_ensemble) * N_GROUPS // n_ensemble, return_inverse=True)
+    assert np.array_equal(wide, groups)
+    assert isinstance(acc.sums["power"], list) and len(acc.sums["power"]) == n_groups
+    for g in range(n_groups):
         members = [e["power"] for e, gk in zip(expected, groups) if gk == g]
-        assert np.allclose(acc.sums["power"][g], np.sum(members, axis=0) if members else 0.0)
+        assert members and np.allclose(acc.sums["power"][g], np.sum(members, axis=0))
     assert np.allclose(acc.total("power"),
                        np.mean([e["power"] for e in expected], axis=0))
 
@@ -514,8 +528,9 @@ def test_accumulator_identical_at_jobs_1_and_3(n_ensemble):
     def digest(jobs):
         acc = run_ensemble(_synthetic_worker, n_ensemble, jobs, summed=("power",))
         windows = acc.map_groups("power", lambda pw: np.cumsum(pw), jobs)
+        assert len(windows.sums["power"]) == min(N_GROUPS, n_ensemble)
         return (acc.values["k"], acc.mean("value"), acc.pool("sub").tobytes(),
-                acc.sums["power"].tobytes(), acc.estimate(np.sum, "power"),
+                [s.tobytes() for s in acc.sums["power"]], acc.estimate(np.sum, "power"),
                 windows.estimate(lambda w: w[-1], "power"))
 
     assert digest(1) == digest(3)

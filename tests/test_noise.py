@@ -1,12 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sedlab.core import GridSpec, SystemParams
-from sedlab.errors import GridTooCoarse
+from sedlab.core import GridSpec, SystemParams, validate
+from sedlab.errors import InvalidParams
 from sedlab.estimators import periodogram
+from sedlab.experiments import run_scenario, scenario_defaults
 from sedlab.noise import (
     field_synthesis,
     member_seed,
@@ -117,8 +119,10 @@ def test_pair_mode_sum_identity():
 
 def test_grid_too_coarse_for_resonance():
     short = GridSpec(dt=0.1, n_samples=1 << 12, omega_cut=20.0)
-    with pytest.raises(GridTooCoarse):
-        synthesize_field(ZPF, PARAMS, short, 1)
+    with pytest.raises(InvalidParams) as exc:
+        validate(PARAMS, short)
+    assert ("lattice spacing 0.0153398 > tau*omega0^2/4 = 0.0025; "
+            "lengthen the trajectory to resolve the resonance") in exc.value.violations
 
 
 def test_derivative_series_consistency():
@@ -148,33 +152,41 @@ def test_dump_realization_roundtrip(tmp_path):
 
 
 def test_field_coefficients_are_the_realization_spectrum():
+    # the draw is the band j = 0..j_max of the series' rfft, whose bins
+    # above the band are zero; irfft pads them, bit for bit
     seed = member_seed(GRID.seed, 3)
-    coeffs = field_synthesis(ZPF, PARAMS, GRID).draw(seed)
-    assert coeffs.shape == (GRID.n_samples // 2 + 1,)
-    assert coeffs[0] == 0.0 and coeffs[-1] == 0.0
+    synthesis = field_synthesis(ZPF, PARAMS, GRID)
+    coeffs = synthesis.draw(seed)
+    assert coeffs.shape == (synthesis.j_max + 1,) and coeffs[0] == 0.0
     samples = synthesize_field(ZPF, PARAMS, GRID, seed).samples
     assert np.array_equal(np.fft.irfft(coeffs, GRID.n_samples), samples)
+    full = np.zeros(GRID.n_samples // 2 + 1, dtype=complex)
+    full[: coeffs.size] = coeffs
+    assert np.fft.irfft(full, GRID.n_samples).tobytes() == samples.tobytes()
+    assert np.allclose(np.fft.rfft(samples), full, rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(coeffs)))
 
 
-def test_field_coefficients_keep_the_resonance_guard():
-    short = GridSpec(dt=0.1, n_samples=1 << 12, omega_cut=20.0)
-    with pytest.raises(GridTooCoarse):
-        field_synthesis(ZPF, PARAMS, short)
+def test_scenarios_refuse_an_unresolved_resonance():
+    # the guard is a violation of validate, listed beside the others
+    params, grid = scenario_defaults("ground_state")
+    with pytest.raises(InvalidParams) as exc:
+        run_scenario("ground_state", params=replace(params, kT=-1.0),
+                     grid=replace(grid, n_samples=8192))
+    assert exc.value.violations == [
+        "kT must be >= 0, got -1.0",
+        "lattice spacing 0.0076699 > tau*omega0^2/4 = 0.0025; "
+        "lengthen the trajectory to resolve the resonance"]
 
 
 def test_draws_into_dirty_buffers_equal_fresh_ones():
     synthesis = field_synthesis(ZPF, PARAMS, GRID)
-    size = GRID.n_samples // 2 + 1
-    out = np.full(size, complex(np.nan, np.inf))
+    out = np.full(synthesis.j_max + 1, complex(np.nan, np.inf))
     normals = np.full(GRID.n_samples, np.nan)
     for k in range(3):
         seed = member_seed(GRID.seed, k)
+        out[:] = complex(np.nan, np.inf)
         drawn = synthesis.draw(seed, out=out, normals=normals)
         assert drawn is out
         assert drawn.tobytes() == field_synthesis(ZPF, PARAMS, GRID).draw(seed).tobytes()
-        assert drawn[0] == 0.0 and np.all(drawn[synthesis.j_max + 1 :] == 0.0)
-        # the band alone, into a dirty band-sized buffer
-        band = out[: synthesis.j_max + 1]
-        band[:] = complex(np.nan, np.inf)
-        fresh = field_synthesis(ZPF, PARAMS, GRID).draw(seed)[: band.size]
-        assert synthesis.draw(seed, out=band, normals=normals).tobytes() == fresh.tobytes()
+        assert drawn[0] == 0.0 and np.all(np.isfinite(drawn))
