@@ -172,6 +172,7 @@ class FreeParticlePrediction:
     thermal_dx2: float
     thermal_v_var: float
     zpf_log_slope: float
+    zpf_log_constant: float
     zpf_dx2: float
     zpf_dv2: float
     electron_size: float
@@ -188,7 +189,8 @@ def free_particle(
     2 tau kT dt / m and equilibrium velocity variance kT/m.  Zeropoint
     driving: logarithmic position dispersion
     (2 hbar tau / pi m)(C + ln(dt/tau)) for dt >> tau, whose slope in
-    ln(dt) is ``zpf_log_slope``, and a
+    ln(dt) is ``zpf_log_slope`` (C less ln(1 + (omega_c tau)^-2)/2, which a
+    field cut at omega_c leaves out, is ``zpf_log_constant``), and a
     cutoff-dependent velocity dispersion (2 hbar / pi m tau) ln(omega_c tau),
     which is nonphysical where it exceeds c^2 (a known breakdown of the
     nonrelativistic treatment).  The electron-size output
@@ -209,6 +211,7 @@ def free_particle(
         thermal_dx2=thermal_dx2,
         thermal_v_var=thermal_v_var,
         zpf_log_slope=log_slope,
+        zpf_log_constant=EULER_GAMMA - 0.5 * math.log1p((omega_c * tau) ** -2),
         zpf_dx2=zpf_dx2,
         zpf_dv2=zpf_dv2,
         electron_size=size,

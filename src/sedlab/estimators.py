@@ -103,20 +103,6 @@ def spectrum_from_power(power: np.ndarray, n: int, dt: float) -> SpectrumEstimat
     return SpectrumEstimate(omega=omega, values=values)
 
 
-def coefficient_power(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|c_j|^2 = c.real**2 + c.imag**2 of complex coefficients.
-
-    ``out``, a complex array of the same size (not ``coeffs``; a fresh one
-    by default), lends its memory: the power is a view of its first half,
-    read as reals.
-    """
-    out = np.empty(coeffs.size, dtype=complex) if out is None else out
-    re_sq, im_sq = out.view(np.float64).reshape(2, coeffs.size)
-    np.square(coeffs.real, out=re_sq)
-    np.square(coeffs.imag, out=im_sq)
-    return np.add(re_sq, im_sq, out=re_sq)
-
-
 def mean_square(coeffs: np.ndarray, n: int) -> float:
     """Time average of x^2 for x = irfft(coeffs, n), by Parseval.
 
@@ -206,16 +192,19 @@ def hilbert_transform(values: np.ndarray) -> np.ndarray:
 
     The input is embedded centered in a zero-padded buffer so the FFT
     periodicity does not wrap the long-range kernel back into the data.
+    Its imaginary part is irfft(-i rfft(buf)) without the mean and Nyquist
+    bins (the slice drops an even buffer's Nyquist bin, and irfft pads it).
     """
     from scipy.fft import next_fast_len
-    from scipy.signal import hilbert
 
     v = np.asarray(values, dtype=float)
     m = next_fast_len(max(4 * v.size, 64))
     buf = np.zeros(m)
     off = (m - v.size) // 2
     buf[off : off + v.size] = v
-    return np.imag(hilbert(buf))[off : off + v.size]
+    spec = -1j * np.fft.rfft(buf)[: (m + 1) // 2]
+    spec[0] = 0.0
+    return np.fft.irfft(spec, m)[off : off + v.size]
 
 
 def hilbert_commutator(two_sided: np.ndarray, n_lags: int) -> np.ndarray:

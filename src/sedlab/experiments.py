@@ -2,7 +2,7 @@
 reproducible pass/fail ``report.ExperimentReport``.
 
 Every scenario draws its ensemble from sub-seeds that are pure functions
-of (master seed, member index), reduces member results in index order, and
+of (master seed, member or group index), reduces in index order, and
 embeds the fully resolved configuration in the report, so a report is a
 deterministic function of (name, params, grid, seed) for any worker count.
 
@@ -16,11 +16,12 @@ j = 0..j_max alone (the draw, the gains, X, its power, the group sums and
 their totals): above the band the field has no power, and
 ``irfft(band, n)`` pads the zero tail itself, so no member writes,
 multiplies or transforms it.
-Lag correlations, spectra and structure functions are linear in |X_j|^2,
-so energy_time, free_thermal and free_zpf add each member's |X_j|^2 into
-its group and inverse-transform each group once (free_zpf's fit weights,
-each lag's model variance, take one transform of the squared ensemble
-power).  commutators inverse-transforms only the ensemble power: its one
+commutators, free_thermal, free_zpf and energy_time's correlation rows
+read only each group's summed power |X_j|^2, drawn with no member
+(``draw_power_groups``), and its linear maps, one transform per group
+(free_zpf's fit weights, each lag's model variance, take one transform
+of the squared ensemble power).
+commutators inverse-transforms only the ensemble power: its one
 per-group value, c_xp(0) by the Hilbert route, is one linear functional K
 of the power (``estimators.hilbert_zero_functional``), so each group's is
 the product K |X_j|^2, with no transform.  Variances come from the band of
@@ -38,18 +39,19 @@ so p comes from x, C_pp from C_xp and c_pp from c_xx, each by one
 cumulative sum; where there is no series, P is T X.
 
 ``--emit trajectories`` rebuilds member 0 from its seed apart from the
-members (``_emit_member_zero``); coherent_decay, whose members are not
-one steady state, writes none.  ``report`` writes every file.
+members (``_emit_member_zero``), outside it where only groups are drawn;
+coherent_decay, whose members are not one steady state, writes none.
+``report`` writes every file.
 
 Every ensemble, the property suite's included, is reduced by
-``run_ensemble`` into an ``Ensemble``: per-member values in member order,
-and the group sums of the summed arrays, a list of one array per group,
-min(N_GROUPS, n) groups and none empty.
+``run_ensemble`` (or drawn by ``draw_power_groups``) into an ``Ensemble``:
+per-member values in member order, and the group sums, a list of one
+array per group, min(N_GROUPS, n) groups and none empty.
 
 Members reuse memory.  Each scenario call sets its field synthesis up once
 (``noise.field_synthesis``) and makes a ``Workspace``: complex buffers of
 n//2 + 1 entries, a set per thread, at most two, which every member and
-every per-group linear map of that thread writes its band and n-point
+every drawn group of that thread writes its band and n-point
 intermediates into (``out=``).  The rule: a value the reducer keeps (a
 scalar, a KS subsample, a summed power or structure function) is a fresh
 array, since a pool thread starts its next member before the reducer has
@@ -79,7 +81,6 @@ from .dynamics import (
 from .errors import InvalidParams, UnknownScenario
 from .estimators import (
     HILBERT_MARGIN,
-    coefficient_power,
     commutator_from_spectrum,
     decorrelated,
     hilbert_commutator,
@@ -95,7 +96,7 @@ from .estimators import (
     window_samples,
     windowed_energy,
 )
-from .noise import field_synthesis, member_seed
+from .noise import field_synthesis, group_seed, member_seed
 from .report import Emitter, ExperimentReport, Row
 from .spectra import SpectrumModel
 
@@ -184,13 +185,6 @@ class Ensemble:
         _, se = self._mean_stderr([f(m) for m in self._group_means[key]])
         return float(f(self.total(key))), se
 
-    def map_groups(self, key: str, linear, jobs: int) -> "Ensemble":
-        """The ensemble whose group sums of ``key`` are the linear map
-        ``linear`` of these: one call per group, on the worker pool."""
-        sums = ensemble_reduce(lambda g: linear(self.sums[key][g]), self.sizes.size,
-                               jobs, lambda acc, g, res: acc + [res], [])
-        return Ensemble(self.n, {key: sums})
-
 
 def _member_groups(n_ensemble: int) -> np.ndarray:
     """The group of each member, in member order: min(N_GROUPS, n)
@@ -223,13 +217,35 @@ def run_ensemble(worker, n_ensemble: int, jobs: int, summed=()) -> Ensemble:
     return Ensemble(n_ensemble, sums, values)
 
 
+def draw_power_groups(synthesis, H, seed: int, n_ensemble: int, jobs: int, linear) -> Ensemble:
+    """The group sums of n_ensemble members' power |X_j|^2, X = E H, drawn
+    with no member, in ``run_ensemble``'s groups: |X_j|^2 is its mean
+    2 a_j^2 |H_j|^2 (a = ``synthesis.amplitude``) times a standard
+    exponential, independently per bin (Brockwell & Davis, *Time Series:
+    Theory and Methods*, §10.3), so m members sum to the mean times one
+    ``standard_gamma(m)`` per bin, drawn from ``group_seed(seed, g)``.
+    ``linear`` maps a group's fresh power to a dict of arrays linear in it."""
+    sizes = np.bincount(_member_groups(n_ensemble))
+    mean = 2.0 * np.square(np.abs(H[1:]) * synthesis.amplitude)
+
+    def worker(g):
+        pw = np.zeros(H.size)
+        np.random.default_rng(group_seed(seed, g)).standard_gamma(sizes[g], out=pw[1:])
+        pw[1:] *= mean
+        return linear(pw)
+
+    return Ensemble(n_ensemble, ensemble_reduce(
+        worker, sizes.size, jobs,
+        lambda sums, g, res: {key: sums.get(key, []) + [v] for key, v in res.items()}, {}))
+
+
 class Workspace:
     """Member-sized scratch arrays of one scenario call, a set per thread.
 
     Buffer i is a complex half-spectrum of n//2 + 1 entries, allocated on
     the first request of a thread; ``series(i)`` is the same memory read as
     n real samples, so one buffer holds one intermediate at a time.  Every
-    later member (or group map) on that thread writes into the same
+    later member (or drawn group) on that thread writes into the same
     buffers, so members do not page-fault fresh temporaries.  The buffers
     live as long as the Workspace (the scenario call) and the thread (a
     pool thread ends with its ``ensemble_reduce``).
@@ -462,14 +478,10 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     _emit_member_zero(emitter, "commutators", grid, synthesis, [(H, params)], seed)
     one_plus_t = 1.0 + T
     # c_xp(0) by the Hilbert route is linear in each group's power; its
-    # weights depend on the grid alone, so they are formed before the members
+    # weights depend on the grid alone, so they are formed before the draw
     xp_zero = hilbert_zero_functional(one_plus_t, n, lag_ext)
-
-    def worker(k):
-        X = _steady_state(synthesis, H, member_seed(seed, k), ws)
-        return {"power": coefficient_power(X, out=ws.spectrum(1)[: X.size]).copy()}
-
-    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
+    acc = draw_power_groups(synthesis, H, seed, grid.n_ensemble, jobs,
+                            lambda pw: {"power": pw})
 
     spec_x = spectrum_from_power(acc.total("power"), n, dt)
     lags = dt * np.arange(int(round(t_max / dt)) + 1)
@@ -524,8 +536,8 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     _emit_member_zero(emitter, "energy_time", grid, synthesis, [(H, params)], seed)
 
     def worker(k):
+        res = {}
         X = _steady_state(synthesis, H, member_seed(seed, k), ws)
-        res = {"power": coefficient_power(X, out=ws.spectrum(1)[: X.size]).copy()}
         x = np.fft.irfft(X, n, out=ws.series(1))
         # X is spent: its buffer takes p
         p = canonical_momentum(x, params, dt, out=ws.series(0))
@@ -543,11 +555,11 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
             res[f"var_T{t:g}"], res[f"sd_T{t:g}"] = var, res["inst_sd"]
         return res
 
-    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
+    acc = run_ensemble(worker, grid.n_ensemble, jobs)
 
     one_plus_t, t_sq, g = 1.0 + T, np.abs(T) ** 2, momentum_step(params, dt)
-    corr = acc.map_groups(
-        "power", lambda pw: _xp_correlations(pw, one_plus_t, t_sq, g, lag_max, ws), jobs)
+    corr = draw_power_groups(synthesis, H, seed, grid.n_ensemble, jobs, lambda pw: {
+        "corr": _xp_correlations(pw, one_plus_t, t_sq, g, lag_max, ws)})
 
     def corr_route_delta_u(c, t_window):
         n_lag = int(round(t_window / dt))
@@ -565,7 +577,7 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     ]
 
     for t in t_sweep:
-        est_corr, se_corr = corr.estimate(lambda c: corr_route_delta_u(c, t), "power")
+        est_corr, se_corr = corr.estimate(lambda c: corr_route_delta_u(c, t), "corr")
         closed = analytic.energy_fluctuation(params, t)
         rows.append(Row(
             f"delta_u_corr_T{t:g}", est_corr, se_corr, closed.recomputed, 0.10,
@@ -590,7 +602,7 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
             note="Delta U_T * T >= hbar/2"))
 
     emitter.series("energy_time", "cxx", "lag", np.arange(0, lag_max + 1, 100) * dt,
-                   corr.total("power")[0][::100])
+                   corr.total("corr")[0][::100])
     return rows
 
 
@@ -675,33 +687,25 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     v_lags = [lag_count(t, dt, n) for t in (50.0, 100.0)]
     pred = analytic.free_particle(params, 1.0, grid.omega_cut)
     H, _ = response_transfer(params, grid)
-    omega = grid.domega * np.arange(H.size)
-    i_omega, omega_sq = 1j * omega, omega ** 2
+    omega_sq = (grid.domega * np.arange(H.size)) ** 2
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
     _emit_member_zero(emitter, "free_thermal", grid, synthesis, [(H, params)], seed)
 
-    def worker(k):
-        X = _steady_state(synthesis, H, member_seed(seed, k), ws)
-        power = coefficient_power(X, out=ws.spectrum(1)[: X.size]).copy()
-        # the velocity V = i omega X of the same draw, over the spent X
-        return {"power": power, "v_var": mean_square(np.multiply(i_omega, X, out=X), n)}
-
-    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
-
-    # the position structure function at deltas and fit_deltas, then the
-    # velocity one (power gain omega^2) at the asymptote lags
-    sf = acc.map_groups("power", lambda pw: np.concatenate(
-        [_structure_function(pw, 1.0, x_lags, ws),
-         _structure_function(pw, omega_sq, v_lags, ws)]), jobs)
+    # position structure function at deltas and fit_deltas, velocity one (gain
+    # omega^2) at the asymptote lags, <v^2> by Parseval (no j = 0 or Nyquist bin)
+    sf = draw_power_groups(synthesis, H, seed, grid.n_ensemble, jobs, lambda pw: {
+        "sf": np.concatenate([_structure_function(pw, 1.0, x_lags, ws),
+                              _structure_function(pw, omega_sq, v_lags, ws),
+                              [2.0 * np.dot(omega_sq, pw) / n ** 2]])})
     n_d, n_x = deltas.size, len(x_lags)
     slope, slope_se = sf.estimate(
-        lambda s: np.polyfit(fit_deltas, s[n_d:n_x], 1)[0], "power")
-    v_var, v_se = acc.mean("v_var")
-    sfv, sfv_se = sf.estimate(lambda s: np.mean(s[n_x:]), "power")
+        lambda s: np.polyfit(fit_deltas, s[n_d:n_x], 1)[0], "sf")
+    v_var, v_se = sf.estimate(lambda s: s[-1], "sf")
+    sfv, sfv_se = sf.estimate(lambda s: np.mean(s[n_x:-1]), "sf")
 
     emitter.series("free_thermal", "structure_function", "delta_t", deltas,
-                   sf.total("power")[:n_d])
+                   sf.total("sf")[:n_d])
 
     rows = [
         Row("structure_slope", slope, slope_se, pred.thermal_dx2, 0.10,
@@ -733,14 +737,8 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     ws = Workspace(n)
     _emit_member_zero(emitter, "free_zpf", grid, synthesis, [(H, params)], seed)
 
-    def worker(k):
-        X = _steady_state(synthesis, H, member_seed(seed, k), ws)
-        power = coefficient_power(X, out=ws.spectrum(1)[: X.size]).copy()
-        return {"power": power, "p_var": mean_square(np.multiply(T, X, out=X), n)}
-
-    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("power",))
-
-    sf = acc.map_groups("power", lambda pw: _structure_function(pw, 1.0, lags, ws), jobs)
+    acc = draw_power_groups(synthesis, H, seed, grid.n_ensemble, jobs, lambda pw: {
+        "power": pw, "sf": _structure_function(pw, 1.0, lags, ws)})
     # a member's variance at each lag, from the ensemble power alone
     sf_var = mean_square_displacement_variance(acc.total("power"), n, lags)
     logd = np.log(deltas)
@@ -749,23 +747,23 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         # weighted least squares on ln(delta), weights 1/variance
         return np.polyfit(logd, sf, 1, w=sf_var ** -0.5)
 
-    slope, slope_se = sf.estimate(lambda s: fit(s)[0], "power")
+    slope, slope_se = acc.estimate(lambda s: fit(s)[0], "sf")
     # intercept/slope = C + ln(1/tau) when the log law holds
-    euler_est, euler_se = sf.estimate(
-        lambda s: fit(s)[1] / fit(s)[0] + math.log(params.tau), "power")
-    p_var, _ = acc.mean("p_var")
+    euler_est, euler_se = acc.estimate(
+        lambda s: fit(s)[1] / fit(s)[0] + math.log(params.tau), "sf")
+    # <p^2> by Parseval, T being the momentum gain (identically 0 here)
+    p_var = float(2.0 * np.dot(np.abs(T) ** 2, acc.total("power")) / n ** 2)
 
-    emitter.series("free_zpf", "structure_function", "delta_t", deltas, sf.total("power"),
+    emitter.series("free_zpf", "structure_function", "delta_t", deltas, acc.total("sf"),
                    np.sqrt(sf_var / grid.n_ensemble))
 
     pred = analytic.free_particle(params, 1.0, grid.omega_cut)
     rows = [
         Row("log_slope", slope, slope_se, pred.zpf_log_slope, 0.15,
             note="d(Delta x^2)/d(ln t); zeropoint diffusion is logarithmic"),
-        Row("euler_intercept", euler_est, euler_se,
-            analytic.EULER_GAMMA, 0.25,
-            note="intercept/slope - ln(1/tau); Euler constant of the "
-                 "log-diffusion law"),
+        Row("euler_intercept", euler_est, euler_se, pred.zpf_log_constant, 0.25,
+            note="intercept/slope - ln(1/tau) vs the log-diffusion law's constant "
+                 "on the band up to omega_c, Euler's C - ln(1 + (omega_c tau)^-2)/2"),
         Row("p_variance_zero", p_var, 0.0, 1e-18, 0.0,
             kind="upper_bound",
             note="canonical momentum of the free particle has nil spectrum"),
@@ -924,12 +922,15 @@ def run_scenario(
     """Run one named scenario and assemble its report.
 
     ``params``/``grid`` default to the scenario's tuned configuration; the
-    master seed lives in the grid.  The report embeds the fully resolved
-    configuration, so every analytic value in it is re-derivable.
+    master seed lives in the grid; ``jobs`` is an integer >= 1.  The report
+    embeds the fully resolved configuration, so every analytic value in it
+    is re-derivable.
     """
     dp, dg = scenario_defaults(name)
     params = dp if params is None else params
     grid = dg if grid is None else grid
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise InvalidParams([f"jobs must be an integer >= 1, got {jobs!r}"])
     # a scenario built on a bound oscillator divides by omega0
     cfg = validate(params, grid, oscillator=dp.omega0 > 0)
 

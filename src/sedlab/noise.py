@@ -34,7 +34,8 @@ own sub-seed of the member.
 
 Seed splitting: the sub-seed of ensemble member k is a pure function of
 (master seed, k) via numpy's SeedSequence spawn keys, so members can be
-generated in any order, on any number of workers, with identical results.
+generated in any order, on any number of workers, with identical results;
+so is a group's seed (``group_seed``) for the power sums drawn by group.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ from .spectra import SpectrumModel, field_spectrum
 def member_seed(master_seed: int, k: int) -> np.random.SeedSequence:
     """Sub-seed of ensemble member k; pure function of (master_seed, k)."""
     return np.random.SeedSequence(master_seed, spawn_key=(k,))
+
+
+def group_seed(master_seed: int, g: int) -> np.random.SeedSequence:
+    """Group g's sub-seed: its pool of 8 words (4 in a member's) sets it apart."""
+    return np.random.SeedSequence(master_seed, spawn_key=(g,), pool_size=8)
 
 
 @dataclass(frozen=True)

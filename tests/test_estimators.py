@@ -11,7 +11,6 @@ from sedlab.dynamics import simulate_oscillator
 from sedlab.errors import InvalidParams, LagTooLong, WindowTooLong
 from sedlab.estimators import (
     SpectrumEstimate,
-    coefficient_power,
     commutator,
     commutator_from_spectrum,
     correlation,
@@ -104,15 +103,6 @@ def test_auto_correlation_transforms_once_with_the_same_result(monkeypatch):
             auto = correlation(x, x, max_lag, 0.1).values
         assert len(calls) == transforms
         assert auto.tobytes() == separate.tobytes()
-
-
-def test_coefficient_power_into_borrowed_memory_is_bitwise_fresh():
-    rng = np.random.default_rng(2)
-    coeffs = rng.standard_normal(1001) + 1j * rng.standard_normal(1001)
-    out = np.full(coeffs.size, complex(np.nan, np.nan))
-    borrowed = coefficient_power(coeffs, out=out)
-    assert np.shares_memory(borrowed, out)
-    assert borrowed.tobytes() == (coeffs.real ** 2 + coeffs.imag ** 2).tobytes()
 
 
 def test_mean_square_leaves_its_input_and_allocates_no_band():
@@ -262,6 +252,21 @@ def test_hilbert_transform_lorentzian_pair():
     ref = t / (1.0 + t ** 2)
     core = np.abs(t) < 10.0
     assert np.max(np.abs(h[core] - ref[core])) < 0.01
+
+
+@pytest.mark.parametrize("size", [100, 101, 1000, 2401, 5001])
+def test_hilbert_transform_is_the_analytic_signal_of_its_padded_buffer(size):
+    # the imaginary part of scipy's analytic signal on the same padded lattice
+    from scipy.fft import next_fast_len
+    from scipy.signal import hilbert
+
+    v = np.random.default_rng(size).standard_normal(size)
+    m = next_fast_len(4 * size)
+    buf = np.zeros(m)
+    off = (m - size) // 2
+    buf[off : off + size] = v
+    ref = np.imag(hilbert(buf))[off : off + size]
+    assert np.max(np.abs(hilbert_transform(v) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_structure_function_zero_lag_and_white_noise():

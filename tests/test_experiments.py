@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.stats import kstwo
 
 import sedlab.experiments as experiments
@@ -19,7 +20,6 @@ from sedlab.dynamics import momentum_step, response_transfer
 from sedlab.errors import InvalidParams, LagTooLong, SedlabError, UnknownScenario
 from sedlab.estimators import (
     HILBERT_MARGIN,
-    coefficient_power,
     commutator_from_spectrum,
     decorrelated,
     hilbert_commutator,
@@ -43,6 +43,7 @@ from sedlab.experiments import (
     _mean_variance,
     _x_decorrelation_time,
     _xp_correlations,
+    draw_power_groups,
     run_ensemble,
     run_scenario,
     scenario_defaults,
@@ -213,6 +214,41 @@ def test_free_zpf_small_budget():
     assert by_name["p_variance_zero"].estimated == 0.0
 
 
+class _MeanGamma:
+    """A generator whose every ``standard_gamma(m)`` draw is its mean m."""
+
+    def standard_gamma(self, shape, out):
+        out[...] = shape
+        return out
+
+
+def test_free_zpf_intercept_on_the_mean_power_is_the_band_constant(monkeypatch):
+    # every group sum at its mean: the scenario's own fit on the exact mean
+    # power, the row's value for an infinite ensemble, on the default grid
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _MeanGamma())
+    grid = _default_grid("free_zpf", n_ensemble=2)
+    row = next(r for r in run_scenario("free_zpf", grid=grid).rows
+               if r.quantity == "euler_intercept")
+    from sedlab import analytic
+
+    assert row.analytic == analytic.free_particle(
+        scenario_defaults("free_zpf")[0], 1.0, grid.omega_cut).zpf_log_constant
+    assert abs(row.estimated - row.analytic) <= 0.01 * row.analytic
+    # Euler's constant alone, which leaves out the band's term, is 9% off
+    assert abs(row.estimated - analytic.EULER_GAMMA) > 0.05 * analytic.EULER_GAMMA
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", True, None])
+def test_run_scenario_refuses_a_bad_jobs_before_any_member(jobs, monkeypatch):
+    def no_members(*args, **kwargs):
+        raise AssertionError("a member ran with a bad jobs")
+
+    monkeypatch.setattr(experiments, "ensemble_reduce", no_members)
+    with pytest.raises(InvalidParams) as exc:
+        run_scenario("ground_state", grid=FAST_GRID, jobs=jobs)
+    assert exc.value.violations == [f"jobs must be an integer >= 1, got {jobs!r}"]
+
+
 def test_dipoles_small_budget():
     grid = GridSpec(dt=0.1, n_samples=1 << 17, omega_cut=4.0,
                     n_ensemble=8, seed=6)
@@ -267,7 +303,8 @@ class _Captured(Exception):
 
 
 def _member_worker(monkeypatch, name, grid):
-    """The worker ``name`` hands to ensemble_reduce for its members."""
+    """The worker ``name`` hands to its first ensemble_reduce: a member's,
+    or, where the scenario draws only group sums, a drawn group's."""
     captured = []
 
     def capture(worker, n_ensemble, jobs, reducer, state):
@@ -337,22 +374,24 @@ def test_warmed_member_allocates_less_than_one_series(name, changes, monkeypatch
     assert peak < 8 * grid.n_samples
 
 
-@pytest.mark.parametrize("name, per_member, per_operation, folds", [
+@pytest.mark.parametrize("name, per_member, per_operation, folds, hilbert", [
     # the ensemble window and the spectral c_xx (c_xp(0) per group is a
-    # product with a functional, whose one transform is an rfft)
-    pytest.param("commutators", 0, 2, 0, id="commutators-0-2"),
+    # product with a functional, whose one transform is an rfft); on the
+    # Hilbert route's padded lattice, the analytic signals of that
+    # functional and of the window
+    pytest.param("commutators", 0, 2, 0, 2, id="commutators-0-2"),
     # x per member, a window per group
-    pytest.param("energy_time", 1, N_GROUPS, 0, id="energy_time-1-8"),
+    pytest.param("energy_time", 1, N_GROUPS, 0, 0, id="energy_time-1-8"),
     # folds of x at two strides and of p at one
-    pytest.param("ground_state", 0, 0, 3, id="ground_state-0-0"),
+    pytest.param("ground_state", 0, 0, 3, 0, id="ground_state-0-0"),
     # no position KS row: folds of x and of p at the energy's stride alone
-    pytest.param("planck_thermal", 0, 0, 2, id="planck_thermal-0-0"),
+    pytest.param("planck_thermal", 0, 0, 2, 0, id="planck_thermal-0-0"),
     # folds of x+ and x-
-    pytest.param("dipoles", 0, 0, 2, id="dipoles-0-0"),
+    pytest.param("dipoles", 0, 0, 2, 0, id="dipoles-0-0"),
     # a structure function per group, and the model variance of its lags
-    pytest.param("free_zpf", 0, N_GROUPS + 1, 0, id="free_zpf-0-9"),
+    pytest.param("free_zpf", 0, N_GROUPS + 1, 0, 0, id="free_zpf-0-9"),
 ])
-def test_series_transforms_per_operation(name, per_member, per_operation, folds,
+def test_series_transforms_per_operation(name, per_member, per_operation, folds, hilbert,
                                          monkeypatch):
     # the momentum comes from x by its recursion, or from P = T X, never by a
     # transform of its own; KS subsamples are folds of at most n/32 points
@@ -372,7 +411,11 @@ def test_series_transforms_per_operation(name, per_member, per_operation, folds,
     # every n-point transform reads the band alone: irfft pads the zero tail
     band = synthesis_band(grid.dt, n, validate(scenario_defaults(name)[0], grid).grid.omega_cut)
     assert all(size == band + 1 for size, m in zip(sizes, lengths) if m == n)
-    folded = [m for m in lengths if m != n]
+    # commutators' Hilbert route pads its 2L + 1 lags to next_fast_len(4(2L + 1))
+    pad = (next_fast_len(4 * (2 * lag_count(HILBERT_MARGIN * 100.0, grid.dt, n) + 1))
+           if hilbert else None)
+    assert lengths.count(pad) == hilbert
+    folded = [m for m in lengths if m not in (n, pad)]
     assert len(folded) == folds * grid.n_ensemble
     assert all(32 * m <= n for m in folded)
 
@@ -385,7 +428,7 @@ def _steady_power(name, n_samples):
     H, T = response_transfer(cfg.params, cfg.grid)
     synthesis = field_synthesis(SpectrumModel.zpf(), cfg.params, cfg.grid)
     X = np.multiply(H, synthesis.draw(member_seed(cfg.grid.seed, 0)))
-    return cfg, coefficient_power(X), T
+    return cfg, np.abs(X) ** 2, T
 
 
 def test_structure_function_model_variance_matches_the_spread_over_members():
@@ -399,8 +442,8 @@ def test_structure_function_model_variance_matches_the_spread_over_members():
     H, _ = response_transfer(cfg.params, cfg.grid)
     synthesis = field_synthesis(SpectrumModel.zpf(), cfg.params, cfg.grid)
     sf = np.array([
-        mean_square_displacement(coefficient_power(
-            _response(synthesis, H, member_seed(cfg.grid.seed, k))), n, lags)
+        mean_square_displacement(np.abs(
+            _response(synthesis, H, member_seed(cfg.grid.seed, k))) ** 2, n, lags)
         for k in range(members)])
     # E|X_j|^2 = 2 |H_j|^2 amplitude_j^2 on the band
     power = np.zeros(n // 2 + 1)
@@ -522,18 +565,62 @@ def test_grouping_invariants_and_member_order(n_ensemble):
                        np.mean([e["power"] for e in expected], axis=0))
 
 
+def _small_response(name, n_samples):
+    """The ``field_synthesis`` and gain H of ``name``'s zeropoint field on
+    its default grid at n_samples, a lattice too short for ``validate``."""
+    params, grid = scenario_defaults(name)
+    grid = replace(grid, n_samples=n_samples)
+    return field_synthesis(SpectrumModel.zpf(), params, grid), response_transfer(params, grid)[0]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=200))
 def test_accumulator_identical_at_jobs_1_and_3(n_ensemble):
+    synthesis, H = _small_response("commutators", 1 << 12)
+
     def digest(jobs):
         acc = run_ensemble(_synthetic_worker, n_ensemble, jobs, summed=("power",))
-        windows = acc.map_groups("power", lambda pw: np.cumsum(pw), jobs)
-        assert len(windows.sums["power"]) == min(N_GROUPS, n_ensemble)
+        drawn = draw_power_groups(synthesis, H, 7, n_ensemble, jobs,
+                                  lambda pw: {"window": np.cumsum(pw)})
+        assert len(drawn.sums["window"]) == min(N_GROUPS, n_ensemble)
         return (acc.values["k"], acc.mean("value"), acc.pool("sub").tobytes(),
                 [s.tobytes() for s in acc.sums["power"]], acc.estimate(np.sum, "power"),
-                windows.estimate(lambda w: w[-1], "power"))
+                [s.tobytes() for s in drawn.sums["window"]],
+                drawn.estimate(lambda w: w[-1], "window"))
 
     assert digest(1) == digest(3)
+
+
+@pytest.mark.parametrize("route", ["members", "groups"])
+def test_group_power_sums_follow_the_gamma_law(route):
+    # the member route is the reference for the drawn groups: over its mean,
+    # each bin's power summed over a group of m members is Gamma(m, 1),
+    # independently per bin
+    from scipy.stats import gamma, kstest
+
+    synthesis, H = _small_response("commutators", 1 << 12)
+    n_ensemble, m = 4 * N_GROUPS, 4
+    mean = 2.0 * np.abs(H[1:]) ** 2 * synthesis.amplitude ** 2
+    pooled, p_values = [], []
+    for seed in range(6, 26):
+        if route == "groups":
+            sums = draw_power_groups(synthesis, H, seed, n_ensemble, 1,
+                                     lambda pw: {"power": pw}).sums["power"]
+        else:
+            sums = run_ensemble(
+                lambda k: {"power": np.abs(_response(synthesis, H, member_seed(seed, k))) ** 2},
+                n_ensemble, 1, summed=("power",)).sums["power"]
+        assert len(sums) == N_GROUPS and all(s[0] == 0.0 for s in sums)
+        z = np.concatenate([s[1:] / mean for s in sums])
+        pooled.append(z)
+        p_values.append(kstest(z, gamma(m).cdf).pvalue)
+    z = np.concatenate(pooled)
+    # mean and variance m within 4 standard errors; Gamma(m, 1) has fourth
+    # central moment 3 m^2 + 6 m
+    assert abs(z.mean() - m) <= 4.0 * math.sqrt(m / z.size)
+    assert abs(z.var() - m) <= 4.0 * math.sqrt((2 * m ** 2 + 6 * m) / z.size)
+    # one seed's KS p-value is uniform over seeds
+    assert kstest(p_values, "uniform").pvalue > 0.01
 
 
 def test_group_means_are_formed_once_per_key():

@@ -11,6 +11,7 @@ from sedlab.estimators import periodogram
 from sedlab.experiments import run_scenario, scenario_defaults
 from sedlab.noise import (
     field_synthesis,
+    group_seed,
     member_seed,
     synthesize_field,
     synthesize_pair,
@@ -190,3 +191,17 @@ def test_draws_into_dirty_buffers_equal_fresh_ones():
         assert drawn is out
         assert drawn.tobytes() == field_synthesis(ZPF, PARAMS, GRID).draw(seed).tobytes()
         assert drawn[0] == 0.0 and np.all(np.isfinite(drawn))
+
+
+def test_group_seeds_are_no_member_seed_nor_a_child_of_member_zero():
+    def state(seq):
+        return tuple(seq.generate_state(8))
+
+    for master in (0, 1, 202608):
+        groups = {state(group_seed(master, g)) for g in range(16)}
+        assert len(groups) == 16
+        members = {state(member_seed(master, k)) for k in range(1024)}
+        children = {state(c) for c in member_seed(master, 0).spawn(16)}
+        assert not groups & (members | children)
+        # a pure function of (master, g)
+        assert state(group_seed(master, 5)) == state(group_seed(master, 5))

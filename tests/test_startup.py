@@ -79,6 +79,31 @@ for name in ("ground_state", "planck_thermal", "dipoles"):
     assert lines == ["ground_state", "planck_thermal", "dipoles", "[]"]
 
 
+def test_lag_spectra_setups_load_no_scipy_signal():
+    """commutators and energy_time up to their first ``ensemble_reduce``:
+    the Hilbert route's analytic signal is numpy's, and only its padding,
+    ``scipy.fft.next_fast_len``, comes from scipy."""
+    lines = _run(f"""
+import json, sys
+from sedlab import experiments
+
+class FirstEnsemble(Exception):
+    pass
+
+def stop(*args, **kwargs):
+    raise FirstEnsemble
+
+experiments.ensemble_reduce = stop
+for name in ("commutators", "energy_time"):
+    try:
+        experiments.run_scenario(name)
+    except FirstEnsemble:
+        print(name)
+{LOADED}
+""")
+    assert lines == ["commutators", "energy_time", '["scipy.fft"]']
+
+
 def test_first_lfilter_import_from_two_pool_threads():
     """The fourth-moment property at jobs=2 as a process's first work: both
     pool threads reach the first ``lfilter`` import at once."""
