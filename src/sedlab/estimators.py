@@ -17,10 +17,19 @@ kernel 1/(u - t).  Concretely, the coefficient series c(t) with
 auto-commutator this reduces to the one-sided sine transform of the
 spectrum, c(t) = 2 * integral S(omega) sin(omega t) domega, which is the
 primary (lower-noise) route.
+
+No BLAS: an inner product is ``np.einsum("i,i->", a, b)``, never
+``np.dot``, ``np.vdot``, ``np.inner``, ``np.matmul`` or ``@``, here and in
+``experiments``.  Those go to numpy's threaded BLAS, which hands a
+band-length product to its worker threads; the threads then busy-wait
+between calls and oversubscribe the cores under member threads.  A
+Tier-1 test parses both modules for them.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,11 +118,11 @@ def mean_square(coeffs: np.ndarray, n: int) -> float:
     ``coeffs`` may stop short of the Nyquist bin: entries j = 0..b-1 of the
     half-spectrum, b <= n//2 + 1, with zeros above (a band).
 
-    One pass and no temporary: sum_j |c_j|^2 is the dot product of the
-    coefficients' float64 view with itself (``einsum``: ``np.dot`` would
-    go to a threaded BLAS, which oversubscribes the cores under member
-    threads).  Every bin counts twice but j = 0 and an even-n Nyquist bin,
-    which appear once.  A non-contiguous input is copied first.
+    One pass and no temporary: sum_j |c_j|^2 is the inner product of the
+    coefficients' float64 view with itself (``einsum``; see "No BLAS" in
+    the module notes).  Every bin counts twice but j = 0 and an even-n
+    Nyquist bin, which appear once.  A non-contiguous input is copied
+    first.
     """
     c = np.ascontiguousarray(coeffs, dtype=complex)
     v = c.view(np.float64)
@@ -141,18 +150,39 @@ def lag_count(max_lag: float, dt: float, n: int) -> int:
     return lag_samples
 
 
+@functools.lru_cache(maxsize=None)
+def _smooth_numbers(bits: int) -> list[int]:
+    """The 11-smooth integers (no prime factor above 11) up to 2**bits,
+    ascending."""
+    top = 1 << bits
+    nums = [1]
+    for p in (2, 3, 5, 7, 11):
+        powers = []
+        for k in nums:
+            while k <= top:
+                powers.append(k)
+                k *= p
+        nums = powers
+    return sorted(nums)
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 11-smooth integer >= target (>= 1): a length that
+    pocketfft transforms fast, the same as ``scipy.fft.next_fast_len``'s
+    default.  Each power of two's table is built once."""
+    table = _smooth_numbers((target - 1).bit_length())
+    return table[bisect.bisect_left(table, target)]
+
+
 def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float, two_sided: bool):
     """sum_t a(t) b(t+u) of the demeaned series on the lags u = 0..L, or
     -L..L if ``two_sided``, with L = ``lag_count(max_lag, dt, n)``.
 
-    Each sum is formed directly (one ``einsum`` per lag; ``np.dot`` would
-    go to a threaded BLAS, which oversubscribes the cores under member
-    threads) when that costs less than the transforms of the padded route
-    (see FFT_LAG_SUMS): rfft of each series, zero-padded against
-    wrap-around, and one irfft.  Returns (u, raw, n).
+    Each sum is formed directly (one ``einsum`` per lag; see "No BLAS" in
+    the module notes) when that costs less than the transforms of the
+    padded route (see FFT_LAG_SUMS): rfft of each series, zero-padded
+    against wrap-around, and one irfft.  Returns (u, raw, n).
     """
-    from scipy.fft import next_fast_len
-
     auto = b is a
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -163,7 +193,7 @@ def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float, two_side
     u = np.arange(-lags if two_sided else 0, lags + 1)
     a = a - a.mean()
     b = a if auto else b - b.mean()
-    m = next_fast_len(n + lags + 1)
+    m = _next_fast_len(n + lags + 1)
     if u.size * n <= FFT_LAG_SUMS * (2 if auto else 3) * m * math.log2(m):
         # lag k < 0 is sum_t a(t - k) b(t)
         raw = np.array([np.einsum("i,i->", a[: n - k], b[k:]) if k >= 0
@@ -195,10 +225,8 @@ def hilbert_transform(values: np.ndarray) -> np.ndarray:
     Its imaginary part is irfft(-i rfft(buf)) without the mean and Nyquist
     bins (the slice drops an even buffer's Nyquist bin, and irfft pads it).
     """
-    from scipy.fft import next_fast_len
-
     v = np.asarray(values, dtype=float)
-    m = next_fast_len(max(4 * v.size, 64))
+    m = _next_fast_len(max(4 * v.size, 64))
     buf = np.zeros(m)
     off = (m - v.size) // 2
     buf[off : off + v.size] = v
@@ -306,7 +334,7 @@ def structure_function(x: np.ndarray, dt: float, delta_ts) -> np.ndarray:
             out[i] = 0.0
         else:
             diff = x[d:] - x[:-d]
-            out[i] = float(diff @ diff) / diff.size
+            out[i] = float(np.einsum("i,i->", diff, diff)) / diff.size
     return out
 
 

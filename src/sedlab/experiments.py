@@ -386,7 +386,7 @@ def _xp_correlations(pw, one_plus_t, t_sq, g: float, lag: int, ws: Workspace) ->
     c = np.empty((3, lag + 1))
     np.multiply(0.5, np.add(fwd, back, out=c[0]), out=c[0])
     np.multiply(0.5, np.subtract(fwd, back, out=c[2]), out=c[2])
-    apply_momentum_gain(c[2], -g, 2.0 * np.dot(t_sq, pw) / ws.n ** 2, out=c[1])
+    apply_momentum_gain(c[2], -g, 2.0 * np.einsum("i,i->", t_sq, pw) / ws.n ** 2, out=c[1])
     return c
 
 
@@ -490,7 +490,7 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     window = _lag_window(acc.total("power"), one_plus_t, lag_ext, ws)
     c_xx_h = hilbert_commutator(0.5 * (window + window[::-1]), lags.size)
-    c_xp0, cxp0_se = acc.estimate(lambda pw: float(xp_zero @ pw), "power")
+    c_xp0, cxp0_se = acc.estimate(lambda pw: float(np.einsum("i,i->", xp_zero, pw)), "power")
 
     hb, m, w0 = params.hbar, params.m, params.omega0
     ref_xx, ref_pp, _ = analytic.commutator_closed(params, lags)
@@ -697,7 +697,7 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     sf = draw_power_groups(synthesis, H, seed, grid.n_ensemble, jobs, lambda pw: {
         "sf": np.concatenate([_structure_function(pw, 1.0, x_lags, ws),
                               _structure_function(pw, omega_sq, v_lags, ws),
-                              [2.0 * np.dot(omega_sq, pw) / n ** 2]])})
+                              [2.0 * np.einsum("i,i->", omega_sq, pw) / n ** 2]])})
     n_d, n_x = deltas.size, len(x_lags)
     slope, slope_se = sf.estimate(
         lambda s: np.polyfit(fit_deltas, s[n_d:n_x], 1)[0], "sf")
@@ -752,7 +752,7 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     euler_est, euler_se = acc.estimate(
         lambda s: fit(s)[1] / fit(s)[0] + math.log(params.tau), "sf")
     # <p^2> by Parseval, T being the momentum gain (identically 0 here)
-    p_var = float(2.0 * np.dot(np.abs(T) ** 2, acc.total("power")) / n ** 2)
+    p_var = float(2.0 * np.einsum("i,i->", np.abs(T) ** 2, acc.total("power")) / n ** 2)
 
     emitter.series("free_zpf", "structure_function", "delta_t", deltas, acc.total("sf"),
                    np.sqrt(sf_var / grid.n_ensemble))

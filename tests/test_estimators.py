@@ -1,6 +1,8 @@
+import ast
 import csv
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -537,3 +539,30 @@ def test_hilbert_zero_functional_on_a_full_spectrum(n):
     w = np.fft.irfft(pw * gain, n)[np.arange(-lag, lag + 1)] / n
     ref = hilbert_commutator(0.5 * (w - w[::-1]), 1)[0]
     assert abs(hilbert_zero_functional(gain, n, lag) @ pw - ref) <= 1e-12 * abs(ref)
+
+
+def test_next_fast_len_is_scipys_default():
+    # the padding lengths of the Hilbert and lag-correlation routes are
+    # those that scipy.fft.next_fast_len gives, on short lags and at the
+    # 2M-point lengths of the default grids
+    from scipy.fft import next_fast_len
+
+    for targets in (range(1, 200_001), range(2_000_000, 2_050_001)):
+        assert [t for t in targets if estimators._next_fast_len(t) != next_fast_len(t)] == []
+
+
+#: Calls that go to numpy's threaded BLAS ("No BLAS" in the estimators notes).
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul"}
+
+
+@pytest.mark.parametrize("module", ["experiments.py", "estimators.py"])
+def test_scenario_path_makes_no_blas_call(module):
+    path = Path(estimators.__file__).with_name(module)
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in BLAS_CALLS):
+            found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, "BLAS calls:\n" + "\n".join(found)

@@ -79,10 +79,10 @@ for name in ("ground_state", "planck_thermal", "dipoles"):
     assert lines == ["ground_state", "planck_thermal", "dipoles", "[]"]
 
 
-def test_lag_spectra_setups_load_no_scipy_signal():
+def test_lag_spectra_setups_load_no_deferred_scipy():
     """commutators and energy_time up to their first ``ensemble_reduce``:
-    the Hilbert route's analytic signal is numpy's, and only its padding,
-    ``scipy.fft.next_fast_len``, comes from scipy."""
+    the Hilbert route's analytic signal and its padding length are numpy's
+    and sedlab's own, so no scipy module loads at all."""
     lines = _run(f"""
 import json, sys
 from sedlab import experiments
@@ -100,8 +100,9 @@ for name in ("commutators", "energy_time"):
     except FirstEnsemble:
         print(name)
 {LOADED}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """)
-    assert lines == ["commutators", "energy_time", '["scipy.fft"]']
+    assert lines == ["commutators", "energy_time", "[]", "[]"]
 
 
 def test_first_lfilter_import_from_two_pool_threads():
