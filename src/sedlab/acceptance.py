@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic
 from .core import GridSpec, SystemParams, validate
-from .dynamics import simulate_oscillator
+from .dynamics import canonical_momentum, simulate_oscillator
 from .estimators import commutator, correlation, periodogram
 from .experiments import run_ensemble, run_scenario
 from .noise import FieldRealization, field_synthesis, member_seed, synthesize_field
@@ -59,8 +59,7 @@ def _member_fields(model: SpectrumModel, params: SystemParams, grid: GridSpec):
 
     def field(k):
         seed = member_seed(grid.seed, k)
-        return FieldRealization(grid.dt, np.fft.irfft(synthesis.draw(seed), grid.n_samples),
-                                model, seed, grid.omega_cut)
+        return FieldRealization(grid.dt, np.fft.irfft(synthesis.draw(seed), grid.n_samples))
 
     return field
 
@@ -101,11 +100,11 @@ def _property_linearity(jobs: int) -> tuple[list[str], bool]:
     f2 = synthesize_field(model, params, grid, member_seed(grid.seed, 1))
     a, b = 0.7, -1.3
     combo = replace(f1, samples=a * f1.samples + b * f2.samples)
-    t1 = simulate_oscillator(params, f1)
-    t2 = simulate_oscillator(params, f2)
-    tc = simulate_oscillator(params, combo)
-    scale = np.max(np.abs(tc.x))
-    dev = np.max(np.abs(tc.x - (a * t1.x + b * t2.x))) / scale
+    x1 = simulate_oscillator(params, f1)
+    x2 = simulate_oscillator(params, f2)
+    xc = simulate_oscillator(params, combo)
+    scale = np.max(np.abs(xc))
+    dev = np.max(np.abs(xc - (a * x1 + b * x2))) / scale
     ok = dev < 1e-10
     return [f"{'PASS' if ok else 'FAIL'} superposition deviation {dev:.2e} "
             "(need < 1e-10 of range)"], ok
@@ -118,8 +117,7 @@ def _property_fourth_moment(jobs: int) -> tuple[list[str], bool]:
     field = _member_fields(SpectrumModel.zpf(), params, grid)
 
     def worker(k):
-        # reads x alone, so the trajectory's v and p are never formed
-        x = simulate_oscillator(params, field(k)).x
+        x = simulate_oscillator(params, field(k))
         c = correlation(x, x, 5.0, grid.dt).values
         x2 = x ** 2
         c2 = correlation(x2, x2, 5.0, grid.dt).values
@@ -140,8 +138,8 @@ def _property_commutator_structure(jobs: int) -> tuple[list[str], bool]:
     grid = GridSpec(dt=0.1, n_samples=1 << 18, omega_cut=20.0, seed=3111)
     validate(params, grid)
     f = synthesize_field(SpectrumModel.zpf(), params, grid, member_seed(grid.seed, 0))
-    traj = simulate_oscillator(params, f)
-    x, p = traj.x, traj.p
+    x = simulate_oscillator(params, f)
+    p = canonical_momentum(x, params, grid.dt)
 
     c_xx = commutator(x, x, 40.0, grid.dt)
     odd_ok = c_xx.values[0] == 0.0

@@ -19,7 +19,7 @@ recursion is X_j = H(z_j) * E_j on the half-spectrum coefficients E_j of
 the field, with z_j = exp(2 pi i j/n) and H the z-transfer of the
 recursion (``response_transfer``).  It needs no burn-in.  A kicked start
 is, by linearity, that steady state plus the homogeneous decay, which is
-``_integrate`` on a zero field.
+``_positions`` on a zero field.
 
 The canonical momentum needs no second transform.  Its gain T is the
 periodic trapezoid rule p[k] - p[k-1] = -(m omega0^2 dt/2)(x[k] + x[k-1]),
@@ -36,7 +36,8 @@ chi_j = -1/(omega_j^2 (1 - i tau omega_j)), whose squared modulus is
 The time-domain integrator (``simulate_oscillator``, ``simulate_dipoles``)
 and the direct free-particle sampler (``sample_from_spectrum``) stay as
 the tests' oracles of these responses; ``simulate_oscillator`` is also the
-property suite's path.
+property suite's path.  They return position arrays; a reader that wants
+the momentum of a bound oscillator's x applies ``canonical_momentum``.
 """
 
 from __future__ import annotations
@@ -48,29 +49,6 @@ import numpy as np
 from .core import GridSpec, SystemParams, burn_in_samples
 from .errors import BurnInExceedsTrajectory, InvalidParams
 from .noise import FieldPair, FieldRealization, synthesis_band, synthesize_series
-
-
-class Trajectory:
-    """Time series of one system realization on a uniform grid.
-
-    ``v`` and ``p`` are given as arrays (v may be None), or as functions of
-    no argument that form them, as ``simulate_oscillator`` gives them: such
-    a function runs on the first read of its attribute, and its array is
-    kept, so a reader of x alone forms neither.
-    """
-
-    def __init__(self, dt: float, x: np.ndarray, v, p, params: SystemParams):
-        self.dt, self.x, self.params = dt, x, params
-        self._series = {"v": v, "p": p}
-
-    def _formed(self, name: str):
-        series = self._series[name]
-        if callable(series):
-            series = self._series[name] = series()
-        return series
-
-    v = property(lambda self: self._formed("v"))
-    p = property(lambda self: self._formed("p"))
 
 
 def _propagator(params: SystemParams, dt: float):
@@ -89,20 +67,14 @@ def _propagator(params: SystemParams, dt: float):
     return (a11, a12, a21, a22), (b1, b2)
 
 
-def _integrate(params: SystemParams, eps: np.ndarray, dt: float,
-               x0: float = 0.0, v0: float = 0.0):
-    """Propagate the reduced oscillator through the full field array.
-
-    Returns (x, v) with x[k], v[k] the state at t = k*dt; the field sample
-    eps[k] acts on [k*dt, (k+1)*dt).
-    """
-    x = _positions(params, eps, dt, x0, v0)
-    return x, _velocities(params, eps, dt, x, v0)
-
-
 def _positions(params: SystemParams, eps: np.ndarray, dt: float,
                x0: float, v0: float) -> np.ndarray:
-    """The x of ``_integrate``, by its two-term recursion alone."""
+    """Propagate the reduced oscillator from (x0, v0) through the field array.
+
+    x[k] is the position at t = k*dt; the field sample eps[k] acts on
+    [k*dt, (k+1)*dt).  The exact one-step propagator, eliminated to its
+    two-term recursion in x alone.
+    """
     from scipy.signal import lfilter, lfiltic
 
     n = eps.size
@@ -119,19 +91,6 @@ def _positions(params: SystemParams, eps: np.ndarray, dt: float,
         zi = lfiltic([b1, c2], [1.0, -tr, det], y=[x[1], x[0]], x=[eps[0]])
         x[2:], _ = lfilter([b1, c2], [1.0, -tr, det], eps[1 : n - 1], zi=zi)
     return x
-
-
-def _velocities(params: SystemParams, eps: np.ndarray, dt: float,
-                x: np.ndarray, v0: float) -> np.ndarray:
-    """The v of ``_integrate``, from its x: each step solved for v."""
-    n = eps.size
-    (a11, a12, a21, a22), (b1, b2) = _propagator(params, dt)
-    v = np.empty(n)
-    v[0] = v0
-    if n > 1:
-        v[:-1] = (x[1:] - a11 * x[:-1] - b1 * eps[:-1]) / a12
-        v[-1] = a21 * x[-2] + a22 * v[-2] + b2 * eps[-2]
-    return v
 
 
 def _lattice_phases(n: int, size: int) -> np.ndarray:
@@ -165,7 +124,7 @@ def response_transfer(params: SystemParams, grid: GridSpec):
 
     For a field with half-spectrum coefficients E_j (the numpy ``rfft`` of
     one period of its samples) the periodic steady state of
-    ``_integrate``'s recursion is X_j = H_j E_j, with
+    ``_positions``' recursion is X_j = H_j E_j, with
 
         H(z) = (b1 z^-1 + c2 z^-2) / (1 - tr z^-1 + det z^-2),  z_j = exp(2 pi i j/n),
 
@@ -260,7 +219,7 @@ def simulate_oscillator(
     params: SystemParams,
     field: FieldRealization,
     burn_in: int | None = None,
-) -> Trajectory:
+) -> np.ndarray:
     """Drive the oscillator with a field realization and discard burn-in.
 
     Parameters
@@ -268,6 +227,10 @@ def simulate_oscillator(
     burn_in : int, optional
         Samples to discard; default 10/(tau*omega0^2) time units, five
         e-folds of the slowest relaxation.
+
+    Returns
+    -------
+    The position x[k] at t = (burn_in + k)*dt, from rest at t = 0.
 
     Raises
     ------
@@ -284,43 +247,32 @@ def simulate_oscillator(
         raise BurnInExceedsTrajectory(
             f"burn-in {nb} samples >= trajectory length {eps.size}"
         )
-
-    x_all = _positions(params, eps, dt, 0.0, 0.0)
-    x = x_all[nb:]
-    return Trajectory(dt=dt, x=x,
-                      v=lambda: _velocities(params, eps, dt, x_all, 0.0)[nb:],
-                      p=lambda: canonical_momentum(x, params, dt), params=params)
+    return _positions(params, eps, dt, 0.0, 0.0)[nb:]
 
 
-def sample_from_spectrum(
-    spectrum,
-    grid: GridSpec,
-    seed,
-    params: SystemParams,
-) -> Trajectory:
+def sample_from_spectrum(spectrum, grid: GridSpec, seed) -> np.ndarray:
     """Sample a position process directly from its one-sided spectrum.
 
     The oracle of the free-particle response: from the same seed it draws
     the normals ``Synthesis.draw`` draws, so its |rfft(x)|^2 is
-    |H_j E_j|^2 of ``response_transfer``.  The canonical momentum of the
-    free particle has a nil spectrum, so p is identically zero; v is
-    omitted.
+    |H_j E_j|^2 of ``response_transfer``.  Returns the position x,
+    ``grid.n_samples`` long; the free particle's canonical momentum has a
+    nil spectrum, so it has no series of its own.
     """
     rng = np.random.default_rng(seed)
-    x = synthesize_series(spectrum, grid.dt, grid.n_samples, grid.omega_cut, rng)
-    return Trajectory(dt=grid.dt, x=x, v=None, p=np.zeros_like(x), params=params)
+    return synthesize_series(spectrum, grid.dt, grid.n_samples, grid.omega_cut, rng)
 
 
 def simulate_dipoles(
     params: SystemParams,
     pair: FieldPair,
-) -> tuple[Trajectory, Trajectory]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Two coupled dipoles driven by independent fields.
 
     Decouples into normal modes x_pm = (x1 +- x2)/sqrt(2) with squared
-    frequencies omega0^2 -+ K/m driven by eps_pm, integrates each mode,
-    and transforms back.  Momenta are the per-mode canonical momenta
-    transformed the same way.
+    frequencies omega0^2 -+ K/m driven by eps_pm, integrates each mode
+    after a burn-in common to both, and transforms back.  Returns the
+    positions (x1, x2) of the two dipoles.
     """
     if not abs(params.K) < params.m * params.omega0 ** 2:
         raise InvalidParams([f"|K| = {abs(params.K)} must be < m*omega0^2"])
@@ -329,21 +281,7 @@ def simulate_dipoles(
     dt = pair.eps_plus.dt
     nb = max(burn_in_samples(pp, dt), burn_in_samples(pm, dt))
 
-    tp = simulate_oscillator(pp, pair.eps_plus, burn_in=nb)
-    tm = simulate_oscillator(pm, pair.eps_minus, burn_in=nb)
-
+    xp = simulate_oscillator(pp, pair.eps_plus, burn_in=nb)
+    xm = simulate_oscillator(pm, pair.eps_minus, burn_in=nb)
     root2 = math.sqrt(2.0)
-
-    def mix(ap, am, s):
-        return (ap + s * am) / root2
-
-    trajs = []
-    for s in (+1, -1):
-        trajs.append(Trajectory(
-            dt=dt,
-            x=mix(tp.x, tm.x, s),
-            v=mix(tp.v, tm.v, s),
-            p=mix(tp.p, tm.p, s),
-            params=params,
-        ))
-    return trajs[0], trajs[1]
+    return (xp + xm) / root2, (xp - xm) / root2

@@ -62,13 +62,10 @@ def group_seed(master_seed: int, g: int) -> np.random.SeedSequence:
 
 @dataclass(frozen=True)
 class FieldRealization:
-    """One sampled reduced-field realization with its provenance."""
+    """One sampled reduced-field realization on a grid of step dt."""
 
     dt: float
     samples: np.ndarray
-    model: SpectrumModel
-    seed: object
-    omega_cut: float
 
 
 def synthesis_band(dt: float, n_samples: int, omega_cut: float) -> int:
@@ -171,9 +168,7 @@ def synthesize_field(
     """
     samples = np.fft.irfft(field_synthesis(model, params, grid).draw(seed),
                            grid.n_samples)
-    return FieldRealization(
-        dt=grid.dt, samples=samples, model=model, seed=seed, omega_cut=grid.omega_cut
-    )
+    return FieldRealization(dt=grid.dt, samples=samples)
 
 
 @dataclass(frozen=True)
@@ -202,17 +197,10 @@ def synthesize_pair(
     f1 = synthesize_field(model, params, grid, sub1)
     f2 = synthesize_field(model, params, grid, sub2)
     root2 = math.sqrt(2.0)
-
-    def combo(samples, tag):
-        return FieldRealization(
-            dt=grid.dt, samples=samples, model=model, seed=(seed, tag),
-            omega_cut=grid.omega_cut,
-        )
-
     return FieldPair(
         eps1=f1,
         eps2=f2,
-        eps_plus=combo((f1.samples + f2.samples) / root2, "plus"),
-        eps_minus=combo((f1.samples - f2.samples) / root2, "minus"),
+        eps_plus=FieldRealization(grid.dt, (f1.samples + f2.samples) / root2),
+        eps_minus=FieldRealization(grid.dt, (f1.samples - f2.samples) / root2),
     )
 

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-import sedlab.acceptance  # noqa: F401  (binds the acceptance layer)
-from sedlab import experiments
-from sedlab.core import GridSpec
+from sedlab import acceptance, core, experiments
+from sedlab.core import GridSpec, SystemParams
+from sedlab.dynamics import simulate_dipoles
+from sedlab.noise import synthesize_pair
+from sedlab.spectra import SpectrumModel
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -57,6 +59,34 @@ def test_ks_subsamples_are_estimators_spans_with_their_fold():
     assert len(folds) == 3 * grid.n_ensemble
     assert all(sp.fft_calls == 1 and 32 * sp.fft_points <= grid.n_samples for sp in folds)
     assert tr.summarize(tracer.spans)["estimators"].by_name["decorrelated"] > 0.0
+
+
+def test_work_counters_read_the_integrators_arguments():
+    # sedlab_counters reads simulate_oscillator's field (its .samples and
+    # .dt) and burn_in by name, which only a traced run would otherwise
+    # check; the linearity property integrates three 2^15-sample fields,
+    # each with the default burn-in
+    tr = _layer_trace()
+    tracer = tr.Tracer()
+    with tr.instrument(tracer, counters=tr.sedlab_counters(core.burn_in_samples)):
+        _, ok = acceptance._property_linearity(1)
+    assert ok
+    counts = tr.summarize(tracer.spans)["dynamics"].counts
+    assert counts["integrated"] == 3 * (1 << 15)
+    assert counts["discarded"] == 3 * core.burn_in_samples(SystemParams(tau=0.01), 0.1)
+
+    # the dipoles pass their modes a common burn-in, longer than one mode's own
+    params = SystemParams(tau=0.01, K=0.1)
+    grid = GridSpec(dt=0.1, n_samples=1 << 15, omega_cut=4.0)
+    pair = synthesize_pair(SpectrumModel.zpf(), params, grid, 3)
+    nb = [core.burn_in_samples(params.mode_params(s), grid.dt) for s in (+1, -1)]
+    assert nb[0] != nb[1]
+    tracer = tr.Tracer()
+    with tr.instrument(tracer, counters=tr.sedlab_counters(core.burn_in_samples)):
+        simulate_dipoles(params, pair)
+    counts = tr.summarize(tracer.spans)["dynamics"].counts
+    assert counts["integrated"] == 2 * (1 << 15)
+    assert counts["discarded"] == 2 * max(nb)
 
 
 @pytest.mark.parametrize("workload", ["lag_spectra", "trajectories"])

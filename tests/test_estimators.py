@@ -9,7 +9,7 @@ import pytest
 
 import sedlab.estimators as estimators
 from sedlab.core import GridSpec, SystemParams
-from sedlab.dynamics import simulate_oscillator
+from sedlab.dynamics import canonical_momentum, simulate_oscillator
 from sedlab.errors import InvalidParams, LagTooLong, WindowTooLong
 from sedlab.estimators import (
     SpectrumEstimate,
@@ -38,13 +38,16 @@ from sedlab.spectra import SpectrumModel, field_spectrum, position_transfer
 PARAMS = SystemParams(tau=0.01)
 ZPF = SpectrumModel.zpf()
 GAMMA = PARAMS.damping_rate
+DT = 0.1
 
 
-def oscillator_ensemble(n_members=24, n=1 << 18, dt=0.1, seed=77, omega_cut=20.0):
+def oscillator_ensemble(n_members=24, n=1 << 18, dt=DT, seed=77, omega_cut=20.0):
+    """Each member's (x, p) on a grid of step dt."""
     grid = GridSpec(dt=dt, n_samples=n, omega_cut=omega_cut, seed=seed)
     for k in range(n_members):
         f = synthesize_field(ZPF, PARAMS, grid, member_seed(seed, k))
-        yield simulate_oscillator(PARAMS, f)
+        x = simulate_oscillator(PARAMS, f)
+        yield x, canonical_momentum(x, PARAMS, dt)
 
 
 def test_periodogram_tone_power():
@@ -154,8 +157,8 @@ def test_position_autocorrelation_matches_closed_form():
     # <x(0)x(t)> = 0.5 cos(t) exp(-tau t/2) within 5% of C(0) up to t = 200
     acc = None
     count = 0
-    for traj in oscillator_ensemble(n_members=32):
-        c = correlation(traj.x, traj.x, 200.0, traj.dt)
+    for x, _ in oscillator_ensemble(n_members=32):
+        c = correlation(x, x, 200.0, DT)
         acc = c.values if acc is None else acc + c.values
         count += 1
         lags = c.lags
@@ -170,9 +173,9 @@ def test_cross_correlation_sign_convention():
     argument the sign flips."""
     acc_xp = None
     count = 0
-    for traj in oscillator_ensemble(n_members=16):
-        cxp = correlation(traj.x, traj.p, 30.0, traj.dt)
-        cpx = correlation(traj.p, traj.x, 30.0, traj.dt)
+    for x, p in oscillator_ensemble(n_members=16):
+        cxp = correlation(x, p, 30.0, DT)
+        cpx = correlation(p, x, 30.0, DT)
         if acc_xp is None:
             acc_xp, acc_px = cxp.values.copy(), cpx.values.copy()
         else:
@@ -200,9 +203,9 @@ def test_commutator_routes_agree_on_oscillator():
     spec_acc = None
     corr_pos = corr_neg = None
     count = 0
-    for traj in oscillator_ensemble(n_members=24):
-        est = periodogram(traj.x[: 1 << 17], traj.dt)
-        cxx = correlation(traj.x[: 1 << 17], traj.x[: 1 << 17], 60.0, traj.dt)
+    for x, _ in oscillator_ensemble(n_members=24):
+        est = periodogram(x[: 1 << 17], DT)
+        cxx = correlation(x[: 1 << 17], x[: 1 << 17], 60.0, DT)
         spec_acc = est.values if spec_acc is None else spec_acc + est.values
         corr_pos = cxx.values if corr_pos is None else corr_pos + cxx.values
         count += 1
@@ -223,8 +226,8 @@ def test_commutator_routes_agree_on_oscillator():
 def test_equal_time_xp_commutator_is_hbar():
     acc = None
     count = 0
-    for traj in oscillator_ensemble(n_members=24):
-        c = commutator(traj.x, traj.p, 60.0, traj.dt, method="hilbert")
+    for x, p in oscillator_ensemble(n_members=24):
+        c = commutator(x, p, 60.0, DT, method="hilbert")
         acc = c.values if acc is None else acc + c.values
         count += 1
     c_xp0 = (acc / count)[0]

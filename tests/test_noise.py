@@ -142,7 +142,7 @@ def test_derivative_series_consistency():
 
 def test_dump_realization_roundtrip(tmp_path):
     f = synthesize_field(ZPF, PARAMS, GRID, 77)
-    Emitter(tmp_path, ("trajectories",)).dump("field", f.samples, f.dt, 77, f.model.label())
+    Emitter(tmp_path, ("trajectories",)).dump("field", f.samples, f.dt, 77, ZPF.label())
     raw = np.frombuffer((tmp_path / "field.bin").read_bytes(), dtype="<f8")
     assert np.array_equal(raw, f.samples)
     meta = json.loads((tmp_path / "field.json").read_text())
