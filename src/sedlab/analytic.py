@@ -35,14 +35,16 @@ from .errors import InvalidParams
 EULER_GAMMA = 0.5772156649015329
 
 
+#: ``math.erf`` over an array, element by element (an object array out).
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def _gaussian_cdf(var: float):
     sig = math.sqrt(var)
 
     def cdf(x):
-        from scipy.special import erf
-
         x = np.asarray(x, dtype=float)
-        return 0.5 * (1.0 + erf(x / (sig * math.sqrt(2.0))))
+        return 0.5 * (1.0 + np.asarray(_erf(x / (sig * math.sqrt(2.0))), dtype=float))
 
     return cdf
 

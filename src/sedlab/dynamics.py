@@ -18,8 +18,9 @@ periodic with period n*dt, so the exact periodic steady state of the same
 recursion is X_j = H(z_j) * E_j on the half-spectrum coefficients E_j of
 the field, with z_j = exp(2 pi i j/n) and H the z-transfer of the
 recursion (``response_transfer``).  It needs no burn-in.  A kicked start
-is, by linearity, that steady state plus the homogeneous decay, which is
-``_positions`` on a zero field.
+is, by linearity, that steady state plus the homogeneous decay
+(``homogeneous_decay``): the closed form that ``_positions``' recursion
+reproduces on a zero field.
 
 The canonical momentum needs no second transform.  Its gain T is the
 periodic trapezoid rule p[k] - p[k-1] = -(m omega0^2 dt/2)(x[k] + x[k-1]),
@@ -91,6 +92,19 @@ def _positions(params: SystemParams, eps: np.ndarray, dt: float,
         zi = lfiltic([b1, c2], [1.0, -tr, det], y=[x[1], x[0]], x=[eps[0]])
         x[2:], _ = lfilter([b1, c2], [1.0, -tr, det], eps[1 : n - 1], zi=zi)
     return x
+
+
+def homogeneous_decay(params: SystemParams, t: np.ndarray, x0: float, v0: float) -> np.ndarray:
+    """The reduced oscillator's free decay from (x0, v0) at the times t,
+
+        x(t) = e^{-gamma t} (x0 cos(wd t) + (v0 + gamma x0)/wd sin(wd t)),
+
+    wd = sqrt(omega0^2 - gamma^2): ``_positions`` on a zero field, in
+    closed form."""
+    gam = params.damping_rate
+    wd = math.sqrt(params.omega0 ** 2 - gam ** 2)
+    t = np.asarray(t, dtype=float)
+    return np.exp(-gam * t) * (x0 * np.cos(wd * t) + (v0 + gam * x0) / wd * np.sin(wd * t))
 
 
 def _lattice_phases(n: int, size: int) -> np.ndarray:

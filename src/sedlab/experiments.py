@@ -72,9 +72,9 @@ import numpy as np
 from . import analytic
 from .core import Config, GridSpec, SystemParams, validate
 from .dynamics import (
-    _positions,
     apply_momentum_gain,
     canonical_momentum,
+    homogeneous_decay,
     momentum_step,
     response_transfer,
 )
@@ -88,6 +88,7 @@ from .estimators import (
     hilbert_zero_functional,
     ks_critical,
     ks_distance,
+    ks_sf,
     lag_count,
     mean_square,
     mean_square_displacement,
@@ -331,11 +332,9 @@ def _ks_row(quantity: str, pool: np.ndarray, cdf, note: str) -> Row:
     """The KS distance of ``pool`` from ``cdf`` as an upper-bound row at
     its 1% critical value; the note ends with the sample count and the
     exact p-value P(D_n >= d), which the pass rule does not read."""
-    from scipy.stats import kstwo
-
     d = ks_distance(pool, cdf)
     return Row(quantity, d, 0.0, ks_critical(pool.size), 0.0, kind="upper_bound",
-               note=f"{note}; n={pool.size}, p={kstwo.sf(d, pool.size):.4g}")
+               note=f"{note}; n={pool.size}, p={ks_sf(d, pool.size):.4g}")
 
 
 def _x_decorrelation_time(params: SystemParams) -> float:
@@ -624,8 +623,9 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
     gamma = params.damping_rate
     t_obs = 2.0 / gamma            # two amplitude e-folds
     n_keep = int(round(1.25 * t_obs / dt)) + 1
-    mean_x = _positions(
-        params, np.zeros(n_keep), dt, x0=amp * math.cos(phase),
+    t = np.arange(n_keep) * dt
+    mean_x = homogeneous_decay(
+        params, t, x0=amp * math.cos(phase),
         v0=-amp * (params.omega0 * math.sin(phase) + gamma * math.cos(phase)))
     H, _ = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
@@ -638,7 +638,6 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("x_sq",))
     var_x = acc.total("x_sq")
 
-    t = np.arange(n_keep) * dt
     envelope = np.hypot(mean_x, hilbert_transform(mean_x))
     # smooth over one oscillation period to suppress ripple
     period_n = max(1, int(round(2.0 * math.pi / params.omega0 / dt)))

@@ -23,6 +23,18 @@ from sedlab.errors import InvalidParams
 PARAMS = SystemParams(tau=0.01)
 
 
+def test_gaussian_cdf_matches_the_erf_form():
+    from scipy.special import erf
+
+    from sedlab.analytic import _gaussian_cdf
+
+    x = np.random.default_rng(5).normal(0.0, 2.0, 1 << 14)
+    for var in (0.5, 1.0, 3.7):
+        ref = 0.5 * (1.0 + erf(x / (math.sqrt(var) * math.sqrt(2.0))))
+        assert np.max(np.abs(_gaussian_cdf(var)(x) - ref)) <= 1e-15
+    assert _gaussian_cdf(1.0)(0.0) == 0.5
+
+
 def cdf_mean(cdf):
     """Mean of a distribution on u >= 0: the integral of 1 - F."""
     return quad(lambda u: 1.0 - float(cdf(u)), 0.0, np.inf)[0]

@@ -11,6 +11,7 @@ from sedlab.dynamics import (
     _propagator,
     apply_momentum_gain,
     canonical_momentum,
+    homogeneous_decay,
     momentum_step,
     response_transfer,
     sample_from_spectrum,
@@ -59,6 +60,17 @@ def test_free_decay_matches_ode_oracle(x0, v0):
     sol = solve_ivp(rhs, (0.0, t_eval[-1]), [x0, v0], t_eval=t_eval,
                     rtol=1e-11, atol=1e-12)
     assert np.max(np.abs(x - sol.y[0])) < 1e-7
+
+
+@pytest.mark.parametrize("x0, v0", [(3.0, -0.015), (0.0, 1.0)], ids=["displaced", "kicked"])
+def test_homogeneous_decay_is_the_zero_field_recursion(x0, v0):
+    """coherent_decay's mean trajectory: the closed form against
+    ``_positions`` on a zero field, over its 1.25 x two e-folds."""
+    params, grid = scenario_defaults("coherent_decay")
+    n = int(round(2.5 / params.damping_rate / grid.dt)) + 1
+    x = _positions(params, np.zeros(n), grid.dt, x0, v0)
+    closed = homogeneous_decay(params, np.arange(n) * grid.dt, x0, v0)
+    assert np.max(np.abs(closed - x)) <= 1e-12 * math.hypot(x0, v0)
 
 
 def test_free_decay_envelope():

@@ -22,6 +22,7 @@ from sedlab.estimators import (
     hilbert_zero_functional,
     ks_critical,
     ks_distance,
+    ks_sf,
     lag_count,
     mean_square,
     mean_square_displacement,
@@ -352,6 +353,46 @@ def test_ks_distance_detects_wrong_scale():
 
     cdf = lambda s: 0.5 * (1.0 + erf(s / math.sqrt(2.0)))
     assert ks_distance(x, cdf) > 10.0 * ks_critical(x.size)
+
+
+def _ks_boundary_grid():
+    """(n, d) on and beside every region boundary of ``ks_sf``: n d = 0.5,
+    1 and n - 1; d = 0.5; n d^2 = 0.754693, 2.2, 4, 18 and 370; n d^1.5
+    = 1.4; at n on both sides of 140, from 2 to 20,000."""
+    cases = []
+    for n in (2, 3, 7, 30, 139, 140, 141, 142, 500, 4096, 20000):
+        edges = [0.5 / n, 1.0 / n, (n - 1.0) / n, 0.5, (1.4 / n) ** (2.0 / 3.0)]
+        edges += [math.sqrt(c / n) for c in (0.754693, 2.2, 4.0, 18.0, 370.0)]
+        for d in edges:
+            for dd in (d * (1.0 - 1e-6), d, d * (1.0 + 1e-6)):
+                if 0.0 < dd < 1.0:
+                    cases.append((n, dd))
+    return cases
+
+
+def test_ks_sf_matches_scipy_kstwo_across_region_boundaries():
+    from scipy.stats import kstwo
+
+    tiny = np.finfo(float).tiny
+    for n, d in _ks_boundary_grid():
+        ref = float(kstwo.sf(d, n))
+        got = ks_sf(d, n)
+        if n > 140 and n * d * d >= 370.0:
+            assert got == ref == 0.0, (n, d)
+            continue
+        if ref < tiny:
+            # just below n d^2 = 370, a p that is nil or subnormal has too
+            # few digits to compare
+            assert got < tiny, (n, d)
+            continue
+        assert got == pytest.approx(ref, rel=1e-9), (n, d)
+        assert f"{got:.4g}" == f"{ref:.4g}", (n, d)
+
+
+def test_ks_sf_outside_the_unit_interval():
+    for n in (1, 10, 1000):
+        assert ks_sf(-0.1, n) == ks_sf(0.0, n) == 1.0
+        assert ks_sf(1.0, n) == ks_sf(1.5, n) == 0.0
 
 
 def test_write_series_csv(tmp_path):
