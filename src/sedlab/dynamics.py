@@ -39,10 +39,16 @@ and the direct free-particle sampler (``sample_from_spectrum``) stay as
 the tests' oracles of these responses; ``simulate_oscillator`` is also the
 property suite's path.  They return position arrays; a reader that wants
 the momentum of a bound oscillator's x applies ``canonical_momentum``.
+The integrator, ``_positions``, runs the two-term recursion as a
+first-order recursion over one of its complex poles, scanned in blocks of
+at most 8,192 steps by a cumulative sum, with numpy alone; it agrees with
+a direct evaluation of the recursion (``scipy.signal.lfilter``, in the
+tests) to about 1e-13 of the series' range.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -68,29 +74,84 @@ def _propagator(params: SystemParams, dt: float):
     return (a11, a12, a21, a22), (b1, b2)
 
 
+#: Steps that ``_positions`` scans per chunk, in whole blocks.
+_SCAN_CHUNK = 1 << 15
+
+
+def _scan_block(params: SystemParams, dt: float) -> int:
+    """Steps per block of ``_positions``' scan: the most B <= 8192 with
+    |lambda|^-B = e^{gamma dt B} <= 8, so the scaled terms of one block's
+    cumulative sum span at most a factor 8 (under one digit)."""
+    return max(1, min(8192, int(math.log(8.0) / (params.damping_rate * dt))))
+
+
 def _positions(params: SystemParams, eps: np.ndarray, dt: float,
                x0: float, v0: float) -> np.ndarray:
     """Propagate the reduced oscillator from (x0, v0) through the field array.
 
     x[k] is the position at t = k*dt; the field sample eps[k] acts on
     [k*dt, (k+1)*dt).  The exact one-step propagator, eliminated to its
-    two-term recursion in x alone.
-    """
-    from scipy.signal import lfilter, lfiltic
+    two-term recursion in x alone,
 
+        x[k] = tr x[k-1] - det x[k-2] + b1 eps[k-1] + c2 eps[k-2],
+
+    evaluated as a first-order complex recursion.  Its poles are lambda and
+    conj(lambda), lambda = e^{-gamma dt} e^{i wd dt} (tr = 2 Re lambda,
+    det = |lambda|^2), so w[k] = x[k] - conj(lambda) x[k-1] obeys
+    w[k] = lambda w[k-1] + v[k], v[k] = b1 eps[k-1] + c2 eps[k-2], and
+    x[k] = Im(lambda w[k]) / Im(lambda), since w[k+1] - lambda w[k] = v[k+1]
+    is real.  Within a block of B steps after a carried u = lambda w[s-1],
+
+        lambda w[s+i] = lambda^(i+1) (u + cumsum(lambda^-l v[s+l])_i),
+
+    and ``_scan_block`` keeps |lambda|^-B <= 8, so the cumulative sum loses
+    under one digit.  Each block's sum gives the next block's carry,
+    u <- lambda^B (u + sum), so one cumulative sum along the rows of a
+    (blocks x B) array scans up to ``_SCAN_CHUNK`` steps at once: a few
+    numpy calls per chunk rather than per block, since each call releases
+    and retakes the interpreter lock, which pool threads that integrate at
+    once contend for.  The chunk buffer is reused through the call.
+    """
     n = eps.size
     (a11, a12, a21, a22), (b1, b2) = _propagator(params, dt)
-    tr, det = a11 + a22, math.exp(-2.0 * params.damping_rate * dt)
-
     x = np.empty(n)
     x[0] = x0
     if n > 1:
         x[1] = a11 * x0 + a12 * v0 + b1 * eps[0]
     if n > 2:
-        # x[k] = tr x[k-1] - det x[k-2] + b1 eps[k-1] + c2 eps[k-2]
         c2 = a12 * b2 - a22 * b1
-        zi = lfiltic([b1, c2], [1.0, -tr, det], y=[x[1], x[0]], x=[eps[0]])
-        x[2:], _ = lfilter([b1, c2], [1.0, -tr, det], eps[1 : n - 1], zi=zi)
+        gam = params.damping_rate
+        log_lam = complex(-gam * dt, math.sqrt(params.omega0 ** 2 - gam ** 2) * dt)
+        lam = cmath.exp(log_lam)
+        size = min(n - 2, _scan_block(params, dt))
+        steps = np.arange(size)
+        down = np.exp(-log_lam * steps) * (b1 / lam.imag)  # lambda^-l b1 / Im(lambda)
+        up = np.exp(log_lam * (steps + 1))                  # lambda^(l+1)
+        rows_max = max(1, _SCAN_CHUNK // size)
+        acc = np.empty(rows_max * size, dtype=complex)
+        carry = np.empty(rows_max, dtype=complex)
+        # x[2:] holds v[k]/b1 = eps[k-1] + (c2/b1) eps[k-2] until it is scanned
+        v = np.multiply(eps[: n - 2], c2 / b1, out=x[2:])
+        v += eps[1 : n - 1]
+        u = (lam * x[1] - math.exp(-2.0 * gam * dt) * x0) / lam.imag  # lambda w[1] / Im(lambda)
+        full, rest = divmod(n - 2, size)
+        chunks = [(size, min(rows_max, full - r)) for r in range(0, full, rows_max)]
+        if rest:
+            chunks.append((rest, 1))
+        s = 2
+        for width, rows in chunks:
+            m = rows * width
+            vs = x[s : s + m].reshape(rows, width)
+            a = np.multiply(down[:width], vs, out=acc[:m].reshape(rows, width))
+            step = cmath.exp(log_lam * width)
+            for k, total in enumerate(a.sum(axis=1).tolist()):
+                carry[k] = u                 # lambda w / Im(lambda) before block k
+                u = step * (u + total)
+            a[:, 0] += carry[:rows]
+            np.cumsum(a, axis=1, out=a)
+            a *= up[:width]                  # lambda w[s+i] / Im(lambda)
+            np.copyto(vs, a.imag)
+            s += m
     return x
 
 

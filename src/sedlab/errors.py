@@ -27,10 +27,6 @@ class ZeroFrequencyMomentum(SedlabError):
     """The canonical-momentum spectrum carries 1/omega^2 and is undefined at omega = 0."""
 
 
-class QuadratureFailure(SedlabError):
-    """Adaptive quadrature did not reach the requested accuracy."""
-
-
 class BurnInExceedsTrajectory(SedlabError):
     """The stationarity burn-in would discard the whole trajectory."""
 

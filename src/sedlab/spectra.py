@@ -16,7 +16,6 @@ here (approximations live in the analytic module, where tau -> 0 is taken).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ from .core import SystemParams
 from .errors import (
     InvalidParams,
     NegativeFrequency,
-    QuadratureFailure,
     ZeroFrequencyMomentum,
 )
 
@@ -132,68 +130,3 @@ def momentum_spectrum(model: SpectrumModel, params: SystemParams, omega):
         raise ZeroFrequencyMomentum("S_p carries 1/omega^2; omega = 0 not allowed")
     sx = position_spectrum(model, params, omega)
     return params.m ** 2 * params.omega0 ** 4 * sx / omega ** 2
-
-
-def spectral_moment(
-    spectrum,
-    n: int,
-    omega_lo: float,
-    omega_hi: float,
-    params: SystemParams | None = None,
-) -> float:
-    """Integral of omega^n * S(omega) over [omega_lo, omega_hi].
-
-    Adaptive quadrature with the resonance peak explicitly resolved: when
-    ``params`` with omega0 > 0 is given and the resonance lies inside the
-    range, sub-intervals are forced at omega0 +- 5*tau*omega0^2.
-
-    Parameters
-    ----------
-    spectrum : callable
-        S(omega), vectorized over a 1-d array.
-    n : int
-        Moment power.
-    omega_lo, omega_hi : float
-        Integration range, 0 <= omega_lo < omega_hi.
-
-    Raises
-    ------
-    QuadratureFailure
-        If the accumulated error estimate exceeds 1e-9*|result| + 1e-14.
-    """
-    from scipy.integrate import quad
-
-    if omega_lo < 0 or omega_hi <= omega_lo:
-        raise InvalidParams([f"bad range [{omega_lo}, {omega_hi}]"])
-
-    pts = {omega_lo, omega_hi}
-    if params is not None and params.omega0 > 0:
-        w0 = params.omega0
-        half = 5.0 * params.tau * w0 ** 2
-        for p in (w0 - half, w0, w0 + half, 2.0 * w0):
-            if omega_lo < p < omega_hi:
-                pts.add(p)
-    pts = sorted(pts)
-
-    def integrand(w):
-        return w ** n * spectrum(np.asarray(w))
-
-    total, err = 0.0, 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                out = quad(integrand, a, b, epsabs=1e-14, epsrel=1e-11,
-                           limit=500, full_output=1)
-            except Warning as w:
-                raise QuadratureFailure(f"quad on [{a:g}, {b:g}]: {w}") from w
-        val, e = out[0], out[1]
-        if len(out) > 3:  # ier != 0 appends an explanation message
-            raise QuadratureFailure(f"quad on [{a:g}, {b:g}]: {out[3]}")
-        total += val
-        err += e
-    if err > 1e-9 * abs(total) + 1e-14:
-        raise QuadratureFailure(
-            f"error estimate {err:g} exceeds 1e-9*|{total:g}| + 1e-14"
-        )
-    return total

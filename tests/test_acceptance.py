@@ -11,6 +11,7 @@ import pytest
 
 from sedlab.acceptance import (
     SCENARIO_CRITERIA,
+    _normality,
     _property_fourth_moment,
     _property_periodogram_calibration,
     criterion_9_properties,
@@ -111,3 +112,21 @@ def test_fourth_moment_transforms_only_its_syntheses(monkeypatch):
     assert ok
     # one synthesized field per member of its 16
     assert len(calls) == 16
+
+
+@pytest.mark.parametrize("n", [20, 1000, 1 << 16])
+@pytest.mark.parametrize("law", ["gaussian", "skewed", "heavy_tailed"])
+def test_normality_matches_scipy_normaltest(n, law):
+    """The noise Gaussianity check's K^2, p and excess kurtosis against
+    ``scipy.stats.normaltest`` and ``kurtosis`` on the same sample."""
+    from scipy import stats
+
+    rng = np.random.default_rng(n)
+    x = {"gaussian": rng.standard_normal,
+         "skewed": lambda size: rng.gamma(2.0, size=size),
+         "heavy_tailed": lambda size: rng.standard_t(3, size=size)}[law](n)
+    k2, p, kurt = _normality(x)
+    ref = stats.normaltest(x)
+    assert k2 == pytest.approx(ref.statistic, rel=1e-12, abs=0.0)
+    assert p == pytest.approx(ref.pvalue, rel=1e-12, abs=0.0)
+    assert kurt == pytest.approx(stats.kurtosis(x), rel=1e-12, abs=0.0)

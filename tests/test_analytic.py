@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from quadrature import spectral_moment
 from scipy.integrate import quad
 
 from sedlab.analytic import (
@@ -259,7 +260,7 @@ def test_planck_density_mean_consistent():
 def test_closed_forms_against_spectral_quadrature():
     """Ground-state moments agree with the brute-force quadrature of the
     finite-tau spectra to O(tau*omega0)."""
-    from sedlab.spectra import SpectrumModel, position_spectrum, spectral_moment
+    from sedlab.spectra import SpectrumModel, position_spectrum
 
     gs = ground_state(PARAMS)
     sx = lambda w: position_spectrum(SpectrumModel.zpf(), PARAMS, w)

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sedlab.core import GridSpec, SystemParams, validate
+from sedlab.core import TAU_OMEGA_REJECT, GridSpec, SystemParams, validate
 from sedlab.dynamics import (
     _lattice_phases,
     _positions,
     _propagator,
+    _scan_block,
     apply_momentum_gain,
     canonical_momentum,
     homogeneous_decay,
@@ -71,6 +72,35 @@ def test_homogeneous_decay_is_the_zero_field_recursion(x0, v0):
     x = _positions(params, np.zeros(n), grid.dt, x0, v0)
     closed = homogeneous_decay(params, np.arange(n) * grid.dt, x0, v0)
     assert np.max(np.abs(closed - x)) <= 1e-12 * math.hypot(x0, v0)
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.2, 0.98 * TAU_OMEGA_REJECT])
+@pytest.mark.parametrize("x0, v0", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+                         ids=["rest", "displaced", "kicked"])
+def test_positions_match_lfilter(tau, x0, v0):
+    """The blocked complex scan of ``_positions`` against scipy's direct
+    evaluation of the same two-term recursion: n - 2 steps one short of,
+    equal to and one past a block (n = B + 1 .. B + 3), and 2^18 points
+    (many blocks)."""
+    from scipy.signal import lfilter, lfiltic
+
+    params, dt = SystemParams(tau=tau), 0.1
+    (a11, a12, a21, a22), (b1, b2) = _propagator(params, dt)
+    tr, det = a11 + a22, math.exp(-2.0 * params.damping_rate * dt)
+    c2 = a12 * b2 - a22 * b1
+    size = _scan_block(params, dt)
+    eps = np.random.default_rng(2020).standard_normal(1 << 18)
+    for n in (1, 2, 3, size - 1, size, size + 1, size + 2, size + 3, 1 << 18):
+        x = _positions(params, eps[:n], dt, x0, v0)
+        ref = np.empty(n)
+        ref[0] = x0
+        if n > 1:
+            ref[1] = a11 * x0 + a12 * v0 + b1 * eps[0]
+        if n > 2:
+            zi = lfiltic([b1, c2], [1.0, -tr, det], y=[ref[1], ref[0]], x=[eps[0]])
+            ref[2:], _ = lfilter([b1, c2], [1.0, -tr, det], eps[1 : n - 1], zi=zi)
+        assert x[:2].tolist() == ref[:2].tolist()
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.ptp(ref), (n, size)
 
 
 def test_free_decay_envelope():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from quadrature import QuadratureFailure, spectral_moment
 
 from sedlab.core import SystemParams
 from sedlab.errors import (
@@ -16,7 +17,6 @@ from sedlab.spectra import (
     momentum_spectrum,
     position_spectrum,
     position_transfer,
-    spectral_moment,
 )
 
 PARAMS = SystemParams(tau=0.01)
@@ -162,8 +162,6 @@ def test_spectral_moment_rejects_bad_range():
 
 
 def test_spectral_moment_reports_quadrature_failure():
-    from sedlab.errors import QuadratureFailure
-
     singular = lambda w: 1.0 / np.abs(np.asarray(w) - 3.0) ** 1.5
     with pytest.raises(QuadratureFailure):
         spectral_moment(singular, 0, 0.0, 5.0)

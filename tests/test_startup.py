@@ -1,11 +1,12 @@
-"""Start-up: ``import sedlab`` loads numpy alone, no scenario loads scipy
-at all, and each scipy submodule that the property suite and the tests'
-oracles use loads where it is first used.
+"""Start-up: ``import sedlab`` loads numpy alone, and neither a scenario
+nor the property suite loads scipy at all: scipy is the tests' oracle,
+not a dependency of sedlab.
 
 Each check runs in a fresh interpreter, since the test process has long
 since imported scipy.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -24,6 +25,10 @@ DEFERRED = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.fft", "scip
 #: Prints the deferred submodules loaded so far, as a JSON list.
 LOADED = f"print(json.dumps(sorted(set({DEFERRED!r}) & set(sys.modules))))"
 
+#: Prints every scipy module loaded so far, as a JSON list.
+SCIPY_LOADED = ("print(json.dumps(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy')))")
+
 #: A small ground_state grid: enough members for the KS rows to run.
 SMALL = dict(dt=0.1, n_samples=1 << 16, omega_cut=16.0, n_ensemble=8, seed=77)
 
@@ -38,6 +43,22 @@ SMALL_GRIDS = {
     "ground_state": dict(n_samples=1 << 16, omega_cut=16.0, n_ensemble=8),
     "planck_thermal": dict(n_samples=1 << 16, n_ensemble=8),
 }
+
+
+def test_no_sedlab_module_imports_scipy():
+    """At module level or inside a function: scipy is a test dependency."""
+    found = []
+    for path in sorted((SRC / "sedlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, "scipy imports:\n" + "\n".join(found)
 
 
 def _run(code: str) -> list[str]:
@@ -113,7 +134,7 @@ for name in ("commutators", "energy_time"):
     except FirstEnsemble:
         print(name)
 {LOADED}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+{SCIPY_LOADED}
 """)
     assert lines == ["commutators", "energy_time", "[]", "[]"]
 
@@ -128,7 +149,7 @@ from sedlab.experiments import SCENARIO_NAMES, run_scenario, scenario_defaults
 for name, changes in {SMALL_GRIDS!r}.items():
     run_scenario(name, grid=replace(scenario_defaults(name)[1], **changes))
     print(name)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+{SCIPY_LOADED}
 print(json.dumps(sorted(SCENARIO_NAMES)))
 """)
     assert lines[:-2] == list(SMALL_GRIDS)
@@ -136,17 +157,30 @@ print(json.dumps(sorted(SCENARIO_NAMES)))
     assert json.loads(lines[-1]) == sorted(SMALL_GRIDS)
 
 
-def test_first_lfilter_import_from_two_pool_threads():
+def test_fourth_moment_first_made_at_jobs_2():
     """The fourth-moment property at jobs=2 as a process's first work: both
-    pool threads reach the first ``lfilter`` import at once."""
+    pool threads integrate at once, no scipy module loads, and the result
+    equals that at jobs=1."""
     lines = _run(f"""
 import json, sys
 from sedlab.acceptance import _property_fourth_moment
-{LOADED}
 print(json.dumps(_property_fourth_moment(2)))
+{SCIPY_LOADED}
 """)
-    assert lines[0] == "[]"
-    assert json.loads(lines[1]) == list(_property_fourth_moment(1))
+    assert json.loads(lines[0]) == list(_property_fourth_moment(1))
+    assert lines[1] == "[]"
+
+
+def test_property_suite_loads_no_scipy():
+    """Criterion 9 whole: its Gaussianity test and its time-domain
+    integrator are numpy's alone."""
+    lines = _run(f"""
+import json, sys
+from sedlab.acceptance import criterion_9_properties
+print(criterion_9_properties(jobs=1)[0])
+{SCIPY_LOADED}
+""")
+    assert lines == ["True", "[]"]
 
 
 def test_ground_state_report_first_made_at_jobs_2():
