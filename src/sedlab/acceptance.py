@@ -109,7 +109,7 @@ def _property_periodogram_calibration(jobs: int) -> tuple[list[str], bool]:
     field = _member_fields(model, params, grid)
 
     def worker(k):
-        return {"spectrum": periodogram(field(k).samples, grid.dt).values}
+        return {"spectrum": periodogram(field(k).samples, grid.dt)}
 
     mean_spec = run_ensemble(worker, grid.n_ensemble, jobs,
                              summed=("spectrum",)).total("spectrum")
@@ -155,9 +155,9 @@ def _property_fourth_moment(jobs: int) -> tuple[list[str], bool]:
 
     def worker(k):
         x = simulate_oscillator(params, field(k))
-        c = correlation(x, x, 5.0, grid.dt).values
+        c = correlation(x, x, 5.0, grid.dt)
         x2 = x ** 2
-        c2 = correlation(x2, x2, 5.0, grid.dt).values
+        c2 = correlation(x2, x2, 5.0, grid.dt)
         # Gaussian identity: <x(t)^2 x(t')^2> - <x^2>^2 - 2 <x(t)x(t')>^2 = 0
         return {"resid": c2 - 2.0 * c ** 2}
 
@@ -178,22 +178,25 @@ def _property_commutator_structure(jobs: int) -> tuple[list[str], bool]:
     x = simulate_oscillator(params, f)
     p = canonical_momentum(x, params, grid.dt)
 
-    c_xx = commutator(x, x, 40.0, grid.dt)
-    odd_ok = c_xx.values[0] == 0.0
+    # an auto-commutator is odd, so c(0) = 0; the Hilbert route does not
+    # write it, it computes it
+    rx = commutator(x, x, 40.0, grid.dt, method="hilbert")
+    c0 = float(abs(rx[0]) / np.max(np.abs(rx)))
+    odd_ok = c0 <= 1e-12
 
     # linearity: [a f + b g, h] = a [f,h] + b [g,h] within estimator noise
     a, b = 0.6, 1.7
     combo = a * x + b * p
-    lhs = commutator(combo, x, 40.0, grid.dt, method="hilbert").values
-    rx = commutator(x, x, 40.0, grid.dt, method="hilbert").values
-    rp = commutator(p, x, 40.0, grid.dt, method="hilbert").values
+    lhs = commutator(combo, x, 40.0, grid.dt, method="hilbert")
+    rp = commutator(p, x, 40.0, grid.dt, method="hilbert")
     rhs = a * rx + b * rp
     scale = np.max(np.abs(rhs))
     dev = float(np.max(np.abs(lhs - rhs)) / scale)
     lin_ok = dev < 1e-9
     ok = odd_ok and lin_ok
     return [
-        f"{'PASS' if odd_ok else 'FAIL'} auto-commutator c(0) = 0 exactly",
+        f"{'PASS' if odd_ok else 'FAIL'} auto-commutator |c(0)| {c0:.1e} of its peak, "
+        "Hilbert route (need <= 1e-12)",
         f"{'PASS' if lin_ok else 'FAIL'} commutator linearity deviation {dev:.2e}",
     ], ok
 

@@ -2,10 +2,10 @@
 
 Every analytic value a report row compares against has its closed form
 here, and only here; so has every value ``sedlab analytic`` prints.  The
-only other entries are oracles of those forms (the Boltzmann sum, the
-stationary correlations).  Where a printed expression is internally
-inconsistent, the variance-consistent (corrected) form is used and the
-printed one is exposed alongside, never silently merged:
+only other entry is an oracle of those forms (the Boltzmann sum).  Where a
+printed expression is internally inconsistent, the variance-consistent
+(corrected) form is used and the printed one is exposed alongside, never
+silently merged:
 
 * Gaussian distributions take the variances fixed by the second moments
   (ground-state x variance hbar/(2 m omega0), etc.); printed exponents
@@ -106,22 +106,6 @@ def commutator_closed(params: SystemParams, t):
     c_xx = hb / (m * w0) * (np.sin(w0 * t) + tau * w0 * np.sign(t) * np.cos(w0 * t)) * env
     c_pp = hb * m * w0 * np.sin(w0 * t) * env
     c_xp = hb * np.cos(w0 * t)
-    return c_xx, c_pp, c_xp
-
-
-def correlation_closed(params: SystemParams, t):
-    """Stationary correlations (C_xx, C_pp, C_xp) at lag t, pole decay rate.
-
-    C_xp is in the lag-on-second-argument convention
-    C_xp(u) = <x(t) p(t+u)> = -(hbar/2) sin(omega0 u) exp(-gamma |u|);
-    its sign flips if the lag is applied to the first argument instead.
-    """
-    t = np.asarray(t, dtype=float)
-    hb, m, w0 = params.hbar, params.m, params.omega0
-    env = np.exp(-params.damping_rate * np.abs(t))
-    c_xx = hb / (2.0 * m * w0) * np.cos(w0 * t) * env
-    c_pp = 0.5 * m * hb * w0 * np.cos(w0 * t) * env
-    c_xp = -0.5 * hb * np.sin(w0 * t) * env
     return c_xx, c_pp, c_xp
 
 
@@ -299,7 +283,9 @@ def boltzmann_mean_energy(params: SystemParams) -> float:
     Independent oracle for the coth closed form; the partial sums are
     accumulated until the next term is below 1e-14 of the partition sum.
     """
-    if params.kT <= 0:
+    # where exp(-beta) underflows, so may the ground state's own weight
+    # (past beta = 1417), and the mean is the ground energy to the last bit
+    if params.kT <= 0 or math.exp(-params.hbar * params.omega0 / params.kT) == 0.0:
         return 0.5 * params.hbar * params.omega0
     beta = params.hbar * params.omega0 / params.kT
     z = 0.0

@@ -25,6 +25,10 @@ TAU_OMEGA_REJECT = 0.5
 #: five e-folds of the slowest decay.
 BURN_IN_EFOLDS = 5.0
 
+#: free_zpf fits its structure function on the lags from FIT_LAG_TAUS * tau
+#: up to the periodicity guard's (n//10 - 1) * dt.
+FIT_LAG_TAUS = 100.0
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -126,11 +130,13 @@ def _type_violations(obj) -> dict:
 
 
 def validate(params: SystemParams, grid: GridSpec | None = None,
-             oscillator: bool = False) -> Config:
+             oscillator: bool = False, log_fit: bool = False) -> Config:
     """Check every invariant and return the validated configuration.
 
     ``oscillator`` marks a configuration that drives a bound oscillator,
     whose omega0 must then be > 0 (omega0 = 0 is the free particle).
+    ``log_fit`` marks free_zpf's, whose fit lags (FIT_LAG_TAUS) must start
+    at one sample or more and hold at least two distinct lags.
     Without a ``grid`` only the parameters are checked.  A field of the
     wrong type is reported as such, and the range checks that read it are
     skipped.
@@ -216,6 +222,16 @@ def validate(params: SystemParams, grid: GridSpec | None = None,
                 violations.append(
                     f"omega_cut = {grid.omega_cut:g} must exceed omega0 = {params.omega0:g}"
                 )
+        if log_fit and finite_duration and typed("tau") and params.tau > 0:
+            t_lo, top = FIT_LAG_TAUS * params.tau, grid.n_samples // 10 - 1
+            lo = round(min(t_lo / grid.dt, max(top, 0) + 1.0))  # t_lo/dt may be inf
+            if lo == 0:
+                violations.append(
+                    f"shortest lag 100 tau = {t_lo:g} is under dt/2 = {grid.dt / 2:g}")
+            if lo >= top:
+                violations.append(
+                    f"longest lag (n//10 - 1)*dt = {top * grid.dt:g} must exceed 100 tau "
+                    f"= {t_lo:g} by a sample: the log fit needs two distinct lags")
         # the field's lattice must resolve the oscillator's resonance width
         if (finite_duration and typed("omega0", "tau")
                 and params.omega0 > 0 and params.tau > 0):

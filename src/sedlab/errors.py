@@ -23,10 +23,6 @@ class NegativeFrequency(SedlabError):
     """Spectral densities are one-sided; omega must be >= 0."""
 
 
-class ZeroFrequencyMomentum(SedlabError):
-    """The canonical-momentum spectrum carries 1/omega^2 and is undefined at omega = 0."""
-
-
 class BurnInExceedsTrajectory(SedlabError):
     """The stationarity burn-in would discard the whole trajectory."""
 

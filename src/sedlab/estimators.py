@@ -2,7 +2,9 @@
 
 Spectra, lag correlations, stochastic-process commutators, structure
 functions, windowed energies, and KS statistics.  All estimators are pure
-functions over immutable arrays.
+functions over immutable arrays that return plain arrays: a one-sided
+spectrum on the bins omega_j = j * 2 pi/(n dt), j = 1..b-1, a lag series
+on the lags 0, dt, ..., max_lag (or -max_lag..max_lag).
 
 Conventions
 -----------
@@ -39,7 +41,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,48 +64,16 @@ HILBERT_MARGIN = 1.2
 FFT_LAG_SUMS = 2.7
 
 
-@dataclass(frozen=True)
-class SpectrumEstimate:
-    """One-sided band spectrum on the lattice omega_j = j * domega."""
-
-    omega: np.ndarray
-    values: np.ndarray
-
-    @property
-    def domega(self) -> float:
-        return float(self.omega[0]) if self.omega.size else 0.0
-
-
-@dataclass(frozen=True)
-class LagSeries:
-    """Values on a uniform nonnegative lag grid: a lag correlation, or the
-    real coefficients c(t) of a commutator [a(0), b(t)] = i c(t)."""
-
-    lags: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class EnergyWindowStats:
-    """Windowed energies U_T over disjoint windows; ``dispersion`` is
-    sqrt(``variance``), the population spread of the samples."""
-
-    t_window: float
-    samples: np.ndarray
-    mean: float
-    variance: float
-    dispersion: float
-
-
-def periodogram(series: np.ndarray, dt: float) -> SpectrumEstimate:
+def periodogram(series: np.ndarray, dt: float) -> np.ndarray:
     """Full-length rectangular periodogram of the demeaned series, one-sided,
-    density-normalized; on the synthesis lattice it is an unbiased estimate
-    of the target spectrum bin by bin, and sum(S)*domega is the variance."""
+    density-normalized, on the bins j = 1..n//2 (``spectrum_from_power``);
+    on the synthesis lattice it is an unbiased estimate of the target
+    spectrum bin by bin, and sum(S)*domega is the variance."""
     y = np.asarray(series, dtype=float)
     return spectrum_from_power(np.abs(np.fft.rfft(y - y.mean())) ** 2, y.size, dt)
 
 
-def spectrum_from_power(power: np.ndarray, n: int, dt: float) -> SpectrumEstimate:
+def spectrum_from_power(power: np.ndarray, n: int, dt: float) -> np.ndarray:
     """One-sided density from the mean |rfft|^2 of length-n series.
 
     Bins j = 1..b-1 on omega_j = j * 2*pi/(n*dt) for a power of b entries:
@@ -115,9 +84,7 @@ def spectrum_from_power(power: np.ndarray, n: int, dt: float) -> SpectrumEstimat
     values = dt / (math.pi * n) * power[1:]
     if n % 2 == 0 and power.size == n // 2 + 1:
         values[-1] *= 0.5  # Nyquist bin appears once in the two-sided sum
-    domega = 2.0 * math.pi / (n * dt)
-    omega = domega * np.arange(1, values.size + 1)
-    return SpectrumEstimate(omega=omega, values=values)
+    return values
 
 
 def mean_square(coeffs: np.ndarray, n: int) -> float:
@@ -189,7 +156,8 @@ def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float, two_side
     Each sum is formed directly (one ``einsum`` per lag; see "No BLAS" in
     the module notes) when that costs less than the transforms of the
     padded route (see FFT_LAG_SUMS): rfft of each series, zero-padded
-    against wrap-around, and one irfft.  Returns (u, raw, n).
+    against wrap-around, and one irfft.  Returns (u, raw, n), u the lags
+    in samples.
     """
     auto = b is a
     a = np.asarray(a, dtype=float)
@@ -212,17 +180,18 @@ def _cross_raw(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float, two_side
     return u, np.fft.irfft(np.conj(fa) * fb, m)[u], n
 
 
-def correlation(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float) -> LagSeries:
-    """Unbiased lag estimator of C_ab(u) = <a(t) b(t+u)> for u in [0, max_lag]."""
+def correlation(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float) -> np.ndarray:
+    """Unbiased lag estimator of C_ab(u) = <a(t) b(t+u)> on the lags
+    u = 0, dt, ..., max_lag."""
     u, raw, n = _cross_raw(a, b, max_lag, dt, two_sided=False)
-    return LagSeries(lags=dt * u, values=raw / (n - u))
+    return raw / (n - u)
 
 
-def two_sided_correlation(a, b, max_lag: float, dt: float):
-    """C_ab(u) on u = -max_lag..max_lag; negative lags C_ab(-u) = C_ba(u)
-    come from the same cross sums."""
+def two_sided_correlation(a, b, max_lag: float, dt: float) -> np.ndarray:
+    """C_ab(u) on the lags u = -max_lag, ..., max_lag (step dt); negative
+    lags C_ab(-u) = C_ba(u) come from the same cross sums."""
     u, raw, n = _cross_raw(a, b, max_lag, dt, two_sided=True)
-    return dt * u, raw / (n - np.abs(u))
+    return raw / (n - np.abs(u))
 
 
 def hilbert_transform(values: np.ndarray) -> np.ndarray:
@@ -278,20 +247,20 @@ def hilbert_zero_functional(gain: np.ndarray, n: int, lag: int) -> np.ndarray:
     return np.multiply(weights, G.real, out=weights)
 
 
-def commutator_from_spectrum(spec: SpectrumEstimate, max_lag: float, dt: float) -> LagSeries:
-    """Auto-commutator coefficients c(t) = 2 * sum_j S_j sin(omega_j t) domega."""
+def commutator_from_spectrum(spec: np.ndarray, n: int, dt: float, max_lag: float) -> np.ndarray:
+    """Auto-commutator coefficients c(t) = 2 * sum_j S_j sin(omega_j t) domega
+    on the lags 0, dt, ..., max_lag from the spectrum S_j, j = 1..b-1, of a
+    length-n series (``spectrum_from_power``); c(0) is set to 0."""
     lags_n = _lag_samples(max_lag, dt)
-    # the full lattice of the series the spectrum came from; irfft pads
-    # the bins above the spectrum's with zeros
-    n_full = int(round(2.0 * math.pi / (spec.domega * dt)))
-    half = np.zeros(spec.values.size + 1, dtype=complex)
-    half[1:] = -1j * spec.values
+    domega = 2.0 * math.pi / (n * dt)
+    # irfft pads the bins above the spectrum's with zeros
+    half = np.zeros(spec.size + 1, dtype=complex)
+    half[1:] = -1j * spec
     # irfft of -i S_j is (2/n) sum_j S_j sin(2 pi j k / n), for all k at once
-    sines = np.fft.irfft(half, n_full)[: lags_n + 1] * (0.5 * n_full)
-    ks = np.arange(lags_n + 1)
-    values = 2.0 * spec.domega * sines
+    sines = np.fft.irfft(half, n)[: lags_n + 1] * (0.5 * n)
+    values = 2.0 * domega * sines
     values[0] = 0.0
-    return LagSeries(lags=dt * ks, values=values)
+    return values
 
 
 def commutator(
@@ -300,8 +269,9 @@ def commutator(
     max_lag: float,
     dt: float,
     method: str | None = None,
-) -> LagSeries:
-    """Commutator coefficient series for stationary processes a, b.
+) -> np.ndarray:
+    """Commutator coefficients c(t) for stationary processes a, b on the
+    lags t = 0, dt, ..., max_lag.
 
     The auto case (``b is a``) defaults to the spectral sine-transform
     route; the cross case to the discrete Hilbert transform of the
@@ -318,15 +288,13 @@ def commutator(
         series = np.asarray(a, dtype=float)
         if series.size % 2:
             series = series[:-1]  # even length keeps the lattice on k*dt
-        spec = periodogram(series, dt)
-        return commutator_from_spectrum(spec, max_lag, dt)
+        return commutator_from_spectrum(periodogram(series, dt), series.size, dt, max_lag)
 
     if method != "hilbert":
         raise InvalidParams([f"unknown commutator method {method!r}"])
 
     n_lags = _lag_samples(max_lag, dt) + 1
-    _, values = two_sided_correlation(a, b, HILBERT_MARGIN * max_lag, dt)
-    return LagSeries(lags=dt * np.arange(n_lags), values=hilbert_commutator(values, n_lags))
+    return hilbert_commutator(two_sided_correlation(a, b, HILBERT_MARGIN * max_lag, dt), n_lags)
 
 
 def structure_function(x: np.ndarray, dt: float, delta_ts) -> np.ndarray:
@@ -373,40 +341,30 @@ def window_samples(t_window: float, dt: float) -> int:
     return max(1, int(round(t_window / dt)))
 
 
-def windowed_energy(energy: np.ndarray, t_window: float, dt: float) -> EnergyWindowStats:
-    """Time-averaged energies over disjoint windows of length t_window.
+def windowed_energy(energy: np.ndarray, t_window: float, dt: float) -> np.ndarray:
+    """The time-averaged energies U_T over disjoint windows of
+    ``window_samples(t_window, dt)`` samples, in time order.
 
     ``energy`` is the instantaneous energy series (m omega0^2 x^2 + p^2/m)/2,
     formed once per trajectory whatever the number of windows; energies use
     the canonical momentum, whose variance is finite, not the velocity.
     U_T = (1/T) * its integral over the window, by the trapezoidal rule; a
-    window of a single sample is the instantaneous energy.
+    window of a single sample is the instantaneous energy (``energy``
+    itself, not a copy).
     """
     n = energy.size
     w = window_samples(t_window, dt)
     if w > n // 10 and w > 1:
         raise WindowTooLong(f"t_window {t_window:g} exceeds duration/10")
     if w == 1:
-        u = energy
-        t_eff = dt
-    else:
-        # contiguous partition [0,T], [T,2T], ...; adjacent windows share
-        # only a boundary sample, so each spans exactly w intervals
-        nw = (n - 1) // w
-        t_eff = w * dt
-        base = energy[: nw * w].reshape(nw, w)
-        edge = energy[w : nw * w + 1 : w]
-        integral = dt * (base.sum(axis=1) - 0.5 * base[:, 0] + 0.5 * edge)
-        u = integral / t_eff
-    # u.std() is sqrt(u.var()) bit for bit: one pass over u, not two
-    variance = float(u.var())
-    return EnergyWindowStats(
-        t_window=t_eff,
-        samples=u,
-        mean=float(u.mean()),
-        variance=variance,
-        dispersion=math.sqrt(variance),
-    )
+        return energy
+    # contiguous partition [0,T], [T,2T], ...; adjacent windows share
+    # only a boundary sample, so each spans exactly w intervals
+    nw = (n - 1) // w
+    base = energy[: nw * w].reshape(nw, w)
+    edge = energy[w : nw * w + 1 : w]
+    integral = dt * (base.sum(axis=1) - 0.5 * base[:, 0] + 0.5 * edge)
+    return integral / (w * dt)
 
 
 def ks_distance(series: np.ndarray, cdf) -> float:

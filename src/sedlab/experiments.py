@@ -28,8 +28,10 @@ the product K |X_j|^2, with no transform.  Variances come from the band of
 X by Parseval (``estimators.mean_square``: one pass over the coefficients,
 no power array), and KS subsamples from folds of it
 (``estimators.decorrelated``: one transform of at most n/32 points on a
-power-of-two lattice), in one routine per mode (``_mode``), so
-ground_state, planck_thermal and dipoles form no n-point series.  The
+power-of-two lattice), in the one member routine of the steady-state
+normal modes (``_mode_members``), so ground_state, planck_thermal and
+dipoles form no n-point series; their energies and cross moments are
+formed after the run, from the members' arrays.  The
 time series themselves are formed only where a statistic needs them
 (windowed energies, the stationary part of coherent_decay, whose kicked
 start adds the homogeneous decay by linearity), one transform each.  A
@@ -70,7 +72,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analytic
-from .core import Config, GridSpec, SystemParams, validate
+from .core import FIT_LAG_TAUS, Config, GridSpec, SystemParams, validate
 from .dynamics import (
     apply_momentum_gain,
     canonical_momentum,
@@ -154,16 +156,9 @@ class Ensemble:
         self.values = {} if values is None else values
         self._totals, self._group_means = {}, {}
 
-    @staticmethod
-    def _mean_stderr(values) -> tuple[float, float]:
-        arr = np.asarray(values, dtype=float)
-        if arr.size < 2:
-            return float(arr.mean()), 0.0
-        return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
-
     def mean(self, key: str) -> tuple[float, float]:
         """Mean of a per-member value and its standard error over members."""
-        return self._mean_stderr(self.values[key])
+        return _mean_stderr(self.values[key])
 
     def pool(self, key: str) -> np.ndarray:
         """Per-member arrays (the KS subsamples) joined in member order."""
@@ -183,8 +178,16 @@ class Ensemble:
         over the group means; f must not modify its argument."""
         if key not in self._group_means:
             self._group_means[key] = [s / size for s, size in zip(self.sums[key], self.sizes)]
-        _, se = self._mean_stderr([f(m) for m in self._group_means[key]])
+        _, se = _mean_stderr([f(m) for m in self._group_means[key]])
         return float(f(self.total(key))), se
+
+
+def _mean_stderr(values) -> tuple[float, float]:
+    """Mean of per-member (or per-group) values and its standard error."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size < 2:
+        return float(arr.mean()), 0.0
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
 def _member_groups(n_ensemble: int) -> np.ndarray:
@@ -285,19 +288,6 @@ def _steady_state(synthesis, H, seed, ws: Workspace) -> np.ndarray:
     return X
 
 
-def _mode(synthesis, H, T, seed, ws: Workspace, dt: float, x_dec=(), p_dec=()):
-    """One mode of a member with no n-point transform: X = E H from ``seed``
-    (``_steady_state``, in buffers 0 and 1), then P = T X over it, and of
-    each the Parseval mean square and the ``decorrelated`` subsamples at the
-    times ``x_dec`` and ``p_dec``.  Returns (<x^2>, x subsamples, <p^2>, p
-    subsamples)."""
-    n = synthesis.n_samples
-    X = _steady_state(synthesis, H, seed, ws)
-    x_sq, x_subs = mean_square(X, n), [decorrelated(X, n, dt, t) for t in x_dec]
-    P = np.multiply(T, X, out=X)  # X is spent
-    return x_sq, x_subs, mean_square(P, n), [decorrelated(P, n, dt, t) for t in p_dec]
-
-
 def _emit_member_zero(emitter: Emitter, scenario: str, grid: GridSpec, synthesis, modes,
                       seed: int, label=None):
     """``--emit trajectories``: member 0's x and p (and, given the model
@@ -389,7 +379,7 @@ def _xp_correlations(pw, one_plus_t, t_sq, g: float, lag: int, ws: Workspace) ->
     return c
 
 
-def _momentum_commutator(c_xx, spec_x, T, g: float) -> np.ndarray:
+def _momentum_commutator(c_xx, spec_x, domega: float, T, g: float) -> np.ndarray:
     """c_pp from c_xx = 2 domega sum_j S_j sin(omega_j t) on lags 0, dt, ...
     (``commutator_from_spectrum`` of the position spectrum ``spec_x``), with
     no transform: T maps sin(omega_j t) to Im(T_j) cos(omega_j t) and that
@@ -399,38 +389,43 @@ def _momentum_commutator(c_xx, spec_x, T, g: float) -> np.ndarray:
     # a pairwise sum: an error in the start grows linearly over the lags of
     # the odd step, and np.dot's 4e-15 would grow to 4e-13 of the peak
     even = apply_momentum_gain(
-        c_xx, g, 2.0 * spec_x.domega * np.sum(T.imag[1:] * spec_x.values))
+        c_xx, g, 2.0 * domega * np.sum(T.imag[1:] * spec_x))
     return apply_momentum_gain(even, -g, 0.0)
 
 
-def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: int,
-                       emitter: Emitter):
-    """Member of the single-oscillator scenarios: the variances of the
-    steady-state x and p, the mean energy, and decorrelated energy
-    subsamples for the KS tests (and position ones for ground_state, the
-    one scenario with a position KS row), all from one ``_mode``."""
-    params, grid = cfg.params, cfg.grid
+def _mode_members(name: str, model: SpectrumModel, cfg: Config, modes, seed: int, jobs: int,
+                  emitter: Emitter, x_dec=None, u_dec=None, label=None) -> Ensemble:
+    """Members of independent steady-state normal modes (``modes``, their
+    SystemParams): X = E H and P = T X in buffers 0 and 1, one mode from
+    ``member_seed(seed, k)``, two from its ``spawn(2)`` children.  Of mode i
+    a member keeps <x^2> and <p^2> by Parseval (``x_sq{i}``, ``p_sq{i}``),
+    and given their spacings, ``decorrelated`` x subsamples at ``x_dec``
+    (``x_sub{i}``) and energy ones at ``u_dec`` (``u_sub{i}``)."""
+    grid = cfg.grid
     dt, n = grid.dt, grid.n_samples
-    t_dec_u = _u_decorrelation_time(params)
-    x_dec = (t_dec_u, _x_decorrelation_time(params)) if scenario == "ground_state" else (t_dec_u,)
-    synthesis = field_synthesis(model, params, grid)
-    H, T = response_transfer(params, grid)
+    synthesis = field_synthesis(model, cfg.params, grid)
+    gains = [response_transfer(q, grid) for q in modes]
     ws = Workspace(n)
-    _emit_member_zero(emitter, scenario, grid, synthesis, [(H, params)], seed,
-                      model.label())
+    _emit_member_zero(emitter, name, grid, synthesis,
+                      [(H, q) for (H, _), q in zip(gains, modes)], seed, label)
 
     def worker(k):
-        x_var, (x_u, *x_sub), p_var, (p_u,) = _mode(
-            synthesis, H, T, member_seed(seed, k), ws, dt, x_dec, (t_dec_u,))
-        return {
-            "x_var": x_var,
-            "p_var": p_var,
-            "u_mean": _energy(params, x_var, p_var),
-            "u_sub": _energy(params, x_u ** 2, p_u ** 2),
-            **{"x_sub": sub for sub in x_sub},
-        }
+        seeds = [member_seed(seed, k)] if len(modes) == 1 else member_seed(seed, k).spawn(2)
+        res = {}
+        for i, (q, (H, T), s) in enumerate(zip(modes, gains, seeds)):
+            X = _steady_state(synthesis, H, s, ws)
+            res[f"x_sq{i}"] = mean_square(X, n)
+            if x_dec is not None:
+                res[f"x_sub{i}"] = decorrelated(X, n, dt, x_dec)
+            if u_dec is not None:
+                x_u = decorrelated(X, n, dt, u_dec)
+            P = np.multiply(T, X, out=X)  # X is spent
+            res[f"p_sq{i}"] = mean_square(P, n)
+            if u_dec is not None:
+                res[f"u_sub{i}"] = _energy(q, x_u ** 2, decorrelated(P, n, dt, u_dec) ** 2)
+        return res
 
-    return worker
+    return run_ensemble(worker, grid.n_ensemble, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +434,17 @@ def _oscillator_worker(scenario: str, model: SpectrumModel, cfg: Config, seed: i
 def _scenario_ground_state(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     params = cfg.params
     gs = analytic.ground_state(params)
-    worker = _oscillator_worker("ground_state", SpectrumModel.zpf(), cfg, seed, emitter)
-    acc = run_ensemble(worker, cfg.grid.n_ensemble, jobs)
+    model = SpectrumModel.zpf()
+    acc = _mode_members("ground_state", model, cfg, [params], seed, jobs, emitter,
+                        x_dec=_x_decorrelation_time(params),
+                        u_dec=_u_decorrelation_time(params), label=model.label())
 
-    x_var, x_se = acc.mean("x_var")
-    p_var, p_se = acc.mean("p_var")
-    u_mean, u_se = acc.mean("u_mean")
-    x_pool = acc.pool("x_sub")
-    u_pool = acc.pool("u_sub")
+    x_var, x_se = acc.mean("x_sq0")
+    p_var, p_se = acc.mean("p_sq0")
+    u_mean, u_se = _mean_stderr(
+        _energy(params, np.array(acc.values["x_sq0"]), np.array(acc.values["p_sq0"])))
+    x_pool = acc.pool("x_sub0")
+    u_pool = acc.pool("u_sub0")
 
     heis = x_var * p_var
     heis_se = heis * math.sqrt((x_se / x_var) ** 2 + (p_se / p_var) ** 2)
@@ -484,8 +482,9 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
     spec_x = spectrum_from_power(acc.total("power"), n, dt)
     lags = dt * np.arange(int(round(t_max / dt)) + 1)
-    c_xx_spec = commutator_from_spectrum(spec_x, t_max, dt).values
-    c_pp_spec = _momentum_commutator(c_xx_spec, spec_x, T, momentum_step(params, dt))
+    c_xx_spec = commutator_from_spectrum(spec_x, n, dt, t_max)
+    c_pp_spec = _momentum_commutator(c_xx_spec, spec_x, grid.domega, T,
+                                     momentum_step(params, dt))
 
     window = _lag_window(acc.total("power"), one_plus_t, lag_ext, ws)
     c_xx_h = hilbert_commutator(0.5 * (window + window[::-1]), lags.size)
@@ -542,19 +541,19 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         p = canonical_momentum(x, params, dt, out=ws.series(0))
         energy = _energy(params, np.square(x, out=x), np.square(p, out=p), out=x)
         for t in windows:
-            stats = windowed_energy(energy, t, dt)
-            res[f"T{t:g}"], res[f"mean_T{t:g}"] = stats.t_window, stats.mean
-            res[f"var_T{t:g}"], res[f"sd_T{t:g}"] = stats.variance, stats.dispersion
+            u = windowed_energy(energy, t, dt)
+            res[f"mean_T{t:g}"], res[f"var_T{t:g}"] = float(u.mean()), float(u.var())
         # the instantaneous energy, which is windowed_energy's single-sample
         # window (bit for bit); last, as it overwrites the series
-        mean, var = _mean_variance(energy)
-        res["inst_sd"] = math.sqrt(var)
-        for t in single:
-            res[f"T{t:g}"], res[f"mean_T{t:g}"] = dt, mean
-            res[f"var_T{t:g}"], res[f"sd_T{t:g}"] = var, res["inst_sd"]
+        res["mean_inst"], res["var_inst"] = _mean_variance(energy)
         return res
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs)
+
+    def moments(t):
+        """The members' mean and variance of U_T, an array each."""
+        key = "inst" if t in single else f"T{t:g}"
+        return np.array(acc.values[f"mean_{key}"]), np.array(acc.values[f"var_{key}"])
 
     one_plus_t, t_sq, g = 1.0 + T, np.abs(T) ** 2, momentum_step(params, dt)
     corr = draw_power_groups(synthesis, H, seed, grid.n_ensemble, jobs, lambda pw: {
@@ -566,8 +565,8 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         f = m ** 2 * w0 ** 4 * cxx ** 2 + 2.0 * w0 ** 2 * cxp ** 2 + cpp ** 2 / m ** 2
         return math.sqrt(np.trapezoid(f, np.arange(n_lag + 1) * dt) / (2.0 * t_window))
 
-    um, um_se = acc.mean(f"mean_T{t_sweep[0]:g}")
-    inst, inst_se = acc.mean("inst_sd")
+    um, um_se = _mean_stderr(moments(t_sweep[0])[0])
+    inst, inst_se = _mean_stderr(np.sqrt(acc.values["var_inst"]))
     u0 = analytic.ground_state(params).mean_energy
     rows = [
         Row("u_mean", um, um_se, u0, 0.03),
@@ -583,12 +582,11 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
             note="correlation-functional route; paper's printed large-T form "
                  f"would give {closed.paper_printed:.6g}"))
 
-        t_eff = acc.values[f"T{t:g}"][0]
-        means = np.array(acc.values[f"mean_T{t:g}"])
-        variances = np.array(acc.values[f"var_T{t:g}"])
+        t_eff = window_samples(t, dt) * dt
+        means, variances = moments(t)
         pooled_var = float(np.mean(variances + means ** 2) - np.mean(means) ** 2)
         pooled_std = math.sqrt(max(pooled_var, 0.0))
-        _, std_se = acc.mean(f"sd_T{t:g}")
+        _, std_se = _mean_stderr(np.sqrt(variances))
         closed_eff = analytic.energy_fluctuation(params, t_eff)
         rows.append(Row(
             f"delta_u_window_T{t:g}", pooled_std, std_se,
@@ -724,13 +722,10 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     params, grid = cfg.params, cfg.grid
     model = SpectrumModel.zpf()
     dt, n = grid.dt, grid.n_samples
-    t_lo = 100.0 * params.tau
-    t_hi = (n // 10 - 1) * dt
-    deltas = np.geomspace(t_lo, t_hi, 24)
+    # validate's log_fit gives these a first lag of one sample or more (SF(0) = 0
+    # has no variance to weight) and two distinct lags
+    deltas = np.geomspace(FIT_LAG_TAUS * params.tau, (n // 10 - 1) * dt, 24)
     lags = np.array([lag_count(t, dt, n) for t in deltas])
-    if lags.min() == 0:
-        # SF(0) = 0 has no variance: the fit would weight it infinitely
-        raise InvalidParams([f"shortest lag 100 tau = {t_lo:g} is under dt/2 = {dt / 2:g}"])
     H, T = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
@@ -771,45 +766,25 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 
 
 def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
-    params, grid = cfg.params, cfg.grid
-    model = SpectrumModel.zpf()
+    params = cfg.params
     pred = analytic.dipole_prediction(params)
     pp, pm = params.mode_params(+1), params.mode_params(-1)
-    t_dec = _x_decorrelation_time(pp)
     m, w0, K = params.m, params.omega0, params.K
-    dt, n = grid.dt, grid.n_samples
     # normal modes x_pm = (x1 +- x2)/sqrt(2), driven by eps_pm = (eps1 +- eps2)/sqrt(2):
     # an independent pair with the field's spectrum, so each is drawn directly
-    synthesis = field_synthesis(model, params, grid)
-    gains = [response_transfer(q, grid) for q in (pp, pm)]
-    ws = Workspace(n)
-    _emit_member_zero(emitter, "dipoles", grid, synthesis,
-                      [(H, q) for (H, _), q in zip(gains, (pp, pm))], seed)
-
-    def worker(k):
-        # each mode in turn, in buffers 0 and 1, from one child of the seed
-        (xp_var, (xp_sub,), pp_sq, _), (xm_var, (xm_sub,), pm_sq, _) = (
-            _mode(synthesis, H, T, child, ws, dt, (t_dec,))
-            for (H, T), child in zip(gains, member_seed(seed, k).spawn(2)))
-        # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p
-        p_sq = pp_sq + pm_sq
-        return {
-            "xp_var": xp_var, "xm_var": xm_var,
-            "cross": 0.5 * (xp_var - xm_var),
-            "h_mean": (p_sq / (2 * m) + 0.5 * m * w0 ** 2 * (xp_var + xm_var)
-                       - 0.5 * K * (xp_var - xm_var)),
-            "xp_sub": xp_sub,
-            "xm_sub": xm_sub,
-        }
-
-    acc = run_ensemble(worker, grid.n_ensemble, jobs)
-
-    xp_var, xp_se = acc.mean("xp_var")
-    xm_var, xm_se = acc.mean("xm_var")
-    cross, cross_se = acc.mean("cross")
-    h_mean, h_se = acc.mean("h_mean")
-    xp_pool = acc.pool("xp_sub")
-    xm_pool = acc.pool("xm_sub")
+    acc = _mode_members("dipoles", SpectrumModel.zpf(), cfg, [pp, pm], seed, jobs, emitter,
+                        x_dec=_x_decorrelation_time(pp))
+    xp_sq, xm_sq, pp_sq, pm_sq = (np.array(acc.values[key])
+                                  for key in ("x_sq0", "x_sq1", "p_sq0", "p_sq1"))
+    # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p
+    p_sq = pp_sq + pm_sq
+    xp_var, xp_se = _mean_stderr(xp_sq)
+    xm_var, xm_se = _mean_stderr(xm_sq)
+    cross, cross_se = _mean_stderr(0.5 * (xp_sq - xm_sq))
+    h_mean, h_se = _mean_stderr(p_sq / (2 * m) + 0.5 * m * w0 ** 2 * (xp_sq + xm_sq)
+                                - 0.5 * K * (xp_sq - xm_sq))
+    xp_pool = acc.pool("x_sub0")
+    xm_pool = acc.pool("x_sub1")
 
     rows = [
         Row("x_plus_variance", xp_var, xp_se, pred.x_plus_var, 0.03),
@@ -834,12 +809,13 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
 def _scenario_planck_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     params = cfg.params
     pred = analytic.planck_prediction(params)
-    worker = _oscillator_worker("planck_thermal", SpectrumModel.planck(params.kT),
-                                cfg, seed, emitter)
-    acc = run_ensemble(worker, cfg.grid.n_ensemble, jobs)
+    model = SpectrumModel.planck(params.kT)
+    acc = _mode_members("planck_thermal", model, cfg, [params], seed, jobs, emitter,
+                        u_dec=_u_decorrelation_time(params), label=model.label())
 
-    u_mean, u_se = acc.mean("u_mean")
-    u_pool = acc.pool("u_sub")
+    u_mean, u_se = _mean_stderr(
+        _energy(params, np.array(acc.values["x_sq0"]), np.array(acc.values["p_sq0"])))
+    u_pool = acc.pool("u_sub0")
     boltz = analytic.boltzmann_mean_energy(params)
 
     rows = [
@@ -931,7 +907,7 @@ def run_scenario(
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise InvalidParams([f"jobs must be an integer >= 1, got {jobs!r}"])
     # a scenario built on a bound oscillator divides by omega0
-    cfg = validate(params, grid, oscillator=dp.omega0 > 0)
+    cfg = validate(params, grid, oscillator=dp.omega0 > 0, log_fit=name == "free_zpf")
 
     emitter = Emitter(out_dir=out_dir, emit=emit)
     t0 = time.perf_counter()

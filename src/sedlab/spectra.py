@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SystemParams
-from .errors import (
-    InvalidParams,
-    NegativeFrequency,
-    ZeroFrequencyMomentum,
-)
+from .errors import InvalidParams, NegativeFrequency
 
 ZPF = "zpf"
 PLANCK = "planck"
@@ -97,7 +93,8 @@ def field_spectrum(model: SpectrumModel, params: SystemParams, omega):
         s /= math.pi * params.m
         if model.kind == PLANCK and model.kT != 0.0:
             arg = np.multiply(params.hbar, w)
-            arg /= 2.0 * model.kT
+            with np.errstate(over="ignore"):  # past the float range, coth is 1
+                arg /= 2.0 * model.kT
             arg[w == 0] = 1.0  # s is 0 there, and coth(1) keeps it so
             s *= _coth(arg, out=arg)
     return float(s[0]) if scalar else s
@@ -110,23 +107,3 @@ def position_transfer(omega, params: SystemParams):
         raise NegativeFrequency(f"omega must be >= 0, got min {omega.min()}")
     den = (params.omega0 ** 2 - omega ** 2) ** 2 + params.tau ** 2 * omega ** 6
     return 1.0 / den
-
-
-def position_spectrum(model: SpectrumModel, params: SystemParams, omega):
-    """S_x(omega) = S_eps(omega) * position_transfer(omega)."""
-    return field_spectrum(model, params, omega) * position_transfer(omega, params)
-
-
-def momentum_spectrum(model: SpectrumModel, params: SystemParams, omega):
-    """Canonical-momentum spectrum S_p = m^2 omega0^4 S_x / omega^2.
-
-    Identically zero for the free particle (omega0 = 0); undefined at
-    omega = 0 for the bound one.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if params.omega0 == 0.0:
-        return np.zeros_like(omega) if omega.ndim else 0.0
-    if np.any(omega == 0.0):
-        raise ZeroFrequencyMomentum("S_p carries 1/omega^2; omega = 0 not allowed")
-    sx = position_spectrum(model, params, omega)
-    return params.m ** 2 * params.omega0 ** 4 * sx / omega ** 2

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import correlation_closed, position_spectrum
 from quadrature import spectral_moment
 from scipy.integrate import quad
 
@@ -10,7 +11,6 @@ from sedlab.analytic import (
     EULER_GAMMA,
     boltzmann_mean_energy,
     commutator_closed,
-    correlation_closed,
     dipole_prediction,
     energy_fluctuation,
     free_particle,
@@ -94,7 +94,7 @@ def test_commutator_closed_matches_the_position_spectrum():
     of the exact finite-tau spectrum, by quadrature split at the
     resonance, within 5e-3 of the peak for t in [0.05, 100].  The
     tau-less form sin(w0 t) e^{-gamma t} misses it by 9.9e-3."""
-    from sedlab.spectra import SpectrumModel, position_spectrum
+    from sedlab.spectra import SpectrumModel
 
     sx = lambda w: position_spectrum(SpectrumModel.zpf(), PARAMS, w)
     w0 = PARAMS.omega0
@@ -246,6 +246,13 @@ def test_planck_boltzmann_oracle():
         assert abs(oracle - pred.mean_energy) < 1e-10 * pred.mean_energy
 
 
+@pytest.mark.parametrize("kT", [1e-3, 2.988e-112, 5e-324])
+def test_boltzmann_oracle_near_zero_temperature_is_the_ground_energy(kT):
+    # every Boltzmann weight underflowed at kT = 3e-112: the sum divided 0 by 0
+    params = replace(PARAMS, kT=kT)
+    assert boltzmann_mean_energy(params) == planck_prediction(params).mean_energy == 0.5
+
+
 def test_planck_classical_limit():
     for kT in (50.0, 200.0):
         pred = planck_prediction(replace(PARAMS, kT=kT))
@@ -260,7 +267,7 @@ def test_planck_density_mean_consistent():
 def test_closed_forms_against_spectral_quadrature():
     """Ground-state moments agree with the brute-force quadrature of the
     finite-tau spectra to O(tau*omega0)."""
-    from sedlab.spectra import SpectrumModel, position_spectrum
+    from sedlab.spectra import SpectrumModel
 
     gs = ground_state(PARAMS)
     sx = lambda w: position_spectrum(SpectrumModel.zpf(), PARAMS, w)

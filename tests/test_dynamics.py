@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import momentum_spectrum
 
 from sedlab.core import TAU_OMEGA_REJECT, GridSpec, SystemParams, validate
 from sedlab.dynamics import (
@@ -30,12 +31,7 @@ from sedlab.noise import (
     synthesize_field,
     synthesize_pair,
 )
-from sedlab.spectra import (
-    SpectrumModel,
-    field_spectrum,
-    momentum_spectrum,
-    position_transfer,
-)
+from sedlab.spectra import SpectrumModel, field_spectrum, position_transfer
 
 PARAMS = SystemParams(tau=0.01)
 ZPF = SpectrumModel.zpf()
@@ -169,8 +165,8 @@ def test_canonical_momentum_variance_and_spectrum():
         p = canonical_momentum(simulate_oscillator(PARAMS, f), PARAMS, grid.dt)
         pv.append(p.var())
         est = periodogram(p[: 1 << 17], grid.dt)
-        spec_acc = est.values if spec_acc is None else spec_acc + est.values
-        omega = est.omega
+        spec_acc = est if spec_acc is None else spec_acc + est
+    omega = 2.0 * np.pi / ((1 << 17) * grid.dt) * np.arange(1, spec_acc.size + 1)
     assert np.mean(pv) == pytest.approx(0.5, rel=0.03)
 
     # band-averaged ratio against m^2 w0^4 S_x / w^2 within 5%
@@ -235,9 +231,10 @@ def test_frequency_and_time_domain_routes_agree():
         x_td = simulate_oscillator(PARAMS, field)
         est_fd = periodogram(x_fd, grid.dt)
         est_td = periodogram(x_td[: 1 << 16], grid.dt)
-        spec_fd = est_fd.values if spec_fd is None else spec_fd + est_fd.values
-        spec_td = est_td.values if spec_td is None else spec_td + est_td.values
-        om_fd, om_td = est_fd.omega, est_td.omega
+        spec_fd = est_fd if spec_fd is None else spec_fd + est_fd
+        spec_td = est_td if spec_td is None else spec_td + est_td
+    om_fd, om_td = (2.0 * np.pi / (n * grid.dt) * np.arange(1, n // 2 + 1)
+                    for n in (grid.n_samples, 1 << 16))
     for a, b in ((0.5, 0.95), (0.95, 1.05), (1.05, 2.0)):
         p_fd = spec_fd[(om_fd >= a) & (om_fd < b)].sum() * (om_fd[1] - om_fd[0])
         p_td = spec_td[(om_td >= a) & (om_td < b)].sum() * (om_td[1] - om_td[0])

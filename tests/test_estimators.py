@@ -12,7 +12,6 @@ from sedlab.core import GridSpec, SystemParams
 from sedlab.dynamics import canonical_momentum, simulate_oscillator
 from sedlab.errors import InvalidParams, LagTooLong, WindowTooLong
 from sedlab.estimators import (
-    SpectrumEstimate,
     commutator,
     commutator_from_spectrum,
     correlation,
@@ -42,6 +41,11 @@ GAMMA = PARAMS.damping_rate
 DT = 0.1
 
 
+def lattice(n, dt):
+    """omega_j = j * 2 pi/(n dt) on the bins j = 1..n//2 of a one-sided spectrum."""
+    return 2.0 * math.pi / (n * dt) * np.arange(1, n // 2 + 1)
+
+
 def oscillator_ensemble(n_members=24, n=1 << 18, dt=DT, seed=77, omega_cut=20.0):
     """Each member's (x, p) on a grid of step dt."""
     grid = GridSpec(dt=dt, n_samples=n, omega_cut=omega_cut, seed=seed)
@@ -56,8 +60,10 @@ def test_periodogram_tone_power():
     t = np.arange(n) * dt
     a, w0 = 1.7, 1.0
     est = periodogram(a * np.cos(w0 * t), dt)
-    assert np.sum(est.values) * est.domega == pytest.approx(a ** 2 / 2.0, rel=0.02)
-    assert abs(est.omega[np.argmax(est.values)] - w0) <= est.domega
+    omega = lattice(n, dt)
+    assert est.size == omega.size
+    assert np.sum(est) * omega[0] == pytest.approx(a ** 2 / 2.0, rel=0.02)
+    assert abs(omega[np.argmax(est)] - w0) <= omega[0]
 
 
 def test_periodogram_parseval():
@@ -67,7 +73,7 @@ def test_periodogram_parseval():
         x = synthesize_series(lambda w: w ** 2, dt, n, 20.0, rng)
         est = periodogram(x, dt)
         # the full-length periodogram carries the whole variance exactly
-        assert np.sum(est.values) * est.domega == pytest.approx(x.var(), rel=1e-10)
+        assert np.sum(est) * lattice(n, dt)[0] == pytest.approx(x.var(), rel=1e-10)
 
 
 def test_periodogram_white_spectrum_flat():
@@ -79,8 +85,8 @@ def test_periodogram_white_spectrum_flat():
         x = synthesize_series(lambda w: np.ones_like(w), grid.dt,
                               grid.n_samples, grid.omega_cut, rng)
         est = periodogram(x, grid.dt)
-        acc = est.values if acc is None else acc + est.values
-        omega = est.omega
+        acc = est if acc is None else acc + est
+    omega = lattice(grid.n_samples, grid.dt)
     mean_spec = acc / 64
     sel = omega <= 20.0
     edges = np.linspace(0.5, 20.0, 14)
@@ -93,7 +99,8 @@ def test_correlation_lag_zero_is_variance():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(4096)
     series = correlation(x, x, 5.0, 0.1)
-    assert series.values[0] == pytest.approx(x.var(), rel=1e-12)
+    assert series.size == 51
+    assert series[0] == pytest.approx(x.var(), rel=1e-12)
 
 
 def test_auto_correlation_transforms_once_with_the_same_result(monkeypatch):
@@ -102,11 +109,11 @@ def test_auto_correlation_transforms_once_with_the_same_result(monkeypatch):
     x = np.random.default_rng(1).standard_normal(4096)
     rfft = np.fft.rfft
     for max_lag, transforms in ((5.0, 0), (40.0, 1)):
-        separate = correlation(x, x.copy(), max_lag, 0.1).values
+        separate = correlation(x, x.copy(), max_lag, 0.1)
         calls = []
         with monkeypatch.context() as m:
             m.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
-            auto = correlation(x, x, max_lag, 0.1).values
+            auto = correlation(x, x, max_lag, 0.1)
         assert len(calls) == transforms
         assert auto.tobytes() == separate.tobytes()
 
@@ -160,9 +167,9 @@ def test_position_autocorrelation_matches_closed_form():
     count = 0
     for x, _ in oscillator_ensemble(n_members=32):
         c = correlation(x, x, 200.0, DT)
-        acc = c.values if acc is None else acc + c.values
+        acc = c if acc is None else acc + c
         count += 1
-        lags = c.lags
+    lags = DT * np.arange(acc.size)
     mean_c = acc / count
     ref = 0.5 * np.cos(lags) * np.exp(-GAMMA * lags)
     assert np.max(np.abs(mean_c - ref)) < 0.05 * 0.5
@@ -178,12 +185,12 @@ def test_cross_correlation_sign_convention():
         cxp = correlation(x, p, 30.0, DT)
         cpx = correlation(p, x, 30.0, DT)
         if acc_xp is None:
-            acc_xp, acc_px = cxp.values.copy(), cpx.values.copy()
+            acc_xp, acc_px = cxp.copy(), cpx.copy()
         else:
-            acc_xp += cxp.values
-            acc_px += cpx.values
+            acc_xp += cxp
+            acc_px += cpx
         count += 1
-        lags = cxp.lags
+    lags = DT * np.arange(acc_xp.size)
     mean_xp = acc_xp / count
     mean_px = acc_px / count
     ref = -0.5 * np.sin(lags) * np.exp(-GAMMA * lags)
@@ -197,7 +204,7 @@ def test_commutator_auto_is_odd_and_zero_at_origin():
     rng = np.random.default_rng(12)
     x = synthesize_series(lambda w: w ** 2, 0.1, 1 << 14, 20.0, rng)
     c = commutator(x, x, 50.0, 0.1)
-    assert c.values[0] == 0.0
+    assert c.size == 501 and c[0] == 0.0
 
 
 def test_commutator_routes_agree_on_oscillator():
@@ -207,21 +214,18 @@ def test_commutator_routes_agree_on_oscillator():
     for x, _ in oscillator_ensemble(n_members=24):
         est = periodogram(x[: 1 << 17], DT)
         cxx = correlation(x[: 1 << 17], x[: 1 << 17], 60.0, DT)
-        spec_acc = est.values if spec_acc is None else spec_acc + est.values
-        corr_pos = cxx.values if corr_pos is None else corr_pos + cxx.values
+        spec_acc = est if spec_acc is None else spec_acc + est
+        corr_pos = cxx if corr_pos is None else corr_pos + cxx
         count += 1
-        omega = est.omega
-    from sedlab.estimators import SpectrumEstimate
-
-    spec = SpectrumEstimate(omega=omega, values=spec_acc / count)
-    c_spec = commutator_from_spectrum(spec, 50.0, 0.1)
+    c_spec = commutator_from_spectrum(spec_acc / count, 1 << 17, DT, 50.0)
     mean_corr = corr_pos / count
     two = np.concatenate([mean_corr[:0:-1], mean_corr])
-    c_hilb = hilbert_commutator(two, c_spec.values.size)
+    c_hilb = hilbert_commutator(two, c_spec.size)
 
-    ref = np.sin(c_spec.lags) * np.exp(-GAMMA * c_spec.lags)
+    lags = DT * np.arange(c_spec.size)
+    ref = np.sin(lags) * np.exp(-GAMMA * lags)
     strong = np.abs(ref) > 0.3
-    assert np.max(np.abs(c_spec.values[strong] - c_hilb[strong])) < 0.05
+    assert np.max(np.abs(c_spec[strong] - c_hilb[strong])) < 0.05
 
 
 def test_equal_time_xp_commutator_is_hbar():
@@ -229,7 +233,7 @@ def test_equal_time_xp_commutator_is_hbar():
     count = 0
     for x, p in oscillator_ensemble(n_members=24):
         c = commutator(x, p, 60.0, DT, method="hilbert")
-        acc = c.values if acc is None else acc + c.values
+        acc = c if acc is None else acc + c
         count += 1
     c_xp0 = (acc / count)[0]
     assert c_xp0 == pytest.approx(1.0, rel=0.05)
@@ -242,9 +246,9 @@ def test_hilbert_commutator_keeps_every_lag_or_raises():
     n, dt = 20000, 0.1
     a, b = rng.standard_normal(n), rng.standard_normal(n)
     c = commutator(a, b, 150.0, dt, method="hilbert")
-    assert c.values.size == 1501 and c.lags[-1] == pytest.approx(150.0)
-    _, two = two_sided_correlation(a, b, 180.0, dt)
-    assert np.array_equal(c.values, hilbert_commutator(two, 1501))
+    assert c.size == 1501
+    two = two_sided_correlation(a, b, 180.0, dt)
+    assert np.array_equal(c, hilbert_commutator(two, 1501))
     with pytest.raises(LagTooLong):
         commutator(a, b, 195.0, dt, method="hilbert")
 
@@ -317,18 +321,21 @@ def test_windowed_energy_single_sample_limit():
     n = 1 << 17
     x = rng.normal(0.0, math.sqrt(0.5), n)
     p = rng.normal(0.0, math.sqrt(0.5), n)
-    stats = windowed_energy(0.5 * (x ** 2 + p ** 2), 0.1, 0.1)
-    assert stats.t_window == 0.1
-    assert stats.mean == pytest.approx(0.5, rel=0.02)
-    assert stats.dispersion == pytest.approx(0.5, rel=0.02)
+    energy = 0.5 * (x ** 2 + p ** 2)
+    u = windowed_energy(energy, 0.1, 0.1)
+    assert u is energy
+    assert u.mean() == pytest.approx(0.5, rel=0.02)
+    assert u.std() == pytest.approx(0.5, rel=0.02)
 
 
 @pytest.mark.parametrize("t_window", [0.1, 1.0, 10.0])
 def test_windowed_energy_dispersion_is_the_root_of_its_variance(t_window):
+    # energy_time takes each member's dispersion as sqrt(var) of the samples
     energy = np.random.default_rng(11).exponential(0.5, 1 << 14)
-    stats = windowed_energy(energy, t_window, 0.1)
-    assert stats.variance == stats.samples.var()
-    assert stats.dispersion == stats.samples.std()
+    u = windowed_energy(energy, t_window, 0.1)
+    w = round(t_window / 0.1)
+    assert u.size == (energy.size if w == 1 else (energy.size - 1) // w)
+    assert math.sqrt(float(u.var())) == u.std()
 
 
 def test_windowed_energy_mean_stable_for_any_window():
@@ -337,8 +344,8 @@ def test_windowed_energy_mean_stable_for_any_window():
     x = rng.normal(0.0, math.sqrt(0.5), n)
     p = rng.normal(0.0, math.sqrt(0.5), n)
     for t_window in (1.0, 10.0, 100.0):
-        stats = windowed_energy(0.5 * (x ** 2 + p ** 2), t_window, 0.1)
-        assert stats.mean == pytest.approx(0.5, rel=0.03)
+        u = windowed_energy(0.5 * (x ** 2 + p ** 2), t_window, 0.1)
+        assert u.mean() == pytest.approx(0.5, rel=0.03)
 
 
 def test_windowed_energy_guard():
@@ -408,10 +415,11 @@ def test_write_series_csv(tmp_path):
 def test_two_sided_correlation_symmetry_for_auto():
     rng = np.random.default_rng(14)
     x = rng.standard_normal(1 << 12)
-    lags, values = two_sided_correlation(x, x, 10.0, 1.0)
-    mid = lags.size // 2
+    values = two_sided_correlation(x, x, 10.0, 1.0)
+    mid = values.size // 2
+    assert values.size == 21
     assert np.allclose(values[mid + 1 :], values[:mid][::-1])
-    assert lags[mid] == 0.0
+    assert values[mid] == pytest.approx(x.var(), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1000, 1001])
@@ -423,13 +431,12 @@ def test_correlation_matches_direct_sum(n):
     am, bm = a - a.mean(), b - b.mean()
     direct = np.array([am[: n - u] @ bm[u:] / (n - u) for u in range(lags + 1)])
     pos = correlation(a, b, lags * dt, dt)
-    assert pos.values.size == lags + 1
-    assert np.allclose(pos.values, direct, rtol=0.0, atol=1e-12)
+    assert pos.size == lags + 1
+    assert np.allclose(pos, direct, rtol=0.0, atol=1e-12)
     # negative lags are C_ab(-u) = C_ba(u), from the same transform
     back = np.array([bm[: n - u] @ am[u:] / (n - u) for u in range(lags + 1)])
-    two_lags, two = two_sided_correlation(a, b, lags * dt, dt)
+    two = two_sided_correlation(a, b, lags * dt, dt)
     assert np.allclose(two, np.concatenate([back[:0:-1], direct]), rtol=0.0, atol=1e-12)
-    assert np.allclose(two_lags, dt * np.arange(-lags, lags + 1))
 
 
 def test_spectrum_helpers_match_the_series_route():
@@ -440,8 +447,8 @@ def test_spectrum_helpers_match_the_series_route():
         coeffs = np.fft.rfft(x)
         direct = periodogram(x, 0.1)
         viaps = spectrum_from_power(np.abs(coeffs) ** 2, n, 0.1)
-        assert np.allclose(viaps.values, direct.values, rtol=1e-12)
-        assert np.array_equal(viaps.omega, direct.omega)
+        assert viaps.size == direct.size == n // 2
+        assert np.allclose(viaps, direct, rtol=1e-12)
         assert mean_square(coeffs, n) == pytest.approx(np.mean(x ** 2), rel=1e-12)
 
 
@@ -453,9 +460,8 @@ def test_spectrum_from_a_band_power_is_the_full_spectrum_on_the_band(n, band):
     full[band:] = 0.0
     from_band = spectrum_from_power(full[:band], n, 0.1)
     from_full = spectrum_from_power(full, n, 0.1)
-    assert from_band.values.size == band - 1
-    assert np.array_equal(from_band.values, from_full.values[: band - 1])
-    assert np.array_equal(from_band.omega, from_full.omega[: band - 1])
+    assert from_band.size == band - 1
+    assert np.array_equal(from_band, from_full[: band - 1])
 
 
 @pytest.mark.parametrize("n, stride, band", [
@@ -505,10 +511,10 @@ def test_commutator_from_spectrum_on_an_odd_lattice():
     values = np.zeros(n // 2)
     values[j - 1] = 1.5
     domega = 2.0 * math.pi / (n * dt)
-    spec = SpectrumEstimate(omega=domega * np.arange(1, n // 2 + 1), values=values)
-    c = commutator_from_spectrum(spec, 30.0, dt)
-    ref = 2.0 * 1.5 * domega * np.sin(j * domega * c.lags)
-    assert np.allclose(c.values, ref, rtol=0.0, atol=1e-12)
+    c = commutator_from_spectrum(values, n, dt, 30.0)
+    ref = 2.0 * 1.5 * domega * np.sin(j * domega * dt * np.arange(c.size))
+    assert c.size == 301
+    assert np.allclose(c, ref, rtol=0.0, atol=1e-12)
 
 
 def _routes(monkeypatch, f, *args):
@@ -530,12 +536,11 @@ def test_direct_lag_sums_match_the_transform_route(n, lags, auto, monkeypatch):
     b = a if auto else np.roll(a, 5) + 0.7 * rng.standard_normal(n)
     dt = 0.1
     direct, padded = _routes(monkeypatch, correlation, a, b, lags * dt, dt)
-    scale = abs(padded.values[0])
-    assert np.array_equal(direct.lags, padded.lags)
-    assert np.max(np.abs(direct.values - padded.values)) <= 1e-12 * scale
-    (d_lags, d_two), (p_lags, p_two) = _routes(
-        monkeypatch, two_sided_correlation, a, b, lags * dt, dt)
-    assert np.array_equal(d_lags, p_lags) and d_lags.size == 2 * lags + 1
+    scale = abs(padded[0])
+    assert direct.size == padded.size == lags + 1
+    assert np.max(np.abs(direct - padded)) <= 1e-12 * scale
+    d_two, p_two = _routes(monkeypatch, two_sided_correlation, a, b, lags * dt, dt)
+    assert d_two.size == p_two.size == 2 * lags + 1
     assert np.max(np.abs(d_two - p_two)) <= 1e-12 * scale
 
 
@@ -565,7 +570,7 @@ def test_negative_or_non_finite_max_lag_is_refused(max_lag):
         lambda: two_sided_correlation(x, p, max_lag, 0.1),
         lambda: commutator(x, x, max_lag, 0.1),
         lambda: commutator(x, p, max_lag, 0.1),
-        lambda: commutator_from_spectrum(spec, max_lag, 0.1),
+        lambda: commutator_from_spectrum(spec, x.size, 0.1, max_lag),
     ):
         with pytest.raises(InvalidParams) as exc:
             call()

@@ -344,13 +344,13 @@ def test_dipole_member_draws_each_mode_from_one_child_of_its_seed(monkeypatch):
     band, n = synthesis.j_max + 1, grid.n_samples
     t_dec = _x_decorrelation_time(cfg.params.mode_params(+1))
     children = member_seed(grid.seed, 3).spawn(2)
-    for mode, sign, child in (("xp", +1, children[0]), ("xm", -1, children[1])):
+    for mode, sign, child in ((0, +1, children[0]), (1, -1, children[1])):
         H, _ = response_transfer(cfg.params.mode_params(sign), cfg.grid)
         # X *= H and H * X round some complex products differently, which
         # mean_square alone need not show: the subsample bytes do
         X = _response(synthesis, H[:band], child)
-        assert member[f"{mode}_var"] == mean_square(X, n)
-        assert member[f"{mode}_sub"].tobytes() == decorrelated(X, n, grid.dt, t_dec).tobytes()
+        assert member[f"x_sq{mode}"] == mean_square(X, n)
+        assert member[f"x_sub{mode}"].tobytes() == decorrelated(X, n, grid.dt, t_dec).tobytes()
 
 
 @pytest.mark.parametrize("name, changes", [
@@ -483,10 +483,11 @@ def test_momentum_commutator_matches_the_spectral_route():
     cfg, pw, T = _steady_power("commutators", 1 << 16)
     n, dt = cfg.grid.n_samples, cfg.grid.dt
     spec_x = spectrum_from_power(pw, n, dt)
-    c_xx = commutator_from_spectrum(spec_x, 100.0, dt).values
+    c_xx = commutator_from_spectrum(spec_x, n, dt, 100.0)
     ref = commutator_from_spectrum(spectrum_from_power(pw * np.abs(T) ** 2, n, dt),
-                                   100.0, dt).values
-    c_pp = _momentum_commutator(c_xx, spec_x, T, momentum_step(cfg.params, dt))
+                                   n, dt, 100.0)
+    c_pp = _momentum_commutator(c_xx, spec_x, cfg.grid.domega, T,
+                                momentum_step(cfg.params, dt))
     assert np.max(np.abs(c_pp - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -702,6 +703,36 @@ def test_free_zpf_lag_under_half_a_sample_is_refused(monkeypatch):
     with pytest.raises(InvalidParams) as exc:
         run_scenario("free_zpf", grid=grid)
     assert exc.value.violations == ["shortest lag 100 tau = 1 is under dt/2 = 1.5"]
+
+
+@pytest.mark.parametrize("n_samples, dt, omega_cut, longest", [
+    (15, 0.01, 300.0, "0"),      # (n//10 - 1) dt = 0: geomspace refused a zero
+    (8, 0.01, 300.0, "-0.01"),   # negative: log10 warned, then exit 2
+    (512, 0.02, 155.5, "1"),     # = 100 tau: 24 equal lags, the SVD failed
+])
+def test_free_zpf_fit_lags_need_two_distinct_lags(n_samples, dt, omega_cut, longest,
+                                                  monkeypatch, tmp_path, capsys):
+    def no_members(*args, **kwargs):
+        raise AssertionError("a member ran before the lags were checked")
+
+    monkeypatch.setattr(experiments, "ensemble_reduce", no_members)
+    changes = dict(n_samples=n_samples, dt=dt, omega_cut=omega_cut, n_ensemble=2)
+    message = (f"longest lag (n//10 - 1)*dt = {longest} must exceed 100 tau = 1 "
+               "by a sample: the log fit needs two distinct lags")
+    with pytest.raises(InvalidParams) as exc:
+        run_scenario("free_zpf", grid=_default_grid("free_zpf", **changes))
+    assert exc.value.violations == [message]
+    # listed with every other violation
+    with pytest.raises(InvalidParams) as exc:
+        run_scenario("free_zpf", grid=_default_grid("free_zpf", **dict(changes, seed=-1)))
+    assert exc.value.violations == ["seed must be >= 0, got -1", message]
+
+    from sedlab.cli import main
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(dict(changes, scenario="free_zpf")))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_group_stderr_uses_actual_group_sizes():

@@ -2,22 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import ZeroFrequencyMomentum, momentum_spectrum, position_spectrum
 from quadrature import QuadratureFailure, spectral_moment
 
 from sedlab.core import SystemParams
-from sedlab.errors import (
-    InvalidParams,
-    NegativeFrequency,
-    ZeroFrequencyMomentum,
-)
-from sedlab.spectra import (
-    SpectrumModel,
-    _coth,
-    field_spectrum,
-    momentum_spectrum,
-    position_spectrum,
-    position_transfer,
-)
+from sedlab.errors import InvalidParams, NegativeFrequency
+from sedlab.spectra import SpectrumModel, _coth, field_spectrum, position_transfer
 
 PARAMS = SystemParams(tau=0.01)
 
@@ -68,6 +58,14 @@ def test_planck_reduces_to_zpf_at_low_temperature():
     planck = field_spectrum(SpectrumModel.planck(kT), PARAMS, w)
     zpf = field_spectrum(SpectrumModel.zpf(), PARAMS, w)
     assert np.max(np.abs(planck / zpf - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("kT", [1e-300, 5e-324])
+def test_planck_at_a_subnormal_temperature_is_the_zeropoint_spectrum(kT):
+    # at kT = 5e-324, hbar omega/2kT overflows (a RuntimeWarning: an error here)
+    w = np.linspace(0.0, 30.0, 50)
+    planck = field_spectrum(SpectrumModel.planck(kT), PARAMS, w)
+    assert np.array_equal(planck, field_spectrum(SpectrumModel.zpf(), PARAMS, w))
 
 
 def test_rayleigh_jeans_is_classical_substitution():
