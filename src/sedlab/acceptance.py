@@ -180,15 +180,15 @@ def _property_commutator_structure(jobs: int) -> tuple[list[str], bool]:
 
     # an auto-commutator is odd, so c(0) = 0; the Hilbert route does not
     # write it, it computes it
-    rx = commutator(x, x, 40.0, grid.dt, method="hilbert")
+    rx = commutator(x, x, 40.0, grid.dt)
     c0 = float(abs(rx[0]) / np.max(np.abs(rx)))
     odd_ok = c0 <= 1e-12
 
     # linearity: [a f + b g, h] = a [f,h] + b [g,h] within estimator noise
     a, b = 0.6, 1.7
     combo = a * x + b * p
-    lhs = commutator(combo, x, 40.0, grid.dt, method="hilbert")
-    rp = commutator(p, x, 40.0, grid.dt, method="hilbert")
+    lhs = commutator(combo, x, 40.0, grid.dt)
+    rp = commutator(p, x, 40.0, grid.dt)
     rhs = a * rx + b * rp
     scale = np.max(np.abs(rhs))
     dev = float(np.max(np.abs(lhs - rhs)) / scale)

@@ -190,7 +190,7 @@ def free_particle(
     thermal_dx2 = 2.0 * tau * kT * delta_t / m
     thermal_v_var = kT / m
     log_slope = 2.0 * hb * tau / (math.pi * m)
-    zpf_dx2 = log_slope * (EULER_GAMMA + math.log(delta_t / tau))
+    zpf_dx2 = log_slope * (EULER_GAMMA + math.log(delta_t) - math.log(tau))
     zpf_dv2 = (2.0 * hb / (math.pi * m * tau)) * math.log(omega_c * tau)
     size = math.sqrt(4.0 * EULER_GAMMA * hb * tau / (3.0 * math.pi * m))
     return FreeParticlePrediction(
@@ -248,7 +248,9 @@ def dipole_prediction(params: SystemParams) -> DipolePrediction:
         cross_cov=0.5 * (xp_var - xm_var),
         mean_H=mean_h,
         E_int_exact=mean_h - hb * w0,
-        E_int_paper_series=-K ** 2 * hb / (2.0 * m ** 2 * w0 ** 3),
+        # -K^2 hbar/(2 m^2 w0^3), in factors that stay finite where the
+        # normal modes are real (|K|/(m w0) < w0)
+        E_int_paper_series=-(hb / (2.0 * w0)) * (K / (m * w0)) ** 2,
         rho_plus_cdf=_gaussian_cdf(xp_var),
         rho_minus_cdf=_gaussian_cdf(xm_var),
     )
@@ -272,7 +274,8 @@ def planck_prediction(params: SystemParams) -> PlanckPrediction:
     if kT == 0.0:
         mean = 0.5 * hb * w0
     else:
-        mean = 0.5 * hb * w0 / math.tanh(hb * w0 / (2.0 * kT))
+        # hb w0 / kT / 2 is hb w0 / (2 kT) to the bit, and 2 kT may overflow
+        mean = 0.5 * hb * w0 / math.tanh(hb * w0 / kT / 2.0)
     return PlanckPrediction(mean_energy=mean, energy_cdf=_exponential_cdf(mean))
 
 

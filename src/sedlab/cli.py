@@ -20,6 +20,8 @@ import resource
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analytic
 from .core import GridSpec, SystemParams, validate
 from .errors import InvalidParams, SedlabError
@@ -126,6 +128,38 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _closed_forms(q: str, params: SystemParams, args) -> list:
+    """The (name, value, format) triples that ``sedlab analytic`` prints."""
+    if q == "ground_state":
+        gs = analytic.ground_state(params)
+        return [("x_var", gs.x_var, "g"), ("p_var", gs.p_var, "g"),
+                ("mean_energy", gs.mean_energy, "g")]
+    if q == "heisenberg":
+        return [("x_var*p_var", analytic.heisenberg_product(params), "g")]
+    if q == "commutators":
+        c_xx, c_pp, c_xp = analytic.commutator_closed(params, args.t)
+        return [(f"c_xx({args.t:g})", float(c_xx), "g"), ("c_pp", float(c_pp), "g"),
+                ("c_xp", float(c_xp), "g")]
+    if q == "energy_fluctuation":
+        ef = analytic.energy_fluctuation(params, args.t)
+        return [("recomputed", ef.recomputed, "g"), ("paper_printed", ef.paper_printed, "g"),
+                ("window_exact", ef.window_exact, "g")]
+    if q == "dipoles":
+        dp = analytic.dipole_prediction(params)
+        return [("x_plus_var", dp.x_plus_var, "g"), ("x_minus_var", dp.x_minus_var, "g"),
+                ("cross", dp.cross_cov, "g"), ("mean_H", dp.mean_H, ".9g"),
+                ("E_int_exact", dp.E_int_exact, "g"),
+                ("E_int_paper_series", dp.E_int_paper_series, "g")]
+    if q == "planck":
+        return [("mean_energy", analytic.planck_prediction(params).mean_energy, ".9g")]
+    if q == "free_particle":
+        fp = analytic.free_particle(params, args.t, args.omega_c)
+        return [("thermal_dx2", fp.thermal_dx2, "g"), ("thermal_v_var", fp.thermal_v_var, "g"),
+                ("zpf_dx2", fp.zpf_dx2, "g"), ("zpf_dv2", fp.zpf_dv2, "g"),
+                ("electron_size", fp.electron_size, "g")]
+    raise ConfigError(f"unknown quantity {q!r}")
+
+
 def _cmd_analytic(args) -> int:
     q = args.quantity
     free = q == "free_particle"
@@ -139,38 +173,20 @@ def _cmd_analytic(args) -> int:
         violations = exc.violations
     if not math.isfinite(args.t):
         violations.append(f"--t must be finite, got {args.t}")
+    elif q in ("free_particle", "energy_fluctuation") and not args.t > 0:
+        violations.append(f"--t must be > 0, got {args.t}")
     if free and args.tau > 0 and not args.omega_c * args.tau > 1.0:
         # zpf_dv2 is (2 hbar/pi m tau) ln(omega_c tau); a bad tau is listed above
         violations.append(f"omega_c*tau = {args.omega_c * args.tau:g} must be > 1")
     if violations:
         raise InvalidParams(violations)
-    if q == "ground_state":
-        gs = analytic.ground_state(params)
-        print(f"x_var={gs.x_var:g} p_var={gs.p_var:g} mean_energy={gs.mean_energy:g}")
-    elif q == "heisenberg":
-        print(f"x_var*p_var={analytic.heisenberg_product(params):g}")
-    elif q == "commutators":
-        c_xx, c_pp, c_xp = analytic.commutator_closed(params, args.t)
-        print(f"c_xx({args.t:g})={float(c_xx):g} c_pp={float(c_pp):g} c_xp={float(c_xp):g}")
-    elif q == "energy_fluctuation":
-        ef = analytic.energy_fluctuation(params, args.t)
-        print(f"recomputed={ef.recomputed:g} paper_printed={ef.paper_printed:g} "
-              f"window_exact={ef.window_exact:g}")
-    elif q == "dipoles":
-        dp = analytic.dipole_prediction(params)
-        print(f"x_plus_var={dp.x_plus_var:g} x_minus_var={dp.x_minus_var:g} "
-              f"cross={dp.cross_cov:g} mean_H={dp.mean_H:.9g} "
-              f"E_int_exact={dp.E_int_exact:g} E_int_paper_series={dp.E_int_paper_series:g}")
-    elif q == "planck":
-        pp = analytic.planck_prediction(params)
-        print(f"mean_energy={pp.mean_energy:.9g}")
-    elif q == "free_particle":
-        fp = analytic.free_particle(params, args.t, args.omega_c)
-        print(f"thermal_dx2={fp.thermal_dx2:g} thermal_v_var={fp.thermal_v_var:g} "
-              f"zpf_dx2={fp.zpf_dx2:g} zpf_dv2={fp.zpf_dv2:g} "
-              f"electron_size={fp.electron_size:g}")
-    else:
-        raise ConfigError(f"unknown quantity {q!r}")
+    with np.errstate(all="ignore"):  # a value that leaves float64 is refused below
+        values = _closed_forms(q, params, args)
+    overflow = [f"{name} = {value} is beyond float64 at these options"
+                for name, value, _ in values if not math.isfinite(value)]
+    if overflow:
+        raise InvalidParams(overflow)
+    print(" ".join(f"{name}={value:{fmt}}" for name, value, fmt in values))
     return 0
 
 

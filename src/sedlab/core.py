@@ -21,6 +21,11 @@ from .errors import InvalidParams
 TAU_OMEGA_WARN = 0.1
 TAU_OMEGA_REJECT = 0.5
 
+#: kT above this is refused: a run squares energies of order kT (standard
+#: errors) and sums n^2 times them (Parseval sums), and float64 ends at
+#: 1.8e308.  Energies are in the internal units (hbar = omega0 = 1 by default).
+KT_MAX = 1e100
+
 #: Burn-in, in units of the amplitude relaxation time 2/(tau*omega0^2):
 #: five e-folds of the slowest decay.
 BURN_IN_EFOLDS = 5.0
@@ -95,14 +100,6 @@ class GridSpec:
         return 2.0 * math.pi / self.duration
 
 
-@dataclass(frozen=True)
-class Config:
-    """Validated (params, grid) pair with defaults resolved; immutable."""
-
-    params: SystemParams
-    grid: GridSpec | None
-
-
 def _type_violations(obj) -> dict:
     """Messages, by field name, for the fields of the dataclass ``obj`` whose
     value does not fit the annotation: an ``int`` field takes an integer (not
@@ -130,8 +127,9 @@ def _type_violations(obj) -> dict:
 
 
 def validate(params: SystemParams, grid: GridSpec | None = None,
-             oscillator: bool = False, log_fit: bool = False) -> Config:
-    """Check every invariant and return the validated configuration.
+             oscillator: bool = False, log_fit: bool = False):
+    """Check every invariant and return ``(params, grid)``, the grid's
+    omega_cut resolved (None becomes 5/tau).
 
     ``oscillator`` marks a configuration that drives a bound oscillator,
     whose omega0 must then be > 0 (omega0 = 0 is the free particle).
@@ -163,10 +161,17 @@ def validate(params: SystemParams, grid: GridSpec | None = None,
             violations.append(f"omega0 must be > 0, got {params.omega0}")
         elif params.omega0 < 0:
             violations.append(f"omega0 must be >= 0, got {params.omega0}")
+    # omega0 * omega0 is omega0 ** 2 to the bit, but inf where ** 2 would raise
+    w0_sq = params.omega0 * params.omega0 if typed("omega0") else 0.0
+    if math.isinf(w0_sq):
+        violations.append(f"omega0 = {params.omega0:g} is too large: omega0^2 leaves float64")
     if typed("tau") and not params.tau > 0:
         violations.append(f"tau must be > 0, got {params.tau}")
     if typed("kT") and params.kT < 0:
         violations.append(f"kT must be >= 0, got {params.kT}")
+    elif typed("kT") and params.kT > KT_MAX:
+        violations.append(f"kT = {params.kT:g} exceeds {KT_MAX:g}, beyond which a run's "
+                          "squared energies leave float64")
 
     tw = params.tau * params.omega0 if typed("tau", "omega0") else 0.0
     if tw >= TAU_OMEGA_REJECT:
@@ -181,10 +186,10 @@ def validate(params: SystemParams, grid: GridSpec | None = None,
         )
 
     if (typed("K", "m", "omega0") and params.K != 0.0
-            and not abs(params.K) < params.m * params.omega0 ** 2):
+            and not abs(params.K) < params.m * w0_sq):
         violations.append(
             f"|K| = {abs(params.K):g} must be < m*omega0^2 = "
-            f"{params.m * params.omega0 ** 2:g} (real normal modes)"
+            f"{params.m * w0_sq:g} (real normal modes)"
         )
 
     if grid is not None:  # its omega_cut defaults to 5/tau
@@ -235,7 +240,7 @@ def validate(params: SystemParams, grid: GridSpec | None = None,
         # the field's lattice must resolve the oscillator's resonance width
         if (finite_duration and typed("omega0", "tau")
                 and params.omega0 > 0 and params.tau > 0):
-            limit = params.tau * params.omega0 ** 2 / 4.0
+            limit = params.tau * w0_sq / 4.0
             if grid.domega > limit:
                 violations.append(
                     f"lattice spacing {grid.domega:g} > tau*omega0^2/4 = {limit:g}; "
@@ -244,7 +249,7 @@ def validate(params: SystemParams, grid: GridSpec | None = None,
 
     if violations:
         raise InvalidParams(violations)
-    return Config(params=params, grid=grid)
+    return params, grid
 
 
 def burn_in_samples(params: SystemParams, dt: float) -> int:

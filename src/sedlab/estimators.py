@@ -15,10 +15,10 @@ Correlations use the lag-on-second-argument convention,
 which is the convention under which the commutator of two stationary
 processes is 2i times the Hilbert transform of the cross-correlation with
 kernel 1/(u - t).  Concretely, the coefficient series c(t) with
-[a(0), b(t)] = i c(t) is computed as c = 2 * H[C_ab]; for an
-auto-commutator this reduces to the one-sided sine transform of the
-spectrum, c(t) = 2 * integral S(omega) sin(omega t) domega, which is the
-primary (lower-noise) route.
+[a(0), b(t)] = i c(t) is computed as c = 2 * H[C_ab] (``commutator``); for
+an auto-commutator this reduces to the one-sided sine transform of the
+spectrum, c(t) = 2 * integral S(omega) sin(omega t) domega, the
+lower-noise route (``commutator_from_spectrum``).
 
 A KS row states its exact p-value P(D_n >= d) beside the distance
 (``ks_sf``): the two-sided Kolmogorov distribution at finite n, by the
@@ -263,36 +263,15 @@ def commutator_from_spectrum(spec: np.ndarray, n: int, dt: float, max_lag: float
     return values
 
 
-def commutator(
-    a: np.ndarray,
-    b: np.ndarray,
-    max_lag: float,
-    dt: float,
-    method: str | None = None,
-) -> np.ndarray:
+def commutator(a: np.ndarray, b: np.ndarray, max_lag: float, dt: float) -> np.ndarray:
     """Commutator coefficients c(t) for stationary processes a, b on the
-    lags t = 0, dt, ..., max_lag.
-
-    The auto case (``b is a``) defaults to the spectral sine-transform
-    route; the cross case to the discrete Hilbert transform of the
-    cross-correlation (``hilbert_commutator``), taken over
-    HILBERT_MARGIN * max_lag; LagTooLong is raised when that exceeds the
-    periodicity guard.
+    lags t = 0, dt, ..., max_lag, by the Hilbert route for every pair: the
+    discrete Hilbert transform of the cross-correlation
+    (``hilbert_commutator``), taken over HILBERT_MARGIN * max_lag;
+    LagTooLong is raised when that exceeds the periodicity guard.  The
+    sine-transform route of an auto-commutator is
+    ``commutator_from_spectrum(periodogram(x, dt), n, dt, max_lag)``.
     """
-    if method is None:
-        method = "spectral" if b is a else "hilbert"
-
-    if method == "spectral":
-        if b is not a:
-            raise InvalidParams(["spectral route applies to the auto case only"])
-        series = np.asarray(a, dtype=float)
-        if series.size % 2:
-            series = series[:-1]  # even length keeps the lattice on k*dt
-        return commutator_from_spectrum(periodogram(series, dt), series.size, dt, max_lag)
-
-    if method != "hilbert":
-        raise InvalidParams([f"unknown commutator method {method!r}"])
-
     n_lags = _lag_samples(max_lag, dt) + 1
     return hilbert_commutator(two_sided_correlation(a, b, HILBERT_MARGIN * max_lag, dt), n_lags)
 

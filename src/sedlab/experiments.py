@@ -1,10 +1,13 @@
 """The ensemble engine and the named end-to-end scenarios, each giving a
 reproducible pass/fail ``report.ExperimentReport``.
 
-Every scenario draws its ensemble from sub-seeds that are pure functions
-of (master seed, member or group index), reduces in index order, and
-embeds the fully resolved configuration in the report, so a report is a
-deterministic function of (name, params, grid, seed) for any worker count.
+A scenario is a function of the validated ``(params, grid)`` of
+``core.validate``, the workers and the emitter; the grid holds the master
+seed, and every routine that gets the grid reads the seed from it.  It
+draws its ensemble from sub-seeds that are pure functions of (master seed,
+member or group index), reduces in index order, and embeds the fully
+resolved configuration in the report, so a report is a deterministic
+function of (name, params, grid) for any worker count.
 
 Every scenario forms its response one way: the half-spectrum coefficients
 of its field (a ``noise.Synthesis`` draw; for the dipoles, one draw per
@@ -47,8 +50,10 @@ coherent_decay, whose members are not one steady state, writes none.
 
 Every ensemble, the property suite's included, is reduced by
 ``run_ensemble`` (or drawn by ``draw_power_groups``) into an ``Ensemble``:
-per-member values in member order, and the group sums, a list of one
-array per group, min(N_GROUPS, n) groups and none empty.
+each per-member key one array of its values joined in member order (a
+KS subsample key's is the pool), which the rows read as it is, and the
+group sums, a list of one array per group, min(N_GROUPS, n) groups and
+none empty.
 
 Members reuse memory.  Each scenario call sets its field synthesis up once
 (``noise.field_synthesis``) and makes a ``Workspace``: complex buffers of
@@ -72,7 +77,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analytic
-from .core import FIT_LAG_TAUS, Config, GridSpec, SystemParams, validate
+from .core import FIT_LAG_TAUS, GridSpec, SystemParams, validate
 from .dynamics import (
     apply_momentum_gain,
     canonical_momentum,
@@ -136,13 +141,15 @@ class Ensemble:
     into the sum of the member's group: the n members form
     G = min(N_GROUPS, n) groups, member k in group k * G // n, so every
     group holds a member and group sizes differ by at most one.  A summed
-    key holds a list of its G group sums.  Every other value is kept per
-    member, in member order.
+    key holds a list of its G group sums.  Every other key holds one array,
+    its members' values joined in member order: a scalar's is 1-D, and a
+    KS subsample's is the pool.
 
     Standard errors follow one rule.  The mean of a per-member value takes
-    the standard error over members (``mean``).  A functional of ensemble
-    means takes the standard error of the same functional over the group
-    means, each group sum divided by its own member count (``estimate``).
+    the standard error over members (``_mean_stderr`` of its array).  A
+    functional of ensemble means takes the standard error of the same
+    functional over the group means, each group sum divided by its own
+    member count (``estimate``).
 
     The sums and values are final when the Ensemble is made, so a summed
     key's ensemble mean (``total``) and group means (``estimate``) are each
@@ -155,14 +162,6 @@ class Ensemble:
         self.sums = {} if sums is None else sums
         self.values = {} if values is None else values
         self._totals, self._group_means = {}, {}
-
-    def mean(self, key: str) -> tuple[float, float]:
-        """Mean of a per-member value and its standard error over members."""
-        return _mean_stderr(self.values[key])
-
-    def pool(self, key: str) -> np.ndarray:
-        """Per-member arrays (the KS subsamples) joined in member order."""
-        return np.concatenate(self.values[key])
 
     def total(self, key: str) -> np.ndarray:
         """Ensemble mean of a summed array."""
@@ -198,7 +197,9 @@ def _member_groups(n_ensemble: int) -> np.ndarray:
 
 def run_ensemble(worker, n_ensemble: int, jobs: int, summed=()) -> Ensemble:
     """Run ``worker(k)`` for every member and reduce the results in order
-    into an ``Ensemble``, summing the arrays named in ``summed`` by group."""
+    into an ``Ensemble``, summing the arrays named in ``summed`` by group;
+    every other key's values are joined once, in member order, after the
+    reduce (``np.hstack``)."""
     group = _member_groups(n_ensemble)
 
     def add(acc, k, res):
@@ -218,27 +219,27 @@ def run_ensemble(worker, n_ensemble: int, jobs: int, summed=()) -> Ensemble:
         return acc
 
     sums, values = ensemble_reduce(worker, n_ensemble, jobs, add, ({}, {}))
-    return Ensemble(n_ensemble, sums, values)
+    return Ensemble(n_ensemble, sums, {key: np.hstack(v) for key, v in values.items()})
 
 
-def draw_power_groups(synthesis, H, seed: int, n_ensemble: int, jobs: int, linear) -> Ensemble:
-    """The group sums of n_ensemble members' power |X_j|^2, X = E H, drawn
-    with no member, in ``run_ensemble``'s groups: |X_j|^2 is its mean
-    2 a_j^2 |H_j|^2 (a = ``synthesis.amplitude``) times a standard
+def draw_power_groups(synthesis, H, grid: GridSpec, jobs: int, linear) -> Ensemble:
+    """The group sums of the grid's n_ensemble members' power |X_j|^2,
+    X = E H, drawn with no member, in ``run_ensemble``'s groups: |X_j|^2 is
+    its mean 2 a_j^2 |H_j|^2 (a = ``synthesis.amplitude``) times a standard
     exponential, independently per bin (Brockwell & Davis, *Time Series:
     Theory and Methods*, §10.3), so m members sum to the mean times one
-    ``standard_gamma(m)`` per bin, drawn from ``group_seed(seed, g)``.
+    ``standard_gamma(m)`` per bin, drawn from ``group_seed(grid.seed, g)``.
     ``linear`` maps a group's fresh power to a dict of arrays linear in it."""
-    sizes = np.bincount(_member_groups(n_ensemble))
+    sizes = np.bincount(_member_groups(grid.n_ensemble))
     mean = 2.0 * np.square(np.abs(H[1:]) * synthesis.amplitude)
 
     def worker(g):
         pw = np.zeros(H.size)
-        np.random.default_rng(group_seed(seed, g)).standard_gamma(sizes[g], out=pw[1:])
+        np.random.default_rng(group_seed(grid.seed, g)).standard_gamma(sizes[g], out=pw[1:])
         pw[1:] *= mean
         return linear(pw)
 
-    return Ensemble(n_ensemble, ensemble_reduce(
+    return Ensemble(grid.n_ensemble, ensemble_reduce(
         worker, sizes.size, jobs,
         lambda sums, g, res: {key: sums.get(key, []) + [v] for key, v in res.items()}, {}))
 
@@ -288,19 +289,26 @@ def _steady_state(synthesis, H, seed, ws: Workspace) -> np.ndarray:
     return X
 
 
+def _mode_seeds(seed: int, k: int, n_modes: int) -> list:
+    """Member k's seeds of its normal modes: one mode draws from
+    ``member_seed(seed, k)``, two from its ``spawn(2)`` children."""
+    s = member_seed(seed, k)
+    return [s] if n_modes == 1 else s.spawn(2)
+
+
 def _emit_member_zero(emitter: Emitter, scenario: str, grid: GridSpec, synthesis, modes,
-                      seed: int, label=None):
+                      label=None):
     """``--emit trajectories``: member 0's x and p (and, given the model
-    ``label``, its field), rebuilt from its seed apart from the members.
-    ``modes`` are (H, params) pairs; the dipoles' two are drawn as in their
-    member, from the children of the seed, and x = (x+ + x-)/sqrt(2)."""
+    ``label``, its field), rebuilt from the grid's seed apart from the
+    members.  ``modes`` are (H, params) pairs, drawn as in the member
+    (``_mode_seeds``); the dipoles' x = (x+ + x-)/sqrt(2)."""
     if not emitter.wants("trajectories"):
         return
-    n, dt, seed0 = grid.n_samples, grid.dt, member_seed(seed, 0)
-    # children of a second sequence: spawning would change seed0's repr
-    seeds = [seed0] if len(modes) == 1 else member_seed(seed, 0).spawn(2)
+    # the sidecars' seed0 is a sequence of its own: spawning the modes'
+    # children from it would change its repr
+    n, dt, seed0 = grid.n_samples, grid.dt, member_seed(grid.seed, 0)
     xs = [np.fft.irfft(_steady_state(synthesis, H, s, Workspace(n)), n)
-          for (H, _), s in zip(modes, seeds)]
+          for (H, _), s in zip(modes, _mode_seeds(grid.seed, 0, len(modes)))]
     ps = [canonical_momentum(x, q, dt) for x, (_, q) in zip(xs, modes)]
     if label is not None:
         emitter.dump(f"{scenario}_field", np.fft.irfft(synthesis.draw(seed0), n), dt,
@@ -393,25 +401,25 @@ def _momentum_commutator(c_xx, spec_x, domega: float, T, g: float) -> np.ndarray
     return apply_momentum_gain(even, -g, 0.0)
 
 
-def _mode_members(name: str, model: SpectrumModel, cfg: Config, modes, seed: int, jobs: int,
-                  emitter: Emitter, x_dec=None, u_dec=None, label=None) -> Ensemble:
+def _mode_members(name: str, model: SpectrumModel, params: SystemParams, grid: GridSpec,
+                  modes, jobs: int, emitter: Emitter, x_dec=None, u_dec=None) -> Ensemble:
     """Members of independent steady-state normal modes (``modes``, their
-    SystemParams): X = E H and P = T X in buffers 0 and 1, one mode from
-    ``member_seed(seed, k)``, two from its ``spawn(2)`` children.  Of mode i
-    a member keeps <x^2> and <p^2> by Parseval (``x_sq{i}``, ``p_sq{i}``),
-    and given their spacings, ``decorrelated`` x subsamples at ``x_dec``
-    (``x_sub{i}``) and energy ones at ``u_dec`` (``u_sub{i}``)."""
-    grid = cfg.grid
+    SystemParams) of the field ``model``: X = E H and P = T X in buffers 0
+    and 1, drawn from ``_mode_seeds``.  Of mode i a member keeps <x^2> and
+    <p^2> by Parseval (``x_sq{i}``, ``p_sq{i}``), and given their spacings,
+    ``decorrelated`` x subsamples at ``x_dec`` (``x_sub{i}``) and energy
+    ones at ``u_dec`` (``u_sub{i}``).  Member 0's emitted trajectories of
+    a single mode carry its field."""
     dt, n = grid.dt, grid.n_samples
-    synthesis = field_synthesis(model, cfg.params, grid)
+    synthesis = field_synthesis(model, params, grid)
     gains = [response_transfer(q, grid) for q in modes]
     ws = Workspace(n)
-    _emit_member_zero(emitter, name, grid, synthesis,
-                      [(H, q) for (H, _), q in zip(gains, modes)], seed, label)
+    _emit_member_zero(emitter, name, grid, synthesis, [(H, q) for (H, _), q in zip(gains, modes)],
+                      model.label() if len(modes) == 1 else None)
 
     def worker(k):
-        seeds = [member_seed(seed, k)] if len(modes) == 1 else member_seed(seed, k).spawn(2)
         res = {}
+        seeds = _mode_seeds(grid.seed, k, len(modes))
         for i, (q, (H, T), s) in enumerate(zip(modes, gains, seeds)):
             X = _steady_state(synthesis, H, s, ws)
             res[f"x_sq{i}"] = mean_square(X, n)
@@ -431,20 +439,15 @@ def _mode_members(name: str, model: SpectrumModel, cfg: Config, modes, seed: int
 # ---------------------------------------------------------------------------
 # scenario implementations
 
-def _scenario_ground_state(cfg: Config, seed: int, jobs: int, emitter: Emitter):
-    params = cfg.params
+def _scenario_ground_state(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
     gs = analytic.ground_state(params)
-    model = SpectrumModel.zpf()
-    acc = _mode_members("ground_state", model, cfg, [params], seed, jobs, emitter,
-                        x_dec=_x_decorrelation_time(params),
-                        u_dec=_u_decorrelation_time(params), label=model.label())
+    acc = _mode_members("ground_state", SpectrumModel.zpf(), params, grid, [params], jobs,
+                        emitter, x_dec=_x_decorrelation_time(params),
+                        u_dec=_u_decorrelation_time(params))
 
-    x_var, x_se = acc.mean("x_sq0")
-    p_var, p_se = acc.mean("p_sq0")
-    u_mean, u_se = _mean_stderr(
-        _energy(params, np.array(acc.values["x_sq0"]), np.array(acc.values["p_sq0"])))
-    x_pool = acc.pool("x_sub0")
-    u_pool = acc.pool("u_sub0")
+    x_var, x_se = _mean_stderr(acc.values["x_sq0"])
+    p_var, p_se = _mean_stderr(acc.values["p_sq0"])
+    u_mean, u_se = _mean_stderr(_energy(params, acc.values["x_sq0"], acc.values["p_sq0"]))
 
     heis = x_var * p_var
     heis_se = heis * math.sqrt((x_se / x_var) ** 2 + (p_se / p_var) ** 2)
@@ -453,9 +456,9 @@ def _scenario_ground_state(cfg: Config, seed: int, jobs: int, emitter: Emitter):
         Row("x_variance", x_var, x_se, gs.x_var, 0.03),
         Row("p_variance", p_var, p_se, gs.p_var, 0.03),
         Row("mean_energy", u_mean, u_se, gs.mean_energy, 0.03),
-        _ks_row("position_ks", x_pool, gs.x_cdf,
+        _ks_row("position_ks", acc.values["x_sub0"], gs.x_cdf,
                 f"KS vs Gaussian(var={gs.x_var:g}) at the 1% level, decorrelated samples"),
-        _ks_row("energy_ks", u_pool, gs.energy_cdf,
+        _ks_row("energy_ks", acc.values["u_sub0"], gs.energy_cdf,
                 f"KS vs exponential(mean={gs.mean_energy:g}) at the 1% level"),
         Row("heisenberg_product", heis, heis_se,
             analytic.heisenberg_product(params), 0.06),
@@ -463,8 +466,7 @@ def _scenario_ground_state(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     return rows
 
 
-def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
-    params, grid = cfg.params, cfg.grid
+def _scenario_commutators(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
     model = SpectrumModel.zpf()
     dt, n = grid.dt, grid.n_samples
     t_max = 100.0
@@ -472,13 +474,12 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     H, T = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
-    _emit_member_zero(emitter, "commutators", grid, synthesis, [(H, params)], seed)
+    _emit_member_zero(emitter, "commutators", grid, synthesis, [(H, params)])
     one_plus_t = 1.0 + T
     # c_xp(0) by the Hilbert route is linear in each group's power; its
     # weights depend on the grid alone, so they are formed before the draw
     xp_zero = hilbert_zero_functional(one_plus_t, n, lag_ext)
-    acc = draw_power_groups(synthesis, H, seed, grid.n_ensemble, jobs,
-                            lambda pw: {"power": pw})
+    acc = draw_power_groups(synthesis, H, grid, jobs, lambda pw: {"power": pw})
 
     spec_x = spectrum_from_power(acc.total("power"), n, dt)
     lags = dt * np.arange(int(round(t_max / dt)) + 1)
@@ -519,8 +520,7 @@ def _scenario_commutators(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     return rows
 
 
-def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
-    params, grid = cfg.params, cfg.grid
+def _scenario_energy_time(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
     model = SpectrumModel.zpf()
     dt, n = grid.dt, grid.n_samples
     t_sweep = [1.0, 10.0, 100.0, 1000.0, 10000.0]
@@ -531,11 +531,11 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     H, T = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
-    _emit_member_zero(emitter, "energy_time", grid, synthesis, [(H, params)], seed)
+    _emit_member_zero(emitter, "energy_time", grid, synthesis, [(H, params)])
 
     def worker(k):
         res = {}
-        X = _steady_state(synthesis, H, member_seed(seed, k), ws)
+        X = _steady_state(synthesis, H, member_seed(grid.seed, k), ws)
         x = np.fft.irfft(X, n, out=ws.series(1))
         # X is spent: its buffer takes p
         p = canonical_momentum(x, params, dt, out=ws.series(0))
@@ -553,10 +553,10 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     def moments(t):
         """The members' mean and variance of U_T, an array each."""
         key = "inst" if t in single else f"T{t:g}"
-        return np.array(acc.values[f"mean_{key}"]), np.array(acc.values[f"var_{key}"])
+        return acc.values[f"mean_{key}"], acc.values[f"var_{key}"]
 
     one_plus_t, t_sq, g = 1.0 + T, np.abs(T) ** 2, momentum_step(params, dt)
-    corr = draw_power_groups(synthesis, H, seed, grid.n_ensemble, jobs, lambda pw: {
+    corr = draw_power_groups(synthesis, H, grid, jobs, lambda pw: {
         "corr": _xp_correlations(pw, one_plus_t, t_sq, g, lag_max, ws)})
 
     def corr_route_delta_u(c, t_window):
@@ -603,7 +603,7 @@ def _scenario_energy_time(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     return rows
 
 
-def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter):
+def _scenario_coherent_decay(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
     """Displaced ensemble.
 
     By linearity each member is the homogeneous decay from the displaced
@@ -614,7 +614,6 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
     two-e-fold window), and the variance about it is the ensemble mean of
     the stationary part squared.
     """
-    params, grid = cfg.params, cfg.grid
     model = SpectrumModel.zpf()
     dt, n = grid.dt, grid.n_samples
     amp, phase = 3.0, 0.0
@@ -630,7 +629,7 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
     ws = Workspace(n)
 
     def worker(k):
-        X = _steady_state(synthesis, H, member_seed(seed, k), ws)
+        X = _steady_state(synthesis, H, member_seed(grid.seed, k), ws)
         return {"x_sq": np.fft.irfft(X, n, out=ws.series(1))[:n_keep] ** 2}
 
     acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("x_sq",))
@@ -669,8 +668,7 @@ def _scenario_coherent_decay(cfg: Config, seed: int, jobs: int, emitter: Emitter
     return rows
 
 
-def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
-    params, grid = cfg.params, cfg.grid
+def _scenario_free_thermal(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
     model = SpectrumModel.rayleigh_jeans(params.kT)
     dt, n = grid.dt, grid.n_samples
 
@@ -687,11 +685,11 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     omega_sq = (grid.domega * np.arange(H.size)) ** 2
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
-    _emit_member_zero(emitter, "free_thermal", grid, synthesis, [(H, params)], seed)
+    _emit_member_zero(emitter, "free_thermal", grid, synthesis, [(H, params)])
 
     # position structure function at deltas and fit_deltas, velocity one (gain
     # omega^2) at the asymptote lags, <v^2> by Parseval (no j = 0 or Nyquist bin)
-    sf = draw_power_groups(synthesis, H, seed, grid.n_ensemble, jobs, lambda pw: {
+    sf = draw_power_groups(synthesis, H, grid, jobs, lambda pw: {
         "sf": np.concatenate([_structure_function(pw, 1.0, x_lags, ws),
                               _structure_function(pw, omega_sq, v_lags, ws),
                               [2.0 * np.einsum("i,i->", omega_sq, pw) / n ** 2]])})
@@ -718,8 +716,7 @@ def _scenario_free_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     return rows
 
 
-def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
-    params, grid = cfg.params, cfg.grid
+def _scenario_free_zpf(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
     model = SpectrumModel.zpf()
     dt, n = grid.dt, grid.n_samples
     # validate's log_fit gives these a first lag of one sample or more (SF(0) = 0
@@ -729,9 +726,9 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     H, T = response_transfer(params, grid)
     synthesis = field_synthesis(model, params, grid)
     ws = Workspace(n)
-    _emit_member_zero(emitter, "free_zpf", grid, synthesis, [(H, params)], seed)
+    _emit_member_zero(emitter, "free_zpf", grid, synthesis, [(H, params)])
 
-    acc = draw_power_groups(synthesis, H, seed, grid.n_ensemble, jobs, lambda pw: {
+    acc = draw_power_groups(synthesis, H, grid, jobs, lambda pw: {
         "power": pw, "sf": _structure_function(pw, 1.0, lags, ws)})
     # a member's variance at each lag, from the ensemble power alone
     sf_var = mean_square_displacement_variance(acc.total("power"), n, lags)
@@ -765,17 +762,15 @@ def _scenario_free_zpf(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     return rows
 
 
-def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
-    params = cfg.params
+def _scenario_dipoles(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
     pred = analytic.dipole_prediction(params)
     pp, pm = params.mode_params(+1), params.mode_params(-1)
     m, w0, K = params.m, params.omega0, params.K
     # normal modes x_pm = (x1 +- x2)/sqrt(2), driven by eps_pm = (eps1 +- eps2)/sqrt(2):
     # an independent pair with the field's spectrum, so each is drawn directly
-    acc = _mode_members("dipoles", SpectrumModel.zpf(), cfg, [pp, pm], seed, jobs, emitter,
+    acc = _mode_members("dipoles", SpectrumModel.zpf(), params, grid, [pp, pm], jobs, emitter,
                         x_dec=_x_decorrelation_time(pp))
-    xp_sq, xm_sq, pp_sq, pm_sq = (np.array(acc.values[key])
-                                  for key in ("x_sq0", "x_sq1", "p_sq0", "p_sq1"))
+    xp_sq, xm_sq, pp_sq, pm_sq = (acc.values[key] for key in ("x_sq0", "x_sq1", "p_sq0", "p_sq1"))
     # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p
     p_sq = pp_sq + pm_sq
     xp_var, xp_se = _mean_stderr(xp_sq)
@@ -783,8 +778,6 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     cross, cross_se = _mean_stderr(0.5 * (xp_sq - xm_sq))
     h_mean, h_se = _mean_stderr(p_sq / (2 * m) + 0.5 * m * w0 ** 2 * (xp_sq + xm_sq)
                                 - 0.5 * K * (xp_sq - xm_sq))
-    xp_pool = acc.pool("x_sub0")
-    xm_pool = acc.pool("x_sub1")
 
     rows = [
         Row("x_plus_variance", xp_var, xp_se, pred.x_plus_var, 0.03),
@@ -793,9 +786,9 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
             note="<x1 x2> = (<x+^2> - <x-^2>)/2"),
         Row("mean_energy_H", h_mean, h_se, pred.mean_H, 0.005,
             note="canonical-momentum energies; exact normal-mode value"),
-        _ks_row("mode_plus_ks", xp_pool, pred.rho_plus_cdf,
+        _ks_row("mode_plus_ks", acc.values["x_sub0"], pred.rho_plus_cdf,
                 "x+ vs its normal-mode Gaussian at the 1% level"),
-        _ks_row("mode_minus_ks", xm_pool, pred.rho_minus_cdf,
+        _ks_row("mode_minus_ks", acc.values["x_sub1"], pred.rho_minus_cdf,
                 "x- vs its normal-mode Gaussian at the 1% level"),
         Row("interaction_energy_series", pred.E_int_exact, 0.0,
             pred.E_int_paper_series, 0.0, kind="info",
@@ -806,21 +799,17 @@ def _scenario_dipoles(cfg: Config, seed: int, jobs: int, emitter: Emitter):
     return rows
 
 
-def _scenario_planck_thermal(cfg: Config, seed: int, jobs: int, emitter: Emitter):
-    params = cfg.params
+def _scenario_planck_thermal(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
     pred = analytic.planck_prediction(params)
-    model = SpectrumModel.planck(params.kT)
-    acc = _mode_members("planck_thermal", model, cfg, [params], seed, jobs, emitter,
-                        u_dec=_u_decorrelation_time(params), label=model.label())
+    acc = _mode_members("planck_thermal", SpectrumModel.planck(params.kT), params, grid,
+                        [params], jobs, emitter, u_dec=_u_decorrelation_time(params))
 
-    u_mean, u_se = _mean_stderr(
-        _energy(params, np.array(acc.values["x_sq0"]), np.array(acc.values["p_sq0"])))
-    u_pool = acc.pool("u_sub0")
+    u_mean, u_se = _mean_stderr(_energy(params, acc.values["x_sq0"], acc.values["p_sq0"]))
     boltz = analytic.boltzmann_mean_energy(params)
 
     rows = [
         Row("mean_energy", u_mean, u_se, pred.mean_energy, 0.03),
-        _ks_row("energy_ks", u_pool, pred.energy_cdf,
+        _ks_row("energy_ks", acc.values["u_sub0"], pred.energy_cdf,
                 f"energy histogram vs exponential(mean={pred.mean_energy:.6g})"),
         Row("boltzmann_oracle", boltz, 0.0, pred.mean_energy, 1e-10,
             note="Boltzmann sum over E_n = (n+1/2) hbar w0 vs the coth form"),
@@ -907,15 +896,13 @@ def run_scenario(
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise InvalidParams([f"jobs must be an integer >= 1, got {jobs!r}"])
     # a scenario built on a bound oscillator divides by omega0
-    cfg = validate(params, grid, oscillator=dp.omega0 > 0, log_fit=name == "free_zpf")
+    params, grid = validate(params, grid, oscillator=dp.omega0 > 0, log_fit=name == "free_zpf")
 
     emitter = Emitter(out_dir=out_dir, emit=emit)
     t0 = time.perf_counter()
-    rows = SCENARIO_DEFAULTS[name][2](cfg, cfg.grid.seed, jobs, emitter)
+    rows = SCENARIO_DEFAULTS[name][2](params, grid, jobs, emitter)
     runtime = time.perf_counter() - t0
 
-    config = {"params": asdict(cfg.params), "grid": asdict(cfg.grid)}
-    return ExperimentReport(
-        scenario=name, config=config, rows=rows, runtime=runtime,
-        seed=cfg.grid.seed,
-    )
+    config = {"params": asdict(params), "grid": asdict(grid)}
+    return ExperimentReport(scenario=name, config=config, rows=rows, runtime=runtime,
+                            seed=grid.seed)

@@ -87,7 +87,6 @@ class Synthesis:
     ensemble shares the setup, so the spectrum is evaluated once.
     """
 
-    n_samples: int
     j_max: int
     amplitude: np.ndarray
     #: -amplitude, for the imaginary parts: (-a) b = -(a b) exactly, so
@@ -134,7 +133,7 @@ def _synthesis(spectrum, dt: float, n_samples: int, omega_cut: float) -> Synthes
     amplitude = np.multiply(svals, domega)
     np.sqrt(amplitude, out=amplitude)
     amplitude *= 0.5 * n_samples
-    return Synthesis(n_samples, j_max, amplitude)
+    return Synthesis(j_max, amplitude)
 
 
 def synthesize_series(

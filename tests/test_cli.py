@@ -1,9 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sedlab.cli import main
 from sedlab.experiments import SCENARIO_NAMES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FAST_CONFIG = {
     "scenario": "ground_state",
@@ -326,3 +333,44 @@ def test_run_exits_2_on_an_integer_literal_too_long_to_read(tmp_path, capsys):
     cfg.write_text('{"scenario": "ground_state", "n_samples": 1' + "0" * 5000 + "}")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "long")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+#: planck_thermal on a short grid, at a temperature where 2 kT, the
+#: members' squared energies or their Parseval sums overflowed float64
+HOT_FIELD = {"scenario": "planck_thermal", "dt": 0.2, "n_samples": 16384, "omega_cut": 5.0,
+             "n_ensemble": 2}
+
+
+@pytest.mark.parametrize("case", [
+    1e200, 1e300, 1e308,  # kT of a planck_thermal run on HOT_FIELD
+    ["planck", "--kT", "1e308"],
+    ["free_particle", "--kT", "1e308", "--t", "1e308"],
+    ["free_particle", "--kT", "1e99", "--t", "1e308"],
+    ["ground_state", "--omega0", "1e-320"],
+    # omega0^2 overflowed (OverflowError) and omega0^3 underflowed (ZeroDivisionError)
+    ["ground_state", "--omega0", "1.4e154", "--K", "1"],
+    ["dipoles", "--omega0", "1e-110"],
+], ids=lambda case: f"run kT={case:g}" if isinstance(case, float) else " ".join(case))
+def test_a_hot_or_extreme_configuration_exits_2_or_reports_finite_values(case, tmp_path):
+    # under -W error: a warning would end the process in a traceback
+    if isinstance(case, float):
+        config = tmp_path / "hot.json"
+        config.write_text(json.dumps({**HOT_FIELD, "kT": case}))
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["analytic", "--quantity", *case]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "sedlab", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in done.stderr
+    if done.returncode == 2:
+        assert done.stdout == "" and done.stderr.startswith("error: ")
+        assert "float64" in done.stderr
+    elif argv[0] == "run":
+        assert done.returncode in (0, 1)
+        report = json.loads((tmp_path / "out" / "planck_thermal_report.json").read_text())
+        assert all(math.isfinite(row["estimated"]) for row in report["rows"])
+    else:
+        assert done.returncode == 0
+        assert all(math.isfinite(float(pair.split("=")[1])) for pair in done.stdout.split())

@@ -2,16 +2,14 @@ import warnings
 
 import pytest
 
-from sedlab.core import GridSpec, SystemParams, burn_in_samples, validate
+from sedlab.core import KT_MAX, GridSpec, SystemParams, burn_in_samples, validate
 from sedlab.errors import InvalidParams
 
 
 def test_accepts_reference_configuration():
     params = SystemParams(tau=0.01, omega0=1.0)
     grid = GridSpec(dt=0.005, n_samples=1 << 19, omega_cut=500.0)
-    cfg = validate(params, grid)
-    assert cfg.params.tau == 0.01
-    assert cfg.grid.omega_cut == 500.0
+    assert validate(params, grid) == (params, grid)
 
 
 def test_rejects_damping_above_hard_limit():
@@ -52,8 +50,8 @@ def test_rejects_strong_dipole_coupling():
 
 
 def test_default_cutoffs_resolved():
-    cfg = validate(SystemParams(tau=0.01), GridSpec(dt=0.005, n_samples=1 << 20))
-    assert cfg.grid.omega_cut == pytest.approx(500.0)
+    _, grid = validate(SystemParams(tau=0.01), GridSpec(dt=0.005, n_samples=1 << 20))
+    assert grid.omega_cut == pytest.approx(500.0)
 
 
 def test_requires_cutoff_above_resonance():
@@ -159,3 +157,17 @@ def test_run_scenario_rejects_an_ensemble_beyond_int64_before_any_member():
     grid = GridSpec(n_samples=1 << 16, omega_cut=16.0, n_ensemble=10 ** 30)
     with pytest.raises(InvalidParams, match="n_ensemble must be an integer within int64"):
         run_scenario("ground_state", grid=grid)
+
+
+def test_a_temperature_or_frequency_whose_squares_leave_float64_is_a_violation():
+    # omega0^2 used to raise OverflowError from validate itself; kT above
+    # KT_MAX overflowed the runs' standard errors or Parseval sums
+    with pytest.raises(InvalidParams) as exc:
+        validate(SystemParams(tau=1e-160, omega0=1.4e154, K=1.0, kT=1e200),
+                 GridSpec(dt=1e-160, n_samples=1 << 16, omega_cut=2e154))
+    assert exc.value.violations[:2] == [
+        "omega0 = 1.4e+154 is too large: omega0^2 leaves float64",
+        "kT = 1e+200 exceeds 1e+100, beyond which a run's squared energies leave float64",
+    ]
+    params = SystemParams(kT=KT_MAX)
+    assert validate(params) == (params, None)

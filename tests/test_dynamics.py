@@ -307,37 +307,37 @@ def _steady_state_vs_integrator(params, coeffs, grid):
 
 def test_steady_state_is_the_periodic_limit_of_the_integrator():
     params, grid = scenario_defaults("commutators")
-    cfg = validate(params, grid)
-    coeffs = field_synthesis(ZPF, cfg.params, cfg.grid).draw(member_seed(cfg.grid.seed, 0))
-    dx, dp = _steady_state_vs_integrator(cfg.params, coeffs, cfg.grid)
+    params, grid = validate(params, grid)
+    coeffs = field_synthesis(ZPF, params, grid).draw(member_seed(grid.seed, 0))
+    dx, dp = _steady_state_vs_integrator(params, coeffs, grid)
     assert dx <= 1e-10
     assert dp <= 1e-10
 
 
 def test_steady_state_of_each_dipole_mode():
     params, grid = scenario_defaults("dipoles")
-    cfg = validate(params, grid)
+    params, grid = validate(params, grid)
     # the dipoles scenario's draws of eps_plus and eps_minus for member 0
-    children = member_seed(cfg.grid.seed, 0).spawn(2)
-    modes = [field_synthesis(ZPF, cfg.params, cfg.grid).draw(child) for child in children]
+    children = member_seed(grid.seed, 0).spawn(2)
+    modes = [field_synthesis(ZPF, params, grid).draw(child) for child in children]
     for sign, coeffs in zip((+1, -1), modes):
-        dx, dp = _steady_state_vs_integrator(cfg.params.mode_params(sign), coeffs,
-                                             cfg.grid)
+        dx, dp = _steady_state_vs_integrator(params.mode_params(sign), coeffs,
+                                             grid)
         assert dx <= 1e-10
         assert dp <= 1e-10
 
 
 @pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1, 99991])
 def test_momentum_recursion_is_the_momentum_transfer(n):
-    cfg = validate(PARAMS, GridSpec(dt=0.1, n_samples=n, omega_cut=16.0))
-    h, t = response_transfer(cfg.params, cfg.grid)
-    X = h * field_synthesis(ZPF, cfg.params, cfg.grid).draw(member_seed(5, 0))
+    params, grid = validate(PARAMS, GridSpec(dt=0.1, n_samples=n, omega_cut=16.0))
+    h, t = response_transfer(params, grid)
+    X = h * field_synthesis(ZPF, params, grid).draw(member_seed(5, 0))
     x, p_ref = np.fft.irfft(X, n), np.fft.irfft(t * X, n)
     scale = np.ptp(p_ref)
-    g = momentum_step(cfg.params, cfg.grid.dt)
+    g = momentum_step(params, grid.dt)
     assert np.max(np.abs(apply_momentum_gain(x, g, p_ref[0]) - p_ref)) <= 1e-12 * scale
     out = np.empty(n)
-    p = canonical_momentum(x, cfg.params, cfg.grid.dt, out=out)
+    p = canonical_momentum(x, params, grid.dt, out=out)
     assert p is out
     assert np.max(np.abs(p - p_ref)) <= 1e-12 * scale
 
@@ -383,25 +383,25 @@ def _transfer_by_exponential(params, grid):
 def test_transfer_matches_the_exponential_oracle(name, params):
     params_default, grid = scenario_defaults(name)
     params = params_default if params is None else params_default.mode_params(params)
-    cfg = validate(params, grid)
-    h, t = response_transfer(cfg.params, cfg.grid)
-    h_ref, t_ref = _transfer_by_exponential(cfg.params, cfg.grid)
+    params, grid = validate(params, grid)
+    h, t = response_transfer(params, grid)
+    h_ref, t_ref = _transfer_by_exponential(params, grid)
     band = h_ref.size
     assert np.max(np.abs(h[:band] - h_ref) / np.abs(h_ref)) <= 1e-11
     # T by -Re/Im of the phase: relative, or beside the gain where cot is ~0
-    g = abs(momentum_step(cfg.params, cfg.grid.dt))
+    g = abs(momentum_step(params, grid.dt))
     assert np.all(np.abs(t[:band] - t_ref) <= 1e-14 * np.maximum(np.abs(t_ref), g))
     assert np.all(t.real == 0.0)
 
 
 def test_free_transfer_is_the_exact_free_response_on_the_band():
     params, grid = scenario_defaults("free_zpf")
-    cfg = validate(params, grid)
-    h, t = response_transfer(cfg.params, cfg.grid)
-    band = synthesis_band(cfg.grid.dt, cfg.grid.n_samples, cfg.grid.omega_cut)
-    omega = cfg.grid.domega * np.arange(1, band + 1)
+    params, grid = validate(params, grid)
+    h, t = response_transfer(params, grid)
+    band = synthesis_band(grid.dt, grid.n_samples, grid.omega_cut)
+    omega = grid.domega * np.arange(1, band + 1)
     gain = np.abs(h[1 : band + 1]) ** 2
-    ref = position_transfer(omega, cfg.params)
+    ref = position_transfer(omega, params)
     assert np.max(np.abs(gain - ref) / ref) < 1e-12
     assert h.shape == t.shape == (band + 1,)
     assert np.all(t == 0.0)
@@ -415,16 +415,16 @@ def test_free_transfer_is_the_exact_free_response_on_the_band():
 def test_free_response_power_matches_the_direct_sampler(name, model):
     # both routes draw the same normals from one member seed
     params, grid = scenario_defaults(name)
-    cfg = validate(params, replace(grid, n_samples=1 << 17))
-    seed = member_seed(cfg.grid.seed, 3)
-    h, _ = response_transfer(cfg.params, cfg.grid)
-    X = h * field_synthesis(model, cfg.params, cfg.grid).draw(seed)
+    params, grid = validate(params, replace(grid, n_samples=1 << 17))
+    seed = member_seed(grid.seed, 3)
+    h, _ = response_transfer(params, grid)
+    X = h * field_synthesis(model, params, grid).draw(seed)
     power = np.abs(X) ** 2
 
     def s_x(w):
-        return field_spectrum(model, cfg.params, w) * position_transfer(w, cfg.params)
+        return field_spectrum(model, params, w) * position_transfer(w, params)
 
-    x = sample_from_spectrum(s_x, cfg.grid, seed)
+    x = sample_from_spectrum(s_x, grid, seed)
     direct = np.abs(np.fft.rfft(x)) ** 2
     # the band of the power is the series' power there, and nothing lies above it
     assert np.max(np.abs(power - direct[: power.size])) <= 1e-10 * direct.max()

@@ -201,10 +201,13 @@ def test_cross_correlation_sign_convention():
 
 
 def test_commutator_auto_is_odd_and_zero_at_origin():
+    # the sine-transform route sets c(0) = 0; the Hilbert route computes it
     rng = np.random.default_rng(12)
     x = synthesize_series(lambda w: w ** 2, 0.1, 1 << 14, 20.0, rng)
-    c = commutator(x, x, 50.0, 0.1)
+    c = commutator_from_spectrum(periodogram(x, 0.1), x.size, 0.1, 50.0)
     assert c.size == 501 and c[0] == 0.0
+    c = commutator(x, x, 50.0, 0.1)
+    assert c.size == 501 and abs(c[0]) <= 1e-12 * np.max(np.abs(c))
 
 
 def test_commutator_routes_agree_on_oscillator():
@@ -232,7 +235,7 @@ def test_equal_time_xp_commutator_is_hbar():
     acc = None
     count = 0
     for x, p in oscillator_ensemble(n_members=24):
-        c = commutator(x, p, 60.0, DT, method="hilbert")
+        c = commutator(x, p, 60.0, DT)
         acc = c if acc is None else acc + c
         count += 1
     c_xp0 = (acc / count)[0]
@@ -245,12 +248,12 @@ def test_hilbert_commutator_keeps_every_lag_or_raises():
     rng = np.random.default_rng(5)
     n, dt = 20000, 0.1
     a, b = rng.standard_normal(n), rng.standard_normal(n)
-    c = commutator(a, b, 150.0, dt, method="hilbert")
+    c = commutator(a, b, 150.0, dt)
     assert c.size == 1501
     two = two_sided_correlation(a, b, 180.0, dt)
     assert np.array_equal(c, hilbert_commutator(two, 1501))
     with pytest.raises(LagTooLong):
-        commutator(a, b, 195.0, dt, method="hilbert")
+        commutator(a, b, 195.0, dt)
 
 
 def test_hilbert_transform_lorentzian_pair():

@@ -40,6 +40,7 @@ from sedlab.experiments import (
     Workspace,
     _lag_window,
     _momentum_commutator,
+    _mean_stderr,
     _mean_variance,
     _x_decorrelation_time,
     _xp_correlations,
@@ -142,8 +143,8 @@ def test_emitted_artifacts(tmp_path):
     assert (tmp_path / "ground_state_x.bin").exists()
     assert (tmp_path / "ground_state_p.bin").exists()
     assert not list(tmp_path.glob("ground_state_v.*"))
-    cfg = validate(scenario_defaults("ground_state")[0], FAST_GRID)
-    field = synthesize_field(SpectrumModel.zpf(), cfg.params, cfg.grid,
+    params, grid = validate(scenario_defaults("ground_state")[0], FAST_GRID)
+    field = synthesize_field(SpectrumModel.zpf(), params, grid,
                              member_seed(FAST_GRID.seed, 0))
     assert (tmp_path / "ground_state_field.bin").read_bytes() == field.samples.tobytes()
 
@@ -167,19 +168,19 @@ def test_emitted_trajectory_is_member_zero_at_every_jobs(name, tmp_path):
     assert names == sorted(f.name for f in (tmp_path / "2").iterdir())
     for f in names:
         assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes()
-    cfg = validate(scenario_defaults(name)[0], grid)
-    model = (SpectrumModel.rayleigh_jeans(cfg.params.kT) if name == "free_thermal"
+    params, grid = validate(scenario_defaults(name)[0], grid)
+    model = (SpectrumModel.rayleigh_jeans(params.kT) if name == "free_thermal"
              else SpectrumModel.zpf())
-    synthesis = field_synthesis(model, cfg.params, cfg.grid)
+    synthesis = field_synthesis(model, params, grid)
     n = grid.n_samples
     if name == "dipoles":
         band = synthesis.j_max + 1
         xp, xm = (np.fft.irfft(_response(synthesis, response_transfer(
-            cfg.params.mode_params(sign), cfg.grid)[0][:band], child), n)
+            params.mode_params(sign), grid)[0][:band], child), n)
             for sign, child in zip((+1, -1), member_seed(grid.seed, 0).spawn(2)))
         x = (xp + xm) / math.sqrt(2.0)
     else:
-        H, _ = response_transfer(cfg.params, cfg.grid)
+        H, _ = response_transfer(params, grid)
         x = np.fft.irfft(_response(synthesis, H, member_seed(grid.seed, 0)), n)
     assert (tmp_path / "1" / f"{name}_x.bin").read_bytes() == x.tobytes()
 
@@ -339,13 +340,13 @@ def test_member_after_others_on_its_thread_equals_a_cold_member(name, monkeypatc
 def test_dipole_member_draws_each_mode_from_one_child_of_its_seed(monkeypatch):
     grid = _default_grid("dipoles", **SMALL_GRIDS["dipoles"])
     member = _member_worker(monkeypatch, "dipoles", grid)(3)
-    cfg = validate(scenario_defaults("dipoles")[0], grid)
-    synthesis = field_synthesis(SpectrumModel.zpf(), cfg.params, cfg.grid)
+    params, grid = validate(scenario_defaults("dipoles")[0], grid)
+    synthesis = field_synthesis(SpectrumModel.zpf(), params, grid)
     band, n = synthesis.j_max + 1, grid.n_samples
-    t_dec = _x_decorrelation_time(cfg.params.mode_params(+1))
+    t_dec = _x_decorrelation_time(params.mode_params(+1))
     children = member_seed(grid.seed, 3).spawn(2)
     for mode, sign, child in ((0, +1, children[0]), (1, -1, children[1])):
-        H, _ = response_transfer(cfg.params.mode_params(sign), cfg.grid)
+        H, _ = response_transfer(params.mode_params(sign), grid)
         # X *= H and H * X round some complex products differently, which
         # mean_square alone need not show: the subsample bytes do
         X = _response(synthesis, H[:band], child)
@@ -409,7 +410,7 @@ def test_series_transforms_per_operation(name, per_member, per_operation, folds,
     n = grid.n_samples
     assert lengths.count(n) == per_member * grid.n_ensemble + per_operation
     # every n-point transform reads the band alone: irfft pads the zero tail
-    band = synthesis_band(grid.dt, n, validate(scenario_defaults(name)[0], grid).grid.omega_cut)
+    band = synthesis_band(grid.dt, n, validate(scenario_defaults(name)[0], grid)[1].omega_cut)
     assert all(size == band + 1 for size, m in zip(sizes, lengths) if m == n)
     # commutators' Hilbert route pads its 2L + 1 lags to next_fast_len(4(2L + 1))
     pad = (next_fast_len(4 * (2 * lag_count(HILBERT_MARGIN * 100.0, grid.dt, n) + 1))
@@ -421,29 +422,29 @@ def test_series_transforms_per_operation(name, per_member, per_operation, folds,
 
 
 def _steady_power(name, n_samples):
-    """One member's |X_j|^2 on ``name``'s default grid at n_samples, with
-    that scenario's validated configuration and gain T."""
+    """``name``'s validated parameters and default grid at n_samples, one
+    member's |X_j|^2 and the gain T."""
     params, grid = scenario_defaults(name)
-    cfg = validate(params, replace(grid, n_samples=n_samples))
-    H, T = response_transfer(cfg.params, cfg.grid)
-    synthesis = field_synthesis(SpectrumModel.zpf(), cfg.params, cfg.grid)
-    X = np.multiply(H, synthesis.draw(member_seed(cfg.grid.seed, 0)))
-    return cfg, np.abs(X) ** 2, T
+    params, grid = validate(params, replace(grid, n_samples=n_samples))
+    H, T = response_transfer(params, grid)
+    synthesis = field_synthesis(SpectrumModel.zpf(), params, grid)
+    X = np.multiply(H, synthesis.draw(member_seed(grid.seed, 0)))
+    return params, grid, np.abs(X) ** 2, T
 
 
 def test_structure_function_model_variance_matches_the_spread_over_members():
     # free_zpf's fit weights: each |X_j|^2 is exponential, so the variance of
     # a member's structure function follows from the mean power alone
     params, grid = scenario_defaults("free_zpf")
-    cfg = validate(params, replace(grid, n_samples=1 << 16))
-    n, dt, members = cfg.grid.n_samples, cfg.grid.dt, 400
+    params, grid = validate(params, replace(grid, n_samples=1 << 16))
+    n, dt, members = grid.n_samples, grid.dt, 400
     deltas = np.geomspace(100.0 * params.tau, (n // 10 - 1) * dt, 24)
     lags = np.array([lag_count(t, dt, n) for t in deltas])
-    H, _ = response_transfer(cfg.params, cfg.grid)
-    synthesis = field_synthesis(SpectrumModel.zpf(), cfg.params, cfg.grid)
+    H, _ = response_transfer(params, grid)
+    synthesis = field_synthesis(SpectrumModel.zpf(), params, grid)
     sf = np.array([
         mean_square_displacement(np.abs(
-            _response(synthesis, H, member_seed(cfg.grid.seed, k))) ** 2, n, lags)
+            _response(synthesis, H, member_seed(grid.seed, k))) ** 2, n, lags)
         for k in range(members)])
     # E|X_j|^2 = 2 |H_j|^2 amplitude_j^2 on the band
     power = np.zeros(n // 2 + 1)
@@ -460,9 +461,9 @@ def test_structure_function_model_variance_matches_the_spread_over_members():
 
 @pytest.mark.parametrize("n_samples", [1 << 16, (1 << 16) + 1])
 def test_lag_correlations_match_their_transforms(n_samples):
-    cfg, pw, T = _steady_power("energy_time", n_samples)
+    params, grid, pw, T = _steady_power("energy_time", n_samples)
     n, lags = n_samples, np.arange(n_samples // 10)
-    c = _xp_correlations(pw, 1.0 + T, np.abs(T) ** 2, momentum_step(cfg.params, cfg.grid.dt),
+    c = _xp_correlations(pw, 1.0 + T, np.abs(T) ** 2, momentum_step(params, grid.dt),
                          lags[-1], Workspace(n))
     for row, gain in zip(c, (1.0, np.abs(T) ** 2, T)):
         ref = np.fft.irfft(pw * gain, n)[lags] / n
@@ -471,23 +472,23 @@ def test_lag_correlations_match_their_transforms(n_samples):
 
 @pytest.mark.parametrize("n_samples", [1 << 16, (1 << 16) + 1])
 def test_xp_zero_functional_matches_the_hilbert_route(n_samples):
-    cfg, pw, T = _steady_power("commutators", n_samples)
-    n = cfg.grid.n_samples
-    lag = lag_count(HILBERT_MARGIN * 100.0, cfg.grid.dt, n)
+    params, grid, pw, T = _steady_power("commutators", n_samples)
+    n = grid.n_samples
+    lag = lag_count(HILBERT_MARGIN * 100.0, grid.dt, n)
     w = _lag_window(pw, 1.0 + T, lag, Workspace(n))
     ref = hilbert_commutator(0.5 * (w - w[::-1]), 1)[0]
     assert abs(hilbert_zero_functional(1.0 + T, n, lag) @ pw - ref) <= 1e-12 * abs(ref)
 
 
 def test_momentum_commutator_matches_the_spectral_route():
-    cfg, pw, T = _steady_power("commutators", 1 << 16)
-    n, dt = cfg.grid.n_samples, cfg.grid.dt
+    params, grid, pw, T = _steady_power("commutators", 1 << 16)
+    n, dt = grid.n_samples, grid.dt
     spec_x = spectrum_from_power(pw, n, dt)
     c_xx = commutator_from_spectrum(spec_x, n, dt, 100.0)
     ref = commutator_from_spectrum(spectrum_from_power(pw * np.abs(T) ** 2, n, dt),
                                    n, dt, 100.0)
-    c_pp = _momentum_commutator(c_xx, spec_x, cfg.grid.domega, T,
-                                momentum_step(cfg.params, dt))
+    c_pp = _momentum_commutator(c_xx, spec_x, grid.domega, T,
+                                momentum_step(params, dt))
     assert np.max(np.abs(c_pp - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -549,9 +550,11 @@ def _synthetic_worker(k):
 def test_grouping_invariants_and_member_order(n_ensemble):
     _check_group_sizes(n_ensemble)
     acc = run_ensemble(_synthetic_worker, n_ensemble, 1, summed=("power",))
-    assert acc.values["k"] == list(range(n_ensemble))
+    # a scalar key is a 1-D array, a subsample key the pool, in member order
+    assert np.array_equal(acc.values["k"], np.arange(n_ensemble))
     expected = [_synthetic_worker(k) for k in range(n_ensemble)]
-    assert np.array_equal(acc.pool("sub"), np.concatenate([e["sub"] for e in expected]))
+    assert np.array_equal(acc.values["value"], [e["value"] for e in expected])
+    assert np.array_equal(acc.values["sub"], np.concatenate([e["sub"] for e in expected]))
     n_groups = min(N_GROUPS, n_ensemble)
     groups = np.arange(n_ensemble) * n_groups // n_ensemble
     # the nonempty groups of k * N_GROUPS // n, in their order: for n >= 8
@@ -581,10 +584,11 @@ def test_accumulator_identical_at_jobs_1_and_3(n_ensemble):
 
     def digest(jobs):
         acc = run_ensemble(_synthetic_worker, n_ensemble, jobs, summed=("power",))
-        drawn = draw_power_groups(synthesis, H, 7, n_ensemble, jobs,
+        drawn = draw_power_groups(synthesis, H, GridSpec(n_ensemble=n_ensemble, seed=7), jobs,
                                   lambda pw: {"window": np.cumsum(pw)})
         assert len(drawn.sums["window"]) == min(N_GROUPS, n_ensemble)
-        return (acc.values["k"], acc.mean("value"), acc.pool("sub").tobytes(),
+        return (acc.values["k"].tobytes(), _mean_stderr(acc.values["value"]),
+                acc.values["sub"].tobytes(),
                 [s.tobytes() for s in acc.sums["power"]], acc.estimate(np.sum, "power"),
                 [s.tobytes() for s in drawn.sums["window"]],
                 drawn.estimate(lambda w: w[-1], "window"))
@@ -605,7 +609,7 @@ def test_group_power_sums_follow_the_gamma_law(route):
     pooled, p_values = [], []
     for seed in range(6, 26):
         if route == "groups":
-            sums = draw_power_groups(synthesis, H, seed, n_ensemble, 1,
+            sums = draw_power_groups(synthesis, H, GridSpec(n_ensemble=n_ensemble, seed=seed), 1,
                                      lambda pw: {"power": pw}).sums["power"]
         else:
             sums = run_ensemble(
