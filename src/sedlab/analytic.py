@@ -279,28 +279,47 @@ def planck_prediction(params: SystemParams) -> PlanckPrediction:
     return PlanckPrediction(mean_energy=mean, energy_cdf=_exponential_cdf(mean))
 
 
-def boltzmann_mean_energy(params: SystemParams) -> float:
-    """Boltzmann-weighted mean over E_n = (n + 1/2) hbar w0 at temperature
-    ``params.kT``, summed numerically.
+#: The Boltzmann sum's cap on its terms: past it the sum stops unfinished.
+BOLTZMANN_MAX_TERMS = 1 << 20
 
-    Independent oracle for the coth closed form; the partial sums are
-    accumulated until the next term is below 1e-14 of the partition sum.
+#: The Boltzmann sum stops where the tails of both of its sums are below
+#: this fraction of their partial sums.
+BOLTZMANN_TAIL = 2.0 ** -53
+
+
+def boltzmann_mean_energy(params: SystemParams) -> tuple[float, bool]:
+    """Boltzmann-weighted mean over E_n = (n + 1/2) hbar w0 at temperature
+    ``params.kT``, summed numerically, and whether the sum is complete.
+
+    Independent oracle for the coth closed form.  The weights
+    w_n = q^(n + 1/2), q = exp(-hbar w0/kT), are summed directly, in chunks
+    of doubling length (numpy's pairwise sums), and the sum stops where the
+    tails of both sums are below ``BOLTZMANN_TAIL`` of their partial sums:
+    after N terms they are geometric, at most w_N / (1 - q) and
+    w_N ((N + 1/2)/(1 - q) + q/(1 - q)^2).  Where that takes more than
+    ``BOLTZMANN_MAX_TERMS`` terms (kT above about 3e4 hbar w0), the sum
+    stops there, unfinished, and the flag is False.
     """
     # where exp(-beta) underflows, so may the ground state's own weight
     # (past beta = 1417), and the mean is the ground energy to the last bit
     if params.kT <= 0 or math.exp(-params.hbar * params.omega0 / params.kT) == 0.0:
-        return 0.5 * params.hbar * params.omega0
+        return 0.5 * params.hbar * params.omega0, True
     beta = params.hbar * params.omega0 / params.kT
-    z = 0.0
-    ez = 0.0
-    n = 0
-    while True:
-        w = math.exp(-(n + 0.5) * beta)
-        z += w
-        ez += (n + 0.5) * params.hbar * params.omega0 * w
-        if w < 1e-14 * z and n > 2:
-            break
-        n += 1
-        if n > 100000:
-            break
-    return ez / z
+    q, one_minus_q = math.exp(-beta), -math.expm1(-beta)
+    z = ez = 0.0  # sums of w_n and of (n + 1/2) w_n
+    done, size = 0, 64
+    while done < BOLTZMANN_MAX_TERMS:
+        levels = np.arange(done, min(done + size, BOLTZMANN_MAX_TERMS)) + 0.5
+        w = np.exp(-beta * levels)
+        z += float(np.sum(w))
+        ez += float(np.sum(levels * w))
+        done += levels.size
+        # the tail bounds, times (1 - q) and (1 - q)^2: no division by an
+        # underflowed 1 - q
+        w_next = math.exp(-beta * (done + 0.5))
+        if (w_next <= BOLTZMANN_TAIL * z * one_minus_q
+                and w_next * ((done + 0.5) * one_minus_q + q)
+                <= BOLTZMANN_TAIL * ez * one_minus_q * one_minus_q):
+            return params.hbar * params.omega0 * (ez / z), True
+        size *= 2
+    return params.hbar * params.omega0 * (ez / z), False

@@ -21,10 +21,14 @@ from .errors import InvalidParams
 TAU_OMEGA_WARN = 0.1
 TAU_OMEGA_REJECT = 0.5
 
-#: kT above this is refused: a run squares energies of order kT (standard
-#: errors) and sums n^2 times them (Parseval sums), and float64 ends at
-#: 1.8e308.  Energies are in the internal units (hbar = omega0 = 1 by default).
-KT_MAX = 1e100
+#: The largest scale a run admits, and 1/SCALE_MAX the smallest: a run
+#: squares its energies and variances (standard errors) and sums n^2 times
+#: them (Parseval sums), and float64 holds 2.2e-308 to 1.8e308.  kT, the
+#: energy scale E = max(kT, hbar omega0) and the variances it implies,
+#: E/(m omega0^2) for x and m E for p, must lie within it (for the free
+#: particle, hbar/m and a positive kT/m); in the internal units
+#: (hbar = m = omega0 = 1 by default).
+SCALE_MAX = 1e100
 
 #: Burn-in, in units of the amplitude relaxation time 2/(tau*omega0^2):
 #: five e-folds of the slowest decay.
@@ -126,6 +130,24 @@ def _type_violations(obj) -> dict:
     return bad
 
 
+def _scale_violations(params: SystemParams) -> list:
+    """A violation for each scale of a run outside [1/SCALE_MAX, SCALE_MAX];
+    a free particle's kT/m counts only for kT > 0 (kT = 0 is zeropoint
+    driving alone)."""
+    hb, m, w0, kT = params.hbar, params.m, params.omega0, params.kT
+    if w0 > 0:
+        energy = max(kT, hb * w0)
+        scales = [("energy scale E = max(kT, hbar*omega0)", energy),
+                  # divided in turn: m omega0^2 may leave float64 itself
+                  ("x variance scale E/(m*omega0^2)", energy / m / w0 / w0),
+                  ("p variance scale m*E", m * energy)]
+    else:
+        scales = [("hbar/m", hb / m)] + ([("kT/m", kT / m)] if kT > 0 else [])
+    return [f"{name} = {value:g} is outside [{1.0 / SCALE_MAX:g}, {SCALE_MAX:g}], beyond "
+            "which a run's squared energies or variances leave float64"
+            for name, value in scales if not 1.0 / SCALE_MAX <= value <= SCALE_MAX]
+
+
 def validate(params: SystemParams, grid: GridSpec | None = None,
              oscillator: bool = False, log_fit: bool = False):
     """Check every invariant and return ``(params, grid)``, the grid's
@@ -169,9 +191,12 @@ def validate(params: SystemParams, grid: GridSpec | None = None,
         violations.append(f"tau must be > 0, got {params.tau}")
     if typed("kT") and params.kT < 0:
         violations.append(f"kT must be >= 0, got {params.kT}")
-    elif typed("kT") and params.kT > KT_MAX:
-        violations.append(f"kT = {params.kT:g} exceeds {KT_MAX:g}, beyond which a run's "
+    elif typed("kT") and params.kT > SCALE_MAX:
+        violations.append(f"kT = {params.kT:g} exceeds {SCALE_MAX:g}, beyond which a run's "
                           "squared energies leave float64")
+    if (typed("hbar", "m", "omega0", "kT") and params.hbar > 0 and params.m > 0
+            and params.omega0 >= 0 and 0 <= params.kT <= SCALE_MAX and not math.isinf(w0_sq)):
+        violations += _scale_violations(params)
 
     tw = params.tau * params.omega0 if typed("tau", "omega0") else 0.0
     if tw >= TAU_OMEGA_REJECT:

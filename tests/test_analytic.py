@@ -242,15 +242,31 @@ def test_planck_boltzmann_oracle():
     for kT in (0.2, 0.5, 2.0):
         params = replace(PARAMS, kT=kT)
         pred = planck_prediction(params)
-        oracle = boltzmann_mean_energy(params)
-        assert abs(oracle - pred.mean_energy) < 1e-10 * pred.mean_energy
+        oracle, complete = boltzmann_mean_energy(params)
+        assert complete and abs(oracle - pred.mean_energy) < 1e-10 * pred.mean_energy
 
 
 @pytest.mark.parametrize("kT", [1e-3, 2.988e-112, 5e-324])
 def test_boltzmann_oracle_near_zero_temperature_is_the_ground_energy(kT):
     # every Boltzmann weight underflowed at kT = 3e-112: the sum divided 0 by 0
     params = replace(PARAMS, kT=kT)
-    assert boltzmann_mean_energy(params) == planck_prediction(params).mean_energy == 0.5
+    assert boltzmann_mean_energy(params) == (planck_prediction(params).mean_energy, True)
+    assert planck_prediction(params).mean_energy == 0.5
+
+
+@pytest.mark.parametrize("kT", [10.0, 500.0, 1e3, 1e4])
+def test_boltzmann_oracle_sums_hot_fields_to_their_tail(kT):
+    # a sum that stopped on its current term left a tail of about
+    # 1e-14 kT/hbar w0 of itself: 2.5e-10 at kT 1e3, 4.5e-4 at 1e4
+    params = replace(PARAMS, kT=kT)
+    oracle, complete = boltzmann_mean_energy(params)
+    assert complete
+    assert abs(oracle - planck_prediction(params).mean_energy) <= 1e-13 * oracle
+
+
+def test_boltzmann_oracle_past_its_cap_is_unfinished():
+    oracle, complete = boltzmann_mean_energy(replace(PARAMS, kT=1e5))
+    assert not complete and 0.5 < oracle < 1e5
 
 
 def test_planck_classical_limit():

@@ -341,8 +341,17 @@ HOT_FIELD = {"scenario": "planck_thermal", "dt": 0.2, "n_samples": 16384, "omega
              "n_ensemble": 2}
 
 
+#: energy_time on a short grid, where a single-precision series without
+#: its power-of-two scale overflowed float32 at hbar 1e80
+SCALED_ACTION = {"scenario": "energy_time", "dt": 1.0, "n_samples": 1 << 17, "omega_cut": 3.0,
+                 "n_ensemble": 8}
+
+
 @pytest.mark.parametrize("case", [
     1e200, 1e300, 1e308,  # kT of a planck_thermal run on HOT_FIELD
+    {**HOT_FIELD, "kT": 0.5, "hbar": 1e200},  # overflowed the members' standard errors
+    {**SCALED_ACTION, "hbar": 1e80},
+    {**SCALED_ACTION, "hbar": 1e-80},
     ["planck", "--kT", "1e308"],
     ["free_particle", "--kT", "1e308", "--t", "1e308"],
     ["free_particle", "--kT", "1e99", "--t", "1e308"],
@@ -350,12 +359,15 @@ HOT_FIELD = {"scenario": "planck_thermal", "dt": 0.2, "n_samples": 16384, "omega
     # omega0^2 overflowed (OverflowError) and omega0^3 underflowed (ZeroDivisionError)
     ["ground_state", "--omega0", "1.4e154", "--K", "1"],
     ["dipoles", "--omega0", "1e-110"],
-], ids=lambda case: f"run kT={case:g}" if isinstance(case, float) else " ".join(case))
+], ids=lambda case: (f"run kT={case:g}" if isinstance(case, float)
+                     else f"run {case['scenario']} hbar={case['hbar']:g}" if isinstance(case, dict)
+                     else " ".join(case)))
 def test_a_hot_or_extreme_configuration_exits_2_or_reports_finite_values(case, tmp_path):
     # under -W error: a warning would end the process in a traceback
-    if isinstance(case, float):
+    if not isinstance(case, list):
         config = tmp_path / "hot.json"
-        config.write_text(json.dumps({**HOT_FIELD, "kT": case}))
+        case = case if isinstance(case, dict) else {**HOT_FIELD, "kT": case}
+        config.write_text(json.dumps(case))
         argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
     else:
         argv = ["analytic", "--quantity", *case]
@@ -369,7 +381,7 @@ def test_a_hot_or_extreme_configuration_exits_2_or_reports_finite_values(case, t
         assert "float64" in done.stderr
     elif argv[0] == "run":
         assert done.returncode in (0, 1)
-        report = json.loads((tmp_path / "out" / "planck_thermal_report.json").read_text())
+        report = json.loads((tmp_path / "out" / f"{case['scenario']}_report.json").read_text())
         assert all(math.isfinite(row["estimated"]) for row in report["rows"])
     else:
         assert done.returncode == 0

@@ -1,8 +1,9 @@
 import warnings
+from dataclasses import replace
 
 import pytest
 
-from sedlab.core import KT_MAX, GridSpec, SystemParams, burn_in_samples, validate
+from sedlab.core import SCALE_MAX, GridSpec, SystemParams, burn_in_samples, validate
 from sedlab.errors import InvalidParams
 
 
@@ -161,7 +162,7 @@ def test_run_scenario_rejects_an_ensemble_beyond_int64_before_any_member():
 
 def test_a_temperature_or_frequency_whose_squares_leave_float64_is_a_violation():
     # omega0^2 used to raise OverflowError from validate itself; kT above
-    # KT_MAX overflowed the runs' standard errors or Parseval sums
+    # SCALE_MAX overflowed the runs' standard errors or Parseval sums
     with pytest.raises(InvalidParams) as exc:
         validate(SystemParams(tau=1e-160, omega0=1.4e154, K=1.0, kT=1e200),
                  GridSpec(dt=1e-160, n_samples=1 << 16, omega_cut=2e154))
@@ -169,5 +170,40 @@ def test_a_temperature_or_frequency_whose_squares_leave_float64_is_a_violation()
         "omega0 = 1.4e+154 is too large: omega0^2 leaves float64",
         "kT = 1e+200 exceeds 1e+100, beyond which a run's squared energies leave float64",
     ]
-    params = SystemParams(kT=KT_MAX)
+    params = SystemParams(kT=SCALE_MAX)
+    assert validate(params) == (params, None)
+
+
+SCALES = {"energy scale": "energy scale E", "x variance scale": "x variance scale E/(m*omega0^2)",
+          "p variance scale": "p variance scale m*E", "hbar/m": "hbar/m", "kT/m": "kT/m"}
+
+
+@pytest.mark.parametrize("changes, listed", [
+    # hbar 1e200 overflowed planck_thermal's standard errors at kT 0.5
+    (dict(hbar=1e200, kT=0.5), ["energy scale", "x variance scale", "p variance scale"]),
+    (dict(hbar=1e-120), ["energy scale", "x variance scale", "p variance scale"]),
+    (dict(m=1e120), ["x variance scale", "p variance scale"]),
+    (dict(m=1e-120), ["x variance scale", "p variance scale"]),
+    (dict(m=1e60, hbar=1e60), ["p variance scale"]),
+    (dict(omega0=1e-320), ["energy scale", "x variance scale", "p variance scale"]),
+    (dict(omega0=0.0, hbar=1e-120), ["hbar/m"]),
+    (dict(omega0=0.0, m=1e-60, kT=1e60), ["kT/m"]),
+    (dict(omega0=0.0, m=1e-120, kT=1.0), ["hbar/m", "kT/m"]),
+    # free_thermal's standard errors underflowed to 0 at kT 1e-300
+    (dict(omega0=0.0, kT=1e-300), ["kT/m"]),
+])
+def test_a_scale_whose_squares_leave_float64_is_a_violation(changes, listed):
+    with pytest.raises(InvalidParams) as exc:
+        validate(replace(SystemParams(), **changes))
+    assert [v.split(" = ")[0] for v in exc.value.violations] == [SCALES[s] for s in listed]
+    assert all("leave float64" in v for v in exc.value.violations)
+
+
+@pytest.mark.parametrize("changes", [
+    dict(hbar=SCALE_MAX), dict(hbar=1 / SCALE_MAX), dict(m=SCALE_MAX), dict(m=1 / SCALE_MAX),
+    dict(hbar=1e-60, kT=1.0, m=1e60), dict(omega0=0.0, kT=0.0, hbar=1e90, m=1e-5),
+    dict(omega0=0.0, kT=0.0), dict(kT=1e-300),
+])
+def test_scales_on_or_inside_the_bounds_are_admitted(changes):
+    params = replace(SystemParams(), **changes)
     assert validate(params) == (params, None)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -6,6 +7,7 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -775,3 +777,121 @@ def test_ks_rows_state_their_exact_p_value(name):
         n, p = re.search(r"; n=(\d+), p=(\S+)$", row.note).groups()
         assert row.analytic == ks_critical(int(n))
         assert float(p) == pytest.approx(kstwo.sf(row.estimated, int(n)), rel=1e-3)
+
+
+def _double_member_series(X, n, e, ws):
+    """``_member_series`` in double precision: the member's x as formed
+    before the single-precision transform."""
+    return np.fft.irfft(X, n, out=ws.series(1))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_single_precision_member_series_moves_no_row_near_its_stderr(seed, monkeypatch):
+    grid = _default_grid("energy_time", seed=seed, **SMALL_GRIDS["energy_time"])
+    single = run_scenario("energy_time", grid=grid).rows
+    monkeypatch.setattr(experiments, "_member_series", _double_member_series)
+    double = run_scenario("energy_time", grid=grid).rows
+    assert [r.quantity for r in single] == [r.quantity for r in double]
+    for s, d in zip(single, double):
+        assert s.passed == d.passed
+        assert abs(s.estimated - d.estimated) <= 1e-6 * abs(d.estimated)
+        if d.stderr > 0:
+            assert abs(s.estimated - d.estimated) <= 1e-3 * d.stderr
+    # the window rows read the single-precision series
+    assert any(s.estimated != d.estimated for s, d in zip(single, double))
+
+
+@pytest.mark.parametrize("hbar, rel", [(4.0 ** 60, 1e-12), (4.0 ** -60, 1e-12),
+                                       (1e80, 1e-6), (1e-90, 1e-6)])
+def test_energy_time_at_a_far_action_scale_is_the_unit_report_scaled(hbar, rel):
+    # without its power-of-two scale, the float32 series overflowed at
+    # hbar = 1e80 and underflowed at 1e-90; a power of four scales x by an
+    # exact power of two
+    params = scenario_defaults("energy_time")[0]
+    grid = _default_grid("energy_time", seed=1, **SMALL_GRIDS["energy_time"])
+    unit = run_scenario("energy_time", params, grid).rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = run_scenario("energy_time", replace(params, hbar=hbar), grid).rows
+    for s, u in zip(scaled, unit):
+        assert s.estimated == pytest.approx(hbar * u.estimated, rel=rel, abs=0.0)
+        assert s.stderr == pytest.approx(hbar * u.stderr, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 1e80, 1e-90])
+def test_series_exponent_is_that_of_the_members_rms(hbar):
+    params, grid = validate(replace(scenario_defaults("energy_time")[0], hbar=hbar),
+                            _default_grid("energy_time", **SMALL_GRIDS["energy_time"]))
+    H, _ = response_transfer(params, grid)
+    synthesis = field_synthesis(SpectrumModel.zpf(), params, grid)
+    n, e = grid.n_samples, experiments._series_exponent(synthesis, H, grid.n_samples)
+    rms = [np.sqrt(np.mean(np.fft.irfft(_response(synthesis, H, member_seed(grid.seed, k)),
+                                        n) ** 2)) for k in range(4)]
+    assert all(0.25 <= r / 2.0 ** e <= 2.0 for r in rms)
+    assert experiments._series_exponent(synthesis, 0.0 * H, n) == 0
+
+
+#: numpy's single-precision names, which only the member-series helper and
+#: Workspace's views of its buffers may use
+SINGLE_NAMES = {"float32", "complex64", "single", "csingle"}
+SINGLE_HOMES = {"_member_series", "Workspace"}
+
+
+def _single_precision_uses(source: str, homes=()) -> list:
+    """Line numbers of the single-precision names in ``source`` (as a name,
+    an attribute or a string) outside the definitions named in ``homes``."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in homes:
+            return
+        if (isinstance(node, ast.Name) and node.id in SINGLE_NAMES
+                or isinstance(node, ast.Attribute) and node.attr in SINGLE_NAMES
+                or isinstance(node, ast.Constant) and node.value in SINGLE_NAMES):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_single_precision_stays_in_the_member_series_helper():
+    src = Path(experiments.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in _single_precision_uses(
+                 path.read_text(), SINGLE_HOMES if path.name == "experiments.py" else ())]
+    assert not found, "single precision outside _member_series and Workspace: " + str(found)
+    # the guard sees the allowed uses, and a use anywhere else
+    assert _single_precision_uses((src / "experiments.py").read_text())
+    assert _single_precision_uses("def f(x):\n    return x.astype('single')\n") == [2]
+
+
+@pytest.mark.parametrize("kT, kind", [(1e3, "match"), (1e100, "info")])
+def test_planck_thermal_hot_field_oracle_passes_or_is_info(kT, kind):
+    params = replace(scenario_defaults("planck_thermal")[0], kT=kT)
+    grid = _default_grid("planck_thermal", **SMALL_GRIDS["planck_thermal"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = {r.quantity: r for r in run_scenario("planck_thermal", params, grid).rows}
+    row = rows["boltzmann_oracle"]
+    assert row.kind == kind
+    assert row.passed is (True if kind == "match" else None)
+    assert ("unfinished" in row.note) is (kind == "info")
+
+
+@pytest.mark.parametrize("name", ["commutators", "energy_time"])
+@pytest.mark.parametrize("m", [4.0 ** 30, 4.0 ** -30])
+def test_xp_correlations_hold_at_a_far_mass(name, m):
+    # x scales by 1/sqrt(m) and p by sqrt(m), exactly at a power of four, so
+    # every row is the unit mass's; 1 + T, with |T| ~ m omega0, lost C_xx
+    # (m = 4^30) or C_xp (4^-30) to rounding in their one transform
+    params = scenario_defaults(name)[0]
+    grid = _default_grid(name, **SMALL_GRIDS[name])
+    unit = run_scenario(name, params, grid).rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        heavy = run_scenario(name, replace(params, m=m), grid).rows
+    for h, u in zip(heavy, unit):
+        assert h.estimated == pytest.approx(u.estimated, rel=1e-12, abs=0.0)
+        assert h.stderr == pytest.approx(u.stderr, rel=1e-12, abs=0.0)

@@ -7,11 +7,13 @@ exit 0 or lists its violations with exit 2.  Neither gives a warning.
 
 Configurations lie near each scenario's defaults: n_samples from 2 to
 2^14 (odd ones included), dt scaled by 0.25-4, 2-9 members, omega_cut
-None, the default or at Nyquist, and tau, kT and K inside the ranges
-``validate`` admits and just outside them.  A random grid of at most
-2^14 samples almost never resolves the oscillator's resonance, so most
-draws take the shortest n_samples that passes the resonance, stationarity,
-lag and fit-lag guards, or a few more.  energy_time reads lags of 10^4
+None, the default or at Nyquist, and tau, kT, K, hbar and m inside the
+ranges ``validate`` admits and just outside them (hbar and m mostly
+within 10^3 of 1, else on or near the scale bounds, ``core.SCALE_MAX``).
+A random grid of at most 2^14 samples almost never resolves the
+oscillator's resonance, so most draws take the shortest n_samples that
+passes the resonance, stationarity, lag and fit-lag guards, or a few
+more.  energy_time reads lags of 10^4
 and free_thermal of 100 time units, which need n >= 10^5/dt and
 n >= 10^3/dt samples: their steered grids hold 2^18 samples at about 4x
 the default dt, and they run fewer examples.
@@ -28,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sedlab.cli import main
-from sedlab.core import FIT_LAG_TAUS, KT_MAX
+from sedlab.core import FIT_LAG_TAUS, SCALE_MAX
 from sedlab.errors import SedlabError
 from sedlab.estimators import HILBERT_MARGIN
 from sedlab.experiments import run_scenario, scenario_defaults
@@ -41,6 +43,10 @@ LONG_GRIDS = {"energy_time": 1 << 18, "free_thermal": 1 << 18}
 #: the longest lag a scenario reads, in time units: lag_count needs
 #: round(lag/dt) <= n//10
 LONGEST_LAG = {"commutators": HILBERT_MARGIN * 100.0, "energy_time": 1e4, "free_thermal": 100.0}
+
+#: hbar and m on the scale bounds, just inside or outside them, and not positive
+EXTREMES = (SCALE_MAX, 1.0 / SCALE_MAX, 0.5 * SCALE_MAX, 2.0 / SCALE_MAX, 2.0 * SCALE_MAX,
+            0.5 / SCALE_MAX, 1e200, 1e-200, 0.0, -1.0)
 
 #: validate's warning above tau*omega0 = 0.1, the one warning a run may give.
 SOFT_LIMIT = r"tau\*omega0 = .* above the soft limit"
@@ -81,12 +87,14 @@ def configurations(draw, name):
     cap = LONG_GRIDS.get(name, MAX_SAMPLES)
     tau_hi = 1.0 if params.omega0 == 0.0 else 0.5  # tau*omega0 < 0.5 on the oscillators
     tau = _mostly(draw, st.floats(0.25 * params.tau, tau_hi), 1e-4, 0.1, tau_hi, 0.0, -0.01)
-    params = replace(params, tau=tau)
+    hbar, m = (_mostly(draw, st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), *EXTREMES)
+               for _ in range(2))
+    params = replace(params, tau=tau, hbar=hbar, m=m)
     if name in ("planck_thermal", "free_thermal"):
-        kT = _mostly(draw, st.floats(0.0, 5.0), -1e-3, KT_MAX, 2.0 * KT_MAX)
+        kT = _mostly(draw, st.floats(0.0, 5.0), -1e-3, SCALE_MAX, 2.0 * SCALE_MAX)
         params = replace(params, kT=kT)
-    if name == "dipoles":
-        params = replace(params, K=_mostly(draw, st.floats(-0.999, 0.999), -1.0, 1.0))
+    if name == "dipoles":  # K in units of m omega0^2
+        params = replace(params, K=m * _mostly(draw, st.floats(-0.999, 0.999), -1.0, 1.0))
     dt_lo, dt_hi = 0.25 * grid.dt, 4.0 * grid.dt
     steer = 0.0 < tau < tau_hi and draw(st.integers(0, 3)) < 3
     if steer:
