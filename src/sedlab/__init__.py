@@ -4,14 +4,12 @@ systems and Monte Carlo verification of their closed-form statistics."""
 from .core import GridSpec, SystemParams, validate
 from .experiments import run_scenario
 from .report import ExperimentReport
-from .spectra import SpectrumModel
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ExperimentReport",
     "GridSpec",
-    "SpectrumModel",
     "SystemParams",
     "run_scenario",
     "validate",

@@ -20,12 +20,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic
-from .core import GridSpec, SystemParams, validate
+from .core import ZPF, GridSpec, SystemParams, validate
 from .dynamics import canonical_momentum, simulate_oscillator
 from .estimators import commutator, correlation, periodogram
 from .experiments import run_ensemble, run_scenario
 from .noise import FieldRealization, field_synthesis, member_seed, synthesize_field
-from .spectra import SpectrumModel, field_spectrum
+from .spectra import field_spectrum
 
 SCENARIO_CRITERIA = {
     "criterion_1_ground_state": "ground_state",
@@ -82,31 +82,31 @@ def _property_noise_gaussianity(jobs: int) -> tuple[list[str], bool]:
     params = SystemParams(tau=0.01)
     grid = GridSpec(dt=0.1, n_samples=1 << 16, omega_cut=20.0, seed=4205)
     validate(params, grid)
-    field = synthesize_field(SpectrumModel.zpf(), params, grid, member_seed(grid.seed, 0))
+    field = synthesize_field(ZPF, params, grid, member_seed(grid.seed, 0))
     _, pvalue, kurt = _normality(field.samples)
     ok = pvalue >= 1e-3
     return [f"{'PASS' if ok else 'FAIL'} normality p={pvalue:.4f} "
             f"(need >= 1e-3), excess kurtosis {kurt:+.4f}"], ok
 
 
-def _member_fields(model: SpectrumModel, params: SystemParams, grid: GridSpec):
-    """Member k's field, ``synthesize_field`` of ``member_seed(grid.seed, k)``
-    bit for bit, from a synthesis set up once."""
-    synthesis = field_synthesis(model, params, grid)
+def _member_fields(field: str, params: SystemParams, grid: GridSpec):
+    """Member k's realization of the field of kind ``field``,
+    ``synthesize_field`` of ``member_seed(grid.seed, k)`` bit for bit, from a
+    synthesis set up once."""
+    synthesis = field_synthesis(field, params, grid)
 
-    def field(k):
+    def member(k):
         seed = member_seed(grid.seed, k)
         return FieldRealization(grid.dt, np.fft.irfft(synthesis.draw(seed), grid.n_samples))
 
-    return field
+    return member
 
 
 def _property_periodogram_calibration(jobs: int) -> tuple[list[str], bool]:
     params = SystemParams(tau=0.01)
     grid = GridSpec(dt=0.1, n_samples=1 << 16, omega_cut=20.0, seed=515, n_ensemble=64)
     validate(params, grid)
-    model = SpectrumModel.zpf()
-    field = _member_fields(model, params, grid)
+    field = _member_fields(ZPF, params, grid)
 
     def worker(k):
         return {"spectrum": periodogram(field(k).samples, grid.dt)}
@@ -114,7 +114,7 @@ def _property_periodogram_calibration(jobs: int) -> tuple[list[str], bool]:
     mean_spec = run_ensemble(worker, grid.n_ensemble, jobs,
                              summed=("spectrum",)).total("spectrum")
     omega = grid.domega * np.arange(1, mean_spec.size + 1)
-    target = field_spectrum(model, params, omega)
+    target = field_spectrum(ZPF, params, omega)
 
     lo, hi = params.omega0 / 2.0, min(grid.omega_cut, 10.0 * params.omega0)
     edges = np.geomspace(lo, hi, 13)
@@ -132,9 +132,8 @@ def _property_linearity(jobs: int) -> tuple[list[str], bool]:
     params = SystemParams(tau=0.01)
     grid = GridSpec(dt=0.1, n_samples=1 << 15, omega_cut=10.0, seed=99)
     validate(params, grid)
-    model = SpectrumModel.zpf()
-    f1 = synthesize_field(model, params, grid, member_seed(grid.seed, 0))
-    f2 = synthesize_field(model, params, grid, member_seed(grid.seed, 1))
+    f1 = synthesize_field(ZPF, params, grid, member_seed(grid.seed, 0))
+    f2 = synthesize_field(ZPF, params, grid, member_seed(grid.seed, 1))
     a, b = 0.7, -1.3
     combo = replace(f1, samples=a * f1.samples + b * f2.samples)
     x1 = simulate_oscillator(params, f1)
@@ -151,7 +150,7 @@ def _property_fourth_moment(jobs: int) -> tuple[list[str], bool]:
     params = SystemParams(tau=0.01)
     grid = GridSpec(dt=0.1, n_samples=1 << 18, omega_cut=20.0, seed=808, n_ensemble=16)
     validate(params, grid)
-    field = _member_fields(SpectrumModel.zpf(), params, grid)
+    field = _member_fields(ZPF, params, grid)
 
     def worker(k):
         x = simulate_oscillator(params, field(k))
@@ -174,7 +173,7 @@ def _property_commutator_structure(jobs: int) -> tuple[list[str], bool]:
     params = SystemParams(tau=0.01)
     grid = GridSpec(dt=0.1, n_samples=1 << 18, omega_cut=20.0, seed=3111)
     validate(params, grid)
-    f = synthesize_field(SpectrumModel.zpf(), params, grid, member_seed(grid.seed, 0))
+    f = synthesize_field(ZPF, params, grid, member_seed(grid.seed, 0))
     x = simulate_oscillator(params, f)
     p = canonical_momentum(x, params, grid.dt)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic
-from .core import GridSpec, SystemParams, validate
+from .core import OMEGA_CUT_TAUS, GridSpec, SystemParams, validate
 from .errors import InvalidParams, SedlabError
 from .experiments import SCENARIO_NAMES, run_scenario, scenario_defaults
 from .report import EMIT_KINDS
@@ -104,6 +104,12 @@ def _cmd_run(args) -> int:
     if not scenario:
         raise ConfigError("no scenario given (use --scenario or a config file)")
     params, grid, meta = _resolve(scenario, file_cfg, args)
+    if meta["emit"]:  # every emit kind writes files: make their directory before any member
+        # runs (before validate, too, so a refused config may leave it behind, empty)
+        try:
+            Path(meta["out"]).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out {meta['out']!r} is not a writable directory: {exc}") from None
 
     report = run_scenario(scenario, params=params, grid=grid, jobs=meta["jobs"],
                           out_dir=meta["out"], emit=meta["emit"])
@@ -163,6 +169,9 @@ def _closed_forms(q: str, params: SystemParams, args) -> list:
 def _cmd_analytic(args) -> int:
     q = args.quantity
     free = q == "free_particle"
+    tau_ok = 0 < args.tau < math.inf  # else validate lists it
+    if args.omega_c is None and tau_ok:  # a run's default cutoff
+        args.omega_c = OMEGA_CUT_TAUS / args.tau
     # the free particle reads tau and kT alone: no omega0, no coupling
     params = (SystemParams(tau=args.tau, omega0=0.0, kT=args.kT) if free
               else SystemParams(tau=args.tau, omega0=args.omega0, kT=args.kT, K=args.K))
@@ -175,7 +184,7 @@ def _cmd_analytic(args) -> int:
         violations.append(f"--t must be finite, got {args.t}")
     elif q in ("free_particle", "energy_fluctuation") and not args.t > 0:
         violations.append(f"--t must be > 0, got {args.t}")
-    if free and args.tau > 0 and not args.omega_c * args.tau > 1.0:
+    if free and tau_ok and not args.omega_c * args.tau > 1.0:
         # zpf_dv2 is (2 hbar/pi m tau) ln(omega_c tau); a bad tau is listed above
         violations.append(f"omega_c*tau = {args.omega_c * args.tau:g} must be > 1")
     if violations:
@@ -227,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--K", type=float, default=0.0)
     p_ana.add_argument("--t", type=float, default=1.0,
                        help="lag or window length for time-dependent forms")
-    p_ana.add_argument("--omega-c", dest="omega_c", type=float, default=500.0)
+    p_ana.add_argument("--omega-c", dest="omega_c", type=float, default=None,
+                       help="synthesis cutoff of free_particle's zpf_dv2 (default 5/tau)")
     p_ana.set_defaults(fn=_cmd_analytic)
     return parser
 

@@ -21,14 +21,25 @@ from .errors import InvalidParams
 TAU_OMEGA_WARN = 0.1
 TAU_OMEGA_REJECT = 0.5
 
+#: The driving fields, by kind, and the scales each reads: the zeropoint
+#: field hbar, the Planck field hbar and kT, and the Rayleigh-Jeans field,
+#: the classical limit hbar*omega -> 2kT, kT alone.
+ZPF, PLANCK, RAYLEIGH_JEANS = "zpf", "planck", "rayleigh_jeans"
+FIELD_SCALES = {ZPF: ("hbar",), PLANCK: ("hbar", "kT"), RAYLEIGH_JEANS: ("kT",)}
+
 #: The largest scale a run admits, and 1/SCALE_MAX the smallest: a run
 #: squares its energies and variances (standard errors) and sums n^2 times
 #: them (Parseval sums), and float64 holds 2.2e-308 to 1.8e308.  kT, the
 #: energy scale E = max(kT, hbar omega0) and the variances it implies,
 #: E/(m omega0^2) for x and m E for p, must lie within it (for the free
 #: particle, hbar/m and a positive kT/m); in the internal units
-#: (hbar = m = omega0 = 1 by default).
+#: (hbar = m = omega0 = 1 by default).  Given the field, only the scales
+#: it reads are bounded.
 SCALE_MAX = 1e100
+
+#: The default ultraviolet cutoff omega_cut of the synthesis band, in units
+#: of 1/tau, so that position statistics capture the tau-dependent tail.
+OMEGA_CUT_TAUS = 5.0
 
 #: Burn-in, in units of the amplitude relaxation time 2/(tau*omega0^2):
 #: five e-folds of the slowest decay.
@@ -85,7 +96,7 @@ class GridSpec:
     """Sampling grid and ensemble bookkeeping for one run.
 
     omega_cut is the ultraviolet cutoff of the synthesis band (default
-    5/tau so position statistics capture the tau-dependent tail).
+    OMEGA_CUT_TAUS/tau).
     """
 
     dt: float = 0.1
@@ -130,11 +141,14 @@ def _type_violations(obj) -> dict:
     return bad
 
 
-def _scale_violations(params: SystemParams) -> list:
-    """A violation for each scale of a run outside [1/SCALE_MAX, SCALE_MAX];
-    a free particle's kT/m counts only for kT > 0 (kT = 0 is zeropoint
-    driving alone)."""
-    hb, m, w0, kT = params.hbar, params.m, params.omega0, params.kT
+def _scale_violations(params: SystemParams, reads) -> list:
+    """A violation for each scale of a run outside [1/SCALE_MAX, SCALE_MAX],
+    formed from the parameters in ``reads`` ("hbar", "kT") alone; a free
+    particle's kT/m counts only for kT > 0 (kT = 0 is zeropoint driving
+    alone)."""
+    m, w0 = params.m, params.omega0
+    hb = params.hbar if "hbar" in reads else 0.0
+    kT = params.kT if "kT" in reads else 0.0
     if w0 > 0:
         energy = max(kT, hb * w0)
         scales = [("energy scale E = max(kT, hbar*omega0)", energy),
@@ -142,21 +156,25 @@ def _scale_violations(params: SystemParams) -> list:
                   ("x variance scale E/(m*omega0^2)", energy / m / w0 / w0),
                   ("p variance scale m*E", m * energy)]
     else:
-        scales = [("hbar/m", hb / m)] + ([("kT/m", kT / m)] if kT > 0 else [])
+        scales = ([("hbar/m", hb / m)] if hb else []) + ([("kT/m", kT / m)] if kT > 0 else [])
     return [f"{name} = {value:g} is outside [{1.0 / SCALE_MAX:g}, {SCALE_MAX:g}], beyond "
             "which a run's squared energies or variances leave float64"
             for name, value in scales if not 1.0 / SCALE_MAX <= value <= SCALE_MAX]
 
 
 def validate(params: SystemParams, grid: GridSpec | None = None,
-             oscillator: bool = False, log_fit: bool = False):
+             oscillator: bool = False, log_fit: bool = False, field: str = PLANCK):
     """Check every invariant and return ``(params, grid)``, the grid's
-    omega_cut resolved (None becomes 5/tau).
+    omega_cut resolved (None becomes OMEGA_CUT_TAUS/tau).
 
     ``oscillator`` marks a configuration that drives a bound oscillator,
     whose omega0 must then be > 0 (omega0 = 0 is the free particle).
     ``log_fit`` marks free_zpf's, whose fit lags (FIT_LAG_TAUS) must start
     at one sample or more and hold at least two distinct lags.
+    ``field`` names the driving field (a key of FIELD_SCALES): of kT and
+    the scales of SCALE_MAX, only those formed from what it reads are
+    bounded.  The default, the Planck field, reads and so bounds every
+    scale.
     Without a ``grid`` only the parameters are checked.  A field of the
     wrong type is reported as such, and the range checks that read it are
     skipped.
@@ -189,14 +207,15 @@ def validate(params: SystemParams, grid: GridSpec | None = None,
         violations.append(f"omega0 = {params.omega0:g} is too large: omega0^2 leaves float64")
     if typed("tau") and not params.tau > 0:
         violations.append(f"tau must be > 0, got {params.tau}")
+    reads = FIELD_SCALES[field]
     if typed("kT") and params.kT < 0:
         violations.append(f"kT must be >= 0, got {params.kT}")
-    elif typed("kT") and params.kT > SCALE_MAX:
+    elif typed("kT") and "kT" in reads and params.kT > SCALE_MAX:
         violations.append(f"kT = {params.kT:g} exceeds {SCALE_MAX:g}, beyond which a run's "
                           "squared energies leave float64")
-    if (typed("hbar", "m", "omega0", "kT") and params.hbar > 0 and params.m > 0
-            and params.omega0 >= 0 and 0 <= params.kT <= SCALE_MAX and not math.isinf(w0_sq)):
-        violations += _scale_violations(params)
+    elif (typed("hbar", "m", "omega0", "kT") and params.hbar > 0 and params.m > 0
+            and params.omega0 >= 0 and not math.isinf(w0_sq)):
+        violations += _scale_violations(params, reads)
 
     tw = params.tau * params.omega0 if typed("tau", "omega0") else 0.0
     if tw >= TAU_OMEGA_REJECT:
@@ -217,9 +236,9 @@ def validate(params: SystemParams, grid: GridSpec | None = None,
             f"{params.m * w0_sq:g} (real normal modes)"
         )
 
-    if grid is not None:  # its omega_cut defaults to 5/tau
+    if grid is not None:
         if typed("tau") and params.tau > 0 and grid.omega_cut is None:
-            grid = replace(grid, omega_cut=5.0 / params.tau)
+            grid = replace(grid, omega_cut=OMEGA_CUT_TAUS / params.tau)
         if typed("dt") and not grid.dt > 0:
             violations.append(f"dt must be > 0, got {grid.dt}")
         if typed("n_samples") and grid.n_samples < 2:

@@ -2,12 +2,14 @@
 reproducible pass/fail ``report.ExperimentReport``.
 
 A scenario is a function of the validated ``(params, grid)`` of
-``core.validate``, the workers and the emitter; the grid holds the master
-seed, and every routine that gets the grid reads the seed from it.  It
-draws its ensemble from sub-seeds that are pure functions of (master seed,
-member or group index), reduces in index order, and embeds the fully
-resolved configuration in the report, so a report is a deterministic
-function of (name, params, grid) for any worker count.
+``core.validate``, its field's kind (``core.ZPF``, ``PLANCK`` or
+``RAYLEIGH_JEANS``, named once in ``SCENARIO_DEFAULTS``), the workers and
+the emitter; the grid holds the master seed, and every routine that gets
+the grid reads the seed from it.  It draws its ensemble from sub-seeds
+that are pure functions of (master seed, member or group index), reduces
+in index order, and embeds the fully resolved configuration in the
+report, so a report is a deterministic function of (name, params, grid)
+for any worker count.
 
 Every scenario forms its response one way: the half-spectrum coefficients
 of its field (a ``noise.Synthesis`` draw; for the dipoles, one draw per
@@ -90,7 +92,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analytic
-from .core import FIT_LAG_TAUS, GridSpec, SystemParams, validate
+from .core import FIT_LAG_TAUS, PLANCK, RAYLEIGH_JEANS, ZPF, GridSpec, SystemParams, validate
 from .dynamics import (
     apply_momentum_gain,
     canonical_momentum,
@@ -119,7 +121,6 @@ from .estimators import (
 )
 from .noise import field_synthesis, group_seed, member_seed
 from .report import Emitter, ExperimentReport, Row
-from .spectra import SpectrumModel
 
 N_GROUPS = 8  # ensemble split for group-based standard errors
 
@@ -340,7 +341,7 @@ def _mode_seeds(seed: int, k: int, n_modes: int) -> list:
 
 def _emit_member_zero(emitter: Emitter, scenario: str, grid: GridSpec, synthesis, modes,
                       label=None):
-    """``--emit trajectories``: member 0's x and p (and, given the model
+    """``--emit trajectories``: member 0's x and p (and, given the field's
     ``label``, its field), rebuilt from the grid's seed apart from the
     members.  ``modes`` are (H, params) pairs, drawn as in the member
     (``_mode_seeds``); the dipoles' x = (x+ + x-)/sqrt(2).  The series are
@@ -457,21 +458,22 @@ def _momentum_commutator(c_xx, spec_x, domega: float, T, g: float) -> np.ndarray
     return apply_momentum_gain(even, -g, 0.0)
 
 
-def _mode_members(name: str, model: SpectrumModel, params: SystemParams, grid: GridSpec,
+def _mode_members(name: str, field: str, params: SystemParams, grid: GridSpec,
                   modes, jobs: int, emitter: Emitter, x_dec=None, u_dec=None) -> Ensemble:
     """Members of independent steady-state normal modes (``modes``, their
-    SystemParams) of the field ``model``: X = E H and P = T X in buffers 0
-    and 1, drawn from ``_mode_seeds``.  Of mode i a member keeps <x^2> and
-    <p^2> by Parseval (``x_sq{i}``, ``p_sq{i}``), and given their spacings,
-    ``decorrelated`` x subsamples at ``x_dec`` (``x_sub{i}``) and energy
-    ones at ``u_dec`` (``u_sub{i}``).  Member 0's emitted trajectories of
-    a single mode carry its field."""
+    SystemParams) of the field of kind ``field``: X = E H and P = T X in
+    buffers 0 and 1, drawn from ``_mode_seeds``.  Of mode i a member keeps
+    <x^2> and <p^2> by Parseval (``x_sq{i}``, ``p_sq{i}``), and given their
+    spacings, ``decorrelated`` x subsamples at ``x_dec`` (``x_sub{i}``) and
+    energy ones at ``u_dec`` (``u_sub{i}``).  Member 0's emitted
+    trajectories of a single mode carry its field."""
     dt, n = grid.dt, grid.n_samples
-    synthesis = field_synthesis(model, params, grid)
+    synthesis = field_synthesis(field, params, grid)
     gains = [response_transfer(q, grid) for q in modes]
     ws = Workspace(n)
+    label = field if field == ZPF else f"{field}(kT={params.kT:g})"
     _emit_member_zero(emitter, name, grid, synthesis, [(H, q) for (H, _), q in zip(gains, modes)],
-                      model.label() if len(modes) == 1 else None)
+                      label if len(modes) == 1 else None)
 
     def worker(k):
         res = {}
@@ -495,11 +497,11 @@ def _mode_members(name: str, model: SpectrumModel, params: SystemParams, grid: G
 # ---------------------------------------------------------------------------
 # scenario implementations
 
-def _scenario_ground_state(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
+def _scenario_ground_state(params: SystemParams, grid: GridSpec, field: str, jobs: int,
+                           emitter: Emitter):
     gs = analytic.ground_state(params)
-    acc = _mode_members("ground_state", SpectrumModel.zpf(), params, grid, [params], jobs,
-                        emitter, x_dec=_x_decorrelation_time(params),
-                        u_dec=_u_decorrelation_time(params))
+    acc = _mode_members("ground_state", field, params, grid, [params], jobs, emitter,
+                        x_dec=_x_decorrelation_time(params), u_dec=_u_decorrelation_time(params))
 
     x_var, x_se = _mean_stderr(acc.values["x_sq0"])
     p_var, p_se = _mean_stderr(acc.values["p_sq0"])
@@ -522,13 +524,13 @@ def _scenario_ground_state(params: SystemParams, grid: GridSpec, jobs: int, emit
     return rows
 
 
-def _scenario_commutators(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
-    model = SpectrumModel.zpf()
+def _scenario_commutators(params: SystemParams, grid: GridSpec, field: str, jobs: int,
+                          emitter: Emitter):
     dt, n = grid.dt, grid.n_samples
     t_max = 100.0
     lag_ext = lag_count(HILBERT_MARGIN * t_max, dt, n)
     H, T = response_transfer(params, grid)
-    synthesis = field_synthesis(model, params, grid)
+    synthesis = field_synthesis(field, params, grid)
     ws = Workspace(n)
     _emit_member_zero(emitter, "commutators", grid, synthesis, [(H, params)])
     scale = _gain_scale(params)
@@ -578,8 +580,8 @@ def _scenario_commutators(params: SystemParams, grid: GridSpec, jobs: int, emitt
     return rows
 
 
-def _scenario_energy_time(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
-    model = SpectrumModel.zpf()
+def _scenario_energy_time(params: SystemParams, grid: GridSpec, field: str, jobs: int,
+                          emitter: Emitter):
     dt, n = grid.dt, grid.n_samples
     t_sweep = [1.0, 10.0, 100.0, 1000.0, 10000.0]
     one_sample = [t for t in t_sweep if window_samples(t, dt) == 1]
@@ -587,7 +589,7 @@ def _scenario_energy_time(params: SystemParams, grid: GridSpec, jobs: int, emitt
     lag_max = lag_count(max(t_sweep), dt, n)
     m, w0 = params.m, params.omega0
     H, T = response_transfer(params, grid)
-    synthesis = field_synthesis(model, params, grid)
+    synthesis = field_synthesis(field, params, grid)
     ws = Workspace(n)
     _emit_member_zero(emitter, "energy_time", grid, synthesis, [(H, params)])
     e = _series_exponent(synthesis, H, n)
@@ -663,7 +665,8 @@ def _scenario_energy_time(params: SystemParams, grid: GridSpec, jobs: int, emitt
     return rows
 
 
-def _scenario_coherent_decay(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
+def _scenario_coherent_decay(params: SystemParams, grid: GridSpec, field: str, jobs: int,
+                             emitter: Emitter):
     """Displaced ensemble.
 
     By linearity each member is the homogeneous decay from the displaced
@@ -674,7 +677,6 @@ def _scenario_coherent_decay(params: SystemParams, grid: GridSpec, jobs: int, em
     two-e-fold window), and the variance about it is the ensemble mean of
     the stationary part squared.
     """
-    model = SpectrumModel.zpf()
     dt, n = grid.dt, grid.n_samples
     amp, phase = 3.0, 0.0
     gamma = params.damping_rate
@@ -685,7 +687,7 @@ def _scenario_coherent_decay(params: SystemParams, grid: GridSpec, jobs: int, em
         params, t, x0=amp * math.cos(phase),
         v0=-amp * (params.omega0 * math.sin(phase) + gamma * math.cos(phase)))
     H, _ = response_transfer(params, grid)
-    synthesis = field_synthesis(model, params, grid)
+    synthesis = field_synthesis(field, params, grid)
     ws = Workspace(n)
 
     def worker(k):
@@ -728,8 +730,8 @@ def _scenario_coherent_decay(params: SystemParams, grid: GridSpec, jobs: int, em
     return rows
 
 
-def _scenario_free_thermal(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
-    model = SpectrumModel.rayleigh_jeans(params.kT)
+def _scenario_free_thermal(params: SystemParams, grid: GridSpec, field: str, jobs: int,
+                           emitter: Emitter):
     dt, n = grid.dt, grid.n_samples
 
     # the synthesis lattice misses the band below domega = 2 pi / duration,
@@ -743,7 +745,7 @@ def _scenario_free_thermal(params: SystemParams, grid: GridSpec, jobs: int, emit
     pred = analytic.free_particle(params, 1.0, grid.omega_cut)
     H, _ = response_transfer(params, grid)
     omega_sq = (grid.domega * np.arange(H.size)) ** 2
-    synthesis = field_synthesis(model, params, grid)
+    synthesis = field_synthesis(field, params, grid)
     ws = Workspace(n)
     _emit_member_zero(emitter, "free_thermal", grid, synthesis, [(H, params)])
 
@@ -776,15 +778,15 @@ def _scenario_free_thermal(params: SystemParams, grid: GridSpec, jobs: int, emit
     return rows
 
 
-def _scenario_free_zpf(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
-    model = SpectrumModel.zpf()
+def _scenario_free_zpf(params: SystemParams, grid: GridSpec, field: str, jobs: int,
+                       emitter: Emitter):
     dt, n = grid.dt, grid.n_samples
     # validate's log_fit gives these a first lag of one sample or more (SF(0) = 0
     # has no variance to weight) and two distinct lags
     deltas = np.geomspace(FIT_LAG_TAUS * params.tau, (n // 10 - 1) * dt, 24)
     lags = np.array([lag_count(t, dt, n) for t in deltas])
     H, T = response_transfer(params, grid)
-    synthesis = field_synthesis(model, params, grid)
+    synthesis = field_synthesis(field, params, grid)
     ws = Workspace(n)
     _emit_member_zero(emitter, "free_zpf", grid, synthesis, [(H, params)])
 
@@ -822,13 +824,14 @@ def _scenario_free_zpf(params: SystemParams, grid: GridSpec, jobs: int, emitter:
     return rows
 
 
-def _scenario_dipoles(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
+def _scenario_dipoles(params: SystemParams, grid: GridSpec, field: str, jobs: int,
+                      emitter: Emitter):
     pred = analytic.dipole_prediction(params)
     pp, pm = params.mode_params(+1), params.mode_params(-1)
     m, w0, K = params.m, params.omega0, params.K
     # normal modes x_pm = (x1 +- x2)/sqrt(2), driven by eps_pm = (eps1 +- eps2)/sqrt(2):
     # an independent pair with the field's spectrum, so each is drawn directly
-    acc = _mode_members("dipoles", SpectrumModel.zpf(), params, grid, [pp, pm], jobs, emitter,
+    acc = _mode_members("dipoles", field, params, grid, [pp, pm], jobs, emitter,
                         x_dec=_x_decorrelation_time(pp))
     xp_sq, xm_sq, pp_sq, pm_sq = (acc.values[key] for key in ("x_sq0", "x_sq1", "p_sq0", "p_sq1"))
     # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p
@@ -859,9 +862,10 @@ def _scenario_dipoles(params: SystemParams, grid: GridSpec, jobs: int, emitter: 
     return rows
 
 
-def _scenario_planck_thermal(params: SystemParams, grid: GridSpec, jobs: int, emitter: Emitter):
+def _scenario_planck_thermal(params: SystemParams, grid: GridSpec, field: str, jobs: int,
+                             emitter: Emitter):
     pred = analytic.planck_prediction(params)
-    acc = _mode_members("planck_thermal", SpectrumModel.planck(params.kT), params, grid,
+    acc = _mode_members("planck_thermal", field, params, grid,
                         [params], jobs, emitter, u_dec=_u_decorrelation_time(params))
 
     u_mean, u_se = _mean_stderr(_energy(params, acc.values["x_sq0"], acc.values["p_sq0"]))
@@ -884,46 +888,47 @@ def _scenario_planck_thermal(params: SystemParams, grid: GridSpec, jobs: int, em
 # ---------------------------------------------------------------------------
 # registry and entry point
 
+#: Each scenario's default params and grid, its driving field and its function.
 SCENARIO_DEFAULTS = {
     "ground_state": (
         SystemParams(tau=0.01),
         GridSpec(dt=0.1, n_samples=1 << 20, omega_cut=10.0),
-        _scenario_ground_state,
+        ZPF, _scenario_ground_state,
     ),
     "commutators": (
         SystemParams(tau=0.01),
         GridSpec(dt=0.1, n_samples=1 << 20, omega_cut=20.0),
-        _scenario_commutators,
+        ZPF, _scenario_commutators,
     ),
     "energy_time": (
         SystemParams(tau=0.01),
         GridSpec(dt=0.1, n_samples=1 << 20, omega_cut=20.0),
-        _scenario_energy_time,
+        ZPF, _scenario_energy_time,
     ),
     "coherent_decay": (
         SystemParams(tau=0.01),
         GridSpec(dt=0.1, n_samples=1 << 15, omega_cut=10.0, n_ensemble=1024),
-        _scenario_coherent_decay,
+        ZPF, _scenario_coherent_decay,
     ),
     "free_thermal": (
         SystemParams(tau=0.01, omega0=0.0, kT=1.0),
         GridSpec(dt=0.001, n_samples=1 << 20, omega_cut=3000.0),
-        _scenario_free_thermal,
+        RAYLEIGH_JEANS, _scenario_free_thermal,
     ),
     "free_zpf": (
         SystemParams(tau=0.01, omega0=0.0),
         GridSpec(dt=0.01, n_samples=1 << 20, omega_cut=300.0),
-        _scenario_free_zpf,
+        ZPF, _scenario_free_zpf,
     ),
     "dipoles": (
         SystemParams(tau=0.01, K=0.1),
         GridSpec(dt=0.1, n_samples=1 << 20, omega_cut=4.0),
-        _scenario_dipoles,
+        ZPF, _scenario_dipoles,
     ),
     "planck_thermal": (
         SystemParams(tau=0.01, kT=0.5),
         GridSpec(dt=0.1, n_samples=1 << 20, omega_cut=20.0),
-        _scenario_planck_thermal,
+        PLANCK, _scenario_planck_thermal,
     ),
 }
 
@@ -935,7 +940,7 @@ def scenario_defaults(name: str) -> tuple[SystemParams, GridSpec]:
         raise UnknownScenario(
             f"unknown scenario {name!r}; valid: {', '.join(SCENARIO_NAMES)}"
         )
-    p, g, _ = SCENARIO_DEFAULTS[name]
+    p, g, _, _ = SCENARIO_DEFAULTS[name]
     return p, g
 
 
@@ -955,16 +960,18 @@ def run_scenario(
     is re-derivable.
     """
     dp, dg = scenario_defaults(name)
+    _, _, field, scenario = SCENARIO_DEFAULTS[name]
     params = dp if params is None else params
     grid = dg if grid is None else grid
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise InvalidParams([f"jobs must be an integer >= 1, got {jobs!r}"])
     # a scenario built on a bound oscillator divides by omega0
-    params, grid = validate(params, grid, oscillator=dp.omega0 > 0, log_fit=name == "free_zpf")
+    params, grid = validate(params, grid, oscillator=dp.omega0 > 0, log_fit=name == "free_zpf",
+                            field=field)
 
     emitter = Emitter(out_dir=out_dir, emit=emit)
     t0 = time.perf_counter()
-    rows = SCENARIO_DEFAULTS[name][2](params, grid, jobs, emitter)
+    rows = scenario(params, grid, field, jobs, emitter)
     runtime = time.perf_counter() - t0
 
     config = {"params": asdict(params), "grid": asdict(grid)}

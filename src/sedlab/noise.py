@@ -21,16 +21,17 @@ left off: every scenario drives its periodic steady-state response with
 them directly, and ``synthesize_series``/``synthesize_field`` are their
 ``irfft`` at n points, which pads the tail itself.
 
-Everything but the normals is fixed by (spectrum, grid), so a scenario
-sets its synthesis up once (``field_synthesis``: the band j_max and the
-amplitudes 0.5 n sqrt(S(omega_j) domega)) and each
-member's ``Synthesis.draw`` only draws the normals and scales them, into
-arrays the caller may reuse from member to member.  The dipoles need no
-second routine: their normal modes are driven by
-eps_pm = (eps1 +- eps2)/sqrt(2), which in each bin rotates the standard
-normals of the independent eps1, eps2 by 45 degrees and so is itself an
-independent pair with the same law; each mode is one ``draw``, from its
-own sub-seed of the member.
+Everything but the normals is fixed by (spectrum, grid), and a field's
+spectrum by its kind (``core.ZPF``, ``PLANCK``, ``RAYLEIGH_JEANS``) and the
+``SystemParams`` it reads, so a scenario sets its synthesis up once
+(``field_synthesis``: the band j_max and the amplitudes
+0.5 n sqrt(S(omega_j) domega)) and each member's ``Synthesis.draw`` only
+draws the normals and scales them, into arrays the caller may reuse from
+member to member.  The dipoles need no second routine: their normal modes
+are driven by eps_pm = (eps1 +- eps2)/sqrt(2), which in each bin rotates
+the standard normals of the independent eps1, eps2 by 45 degrees and so is
+itself an independent pair with the same law; each mode is one ``draw``,
+from its own sub-seed of the member.
 
 Seed splitting: the sub-seed of ensemble member k is a pure function of
 (master seed, k) via numpy's SeedSequence spawn keys, so members can be
@@ -40,14 +41,15 @@ so is a group's seed (``group_seed``) for the power sums drawn by group.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GridSpec, SystemParams
 from .errors import InvalidParams
-from .spectra import SpectrumModel, field_spectrum
+from .spectra import field_spectrum
 
 
 def member_seed(master_seed: int, k: int) -> np.random.SeedSequence:
@@ -91,7 +93,7 @@ class Synthesis:
     amplitude: np.ndarray
     #: -amplitude, for the imaginary parts: (-a) b = -(a b) exactly, so
     #: the normals need no negation pass
-    neg_amplitude: np.ndarray = field(init=False, repr=False, compare=False)
+    neg_amplitude: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "neg_amplitude", np.negative(self.amplitude))
@@ -148,14 +150,14 @@ def synthesize_series(
     return np.fft.irfft(_synthesis(spectrum, dt, n_samples, omega_cut).draw(rng), n_samples)
 
 
-def field_synthesis(model: SpectrumModel, params: SystemParams, grid: GridSpec) -> Synthesis:
-    """The synthesis of the field spectrum of ``model`` on the grid."""
-    return _synthesis(lambda w: field_spectrum(model, params, w),
+def field_synthesis(field: str, params: SystemParams, grid: GridSpec) -> Synthesis:
+    """The synthesis of the spectrum of the field of kind ``field`` on the grid."""
+    return _synthesis(lambda w: field_spectrum(field, params, w),
                       grid.dt, grid.n_samples, grid.omega_cut)
 
 
 def synthesize_field(
-    model: SpectrumModel,
+    field: str,
     params: SystemParams,
     grid: GridSpec,
     seed,
@@ -165,7 +167,7 @@ def synthesize_field(
     ``seed`` may be an int or a SeedSequence; identical seeds give
     bit-identical samples regardless of scheduling.
     """
-    samples = np.fft.irfft(field_synthesis(model, params, grid).draw(seed),
+    samples = np.fft.irfft(field_synthesis(field, params, grid).draw(seed),
                            grid.n_samples)
     return FieldRealization(dt=grid.dt, samples=samples)
 
@@ -181,7 +183,7 @@ class FieldPair:
 
 
 def synthesize_pair(
-    model: SpectrumModel,
+    field: str,
     params: SystemParams,
     grid: GridSpec,
     seed,
@@ -193,8 +195,8 @@ def synthesize_pair(
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     sub1, sub2 = ss.spawn(2)
-    f1 = synthesize_field(model, params, grid, sub1)
-    f2 = synthesize_field(model, params, grid, sub2)
+    f1 = synthesize_field(field, params, grid, sub1)
+    f2 = synthesize_field(field, params, grid, sub2)
     root2 = math.sqrt(2.0)
     return FieldPair(
         eps1=f1,

@@ -11,19 +11,19 @@ import numpy as np
 
 from sedlab.core import SystemParams
 from sedlab.errors import SedlabError
-from sedlab.spectra import SpectrumModel, field_spectrum, position_transfer
+from sedlab.spectra import field_spectrum, position_transfer
 
 
 class ZeroFrequencyMomentum(SedlabError):
     """The canonical-momentum spectrum carries 1/omega^2 and is undefined at omega = 0."""
 
 
-def position_spectrum(model: SpectrumModel, params: SystemParams, omega):
+def position_spectrum(field: str, params: SystemParams, omega):
     """S_x(omega) = S_eps(omega) * position_transfer(omega)."""
-    return field_spectrum(model, params, omega) * position_transfer(omega, params)
+    return field_spectrum(field, params, omega) * position_transfer(omega, params)
 
 
-def momentum_spectrum(model: SpectrumModel, params: SystemParams, omega):
+def momentum_spectrum(field: str, params: SystemParams, omega):
     """Canonical-momentum spectrum S_p = m^2 omega0^4 S_x / omega^2.
 
     Identically zero for the free particle (omega0 = 0); undefined at
@@ -34,7 +34,7 @@ def momentum_spectrum(model: SpectrumModel, params: SystemParams, omega):
         return np.zeros_like(omega) if omega.ndim else 0.0
     if np.any(omega == 0.0):
         raise ZeroFrequencyMomentum("S_p carries 1/omega^2; omega = 0 not allowed")
-    sx = position_spectrum(model, params, omega)
+    sx = position_spectrum(field, params, omega)
     return params.m ** 2 * params.omega0 ** 4 * sx / omega ** 2
 
 

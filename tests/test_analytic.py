@@ -18,7 +18,7 @@ from sedlab.analytic import (
     heisenberg_product,
     planck_prediction,
 )
-from sedlab.core import SystemParams
+from sedlab.core import ZPF, SystemParams
 from sedlab.errors import InvalidParams
 
 PARAMS = SystemParams(tau=0.01)
@@ -94,9 +94,7 @@ def test_commutator_closed_matches_the_position_spectrum():
     of the exact finite-tau spectrum, by quadrature split at the
     resonance, within 5e-3 of the peak for t in [0.05, 100].  The
     tau-less form sin(w0 t) e^{-gamma t} misses it by 9.9e-3."""
-    from sedlab.spectra import SpectrumModel
-
-    sx = lambda w: position_spectrum(SpectrumModel.zpf(), PARAMS, w)
+    sx = lambda w: position_spectrum(ZPF, PARAMS, w)
     w0 = PARAMS.omega0
     parts = ((0.0, w0), (w0, 2.0 * w0), (2.0 * w0, np.inf))
 
@@ -283,9 +281,7 @@ def test_planck_density_mean_consistent():
 def test_closed_forms_against_spectral_quadrature():
     """Ground-state moments agree with the brute-force quadrature of the
     finite-tau spectra to O(tau*omega0)."""
-    from sedlab.spectra import SpectrumModel
-
     gs = ground_state(PARAMS)
-    sx = lambda w: position_spectrum(SpectrumModel.zpf(), PARAMS, w)
+    sx = lambda w: position_spectrum(ZPF, PARAMS, w)
     xq = spectral_moment(sx, 0, 0.0, 5.0, params=PARAMS)
     assert abs(xq - gs.x_var) / gs.x_var < 3.0 * PARAMS.tau * PARAMS.omega0

@@ -11,10 +11,9 @@ from pathlib import Path
 import pytest
 
 from sedlab import acceptance, core, experiments
-from sedlab.core import GridSpec, SystemParams
+from sedlab.core import ZPF, GridSpec, SystemParams
 from sedlab.dynamics import simulate_dipoles
 from sedlab.noise import synthesize_pair
-from sedlab.spectra import SpectrumModel
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -78,7 +77,7 @@ def test_work_counters_read_the_integrators_arguments():
     # the dipoles pass their modes a common burn-in, longer than one mode's own
     params = SystemParams(tau=0.01, K=0.1)
     grid = GridSpec(dt=0.1, n_samples=1 << 15, omega_cut=4.0)
-    pair = synthesize_pair(SpectrumModel.zpf(), params, grid, 3)
+    pair = synthesize_pair(ZPF, params, grid, 3)
     nb = [core.burn_in_samples(params.mode_params(s), grid.dt) for s in (+1, -1)]
     assert nb[0] != nb[1]
     tracer = tr.Tracer()

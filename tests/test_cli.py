@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sedlab import experiments
 from sedlab.cli import main
 from sedlab.experiments import SCENARIO_NAMES
 
@@ -227,13 +228,24 @@ def test_run_exits_2_when_a_lag_exceeds_the_periodicity_guard(tmp_path, capsys):
      "electron_size=0.0494952"),
     # the free particle has no omega0, so the oscillator's tau*omega0 limit
     # does not apply to it
-    (["free_particle", "--tau", "0.6"],
+    (["free_particle", "--tau", "0.6", "--omega-c", "500"],
      "thermal_dx2=0 thermal_v_var=0 zpf_dx2=0.415601 zpf_dv2=6.0519 "
      "electron_size=0.383389"),
 ])
 def test_analytic_prints_every_quantity(argv, printed, capsys):
     assert main(["analytic", "--quantity", *argv]) == 0
     assert capsys.readouterr().out == printed + "\n"
+
+
+def test_analytic_cutoff_defaults_to_that_of_a_run(capsys):
+    # a run's omega_cut defaults to 5/tau: 250 at tau 0.02, where a fixed
+    # default of 500 printed zpf_dv2=73.2936
+    assert main(["analytic", "--quantity", "free_particle", "--tau", "0.02"]) == 0
+    printed = capsys.readouterr().out
+    assert "zpf_dv2=51.23 " in printed
+    assert main(["analytic", "--quantity", "free_particle", "--tau", "0.02",
+                 "--omega-c", "250"]) == 0
+    assert capsys.readouterr().out == printed
 
 
 @pytest.mark.parametrize("quantity", ["planck", "free_particle"])
@@ -256,6 +268,8 @@ def test_analytic_rejects_negative_temperature(quantity, capsys):
     (["free_particle", "--omega-c", "100"], ["omega_c*tau = 1 must be > 1"]),
     (["free_particle", "--kT", "-1", "--t", "nan"],
      ["kT must be >= 0, got -1.0", "--t must be finite, got nan"]),
+    # the default cutoff 5/tau is not formed from a tau that validate refuses
+    (["free_particle", "--tau", "inf"], ["tau must be a finite real number, got inf"]),
 ])
 def test_analytic_validates_its_parameters(argv, violations, capsys):
     assert main(["analytic", "--quantity", *argv]) == 2
@@ -335,10 +349,32 @@ def test_run_exits_2_on_an_integer_literal_too_long_to_read(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out, emit", [("afile", "report"), ("afile", "trajectories"),
+                                       ("afile/sub", "report")])
+def test_run_exits_2_on_an_out_that_is_no_directory_before_any_member(out, emit, tmp_path,
+                                                                      monkeypatch, capsys):
+    # a run used to go to its end (or its first dump) and then raise
+    # FileExistsError or NotADirectoryError from the first write
+    def no_member(*args, **kwargs):
+        raise AssertionError("the run reached its ensemble")
+
+    monkeypatch.setattr(experiments, "ensemble_reduce", no_member)
+    (tmp_path / "afile").write_text("")
+    cfg = write_config(tmp_path, {"n_ensemble": 2})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out), "--emit", emit]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out {str(tmp_path / out)!r} is not a writable directory")
+
+
 #: planck_thermal on a short grid, at a temperature where 2 kT, the
 #: members' squared energies or their Parseval sums overflowed float64
 HOT_FIELD = {"scenario": "planck_thermal", "dt": 0.2, "n_samples": 16384, "omega_cut": 5.0,
              "n_ensemble": 2}
+
+
+#: free_thermal on a short grid
+FREE_THERMAL = {"scenario": "free_thermal", "dt": 0.01, "n_samples": 1 << 17,
+                "omega_cut": 300.0, "n_ensemble": 4}
 
 
 #: energy_time on a short grid, where a single-precision series without
@@ -347,11 +383,27 @@ SCALED_ACTION = {"scenario": "energy_time", "dt": 1.0, "n_samples": 1 << 17, "om
                  "n_ensemble": 8}
 
 
+def _case_id(case) -> str:
+    if isinstance(case, float):
+        return f"run kT={case:g}"
+    if isinstance(case, dict):
+        key = "hbar" if "hbar" in case else "kT"
+        return f"run {case['scenario']} {key}={case[key]:g}"
+    return " ".join(case)
+
+
 @pytest.mark.parametrize("case", [
     1e200, 1e300, 1e308,  # kT of a planck_thermal run on HOT_FIELD
     {**HOT_FIELD, "kT": 0.5, "hbar": 1e200},  # overflowed the members' standard errors
     {**SCALED_ACTION, "hbar": 1e80},
     {**SCALED_ACTION, "hbar": 1e-80},
+    # a scale the field does not read is not bounded: the Rayleigh-Jeans
+    # field reads no hbar, the zeropoint field no kT
+    {**FREE_THERMAL, "hbar": 1e-120},
+    {**FREE_THERMAL, "hbar": 1e300},
+    {**FREE_THERMAL, "scenario": "free_zpf", "kT": 1e-120},
+    {**HOT_FIELD, "scenario": "ground_state", "kT": 1e150},
+    ["free_particle", "--tau", "0.02"],
     ["planck", "--kT", "1e308"],
     ["free_particle", "--kT", "1e308", "--t", "1e308"],
     ["free_particle", "--kT", "1e99", "--t", "1e308"],
@@ -359,9 +411,7 @@ SCALED_ACTION = {"scenario": "energy_time", "dt": 1.0, "n_samples": 1 << 17, "om
     # omega0^2 overflowed (OverflowError) and omega0^3 underflowed (ZeroDivisionError)
     ["ground_state", "--omega0", "1.4e154", "--K", "1"],
     ["dipoles", "--omega0", "1e-110"],
-], ids=lambda case: (f"run kT={case:g}" if isinstance(case, float)
-                     else f"run {case['scenario']} hbar={case['hbar']:g}" if isinstance(case, dict)
-                     else " ".join(case)))
+], ids=_case_id)
 def test_a_hot_or_extreme_configuration_exits_2_or_reports_finite_values(case, tmp_path):
     # under -W error: a warning would end the process in a traceback
     if not isinstance(case, list):

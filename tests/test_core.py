@@ -3,7 +3,16 @@ from dataclasses import replace
 
 import pytest
 
-from sedlab.core import SCALE_MAX, GridSpec, SystemParams, burn_in_samples, validate
+from sedlab.core import (
+    PLANCK,
+    RAYLEIGH_JEANS,
+    SCALE_MAX,
+    ZPF,
+    GridSpec,
+    SystemParams,
+    burn_in_samples,
+    validate,
+)
 from sedlab.errors import InvalidParams
 
 
@@ -197,6 +206,29 @@ def test_a_scale_whose_squares_leave_float64_is_a_violation(changes, listed):
         validate(replace(SystemParams(), **changes))
     assert [v.split(" = ")[0] for v in exc.value.violations] == [SCALES[s] for s in listed]
     assert all("leave float64" in v for v in exc.value.violations)
+
+
+@pytest.mark.parametrize("field, changes, listed", [
+    # free_thermal's Rayleigh-Jeans field reads kT alone, free_zpf's and
+    # ground_state's zeropoint field hbar alone, the Planck field both
+    (RAYLEIGH_JEANS, dict(omega0=0.0, kT=1.0, hbar=1e-120), []),
+    (RAYLEIGH_JEANS, dict(omega0=0.0, kT=1.0, hbar=1e300), []),
+    (RAYLEIGH_JEANS, dict(omega0=0.0, kT=1e-300), ["kT/m"]),
+    (ZPF, dict(omega0=0.0, kT=1e-120), []),
+    (ZPF, dict(omega0=0.0, hbar=1e-120), ["hbar/m"]),
+    (ZPF, dict(kT=1e150), []),
+    (ZPF, dict(hbar=1e-120, kT=1.0), ["energy scale", "x variance scale", "p variance scale"]),
+    (PLANCK, dict(hbar=1e200, kT=0.5), ["energy scale", "x variance scale", "p variance scale"]),
+    (PLANCK, dict(kT=1e200), ["kT"]),
+])
+def test_the_scale_bounds_follow_the_field(field, changes, listed):
+    params = replace(SystemParams(), **changes)
+    if not listed:
+        assert validate(params, field=field) == (params, None)
+        return
+    with pytest.raises(InvalidParams) as exc:
+        validate(params, field=field)
+    assert [v.split(" = ")[0] for v in exc.value.violations] == [SCALES.get(s, s) for s in listed]
 
 
 @pytest.mark.parametrize("changes", [

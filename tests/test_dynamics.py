@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import momentum_spectrum
 
-from sedlab.core import TAU_OMEGA_REJECT, GridSpec, SystemParams, validate
+from sedlab.core import RAYLEIGH_JEANS, TAU_OMEGA_REJECT, ZPF, GridSpec, SystemParams, validate
 from sedlab.dynamics import (
     _lattice_phases,
     _positions,
@@ -22,7 +22,7 @@ from sedlab.dynamics import (
 )
 from sedlab.errors import BurnInExceedsTrajectory, InvalidParams
 from sedlab.estimators import periodogram, structure_function
-from sedlab.experiments import scenario_defaults
+from sedlab.experiments import SCENARIO_DEFAULTS, scenario_defaults
 from sedlab.noise import (
     FieldRealization,
     field_synthesis,
@@ -31,10 +31,9 @@ from sedlab.noise import (
     synthesize_field,
     synthesize_pair,
 )
-from sedlab.spectra import SpectrumModel, field_spectrum, position_transfer
+from sedlab.spectra import field_spectrum, position_transfer
 
 PARAMS = SystemParams(tau=0.01)
-ZPF = SpectrumModel.zpf()
 
 
 def zero_field(dt=0.1, n=1 << 14):
@@ -201,10 +200,9 @@ def test_sample_from_spectrum_zero_and_pconst():
 def test_thermal_structure_function_slope():
     free = SystemParams(tau=0.01, omega0=0.0, kT=1.0)
     grid = GridSpec(dt=0.01, n_samples=1 << 17, omega_cut=300.0, seed=6)
-    model = SpectrumModel.rayleigh_jeans(free.kT)
 
     def s_x(w):
-        return field_spectrum(model, free, w) * position_transfer(w, free)
+        return field_spectrum(RAYLEIGH_JEANS, free, w) * position_transfer(w, free)
 
     deltas = np.linspace(10.0, 100.0, 10)
     acc = np.zeros_like(deltas)
@@ -408,21 +406,18 @@ def test_free_transfer_is_the_exact_free_response_on_the_band():
     assert h[0] == 0.0
 
 
-@pytest.mark.parametrize("name, model", [
-    ("free_zpf", ZPF),
-    ("free_thermal", SpectrumModel.rayleigh_jeans(1.0)),
-])
-def test_free_response_power_matches_the_direct_sampler(name, model):
+@pytest.mark.parametrize("name", ["free_zpf", "free_thermal"])
+def test_free_response_power_matches_the_direct_sampler(name):
     # both routes draw the same normals from one member seed
-    params, grid = scenario_defaults(name)
+    params, grid, field, _ = SCENARIO_DEFAULTS[name]
     params, grid = validate(params, replace(grid, n_samples=1 << 17))
     seed = member_seed(grid.seed, 3)
     h, _ = response_transfer(params, grid)
-    X = h * field_synthesis(model, params, grid).draw(seed)
+    X = h * field_synthesis(field, params, grid).draw(seed)
     power = np.abs(X) ** 2
 
     def s_x(w):
-        return field_spectrum(model, params, w) * position_transfer(w, params)
+        return field_spectrum(field, params, w) * position_transfer(w, params)
 
     x = sample_from_spectrum(s_x, grid, seed)
     direct = np.abs(np.fft.rfft(x)) ** 2

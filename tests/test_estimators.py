@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sedlab.estimators as estimators
-from sedlab.core import GridSpec, SystemParams
+from sedlab.core import RAYLEIGH_JEANS, ZPF, GridSpec, SystemParams
 from sedlab.dynamics import canonical_momentum, simulate_oscillator
 from sedlab.errors import InvalidParams, LagTooLong, WindowTooLong
 from sedlab.estimators import (
@@ -33,10 +33,9 @@ from sedlab.estimators import (
 )
 from sedlab.noise import member_seed, synthesize_field, synthesize_series
 from sedlab.report import Emitter
-from sedlab.spectra import SpectrumModel, field_spectrum, position_transfer
+from sedlab.spectra import field_spectrum, position_transfer
 
 PARAMS = SystemParams(tau=0.01)
-ZPF = SpectrumModel.zpf()
 GAMMA = PARAMS.damping_rate
 DT = 0.1
 
@@ -296,11 +295,10 @@ def test_structure_function_zero_lag_and_white_noise():
 
 def test_mean_square_displacement_is_the_circular_average():
     free = SystemParams(tau=0.01, omega0=0.0, kT=1.0)
-    model = SpectrumModel.rayleigh_jeans(free.kT)
     dt, n = 0.01, 1 << 17
 
     def s_x(w):
-        return field_spectrum(model, free, w) * position_transfer(w, free)
+        return field_spectrum(RAYLEIGH_JEANS, free, w) * position_transfer(w, free)
 
     deltas = np.geomspace(1.0, 100.0, 8)
     lags = [lag_count(t, dt, n) for t in deltas]

@@ -17,7 +17,7 @@ from scipy.fft import next_fast_len
 from scipy.stats import kstwo
 
 import sedlab.experiments as experiments
-from sedlab.core import GridSpec, SystemParams, validate
+from sedlab.core import ZPF, GridSpec, SystemParams, validate
 from sedlab.dynamics import momentum_step, response_transfer
 from sedlab.errors import InvalidParams, LagTooLong, SedlabError, UnknownScenario
 from sedlab.estimators import (
@@ -52,7 +52,6 @@ from sedlab.experiments import (
     scenario_defaults,
 )
 from sedlab.noise import field_synthesis, member_seed, synthesis_band, synthesize_field
-from sedlab.spectra import SpectrumModel
 
 FAST_GRID = GridSpec(dt=0.1, n_samples=1 << 16, omega_cut=16.0, n_ensemble=8, seed=420)
 
@@ -146,8 +145,7 @@ def test_emitted_artifacts(tmp_path):
     assert (tmp_path / "ground_state_p.bin").exists()
     assert not list(tmp_path.glob("ground_state_v.*"))
     params, grid = validate(scenario_defaults("ground_state")[0], FAST_GRID)
-    field = synthesize_field(SpectrumModel.zpf(), params, grid,
-                             member_seed(FAST_GRID.seed, 0))
+    field = synthesize_field(ZPF, params, grid, member_seed(FAST_GRID.seed, 0))
     assert (tmp_path / "ground_state_field.bin").read_bytes() == field.samples.tobytes()
 
 
@@ -171,9 +169,8 @@ def test_emitted_trajectory_is_member_zero_at_every_jobs(name, tmp_path):
     for f in names:
         assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes()
     params, grid = validate(scenario_defaults(name)[0], grid)
-    model = (SpectrumModel.rayleigh_jeans(params.kT) if name == "free_thermal"
-             else SpectrumModel.zpf())
-    synthesis = field_synthesis(model, params, grid)
+    _, _, field, _ = experiments.SCENARIO_DEFAULTS[name]
+    synthesis = field_synthesis(field, params, grid)
     n = grid.n_samples
     if name == "dipoles":
         band = synthesis.j_max + 1
@@ -289,6 +286,28 @@ def test_scenario_report_independent_of_jobs(name):
     assert reports[2] == reports[0]
 
 
+@pytest.mark.parametrize("name, changes", [
+    ("free_thermal", dict(hbar=1e-120)), ("free_thermal", dict(hbar=1e300)),
+    ("free_zpf", dict(kT=1e-120)), ("ground_state", dict(kT=1e150)),
+])
+def test_a_scale_the_field_does_not_read_changes_no_row(name, changes):
+    # validate refused these, bounding a scale that the scenario's field
+    # (Rayleigh-Jeans: no hbar; zeropoint: no kT) never reads
+    grid = _default_grid(name, **SMALL_GRIDS[name])
+    params = scenario_defaults(name)[0]
+    rows = [[row.to_dict() for row in run_scenario(name, p, grid).rows]
+            for p in (params, replace(params, **changes))]
+    assert rows[1] == rows[0]
+
+
+@pytest.mark.parametrize("name, label", [("ground_state", "zpf"),
+                                         ("planck_thermal", "planck(kT=0.5)")])
+def test_field_sidecar_names_the_kind_and_the_temperature_it_reads(name, label, tmp_path):
+    grid = _default_grid(name, **SMALL_GRIDS[name])
+    run_scenario(name, grid=grid, out_dir=tmp_path, emit=("trajectories",))
+    assert json.loads((tmp_path / f"{name}_field.json").read_text())["model"] == label
+
+
 def test_report_holds_with_more_threads_than_cores_switching_often():
     grid = _default_grid("dipoles", **SMALL_GRIDS["dipoles"])
     serial = run_scenario("dipoles", grid=grid, jobs=1).to_json()
@@ -343,7 +362,7 @@ def test_dipole_member_draws_each_mode_from_one_child_of_its_seed(monkeypatch):
     grid = _default_grid("dipoles", **SMALL_GRIDS["dipoles"])
     member = _member_worker(monkeypatch, "dipoles", grid)(3)
     params, grid = validate(scenario_defaults("dipoles")[0], grid)
-    synthesis = field_synthesis(SpectrumModel.zpf(), params, grid)
+    synthesis = field_synthesis(ZPF, params, grid)
     band, n = synthesis.j_max + 1, grid.n_samples
     t_dec = _x_decorrelation_time(params.mode_params(+1))
     children = member_seed(grid.seed, 3).spawn(2)
@@ -429,7 +448,7 @@ def _steady_power(name, n_samples):
     params, grid = scenario_defaults(name)
     params, grid = validate(params, replace(grid, n_samples=n_samples))
     H, T = response_transfer(params, grid)
-    synthesis = field_synthesis(SpectrumModel.zpf(), params, grid)
+    synthesis = field_synthesis(ZPF, params, grid)
     X = np.multiply(H, synthesis.draw(member_seed(grid.seed, 0)))
     return params, grid, np.abs(X) ** 2, T
 
@@ -443,7 +462,7 @@ def test_structure_function_model_variance_matches_the_spread_over_members():
     deltas = np.geomspace(100.0 * params.tau, (n // 10 - 1) * dt, 24)
     lags = np.array([lag_count(t, dt, n) for t in deltas])
     H, _ = response_transfer(params, grid)
-    synthesis = field_synthesis(SpectrumModel.zpf(), params, grid)
+    synthesis = field_synthesis(ZPF, params, grid)
     sf = np.array([
         mean_square_displacement(np.abs(
             _response(synthesis, H, member_seed(grid.seed, k))) ** 2, n, lags)
@@ -576,7 +595,7 @@ def _small_response(name, n_samples):
     its default grid at n_samples, a lattice too short for ``validate``."""
     params, grid = scenario_defaults(name)
     grid = replace(grid, n_samples=n_samples)
-    return field_synthesis(SpectrumModel.zpf(), params, grid), response_transfer(params, grid)[0]
+    return field_synthesis(ZPF, params, grid), response_transfer(params, grid)[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -823,7 +842,7 @@ def test_series_exponent_is_that_of_the_members_rms(hbar):
     params, grid = validate(replace(scenario_defaults("energy_time")[0], hbar=hbar),
                             _default_grid("energy_time", **SMALL_GRIDS["energy_time"]))
     H, _ = response_transfer(params, grid)
-    synthesis = field_synthesis(SpectrumModel.zpf(), params, grid)
+    synthesis = field_synthesis(ZPF, params, grid)
     n, e = grid.n_samples, experiments._series_exponent(synthesis, H, grid.n_samples)
     rms = [np.sqrt(np.mean(np.fft.irfft(_response(synthesis, H, member_seed(grid.seed, k)),
                                         n) ** 2)) for k in range(4)]

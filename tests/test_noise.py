@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sedlab.core import GridSpec, SystemParams, validate
+from sedlab.core import RAYLEIGH_JEANS, ZPF, GridSpec, SystemParams, validate
 from sedlab.errors import InvalidParams
 from sedlab.estimators import periodogram
 from sedlab.experiments import run_scenario, scenario_defaults
@@ -18,11 +18,10 @@ from sedlab.noise import (
     synthesize_series,
 )
 from sedlab.report import Emitter
-from sedlab.spectra import SpectrumModel, field_spectrum
+from sedlab.spectra import field_spectrum
 
 PARAMS = SystemParams(tau=0.01)
 GRID = GridSpec(dt=0.1, n_samples=1 << 16, omega_cut=20.0, seed=1234)
-ZPF = SpectrumModel.zpf()
 
 
 def test_zero_spectrum_gives_zero_samples():
@@ -128,9 +127,9 @@ def test_grid_too_coarse_for_resonance():
 
 def test_derivative_series_consistency():
     # the velocity V = i omega E of a field draw against finite differences
-    free = SystemParams(tau=0.01, omega0=0.0)
+    free = SystemParams(tau=0.01, omega0=0.0, kT=1.0)
     grid = GridSpec(dt=0.05, n_samples=4096, omega_cut=5.0)
-    coeffs = field_synthesis(SpectrumModel.rayleigh_jeans(1.0), free, grid).draw(
+    coeffs = field_synthesis(RAYLEIGH_JEANS, free, grid).draw(
         member_seed(5, 0))
     omega = grid.domega * np.arange(coeffs.size)
     x = np.fft.irfft(coeffs, grid.n_samples)
@@ -142,7 +141,7 @@ def test_derivative_series_consistency():
 
 def test_dump_realization_roundtrip(tmp_path):
     f = synthesize_field(ZPF, PARAMS, GRID, 77)
-    Emitter(tmp_path, ("trajectories",)).dump("field", f.samples, f.dt, 77, ZPF.label())
+    Emitter(tmp_path, ("trajectories",)).dump("field", f.samples, f.dt, 77, ZPF)
     raw = np.frombuffer((tmp_path / "field.bin").read_bytes(), dtype="<f8")
     assert np.array_equal(raw, f.samples)
     meta = json.loads((tmp_path / "field.json").read_text())

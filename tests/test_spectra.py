@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import ZeroFrequencyMomentum, momentum_spectrum, position_spectrum
 from quadrature import QuadratureFailure, spectral_moment
 
-from sedlab.core import SystemParams
+from sedlab.core import PLANCK, RAYLEIGH_JEANS, ZPF, SystemParams
 from sedlab.errors import InvalidParams, NegativeFrequency
-from sedlab.spectra import SpectrumModel, _coth, field_spectrum, position_transfer
+from sedlab.spectra import _coth, field_spectrum, position_transfer
 
 PARAMS = SystemParams(tau=0.01)
 
@@ -27,19 +28,18 @@ def simpson_moment(spectrum, n, a, b, subdiv=200_000):
 
 
 def test_zpf_field_spectrum_value():
-    assert field_spectrum(SpectrumModel.zpf(), PARAMS, 1.0) == pytest.approx(
+    assert field_spectrum(ZPF, PARAMS, 1.0) == pytest.approx(
         0.01 / math.pi, rel=1e-14
     )
 
 
 def test_all_models_vanish_at_zero_frequency():
-    for model in (SpectrumModel.zpf(), SpectrumModel.planck(0.5),
-                  SpectrumModel.rayleigh_jeans(1.0)):
-        assert field_spectrum(model, PARAMS, 0.0) == 0.0
+    for field, kT in ((ZPF, 0.0), (PLANCK, 0.5), (RAYLEIGH_JEANS, 1.0)):
+        assert field_spectrum(field, replace(PARAMS, kT=kT), 0.0) == 0.0
 
 
 def test_planck_coth_factor():
-    got = field_spectrum(SpectrumModel.planck(0.5), PARAMS, 1.0)
+    got = field_spectrum(PLANCK, replace(PARAMS, kT=0.5), 1.0)
     assert got == pytest.approx(0.01 / math.pi * COTH_1, rel=1e-12)
 
 
@@ -55,8 +55,8 @@ def test_planck_reduces_to_zpf_at_low_temperature():
     # relative difference < 1e-12 once hbar*omega/kT > 60
     kT = 1.0 / 61.0
     w = np.linspace(1.0, 30.0, 50)
-    planck = field_spectrum(SpectrumModel.planck(kT), PARAMS, w)
-    zpf = field_spectrum(SpectrumModel.zpf(), PARAMS, w)
+    planck = field_spectrum(PLANCK, replace(PARAMS, kT=kT), w)
+    zpf = field_spectrum(ZPF, PARAMS, w)
     assert np.max(np.abs(planck / zpf - 1.0)) < 1e-12
 
 
@@ -64,21 +64,34 @@ def test_planck_reduces_to_zpf_at_low_temperature():
 def test_planck_at_a_subnormal_temperature_is_the_zeropoint_spectrum(kT):
     # at kT = 5e-324, hbar omega/2kT overflows (a RuntimeWarning: an error here)
     w = np.linspace(0.0, 30.0, 50)
-    planck = field_spectrum(SpectrumModel.planck(kT), PARAMS, w)
-    assert np.array_equal(planck, field_spectrum(SpectrumModel.zpf(), PARAMS, w))
+    planck = field_spectrum(PLANCK, replace(PARAMS, kT=kT), w)
+    assert np.array_equal(planck, field_spectrum(ZPF, PARAMS, w))
 
 
 def test_rayleigh_jeans_is_classical_substitution():
     # hbar*omega -> 2 kT turns tau w^3/pi into 2 kT tau w^2 / pi
     kT = 0.7
     w = 2.5
-    got = field_spectrum(SpectrumModel.rayleigh_jeans(kT), PARAMS, w)
+    got = field_spectrum(RAYLEIGH_JEANS, replace(PARAMS, kT=kT), w)
     assert got == pytest.approx(2.0 * kT * 0.01 * w ** 2 / math.pi, rel=1e-14)
+
+
+def test_an_unknown_field_kind_is_refused():
+    with pytest.raises(InvalidParams, match="unknown field kind 'zeropoint'"):
+        field_spectrum("zeropoint", PARAMS, 1.0)
+
+
+@pytest.mark.parametrize("field", [PLANCK, RAYLEIGH_JEANS])
+def test_a_thermal_field_refuses_a_negative_temperature(field):
+    with pytest.raises(InvalidParams, match=r"kT must be >= 0, got -0.5"):
+        field_spectrum(field, replace(PARAMS, kT=-0.5), 1.0)
+    # the zeropoint field reads no kT
+    assert field_spectrum(ZPF, replace(PARAMS, kT=-0.5), 1.0) == field_spectrum(ZPF, PARAMS, 1.0)
 
 
 def test_negative_frequency_rejected():
     with pytest.raises(NegativeFrequency):
-        field_spectrum(SpectrumModel.zpf(), PARAMS, -1.0)
+        field_spectrum(ZPF, PARAMS, -1.0)
     with pytest.raises(NegativeFrequency):
         position_transfer(np.array([0.5, -0.5]), PARAMS)
 
@@ -93,29 +106,29 @@ def test_position_transfer_limits():
 
 
 def test_position_spectrum_at_resonance():
-    got = position_spectrum(SpectrumModel.zpf(), PARAMS, 1.0)
+    got = position_spectrum(ZPF, PARAMS, 1.0)
     assert got == pytest.approx(0.01 / math.pi * 1e4, rel=1e-12)
 
 
 def test_momentum_spectrum_free_particle_is_nil():
     free = SystemParams(tau=0.01, omega0=0.0)
     w = np.linspace(0.0, 10.0, 11)
-    assert np.all(momentum_spectrum(SpectrumModel.zpf(), free, w) == 0.0)
+    assert np.all(momentum_spectrum(ZPF, free, w) == 0.0)
 
 
 def test_momentum_spectrum_equals_position_at_resonance():
-    sp = momentum_spectrum(SpectrumModel.zpf(), PARAMS, 1.0)
-    sx = position_spectrum(SpectrumModel.zpf(), PARAMS, 1.0)
+    sp = momentum_spectrum(ZPF, PARAMS, 1.0)
+    sx = position_spectrum(ZPF, PARAMS, 1.0)
     assert sp == pytest.approx(sx, rel=1e-14)
 
 
 def test_momentum_spectrum_rejects_zero_frequency():
     with pytest.raises(ZeroFrequencyMomentum):
-        momentum_spectrum(SpectrumModel.zpf(), PARAMS, 0.0)
+        momentum_spectrum(ZPF, PARAMS, 0.0)
 
 
 def test_spectral_moment_xvar_full_band():
-    sx = lambda w: position_spectrum(SpectrumModel.zpf(), PARAMS, w)
+    sx = lambda w: position_spectrum(ZPF, PARAMS, w)
     val = spectral_moment(sx, 0, 0.0, 500.0, params=PARAMS)
     assert val == pytest.approx(XVAR_CUT500, rel=1e-8)
     # the tau-dependent tail pushes the full-band value ~2.6% above the
@@ -124,15 +137,14 @@ def test_spectral_moment_xvar_full_band():
 
 
 def test_spectral_moment_pvar_full_band():
-    free = SpectrumModel.zpf()
-    sp = lambda w: momentum_spectrum(free, PARAMS, np.maximum(w, 1e-12))
+    sp = lambda w: momentum_spectrum(ZPF, PARAMS, np.maximum(w, 1e-12))
     val = spectral_moment(sp, 0, 1e-9, 500.0, params=PARAMS)
     assert val == pytest.approx(PVAR_CUT500, rel=1e-7)
     assert abs(val - 0.5) / 0.5 < 0.01
 
 
 def test_spectral_moment_vvar_matches_log_correction():
-    sx = lambda w: position_spectrum(SpectrumModel.zpf(), PARAMS, w)
+    sx = lambda w: position_spectrum(ZPF, PARAMS, w)
     val = spectral_moment(sx, 2, 0.0, 5.0, params=PARAMS)
     assert val == pytest.approx(VVAR_CUT5, rel=1e-8)
     approx = 0.5 + math.log(1.0 + PARAMS.tau ** 2 * 25.0) / (2.0 * math.pi * PARAMS.tau)
@@ -141,13 +153,13 @@ def test_spectral_moment_vvar_matches_log_correction():
 
 def test_xvar_converges_to_half_as_tau_vanishes():
     small = SystemParams(tau=1e-4)
-    sx = lambda w: position_spectrum(SpectrumModel.zpf(), small, w)
+    sx = lambda w: position_spectrum(ZPF, small, w)
     val = spectral_moment(sx, 0, 0.0, 5.0 / small.tau, params=small)
     assert abs(val - 0.5) / 0.5 < 1e-3
 
 
 def test_quadrature_matches_simpson_oracle_on_smooth_range():
-    s_eps = lambda w: field_spectrum(SpectrumModel.zpf(), PARAMS, w)
+    s_eps = lambda w: field_spectrum(ZPF, PARAMS, w)
     val = spectral_moment(s_eps, 0, 2.0, 10.0)
     oracle = simpson_moment(s_eps, 0, 2.0, 10.0)
     assert val == pytest.approx(oracle, rel=1e-6)
@@ -167,15 +179,14 @@ def test_spectral_moment_reports_quadrature_failure():
 
 def test_spectra_nonnegative_everywhere():
     w = np.geomspace(1e-3, 500.0, 400)
-    for model in (SpectrumModel.zpf(), SpectrumModel.planck(0.3),
-                  SpectrumModel.rayleigh_jeans(2.0)):
-        assert np.all(position_spectrum(model, PARAMS, w) >= 0.0)
-        assert np.all(momentum_spectrum(model, PARAMS, w) >= 0.0)
+    for field, kT in ((ZPF, 0.0), (PLANCK, 0.3), (RAYLEIGH_JEANS, 2.0)):
+        assert np.all(position_spectrum(field, replace(PARAMS, kT=kT), w) >= 0.0)
+        assert np.all(momentum_spectrum(field, replace(PARAMS, kT=kT), w) >= 0.0)
 
 
 def test_low_frequency_position_spectrum_scaling():
     # S_x ~ S_eps / omega0^4 as omega -> 0
     w = 1e-4
-    sx = position_spectrum(SpectrumModel.zpf(), PARAMS, w)
-    se = field_spectrum(SpectrumModel.zpf(), PARAMS, w)
+    sx = position_spectrum(ZPF, PARAMS, w)
+    se = field_spectrum(ZPF, PARAMS, w)
     assert sx == pytest.approx(se / PARAMS.omega0 ** 4, rel=1e-6)
