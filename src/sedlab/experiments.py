@@ -21,11 +21,14 @@ j = 0..j_max alone (the draw, the gains, X, its power, the group sums and
 their totals): above the band the field has no power, and
 ``irfft(band, n)`` pads the zero tail itself, so no member writes,
 multiplies or transforms it.
-commutators, free_thermal, free_zpf and energy_time's correlation rows
-read only each group's summed power |X_j|^2, drawn with no member
-(``draw_power_groups``), and its linear maps, one transform per group
-(free_zpf's fit weights, each lag's model variance, take one transform
-of the squared ensemble power).
+commutators, energy_time, free_thermal and free_zpf read only each
+group's summed power |X_j|^2, drawn with no member (``draw_power_groups``),
+and its linear maps, one transform per group (free_zpf's fit weights, each
+lag's model variance, take one transform of the squared ensemble power).
+energy_time's rows are all functionals of each group's correlations C_xx,
+C_pp and C_xp: x and p are Gaussian, so the energy's autocovariance, and
+with it the spread of every window average, follows from them (Isserlis'
+theorem, ``_energy_covariance``).
 commutators inverse-transforms only the ensemble power: its one
 per-group value, c_xp(0) by the Hilbert route, is one linear functional K
 of the power (``estimators.hilbert_zero_functional``), so each group's is
@@ -36,14 +39,12 @@ no power array), and KS subsamples from folds of it
 power-of-two lattice), in the one member routine of the steady-state
 normal modes (``_mode_members``), so ground_state, planck_thermal and
 dipoles form no n-point series; their energies and cross moments are
-formed after the run, from the members' arrays.  The
-time series themselves are formed only where a statistic needs them
-(windowed energies, the stationary part of coherent_decay, whose kicked
-start adds the homogeneous decay by linearity), one transform each.  A
-momentum series or correlation takes no transform of its own: the
-momentum gain T is a trapezoid recursion (``dynamics.apply_momentum_gain``),
-so p comes from x, C_pp from C_xp and c_pp from c_xx, each by one
-cumulative sum; where there is no series, P is T X.
+formed after the run, from the members' arrays.  The only member series
+is the stationary part of coherent_decay (whose kicked start adds the
+homogeneous decay by linearity), one transform per member.  A momentum
+correlation takes no transform of its own: the momentum gain T is a
+trapezoid recursion (``dynamics.apply_momentum_gain``), so C_pp comes from
+C_xp and c_pp from c_xx, each by one cumulative sum; elsewhere P is T X.
 
 ``--emit trajectories`` rebuilds member 0 from its seed apart from the
 members (``_emit_member_zero``), outside it where only groups are drawn;
@@ -65,19 +66,6 @@ intermediates into (``out=``).  The rule: a value the reducer keeps (a
 scalar, a KS subsample, a summed power or structure function) is a fresh
 array, since a pool thread starts its next member before the reducer has
 read the last; everything else lives in the workspace.
-
-Everything is float64 but one transform.  energy_time's member series x,
-its largest cost, is formed in single precision (``_member_series``): X is
-scaled by 2^-e and rounded to complex64, transformed by numpy's float32
-``irfft``, and widened, times 2^e, into the float64 buffer that the
-momentum recursion, the energies and the windows read.  e is the binary
-exponent of x's predicted rms (``_series_exponent``), so the samples stay
-far from float32's ends at every scale ``validate`` admits, and both
-scalings are exact, so the rounding is the same at every scale.  Against
-the double transform its rows move by at most 1.02e-5 of their standard
-errors (5.4e-8 relative; default budget, seeds 1-40).  The draw, the gains,
-the Parseval sums, the group windows and member 0's emitted series stay
-in double.
 """
 
 from __future__ import annotations
@@ -117,7 +105,6 @@ from .estimators import (
     mean_square_displacement_variance,
     spectrum_from_power,
     window_samples,
-    windowed_energy,
 )
 from .noise import field_synthesis, group_seed, member_seed
 from .report import Emitter, ExperimentReport, Row
@@ -263,11 +250,9 @@ class Workspace:
 
     Buffer i is a complex half-spectrum of n//2 + 1 entries, allocated on
     the first request of a thread; ``series(i)`` is the same memory read as
-    n real samples, so one buffer holds one intermediate at a time
-    (``spectrum32`` and ``series32`` are its single-precision views, for
-    ``_member_series`` alone).  Every later member (or drawn group) on that
-    thread writes into the same buffers, so members do not page-fault
-    fresh temporaries.  The buffers live as long as the Workspace (the
+    n real samples, so one buffer holds one intermediate at a time.  Every
+    later member (or drawn group) on that thread writes into the same
+    buffers, so members do not page-fault fresh temporaries.  The buffers live as long as the Workspace (the
     scenario call) and the thread (a pool thread ends with its
     ``ensemble_reduce``).
     """
@@ -287,20 +272,6 @@ class Workspace:
     def series(self, i: int) -> np.ndarray:
         return self.spectrum(i).view(np.float64)[: self.n]
 
-    def spectrum32(self, i: int) -> np.ndarray:
-        return self.spectrum(i).view(np.complex64)
-
-    def series32(self, i: int) -> np.ndarray:
-        return self.spectrum(i).view(np.float32)[: self.n]
-
-
-def _mean_variance(x: np.ndarray) -> tuple[float, float]:
-    """``(x.mean(), x.var())`` bit for bit, without var's n-point
-    temporary: x is overwritten with its squared deviations."""
-    mean = np.add.reduce(x) / x.size
-    np.square(np.subtract(x, mean, out=x), out=x)
-    return float(mean), float(np.add.reduce(x) / x.size)
-
 
 def _steady_state(synthesis, H, seed, ws: Workspace) -> np.ndarray:
     """The steady-state response X = E H on the band to the draw from
@@ -309,27 +280,6 @@ def _steady_state(synthesis, H, seed, ws: Workspace) -> np.ndarray:
     X = synthesis.draw(seed, out=ws.spectrum(0)[: H.size], normals=ws.series(1))
     X *= H
     return X
-
-
-def _series_exponent(synthesis, H, n: int) -> int:
-    """The binary exponent e of the predicted rms of x = irfft(E H, n),
-    sqrt(2 sum_j 2 a_j^2 |H_j|^2) / n by Parseval (a = ``synthesis.amplitude``):
-    x / 2^e has an rms in [0.5, 1).  0 where that rms is 0 or not finite."""
-    with np.errstate(over="ignore"):
-        rms = math.sqrt(4.0 * np.sum(np.square(np.abs(H[1:]) * synthesis.amplitude))) / n
-    return math.frexp(rms)[1] if 0.0 < rms < math.inf else 0
-
-
-def _member_series(X, n: int, e: int, ws: Workspace) -> np.ndarray:
-    """irfft(X, n) of a band X in workspace buffer 0, formed in single
-    precision: X / 2^e is rounded to complex64 in buffer 1, transformed into
-    float32 samples in buffer 0, and those are widened and multiplied by
-    2^e into float64 in buffer 1, the array returned.  Both scalings are
-    exact, so the float32 rounding is the same at every scale, and e (from
-    ``_series_exponent``) keeps the samples far from float32's range ends."""
-    X32 = np.multiply(X, 2.0 ** -e, out=ws.spectrum32(1)[: X.size])
-    x32 = np.fft.irfft(X32, n, out=ws.series32(0))
-    return np.multiply(x32, 2.0 ** e, out=ws.series(1), dtype=np.float64)
 
 
 def _mode_seeds(seed: int, k: int, n_modes: int) -> list:
@@ -344,10 +294,7 @@ def _emit_member_zero(emitter: Emitter, scenario: str, grid: GridSpec, synthesis
     """``--emit trajectories``: member 0's x and p (and, given the field's
     ``label``, its field), rebuilt from the grid's seed apart from the
     members.  ``modes`` are (H, params) pairs, drawn as in the member
-    (``_mode_seeds``); the dipoles' x = (x+ + x-)/sqrt(2).  The series are
-    transformed in double precision: energy_time's member 0 forms its x in
-    single precision (``_member_series``), which differs from the emitted x
-    by float32 rounding."""
+    (``_mode_seeds``); the dipoles' x = (x+ + x-)/sqrt(2)."""
     if not emitter.wants("trajectories"):
         return
     # the sidecars' seed0 is a sequence of its own: spawning the modes'
@@ -442,6 +389,29 @@ def _xp_correlations(pw, one_plus_t, t_sq, g: float, lag: int, ws: Workspace,
     np.multiply(0.5 * scale, np.subtract(fwd, back, out=c[2]), out=c[2])
     apply_momentum_gain(c[2], -g, 2.0 * np.einsum("i,i->", t_sq, pw) / ws.n ** 2, out=c[1])
     return c
+
+
+def _energy_covariance(params: SystemParams, c) -> np.ndarray:
+    """2 Cov(U(t), U(t + d)) of the energy U = (m omega0^2 x^2 + p^2/m)/2 on
+    the lags of ``c``, rows C_xx, C_pp, C_xp of ``_xp_correlations``: x and
+    p are Gaussian, so Cov(a^2, b^2) = 2 <a b>^2 (Isserlis' theorem), and
+    C_xp is odd."""
+    m, w0 = params.m, params.omega0
+    cxx, cpp, cxp = c
+    return m ** 2 * w0 ** 4 * cxx ** 2 + 2.0 * w0 ** 2 * cxp ** 2 + cpp ** 2 / m ** 2
+
+
+def _window_variance(g, w: int) -> float:
+    """Var U_T of ``estimators.windowed_energy``'s average over w samples,
+    from the energy autocovariance g on the lags 0..w: the window weighs its
+    w + 1 samples by (1/2, 1, ..., 1, 1/2)/w, so Var U_T =
+    ((w - 1/2) g(0) + 2 sum_{d=1}^{w-1} (w - d) g(d) + g(w)/2) / w^2.  A
+    window of one sample is the instantaneous energy, of variance g(0)."""
+    if w == 1:
+        return float(g[0])
+    weights = 2.0 * (w - np.arange(w + 1.0))
+    weights[0], weights[w] = w - 0.5, 0.5
+    return float(np.einsum("i,i->", weights, g[: w + 1])) / w ** 2
 
 
 def _momentum_commutator(c_xx, spec_x, domega: float, T, g: float) -> np.ndarray:
@@ -584,37 +554,11 @@ def _scenario_energy_time(params: SystemParams, grid: GridSpec, field: str, jobs
                           emitter: Emitter):
     dt, n = grid.dt, grid.n_samples
     t_sweep = [1.0, 10.0, 100.0, 1000.0, 10000.0]
-    one_sample = [t for t in t_sweep if window_samples(t, dt) == 1]
-    windows = [t for t in t_sweep if t not in one_sample]
     lag_max = lag_count(max(t_sweep), dt, n)
-    m, w0 = params.m, params.omega0
     H, T = response_transfer(params, grid)
     synthesis = field_synthesis(field, params, grid)
     ws = Workspace(n)
     _emit_member_zero(emitter, "energy_time", grid, synthesis, [(H, params)])
-    e = _series_exponent(synthesis, H, n)
-
-    def worker(k):
-        res = {}
-        X = _steady_state(synthesis, H, member_seed(grid.seed, k), ws)
-        x = _member_series(X, n, e, ws)
-        # buffer 0's float32 series is spent: it takes p
-        p = canonical_momentum(x, params, dt, out=ws.series(0))
-        energy = _energy(params, np.square(x, out=x), np.square(p, out=p), out=x)
-        for t in windows:
-            u = windowed_energy(energy, t, dt)
-            res[f"mean_T{t:g}"], res[f"var_T{t:g}"] = float(u.mean()), float(u.var())
-        # the instantaneous energy, which is windowed_energy's single-sample
-        # window (bit for bit); last, as it overwrites the series
-        res["mean_inst"], res["var_inst"] = _mean_variance(energy)
-        return res
-
-    acc = run_ensemble(worker, grid.n_ensemble, jobs)
-
-    def moments(t):
-        """The members' mean and variance of U_T, an array each."""
-        key = "inst" if t in one_sample else f"T{t:g}"
-        return acc.values[f"mean_{key}"], acc.values[f"var_{key}"]
 
     scale, t_sq, g = _gain_scale(params), np.abs(T) ** 2, momentum_step(params, dt)
     one_plus_t = 1.0 + T / scale
@@ -623,12 +567,14 @@ def _scenario_energy_time(params: SystemParams, grid: GridSpec, field: str, jobs
 
     def corr_route_delta_u(c, t_window):
         n_lag = int(round(t_window / dt))
-        cxx, cpp, cxp = c[:, : n_lag + 1]
-        f = m ** 2 * w0 ** 4 * cxx ** 2 + 2.0 * w0 ** 2 * cxp ** 2 + cpp ** 2 / m ** 2
+        f = _energy_covariance(params, c[:, : n_lag + 1])
         return math.sqrt(np.trapezoid(f, np.arange(n_lag + 1) * dt) / (2.0 * t_window))
 
-    um, um_se = _mean_stderr(moments(t_sweep[0])[0])
-    inst, inst_se = _mean_stderr(np.sqrt(acc.values["var_inst"]))
+    def window_sd(c, w):
+        return math.sqrt(_window_variance(0.5 * _energy_covariance(params, c[:, : w + 1]), w))
+
+    um, um_se = corr.estimate(lambda c: _energy(params, c[0, 0], c[1, 0]), "corr")
+    inst, inst_se = corr.estimate(lambda c: window_sd(c, 1), "corr")
     u0 = analytic.ground_state(params).mean_energy
     rows = [
         Row("u_mean", um, um_se, u0, 0.03),
@@ -644,20 +590,18 @@ def _scenario_energy_time(params: SystemParams, grid: GridSpec, field: str, jobs
             note="correlation-functional route; paper's printed large-T form "
                  f"would give {closed.paper_printed:.6g}"))
 
-        t_eff = window_samples(t, dt) * dt
-        means, variances = moments(t)
-        pooled_var = float(np.mean(variances + means ** 2) - np.mean(means) ** 2)
-        pooled_std = math.sqrt(max(pooled_var, 0.0))
-        _, std_se = _mean_stderr(np.sqrt(variances))
+        w = window_samples(t, dt)
+        t_eff = w * dt
+        sd, sd_se = corr.estimate(lambda c: window_sd(c, w), "corr")
         closed_eff = analytic.energy_fluctuation(params, t_eff)
         rows.append(Row(
-            f"delta_u_window_T{t:g}", pooled_std, std_se,
-            closed_eff.window_exact, 0.10,
-            note="disjoint-window std; keeps the (1-u/T) overlap factor the "
-                 "correlation functional drops (sqrt(2) larger at large T)"))
+            f"delta_u_window_T{t:g}", sd, sd_se, closed_eff.window_exact, 0.10,
+            note="std of the trapezoid window average, from the group's "
+                 "correlations; keeps the (1-u/T) overlap factor the correlation "
+                 "functional drops (sqrt(2) larger at large T)"))
         rows.append(Row(
-            f"uncertainty_product_T{t:g}", pooled_std * t_eff,
-            std_se * t_eff, 0.5 * params.hbar, 0.0, kind="lower_bound",
+            f"uncertainty_product_T{t:g}", sd * t_eff,
+            sd_se * t_eff, 0.5 * params.hbar, 0.0, kind="lower_bound",
             note="Delta U_T * T >= hbar/2"))
 
     emitter.series("energy_time", "cxx", "lag", np.arange(0, lag_max + 1, 100) * dt,

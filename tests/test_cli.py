@@ -377,8 +377,8 @@ FREE_THERMAL = {"scenario": "free_thermal", "dt": 0.01, "n_samples": 1 << 17,
                 "omega_cut": 300.0, "n_ensemble": 4}
 
 
-#: energy_time on a short grid, where a single-precision series without
-#: its power-of-two scale overflowed float32 at hbar 1e80
+#: energy_time on a short grid: the energy's squared correlations reach
+#: 1e160 at hbar 1e80 and 1e-160 at 1e-80
 SCALED_ACTION = {"scenario": "energy_time", "dt": 1.0, "n_samples": 1 << 17, "omega_cut": 3.0,
                  "n_ensemble": 8}
 

@@ -331,7 +331,7 @@ def test_windowed_energy_single_sample_limit():
 
 @pytest.mark.parametrize("t_window", [0.1, 1.0, 10.0])
 def test_windowed_energy_dispersion_is_the_root_of_its_variance(t_window):
-    # energy_time takes each member's dispersion as sqrt(var) of the samples
+    # a window average's dispersion is sqrt(var) of its samples
     energy = np.random.default_rng(11).exponential(0.5, 1 << 14)
     u = windowed_energy(energy, t_window, 0.1)
     w = round(t_window / 0.1)

@@ -18,7 +18,7 @@ from scipy.stats import kstwo
 
 import sedlab.experiments as experiments
 from sedlab.core import ZPF, GridSpec, SystemParams, validate
-from sedlab.dynamics import momentum_step, response_transfer
+from sedlab.dynamics import canonical_momentum, momentum_step, response_transfer
 from sedlab.errors import InvalidParams, LagTooLong, SedlabError, UnknownScenario
 from sedlab.estimators import (
     HILBERT_MARGIN,
@@ -32,6 +32,8 @@ from sedlab.estimators import (
     mean_square_displacement,
     mean_square_displacement_variance,
     spectrum_from_power,
+    window_samples,
+    windowed_energy,
 )
 from sedlab.experiments import (
     N_GROUPS,
@@ -40,10 +42,12 @@ from sedlab.experiments import (
     ExperimentReport,
     Row,
     Workspace,
+    _energy_covariance,
+    _gain_scale,
     _lag_window,
     _momentum_commutator,
     _mean_stderr,
-    _mean_variance,
+    _window_variance,
     _x_decorrelation_time,
     _xp_correlations,
     draw_power_groups,
@@ -379,8 +383,7 @@ def test_dipole_member_draws_each_mode_from_one_child_of_its_seed(monkeypatch):
     *(pytest.param(name, WORKSPACE_GRIDS[name], id=name)
       for name in ("commutators", "dipoles", "energy_time", "free_zpf", "ground_state",
                    "planck_thermal")),
-    # dt = 1: the T = 1 window is one sample, whose mean and variance come
-    # from the in-place pass that gives inst_sd
+    # dt = 1: the grid on which the T = 1 window is one sample, w = 1
     pytest.param("energy_time", SMALL_GRIDS["energy_time"], id="energy_time-one-sample"),
 ])
 def test_warmed_member_allocates_less_than_one_series(name, changes, monkeypatch):
@@ -402,8 +405,8 @@ def test_warmed_member_allocates_less_than_one_series(name, changes, monkeypatch
     # Hilbert route's padded lattice, the analytic signals of that
     # functional and of the window
     pytest.param("commutators", 0, 2, 0, 2, id="commutators-0-2"),
-    # x per member, a window per group
-    pytest.param("energy_time", 1, N_GROUPS, 0, 0, id="energy_time-1-8"),
+    # a window per group: every row is a functional of its correlations
+    pytest.param("energy_time", 0, N_GROUPS, 0, 0, id="energy_time-0-8"),
     # folds of x at two strides and of p at one
     pytest.param("ground_state", 0, 0, 3, 0, id="ground_state-0-0"),
     # no position KS row: folds of x and of p at the energy's stride alone
@@ -491,6 +494,51 @@ def test_lag_correlations_match_their_transforms(n_samples):
         assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_window_variance_is_that_of_the_members_windows():
+    # the member route as the reference: members' x = irfft(H E) in double,
+    # p by its recursion, and windowed_energy at every window of energy_time's
+    # sweep (w = 1 included); their pooled window variance about the exact
+    # mean is Var U_T at the exact mean power 2 a^2 |H|^2
+    params, grid = validate(scenario_defaults("energy_time")[0],
+                            _default_grid("energy_time", **SMALL_GRIDS["energy_time"]))
+    n, dt, members = grid.n_samples, grid.dt, 64
+    sweep = [1.0, 10.0, 100.0, 1000.0, 10000.0]
+    assert window_samples(sweep[0], dt) == 1
+    H, T = response_transfer(params, grid)
+    synthesis = field_synthesis(ZPF, params, grid)
+    power = np.zeros(H.size)
+    power[1:] = 2.0 * np.square(np.abs(H[1:]) * synthesis.amplitude)
+    scale = _gain_scale(params)
+    c = _xp_correlations(power, 1.0 + T / scale, np.abs(T) ** 2, momentum_step(params, dt),
+                         lag_count(max(sweep), dt, n), Workspace(n), scale)
+    g = 0.5 * _energy_covariance(params, c)
+    mw2, m = params.m * params.omega0 ** 2, params.m
+    u_mean = 0.5 * (mw2 * c[0, 0] + c[1, 0] / m)
+    spread = np.empty((members, len(sweep)))
+    for k in range(members):
+        x = np.fft.irfft(_response(synthesis, H, member_seed(grid.seed, k)), n)
+        p = canonical_momentum(x, params, dt)
+        energy = 0.5 * (mw2 * x ** 2 + p ** 2 / m)
+        spread[k] = [np.mean((windowed_energy(energy, t, dt) - u_mean) ** 2) for t in sweep]
+    model = [_window_variance(g, window_samples(t, dt)) for t in sweep]
+    stderr = spread.std(axis=0, ddof=1) / math.sqrt(members)
+    assert np.all(np.abs(spread.mean(axis=0) - model) <= 4.0 * stderr)
+
+
+@pytest.mark.parametrize("name", ["commutators", "energy_time", "free_thermal", "free_zpf"])
+def test_power_only_scenario_reduces_one_ensemble(name, monkeypatch):
+    # one group draw, on one thread pool, and no member
+    calls, reduce = [], experiments.ensemble_reduce
+
+    def counted(*args):
+        calls.append(args[1])
+        return reduce(*args)
+
+    monkeypatch.setattr(experiments, "ensemble_reduce", counted)
+    run_scenario(name, grid=_default_grid(name, **SMALL_GRIDS[name]), jobs=2)
+    assert calls == [N_GROUPS]
+
+
 @pytest.mark.parametrize("n_samples", [1 << 16, (1 << 16) + 1])
 def test_xp_zero_functional_matches_the_hilbert_route(n_samples):
     params, grid, pw, T = _steady_power("commutators", n_samples)
@@ -524,13 +572,6 @@ def test_workspace_buffers_are_per_thread():
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert not np.shares_memory(other[0], main)
-
-
-@pytest.mark.parametrize("n", [5, 4096, 99991])
-def test_variance_in_place_is_bitwise_numpy_var(n):
-    x = np.random.default_rng(n).standard_normal(n) * 3.7 + 0.2
-    scratch = x.copy()
-    assert _mean_variance(scratch) == (x.mean(), x.var())
 
 
 @pytest.mark.parametrize("name", ["coherent_decay", "commutators", "dipoles",
@@ -798,34 +839,11 @@ def test_ks_rows_state_their_exact_p_value(name):
         assert float(p) == pytest.approx(kstwo.sf(row.estimated, int(n)), rel=1e-3)
 
 
-def _double_member_series(X, n, e, ws):
-    """``_member_series`` in double precision: the member's x as formed
-    before the single-precision transform."""
-    return np.fft.irfft(X, n, out=ws.series(1))
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_single_precision_member_series_moves_no_row_near_its_stderr(seed, monkeypatch):
-    grid = _default_grid("energy_time", seed=seed, **SMALL_GRIDS["energy_time"])
-    single = run_scenario("energy_time", grid=grid).rows
-    monkeypatch.setattr(experiments, "_member_series", _double_member_series)
-    double = run_scenario("energy_time", grid=grid).rows
-    assert [r.quantity for r in single] == [r.quantity for r in double]
-    for s, d in zip(single, double):
-        assert s.passed == d.passed
-        assert abs(s.estimated - d.estimated) <= 1e-6 * abs(d.estimated)
-        if d.stderr > 0:
-            assert abs(s.estimated - d.estimated) <= 1e-3 * d.stderr
-    # the window rows read the single-precision series
-    assert any(s.estimated != d.estimated for s, d in zip(single, double))
-
-
 @pytest.mark.parametrize("hbar, rel", [(4.0 ** 60, 1e-12), (4.0 ** -60, 1e-12),
                                        (1e80, 1e-6), (1e-90, 1e-6)])
 def test_energy_time_at_a_far_action_scale_is_the_unit_report_scaled(hbar, rel):
-    # without its power-of-two scale, the float32 series overflowed at
-    # hbar = 1e80 and underflowed at 1e-90; a power of four scales x by an
-    # exact power of two
+    # the energy's squared correlations reach 1e160 at hbar = 1e80 and
+    # 1e-180 at 1e-90; a power of four scales x and p by an exact power of two
     params = scenario_defaults("energy_time")[0]
     grid = _default_grid("energy_time", seed=1, **SMALL_GRIDS["energy_time"])
     unit = run_scenario("energy_time", params, grid).rows
@@ -837,33 +855,16 @@ def test_energy_time_at_a_far_action_scale_is_the_unit_report_scaled(hbar, rel):
         assert s.stderr == pytest.approx(hbar * u.stderr, rel=rel, abs=0.0)
 
 
-@pytest.mark.parametrize("hbar", [1.0, 1e80, 1e-90])
-def test_series_exponent_is_that_of_the_members_rms(hbar):
-    params, grid = validate(replace(scenario_defaults("energy_time")[0], hbar=hbar),
-                            _default_grid("energy_time", **SMALL_GRIDS["energy_time"]))
-    H, _ = response_transfer(params, grid)
-    synthesis = field_synthesis(ZPF, params, grid)
-    n, e = grid.n_samples, experiments._series_exponent(synthesis, H, grid.n_samples)
-    rms = [np.sqrt(np.mean(np.fft.irfft(_response(synthesis, H, member_seed(grid.seed, k)),
-                                        n) ** 2)) for k in range(4)]
-    assert all(0.25 <= r / 2.0 ** e <= 2.0 for r in rms)
-    assert experiments._series_exponent(synthesis, 0.0 * H, n) == 0
-
-
-#: numpy's single-precision names, which only the member-series helper and
-#: Workspace's views of its buffers may use
+#: numpy's single-precision names: every value in ``src/`` is double
 SINGLE_NAMES = {"float32", "complex64", "single", "csingle"}
-SINGLE_HOMES = {"_member_series", "Workspace"}
 
 
-def _single_precision_uses(source: str, homes=()) -> list:
-    """Line numbers of the single-precision names in ``source`` (as a name,
-    an attribute or a string) outside the definitions named in ``homes``."""
+def _single_precision_uses(source: str) -> list:
+    """Line numbers of the single-precision names in ``source``, as a name,
+    an attribute or a string."""
     found = []
 
     def visit(node):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in homes:
-            return
         if (isinstance(node, ast.Name) and node.id in SINGLE_NAMES
                 or isinstance(node, ast.Attribute) and node.attr in SINGLE_NAMES
                 or isinstance(node, ast.Constant) and node.value in SINGLE_NAMES):
@@ -875,15 +876,14 @@ def _single_precision_uses(source: str, homes=()) -> list:
     return found
 
 
-def test_single_precision_stays_in_the_member_series_helper():
+def test_no_single_precision_name_in_src():
     src = Path(experiments.__file__).parent
     found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
-             for line in _single_precision_uses(
-                 path.read_text(), SINGLE_HOMES if path.name == "experiments.py" else ())]
-    assert not found, "single precision outside _member_series and Workspace: " + str(found)
-    # the guard sees the allowed uses, and a use anywhere else
-    assert _single_precision_uses((src / "experiments.py").read_text())
+             for line in _single_precision_uses(path.read_text())]
+    assert not found, "single precision in src: " + str(found)
+    # the guard sees a use as a string and as an attribute
     assert _single_precision_uses("def f(x):\n    return x.astype('single')\n") == [2]
+    assert _single_precision_uses("import numpy as np\nx = np.float32(1.0)\n") == [2]
 
 
 @pytest.mark.parametrize("kT, kind", [(1e3, "match"), (1e100, "info")])

@@ -15,6 +15,7 @@ TRACER_PINNED = {
     "dynamics.sample_from_spectrum",
     "dynamics.simulate_dipoles",
     "estimators.structure_function",
+    "estimators.windowed_energy",
     "noise.synthesize_pair",
 }
 
