@@ -20,12 +20,9 @@ an auto-commutator this reduces to the one-sided sine transform of the
 spectrum, c(t) = 2 * integral S(omega) sin(omega t) domega, the
 lower-noise route (``commutator_from_spectrum``).
 
-A KS row states its exact p-value P(D_n >= d) beside the distance
-(``ks_sf``): the two-sided Kolmogorov distribution at finite n, by the
-method that Simard & L'Ecuyer (2011) pick for each region of (n, d) and
-``scipy.stats.kstwo`` follows, with Durbin's matrix evaluated as Marsaglia,
-Tsang & Wang (2003) do.  It is numpy's alone, so a scenario loads no
-scipy for it.
+A KS row states its p-value beside the distance by the same law that
+its pass rule reads: Kolmogorov's limit law of sqrt(n) D_n (``ks_sf``),
+whose 1% point is ``KS_COEFF``.
 
 No BLAS: an inner product is ``np.einsum("i,i->", a, b)`` and a matrix
 product ``np.einsum("ij,jk->ik", a, b)``, never ``np.dot``, ``np.vdot``,
@@ -364,134 +361,24 @@ def ks_critical(n: int) -> float:
 
 
 def ks_sf(d: float, n: int) -> float:
-    """The two-sided KS p-value P(D_n >= d) for n independent samples.
+    """Kolmogorov's limit law for the two-sided KS distance of n samples:
+    Q(z) = lim P(sqrt(n) D_n >= z) at z = sqrt(n) d, the law behind
+    ``ks_critical`` (Q(KS_COEFF) = 0.009976), so that a row passes exactly
+    when Q >= Q(KS_COEFF).
 
-    Each region of (n, d) takes the method that Simard & L'Ecuyer (2011)
-    choose for it, as ``scipy.stats.kstwo.sf`` does: the Ruben-Gambino
-    closed forms at n d <= 1 and n d >= n - 1; twice the one-sided
-    (Smirnov) probability where the two one-sided events cannot both
-    happen (d >= 1/2) or hardly can (n d^2 > 4 at n <= 140, n d^2 >= 2.2
-    above, nil from n d^2 = 370 on); Durbin's matrix for the rest of
-    n <= 140 (scipy's Pomeranz recursion there is exact too) and for
-    n d^1.5 <= 1.4 up to n = 100,000; the Pelz-Good expansion everywhere
-    else.
+    Q(z) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 z^2) for z >= 1; below, 1
+    minus the theta-function form of the CDF,
+    (sqrt(2 pi)/z) sum_{k>=1} exp(-(2k - 1)^2 pi^2/(8 z^2)).  Five terms
+    of either series reach double precision.
     """
-    if d <= 0.0:
-        return 1.0
-    if d >= 1.0:
-        return 0.0
-    t = n * d
-    if t <= 1.0:
-        if t <= 0.5:
-            return 1.0
-        return 1.0 - float(np.exp(_log_factorial_over_power(n)
-                                  + n * np.log(np.longdouble(2.0 * t - 1.0))))
-    if t >= n - 1:
-        return 2.0 * (1.0 - d) ** n
-    nd2 = t * d
-    if n > 140 and nd2 >= 370.0:
-        return 0.0
-    if d >= 0.5 or (nd2 > 4.0 if n <= 140 else nd2 >= 2.2):
-        return min(1.0, 2.0 * _smirnov_sf(d, n))
-    # numpy's ``power``, as scipy evaluates it: libm's ``pow`` can round
-    # the other way at the boundary, where the two methods differ by 3e-6
-    if n <= 140 or (n <= 100000 and n * np.power(d, 1.5) <= 1.4):
-        cdf = _durbin_cdf(d, n)
-    else:
-        cdf = _pelz_good_cdf(d, n)
-    return min(1.0, max(0.0, 1.0 - cdf))
-
-
-def _log_factorial_over_power(n: int) -> np.longdouble:
-    """log(n!/n^n) in long double, summed term by term, with no
-    cancellation against n log n."""
-    return np.sum(np.log(np.arange(1, n + 1, dtype=np.longdouble) / n))
-
-
-def _smirnov_sf(d: float, n: int) -> float:
-    """One-sided P(D_n+ >= d), 0 < d < 1, by the Birnbaum-Tingey sum
-
-        d sum_{j=0}^{n(1-d)} C(n, j) (1 - d - j/n)^(n-j) (d + j/n)^(j-1),
-
-    its terms in logs, in long double.  A term with 1 - d - j/n = 0 is nil
-    (j < n)."""
-    j = np.arange(int(n * (1.0 - d)) + 1, dtype=np.longdouble)
-    right = j / n + d
-    j, right = j[right < 1.0], right[right < 1.0]
-    log_binom = np.concatenate((j[:1] * 0.0, np.cumsum(np.log((n - j[1:] + 1) / j[1:]))))
-    logs = log_binom + (n - j) * np.log(1.0 - right) + (j - 1) * np.log(right)
-    top = logs.max()
-    return float(np.exp(top + np.log(d * np.sum(np.exp(logs - top)))))
-
-
-def _durbin_cdf(d: float, n: int) -> float:
-    """P(D_n <= d) by Durbin's matrix, as Marsaglia, Tsang & Wang (2003)
-    evaluate it: entry (k, k) of (n!/n^n) H^n for the m x m matrix H of
-    d = (k - h)/n, 0 <= h < 1, m = 2k - 1, with H's powers rescaled by
-    2^-128 whenever their central entry grows past 2^128."""
-    k = math.ceil(n * d)
-    h = k - n * d
-    m = 2 * k - 1
-    i = np.arange(1, m + 1)
-    inv_fact = np.concatenate(([1.0], np.cumprod(1.0 / i)))   # 1/j!, j = 0..m
-    first = (1.0 - h ** i) * inv_fact[1:]
-    first[-1] = (1.0 - 2.0 * h ** m + max(2.0 * h - 1.0, 0.0) ** m) * inv_fact[m]
-    rows, cols = np.indices((m, m))
-    gap = rows - cols + 1
-    H = np.where(gap >= 0, inv_fact[np.clip(gap, 0, m)], 0.0)
-    H[:, 0] = first
-    H[-1, :] = first[::-1]
-
-    power, scale, h_scale = np.eye(m), 0, 0
-    big = 2.0 ** 128
-    e = n
-    while e:
-        if e & 1:
-            power = np.einsum("ij,jk->ik", power, H)
-            scale += h_scale
-        H = np.einsum("ij,jk->ik", H, H)
-        h_scale *= 2
-        if H[k - 1, k - 1] > big:
-            H /= big
-            h_scale += 128
-        e >>= 1
-    # n!/n^n and the scale 2^scale join in logs, in long double
-    log_cdf = (np.log(np.longdouble(power[k - 1, k - 1])) + scale * np.log(np.longdouble(2.0))
-               + _log_factorial_over_power(n))
-    return float(np.exp(log_cdf))
-
-
-def _pelz_good_cdf(d: float, n: int) -> float:
-    """P(D_n <= d) by the Pelz-Good (1976) expansion in 1/sqrt(n) of
-    Kolmogorov's limit law, in its theta-function form for small z = d sqrt(n)."""
     z = math.sqrt(n) * d
-    z2, z3, z4, z6 = z * z, z ** 3, z ** 4, z ** 6
-    log_q = -math.pi ** 2 / (8.0 * z2)
-    if log_q < -708.0:
-        return 0.0
-    q = math.exp(log_q)
-    pi2, pi4, pi6 = math.pi ** 2, math.pi ** 4, math.pi ** 6
-    kmax = math.ceil(16.0 * z / math.pi)
-    odd = (2 * np.arange(1, kmax + 1) - 1.0) ** 2          # (2k - 1)^2
-    weights = q ** odd
-    terms = np.array([
-        np.ones_like(odd),
-        -z2 + pi2 / 4.0 * odd,
-        6 * z6 + 2 * z4 + (2 * z4 - 5 * z2) * pi2 / 4.0 * odd
-        + pi4 * (1 - 2 * z2) / 16.0 * odd ** 2,
-        -30 * z6 - 90 * z ** 8 + pi2 * (135 * z4 - 96 * z6) / 4.0 * odd
-        + pi4 * (-60 * z2 + 212 * z4) / 16.0 * odd ** 2
-        + pi6 * (5 - 30 * z2) / 64.0 * odd ** 3,
-    ])
-    sqrt2pi = math.sqrt(2.0 * math.pi)
-    k_sums = sqrt2pi * np.einsum("ij,j->i", terms, weights)
-    k_sums /= np.array([z, 6 * z4, 72 * z ** 7, 6480 * z ** 10])
-    ks2 = np.arange(1, kmax + 1, dtype=float) ** 2
-    weights = math.exp(-pi2 / (2.0 * z2)) ** ks2
-    k_sums[2] += pi2 * sqrt2pi / (-36 * z3) * float(np.einsum("i,i->", ks2, weights))
-    k_sums[3] += pi2 * sqrt2pi / (216 * z6) * float(
-        np.einsum("i,i->", (3 * z2 - pi2 * ks2) * ks2, weights))
-    return float(np.einsum("i,i->", k_sums, float(n) ** (-np.arange(4) / 2.0)))
+    if z <= 0.0:
+        return 1.0
+    if z < 1.0:
+        # the leading factor in logs, so that no product reaches inf * 0
+        w, log_lead = math.pi / z, 0.5 * math.log(2.0 * math.pi) - math.log(z)
+        return 1.0 - sum(math.exp(log_lead - j * j * w * w / 8.0) for j in (1, 3, 5, 7, 9))
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * z * z) for k in range(1, 6))
 
 
 def decorrelated(coeffs: np.ndarray, n: int, dt: float, t_decorr: float) -> np.ndarray:

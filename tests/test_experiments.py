@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
-from scipy.stats import kstwo
+from scipy.stats import kstwobign
 
 import sedlab.experiments as experiments
 from sedlab.core import ZPF, GridSpec, SystemParams, validate
@@ -27,6 +27,7 @@ from sedlab.estimators import (
     hilbert_commutator,
     hilbert_zero_functional,
     ks_critical,
+    ks_sf,
     lag_count,
     mean_square,
     mean_square_displacement,
@@ -834,9 +835,13 @@ def test_ks_rows_state_their_exact_p_value(name):
     rows = {r.quantity: r for r in reports[0].rows}
     for quantity in KS_ROWS[name]:
         row = rows[quantity]
-        n, p = re.search(r"; n=(\d+), p=(\S+)$", row.note).groups()
-        assert row.analytic == ks_critical(int(n))
-        assert float(p) == pytest.approx(kstwo.sf(row.estimated, int(n)), rel=1e-3)
+        # the p-value is Kolmogorov's limit law, that of the critical value
+        n, p = re.search(r"; n=(\d+), asymptotic p=(\S+)$", row.note).groups()
+        n = int(n)
+        assert row.analytic == ks_critical(n)
+        assert p == f"{ks_sf(row.estimated, n):.4g}"
+        assert float(p) == pytest.approx(kstwobign.sf(math.sqrt(n) * row.estimated), rel=1e-3)
+        assert row.passed == (ks_sf(row.estimated, n) >= ks_sf(ks_critical(n), n))
 
 
 @pytest.mark.parametrize("hbar, rel", [(4.0 ** 60, 1e-12), (4.0 ** -60, 1e-12),
@@ -854,6 +859,27 @@ def test_energy_time_at_a_far_action_scale_is_the_unit_report_scaled(hbar, rel):
         assert s.estimated == pytest.approx(hbar * u.estimated, rel=rel, abs=0.0)
         assert s.stderr == pytest.approx(hbar * u.stderr, rel=rel, abs=0.0)
 
+
+
+def test_energy_time_states_a_product_its_closed_form_puts_below_the_bound():
+    # Delta U_T T >= hbar/2 fails for T below about 1/omega0 in the exact
+    # ground state itself: that row is info, at its exact value
+    from sedlab.analytic import energy_fluctuation
+
+    params = scenario_defaults("energy_time")[0]
+    grid = _default_grid("energy_time", **SMALL_GRIDS["energy_time"])
+    rows = {r.quantity: r for r in run_scenario("energy_time", params, grid).rows}
+    for t in (1, 10, 100, 1000, 10000):
+        row = rows[f"uncertainty_product_T{t}"]
+        t_eff = window_samples(t, grid.dt) * grid.dt
+        exact = energy_fluctuation(params, t_eff).window_exact * t_eff
+        if t == 1:
+            assert exact < 0.5 * params.hbar
+            assert (row.kind, row.analytic, row.passed) == ("info", exact, None)
+            assert "hbar/2 = 0.5 " in row.note
+        else:
+            assert exact >= 0.5 * params.hbar
+            assert (row.kind, row.analytic) == ("lower_bound", 0.5 * params.hbar)
 
 #: numpy's single-precision names: every value in ``src/`` is double
 SINGLE_NAMES = {"float32", "complex64", "single", "csingle"}

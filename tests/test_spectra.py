@@ -27,10 +27,18 @@ def simpson_moment(spectrum, n, a, b, subdiv=200_000):
     return h / 3 * (ys[0] + ys[-1] + 4 * ys[1::2].sum() + 2 * ys[2:-1:2].sum())
 
 
+#: (hbar, m) pairs and frequencies off 1, where a wrong power of omega,
+#: hbar or m would show
+SCALES = ((1.0, 1.0), (0.3, 2.5), (7.0, 0.04))
+OMEGAS = (1.0, 0.2, 2.5, 17.0, 300.0)
+
+
 def test_zpf_field_spectrum_value():
-    assert field_spectrum(ZPF, PARAMS, 1.0) == pytest.approx(
-        0.01 / math.pi, rel=1e-14
-    )
+    for hbar, m in SCALES:
+        params = replace(PARAMS, hbar=hbar, m=m)
+        for w in OMEGAS:
+            assert field_spectrum(ZPF, params, w) == pytest.approx(
+                hbar * 0.01 * w ** 3 / (math.pi * m), rel=1e-14), (hbar, m, w)
 
 
 def test_all_models_vanish_at_zero_frequency():
@@ -69,11 +77,13 @@ def test_planck_at_a_subnormal_temperature_is_the_zeropoint_spectrum(kT):
 
 
 def test_rayleigh_jeans_is_classical_substitution():
-    # hbar*omega -> 2 kT turns tau w^3/pi into 2 kT tau w^2 / pi
+    # hbar*omega -> 2 kT turns hbar tau w^3/(pi m) into 2 kT tau w^2/(pi m)
     kT = 0.7
-    w = 2.5
-    got = field_spectrum(RAYLEIGH_JEANS, replace(PARAMS, kT=kT), w)
-    assert got == pytest.approx(2.0 * kT * 0.01 * w ** 2 / math.pi, rel=1e-14)
+    for hbar, m in SCALES:
+        params = replace(PARAMS, kT=kT, hbar=hbar, m=m)
+        for w in OMEGAS:
+            assert field_spectrum(RAYLEIGH_JEANS, params, w) == pytest.approx(
+                2.0 * kT * 0.01 * w ** 2 / (math.pi * m), rel=1e-14), (hbar, m, w)
 
 
 def test_an_unknown_field_kind_is_refused():

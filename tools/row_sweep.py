@@ -10,7 +10,11 @@ margin is its distance from the analytic value over its allowance,
 max(tolerance * |analytic|, 3 * stderr), the quantity ``Row.passed``
 compares with 1: |estimated - analytic| for a match row, and for a bound
 row the signed excess past its bound, negative on the allowed side.  A
-row fails where its margin exceeds 1.  Info rows neither pass nor fail
+bound row with no allowance (a KS row, whose bound is its critical
+distance, and the rows bounded with a zero stderr) takes the ratio of
+estimate to bound instead, bound to estimate for a lower bound, so that
+a KS row's margin is d over its critical value.  A row fails where its
+margin exceeds 1.  Info rows neither pass nor fail
 and are left out.  Reports are the same at every jobs value, so each
 runs on ``os.cpu_count()`` threads.
 
@@ -38,9 +42,13 @@ def margin(row) -> float:
               "lower_bound": row.analytic - row.estimated,
               "upper_bound": row.estimated - row.analytic}[row.kind]
     allowance = max(row.tolerance * abs(row.analytic), 3.0 * row.stderr)
-    if allowance == 0.0:
-        return math.inf if excess > 0.0 else 0.0
-    return excess / allowance
+    if allowance > 0.0:
+        return excess / allowance
+    if row.kind == "upper_bound" and row.analytic > 0.0:
+        return row.estimated / row.analytic
+    if row.kind == "lower_bound" and row.estimated > 0.0:
+        return row.analytic / row.estimated
+    return math.inf if excess > 0.0 else 0.0
 
 
 def seed_range(text: str) -> range:
