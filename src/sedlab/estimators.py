@@ -84,26 +84,6 @@ def spectrum_from_power(power: np.ndarray, n: int, dt: float) -> np.ndarray:
     return values
 
 
-def mean_square(coeffs: np.ndarray, n: int) -> float:
-    """Time average of x^2 for x = irfft(coeffs, n), by Parseval.
-
-    ``coeffs`` may stop short of the Nyquist bin: entries j = 0..b-1 of the
-    half-spectrum, b <= n//2 + 1, with zeros above (a band).
-
-    One pass and no temporary: sum_j |c_j|^2 is the inner product of the
-    coefficients' float64 view with itself (``einsum``; see "No BLAS" in
-    the module notes).  Every bin counts twice but j = 0 and an even-n
-    Nyquist bin, which appear once.  A non-contiguous input is copied
-    first.
-    """
-    c = np.ascontiguousarray(coeffs, dtype=complex)
-    v = c.view(np.float64)
-    total = 2.0 * np.einsum("i,i->", v, v) - (v[0] ** 2 + v[1] ** 2)
-    if n % 2 == 0 and c.size == n // 2 + 1:
-        total -= v[-2] ** 2 + v[-1] ** 2
-    return float(total) / n ** 2
-
-
 def _lag_samples(max_lag: float, dt: float) -> int:
     """max_lag in samples; InvalidParams unless max_lag is finite and >= 0."""
     if not (math.isfinite(max_lag) and max_lag >= 0):
@@ -381,39 +361,52 @@ def ks_sf(d: float, n: int) -> float:
     return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * z * z) for k in range(1, 6))
 
 
-def decorrelated(coeffs: np.ndarray, n: int, dt: float, t_decorr: float) -> np.ndarray:
-    """The samples x[::s] of x = irfft(coeffs, n) at the decorrelation
-    spacing, for independence-based tests, without forming x.
+def fold_bins(n: int, dt: float, t_decorr: float) -> int:
+    """The fold length L = n/gcd(s, n) of ``fold`` and ``decorrelated`` at
+    the stride s: t_decorr/dt rounded up to a multiple of STRIDE_QUANTUM,
+    so that on a power-of-two lattice L is at most n/STRIDE_QUANTUM."""
+    return n // math.gcd(_stride(dt, t_decorr), n)
+
+
+def _stride(dt: float, t_decorr: float) -> int:
+    return STRIDE_QUANTUM * -(-max(1, int(round(t_decorr / dt))) // STRIDE_QUANTUM)
+
+
+def fold(coeffs: np.ndarray, n: int, dt: float, t_decorr: float) -> np.ndarray:
+    """The half-spectrum of x = irfft(coeffs, n) folded onto L =
+    ``fold_bins(n, dt, t_decorr)`` bins, the L//2 + 1 entries that
+    ``decorrelated`` transforms into the samples x[::s].
 
     ``coeffs`` holds the half-spectrum entries j = 0..b-1, b <= n//2 + 1,
-    with zeros above (a band; see ``mean_square``).  The stride s is
-    t_decorr/dt rounded up to a multiple of STRIDE_QUANTUM, so that on a
-    power-of-two lattice L = n/gcd(s, n) is at most n/STRIDE_QUANTUM.
-
-    By the aliasing theorem, x[s m] depends on the spectrum only through its
-    fold onto L bins, F_r = sum_q X_{r + qL} over the full Hermitian
-    spectrum: x[s m] = (L/n) irfft(F, L)[(s/gcd) m mod L].  The band and its
-    conjugate mirror (bin -j mod L) are folded separately; j = 0 and an
-    even-n Nyquist bin, which are their own mirrors, enter at half weight,
-    so that, as in ``irfft``, only their real parts count.  The cost is
-    one pass over the band and one L-point transform.  The result is a
-    fresh array.
+    with zeros above (a band).  By the aliasing theorem, x[s m] depends on
+    the spectrum only through F_r = sum_q X_{r + qL} over the full
+    Hermitian spectrum, so the band is folded by one reshape-sum, and entry
+    r is F_r + conj(F_{-r mod L}); j = 0 and an even-n Nyquist bin, which
+    are their own mirrors, enter at half weight, so that, as in ``irfft``,
+    only their real parts count.  A real input (a mean power E|X_j|^2,
+    which folds to each entry's variance) gives a real result.
     """
     coeffs = np.asarray(coeffs)
-    b = coeffs.size
-    s = STRIDE_QUANTUM * -(-max(1, int(round(t_decorr / dt))) // STRIDE_QUANTUM)
+    b, bins = coeffs.size, fold_bins(n, dt, t_decorr)
+    whole, rest = divmod(b, bins)
+    folded = np.sum(coeffs[: whole * bins].reshape(whole, bins), axis=0,
+                    dtype=np.result_type(coeffs, float))
+    folded[:rest] += coeffs[whole * bins :]
+    folded[0] -= 0.5 * coeffs[0]
+    if n % 2 == 0 and b == n // 2 + 1:
+        folded[(n // 2) % bins] -= 0.5 * coeffs[-1]
+    r = np.arange(bins // 2 + 1)
+    return folded[r] + np.conj(folded[-r % bins])
+
+
+def decorrelated(half: np.ndarray, n: int, dt: float, t_decorr: float) -> np.ndarray:
+    """The samples x[::s] at the decorrelation spacing, for
+    independence-based tests, from the L//2 + 1 folded entries ``half`` of
+    ``fold`` (of a member's band, or drawn by their law), without forming
+    x: x[s m] = (L/n) irfft(half, L)[(s/g) m mod L], g = gcd(s, n).  The
+    cost is one L-point transform; the result is a fresh array."""
+    s = _stride(dt, t_decorr)
     g = math.gcd(s, n)
     bins = n // g
-    whole, rest = divmod(b, bins)
-    fold = np.zeros(bins, dtype=complex)
-    if whole:
-        np.sum(coeffs[: whole * bins].reshape(whole, bins), axis=0, out=fold)
-    fold[:rest] += coeffs[whole * bins :]
-    fold[0] -= 0.5 * coeffs[0]
-    if n % 2 == 0 and b == n // 2 + 1:
-        fold[(n // 2) % bins] -= 0.5 * coeffs[-1]
-    r = np.arange(bins // 2 + 1)
-    half = fold[r] + np.conj(fold[-r % bins])
     picks = (s // g) * np.arange((n - 1) // s + 1) % bins
     return (bins / n) * np.fft.irfft(half, bins)[picks]
-

@@ -11,16 +11,18 @@ in index order, and embeds the fully resolved configuration in the
 report, so a report is a deterministic function of (name, params, grid)
 for any worker count.
 
-Every scenario forms its response one way: the half-spectrum coefficients
-of its field (a ``noise.Synthesis`` draw; for the dipoles, one draw per
-normal mode, each from its own sub-seed of the member) times the gains of
+Every scenario's response X is the half-spectrum coefficients of its
+field (a ``noise.Synthesis`` draw) times the gains H of
 ``dynamics.response_transfer``, the periodic steady state on the synthesis
 lattice, with no burn-in (for the free particle, its exact free response).
-Every half-spectrum, from the draw to the transform, holds the band
-j = 0..j_max alone (the draw, the gains, X, its power, the group sums and
-their totals): above the band the field has no power, and
-``irfft(band, n)`` pads the zero tail itself, so no member writes,
-multiplies or transforms it.
+Every half-spectrum holds the band j = 0..j_max alone (the draw, the gains,
+X, its power, the group sums and their totals): above the band the field
+has no power, and ``irfft(band, n)`` pads the zero tail itself, so nothing
+writes, multiplies or transforms it.  Only coherent_decay's members and
+``--emit trajectories`` draw X itself; every other scenario draws the law
+of what its rows read, built on one fact: each bin's power |X_j|^2 is its
+mean 2 a_j^2 |H_j|^2 times an independent standard exponential (Brockwell
+& Davis, *Time Series: Theory and Methods*, §10.3).
 commutators, energy_time, free_thermal and free_zpf read only each
 group's summed power |X_j|^2, drawn with no member (``draw_power_groups``),
 and its linear maps, one transform per group (free_zpf's fit weights, each
@@ -32,23 +34,26 @@ theorem, ``_energy_covariance``).
 commutators inverse-transforms only the ensemble power: its one
 per-group value, c_xp(0) by the Hilbert route, is one linear functional K
 of the power (``estimators.hilbert_zero_functional``), so each group's is
-the product K |X_j|^2, with no transform.  Variances come from the band of
-X by Parseval (``estimators.mean_square``: one pass over the coefficients,
-no power array), and KS subsamples from folds of it
-(``estimators.decorrelated``: one transform of at most n/32 points on a
-power-of-two lattice), in the one member routine of the steady-state
-normal modes (``_mode_members``), so ground_state, planck_thermal and
-dipoles form no n-point series; their energies and cross moments are
-formed after the run, from the members' arrays.  The only member series
-is the stationary part of coherent_decay (whose kicked start adds the
-homogeneous decay by linearity), one transform per member.  A momentum
+the product K |X_j|^2, with no transform.
+ground_state, planck_thermal and dipoles read a member's Parseval
+variances, linear in its power, and its KS subsamples, which by the
+aliasing theorem depend on X only through its fold onto L <= n/32 bins
+(``estimators.fold``).  Their one member routine (``_mode_members``)
+draws, per mode, the power (j_max exponentials) and each fold's L/2 + 1
+independent complex Gaussian entries (``_fold_law``), never 2 j_max
+normals, and transforms each fold (``estimators.decorrelated``).  Their
+energies and cross moments are formed after the run, from the members'
+arrays.  The only member series is the stationary part of coherent_decay
+(whose kicked start adds the homogeneous decay by linearity), one
+transform per member.  A momentum
 correlation takes no transform of its own: the momentum gain T is a
 trapezoid recursion (``dynamics.apply_momentum_gain``), so C_pp comes from
 C_xp and c_pp from c_xx, each by one cumulative sum; elsewhere P is T X.
 
-``--emit trajectories`` rebuilds member 0 from its seed apart from the
-members (``_emit_member_zero``), outside it where only groups are drawn;
-coherent_decay, whose members are not one steady state, writes none.
+``--emit trajectories`` draws member 0's band from its seed
+(``_emit_member_zero``), apart from the ensemble: a draw of the same law,
+not the values the rows read, wherever only groups, powers or folds are
+drawn; coherent_decay, whose members are not one steady state, writes none.
 ``report`` writes every file.
 
 Every ensemble, the property suite's included, is reduced by
@@ -61,11 +66,12 @@ none empty.
 Members reuse memory.  Each scenario call sets its field synthesis up once
 (``noise.field_synthesis``) and makes a ``Workspace``: complex buffers of
 n//2 + 1 entries, a set per thread, at most two, which every member and
-every drawn group of that thread writes its band and n-point
-intermediates into (``out=``).  The rule: a value the reducer keeps (a
-scalar, a KS subsample, a summed power or structure function) is a fresh
-array, since a pool thread starts its next member before the reducer has
-read the last; everything else lives in the workspace.
+every drawn group of that thread writes its band, power draw and n-point
+intermediates into (``out=``).  The rule: a value the
+reducer keeps (a scalar, a KS subsample, a summed power or structure
+function) is a fresh array, since a pool thread starts its next member
+before the reducer has read the last; everything else lives in the
+workspace.
 """
 
 from __future__ import annotations
@@ -93,6 +99,8 @@ from .estimators import (
     HILBERT_MARGIN,
     commutator_from_spectrum,
     decorrelated,
+    fold,
+    fold_bins,
     hilbert_commutator,
     hilbert_transform,
     hilbert_zero_functional,
@@ -100,7 +108,6 @@ from .estimators import (
     ks_distance,
     ks_sf,
     lag_count,
-    mean_square,
     mean_square_displacement,
     mean_square_displacement_variance,
     spectrum_from_power,
@@ -223,6 +230,18 @@ def run_ensemble(worker, n_ensemble: int, jobs: int, summed=()) -> Ensemble:
     return Ensemble(n_ensemble, sums, {key: np.hstack(v) for key, v in values.items()})
 
 
+def _mean_power(synthesis, H) -> np.ndarray:
+    """The mean power E|X_j|^2 = 2 a_j^2 |H_j|^2 of X = E H on the band
+    (a = ``synthesis.amplitude``), nil at j = 0, which the draw leaves
+    empty; a fresh array."""
+    power = np.abs(H)
+    power[0] = 0.0
+    power[1:] *= synthesis.amplitude
+    np.square(power, out=power)
+    power *= 2.0
+    return power
+
+
 def draw_power_groups(synthesis, H, grid: GridSpec, jobs: int, linear) -> Ensemble:
     """The group sums of the grid's n_ensemble members' power |X_j|^2,
     X = E H, drawn with no member, in ``run_ensemble``'s groups: |X_j|^2 is
@@ -232,7 +251,7 @@ def draw_power_groups(synthesis, H, grid: GridSpec, jobs: int, linear) -> Ensemb
     ``standard_gamma(m)`` per bin, drawn from ``group_seed(grid.seed, g)``.
     ``linear`` maps a group's fresh power to a dict of arrays linear in it."""
     sizes = np.bincount(_member_groups(grid.n_ensemble))
-    mean = 2.0 * np.square(np.abs(H[1:]) * synthesis.amplitude)
+    mean = _mean_power(synthesis, H)[1:]
 
     def worker(g):
         pw = np.zeros(H.size)
@@ -291,10 +310,11 @@ def _mode_seeds(seed: int, k: int, n_modes: int) -> list:
 
 def _emit_member_zero(emitter: Emitter, scenario: str, grid: GridSpec, synthesis, modes,
                       label=None):
-    """``--emit trajectories``: member 0's x and p (and, given the field's
-    ``label``, its field), rebuilt from the grid's seed apart from the
-    members.  ``modes`` are (H, params) pairs, drawn as in the member
-    (``_mode_seeds``); the dipoles' x = (x+ + x-)/sqrt(2)."""
+    """``--emit trajectories``: x and p (and, given the field's ``label``,
+    its field) of a band drawn from member 0's seeds (``_mode_seeds``),
+    apart from the ensemble: a draw of the same law as member 0, not the
+    values the rows read.  ``modes`` are (H, params) pairs; the dipoles'
+    x = (x+ + x-)/sqrt(2)."""
     if not emitter.wants("trajectories"):
         return
     # the sidecars' seed0 is a sequence of its own: spawning the modes'
@@ -429,37 +449,95 @@ def _momentum_commutator(c_xx, spec_x, domega: float, T, g: float) -> np.ndarray
     return apply_momentum_gain(even, -g, 0.0)
 
 
+def _fold_law(power, n: int, dt: float, t_dec: float, T=None, p_power=None):
+    """The law of a member's folded entries (``estimators.fold``) at the
+    spacing ``t_dec`` of X, and given the momentum gain ``T``, of X and
+    P = T X jointly, from the band's mean powers ``power`` = E|X_j|^2 and
+    ``p_power`` = |T_j|^2 E|X_j|^2.
+
+    An entry r sums independent circular Gaussian bins j = r and the
+    conjugates of bins j = -r (mod L), so the entries are independent
+    circular Gaussians, real at r = 0 and (L even) at L/2, of variance
+    V = fold(power).  The pair's covariance is the fold of
+    power [[1, conj T], [T, |T|^2]], a mirror bin adding conj T below the
+    diagonal: [[V, conj K], [K, Q]], K = fold(power T), Q = fold(p_power),
+    with Cholesky factor [[a, 0], [b, c]].  Returns ``unit``, each entry's
+    scale of its real and imaginary standard normals (1/sqrt 2 each, or 1
+    and 0 at a real entry), and the factors (a,) or (a, b, c).
+    """
+    v = fold(power, n, dt, t_dec)
+    unit = np.full((v.size, 2), math.sqrt(0.5))
+    unit[0] = 1.0, 0.0
+    if fold_bins(n, dt, t_dec) % 2 == 0:
+        unit[-1] = 1.0, 0.0
+    a = np.sqrt(v)
+    if T is None:
+        return unit, (a,)
+    k = fold(power * T, n, dt, t_dec)
+    b = np.divide(k, a, out=np.zeros_like(k), where=a > 0.0)
+    # Q - |K|^2/V, which rounding may take just below 0 where one bin dominates
+    c = np.sqrt(np.maximum(fold(p_power, n, dt, t_dec) - np.square(np.abs(b)), 0.0))
+    return unit, (a, b, c)
+
+
+def _draw_fold(rng, unit, factors) -> tuple:
+    """A member's folded entries of X (and of P) by ``_fold_law``'s law,
+    from one standard normal pair per entry and variable."""
+    z = rng.standard_normal((len(factors) // 2 + 1, *unit.shape))
+    z *= unit
+    z = z.view(complex)[..., 0]
+    if len(factors) == 1:
+        return (factors[0] * z[0],)
+    a, b, c = factors
+    return a * z[0], b * z[0] + c * z[1]
+
+
 def _mode_members(name: str, field: str, params: SystemParams, grid: GridSpec,
                   modes, jobs: int, emitter: Emitter, x_dec=None, u_dec=None) -> Ensemble:
     """Members of independent steady-state normal modes (``modes``, their
-    SystemParams) of the field of kind ``field``: X = E H and P = T X in
-    buffers 0 and 1, drawn from ``_mode_seeds``.  Of mode i a member keeps
-    <x^2> and <p^2> by Parseval (``x_sq{i}``, ``p_sq{i}``), and given their
-    spacings, ``decorrelated`` x subsamples at ``x_dec`` (``x_sub{i}``) and
-    energy ones at ``u_dec`` (``u_sub{i}``).  Member 0's emitted
+    SystemParams) of the field of kind ``field``, drawn from the children
+    of their ``_mode_seeds`` seeds by the law of what the rows read.  Of
+    mode i a member keeps <x^2> and <p^2> by Parseval (``x_sq{i}``,
+    ``p_sq{i}``): its power |X_j|^2 is E|X_j|^2 e_j, e_j standard
+    exponentials, so each is an inner product of e with 2 E|X_j|^2/n^2
+    (times |T_j|^2 for p).  Given their spacings it keeps ``decorrelated``
+    x subsamples at ``x_dec`` (``x_sub{i}``) and energy ones at ``u_dec``
+    (``u_sub{i}``) of folds drawn by ``_fold_law``.  Member 0's emitted
     trajectories of a single mode carry its field."""
     dt, n = grid.dt, grid.n_samples
     synthesis = field_synthesis(field, params, grid)
     gains = [response_transfer(q, grid) for q in modes]
-    ws = Workspace(n)
     label = field if field == ZPF else f"{field}(kT={params.kT:g})"
     _emit_member_zero(emitter, name, grid, synthesis, [(H, q) for (H, _), q in zip(gains, modes)],
                       label if len(modes) == 1 else None)
+    ws = Workspace(n)
+    laws = []
+    for H, T in gains:
+        # E|X_j|^2, and E|P_j|^2 = |T_j|^2 E|X_j|^2 formed in place
+        power = _mean_power(synthesis, H)
+        p_power = np.abs(T)
+        np.square(p_power, out=p_power)
+        p_power *= power
+        laws.append((power[1:], p_power[1:],
+                     None if x_dec is None else _fold_law(power, n, dt, x_dec),
+                     None if u_dec is None else _fold_law(power, n, dt, u_dec, T, p_power)))
 
     def worker(k):
         res = {}
         seeds = _mode_seeds(grid.seed, k, len(modes))
-        for i, (q, (H, T), s) in enumerate(zip(modes, gains, seeds)):
-            X = _steady_state(synthesis, H, s, ws)
-            res[f"x_sq{i}"] = mean_square(X, n)
-            if x_dec is not None:
-                res[f"x_sub{i}"] = decorrelated(X, n, dt, x_dec)
-            if u_dec is not None:
-                x_u = decorrelated(X, n, dt, u_dec)
-            P = np.multiply(T, X, out=X)  # X is spent
-            res[f"p_sq{i}"] = mean_square(P, n)
-            if u_dec is not None:
-                res[f"u_sub{i}"] = _energy(q, x_u ** 2, decorrelated(P, n, dt, u_dec) ** 2)
+        for i, (q, (power, p_power, x_law, u_law), s) in enumerate(zip(modes, laws, seeds)):
+            power_rng, x_rng, u_rng = (np.random.default_rng(c) for c in s.spawn(3))
+            # in the workspace: fresh, j_max draws would stay behind as free
+            # heap in the thread's arena
+            e = power_rng.standard_exponential(out=ws.series(0)[: power.size])
+            res[f"x_sq{i}"] = 2.0 * np.einsum("i,i->", power, e) / n ** 2
+            res[f"p_sq{i}"] = 2.0 * np.einsum("i,i->", p_power, e) / n ** 2
+            if x_law is not None:
+                res[f"x_sub{i}"] = decorrelated(_draw_fold(x_rng, *x_law)[0], n, dt, x_dec)
+            if u_law is not None:
+                fx, fp = _draw_fold(u_rng, *u_law)
+                res[f"u_sub{i}"] = _energy(q, decorrelated(fx, n, dt, u_dec) ** 2,
+                                           decorrelated(fp, n, dt, u_dec) ** 2)
         return res
 
     return run_ensemble(worker, grid.n_ensemble, jobs)
@@ -478,8 +556,13 @@ def _scenario_ground_state(params: SystemParams, grid: GridSpec, field: str, job
     p_var, p_se = _mean_stderr(acc.values["p_sq0"])
     u_mean, u_se = _mean_stderr(_energy(params, acc.values["x_sq0"], acc.values["p_sq0"]))
 
+    # a member's x^2 and p^2 move together (one power draw), so the
+    # product's error is that of its linearization p_var x^2 + x_var p^2
+    # over the members (the delta method with their covariance), formed as
+    # heis (x^2/x_var + p^2/p_var) so that no square of heis can overflow
     heis = x_var * p_var
-    heis_se = heis * math.sqrt((x_se / x_var) ** 2 + (p_se / p_var) ** 2)
+    _, rel_se = _mean_stderr(acc.values["x_sq0"] / x_var + acc.values["p_sq0"] / p_var)
+    heis_se = heis * rel_se
 
     rows = [
         Row("x_variance", x_var, x_se, gs.x_var, 0.03),

@@ -17,21 +17,22 @@ finite on the lattice while the raw variance never sees the missing band.
 
 The draw is kept as its half-spectrum coefficients on the band j = 0..J
 (``Synthesis.draw``), the numpy ``rfft`` of the series with its zero tail
-left off: every scenario drives its periodic steady-state response with
-them directly, and ``synthesize_series``/``synthesize_field`` are their
-``irfft`` at n points, which pads the tail itself.
+left off: a periodic steady-state response is driven with them directly,
+and ``synthesize_series``/``synthesize_field`` are their ``irfft`` at n
+points, which pads the tail itself.  Most scenarios draw only the law of
+what their rows read from the synthesis amplitudes (``experiments``).
 
 Everything but the normals is fixed by (spectrum, grid), and a field's
 spectrum by its kind (``core.ZPF``, ``PLANCK``, ``RAYLEIGH_JEANS``) and the
 ``SystemParams`` it reads, so a scenario sets its synthesis up once
 (``field_synthesis``: the band j_max and the amplitudes
-0.5 n sqrt(S(omega_j) domega)) and each member's ``Synthesis.draw`` only
-draws the normals and scales them, into arrays the caller may reuse from
-member to member.  The dipoles need no second routine: their normal modes
-are driven by eps_pm = (eps1 +- eps2)/sqrt(2), which in each bin rotates
-the standard normals of the independent eps1, eps2 by 45 degrees and so is
-itself an independent pair with the same law; each mode is one ``draw``,
-from its own sub-seed of the member.
+0.5 n sqrt(S(omega_j) domega)) and each ``Synthesis.draw`` only draws the
+normals and scales them, into arrays the caller may reuse from draw to
+draw.  The dipoles need no second routine: their normal modes are driven
+by eps_pm = (eps1 +- eps2)/sqrt(2), which in each bin rotates the standard
+normals of the independent eps1, eps2 by 45 degrees and so is itself an
+independent pair with the same law; each mode is drawn from its own
+sub-seed of the member.
 
 Seed splitting: the sub-seed of ensemble member k is a pure function of
 (master seed, k) via numpy's SeedSequence spawn keys, so members can be
@@ -41,7 +42,7 @@ so is a group's seed (``group_seed``) for the power sums drawn by group.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,12 +92,13 @@ class Synthesis:
 
     j_max: int
     amplitude: np.ndarray
-    #: -amplitude, for the imaginary parts: (-a) b = -(a b) exactly, so
-    #: the normals need no negation pass
-    neg_amplitude: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "neg_amplitude", np.negative(self.amplitude))
+    @functools.cached_property
+    def neg_amplitude(self) -> np.ndarray:
+        """-amplitude, for the imaginary parts: (-a) b = -(a b) exactly, so
+        the normals need no negation pass; formed on the first ``draw``, so
+        that a scenario that draws no band does not form it."""
+        return np.negative(self.amplitude)
 
     def draw(self, seed, out=None, normals=None) -> np.ndarray:
         """Half-spectrum coefficients E_j (j = 0..j_max, the band) of the

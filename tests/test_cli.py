@@ -169,11 +169,11 @@ def test_config_file_seed_applies(tmp_path):
 
 
 def test_run_exits_1_when_a_row_fails(tmp_path, capsys):
-    # seed 156 at this tiny budget trips the position KS row (found by scan;
-    # at the 1% level a small fraction of seeds must fail by construction)
+    # seed 23 at this tiny budget trips the variance rows (found by scan;
+    # at 8 members a small fraction of seeds must fail by construction)
     cfg = write_config(tmp_path)
     out = tmp_path / "failing"
-    code = main(["run", "--config", str(cfg), "--seed", "156",
+    code = main(["run", "--config", str(cfg), "--seed", "23",
                  "--out", str(out)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import mean_square
 
 import sedlab.estimators as estimators
 from sedlab.core import RAYLEIGH_JEANS, ZPF, GridSpec, SystemParams
@@ -17,6 +18,7 @@ from sedlab.estimators import (
     commutator_from_spectrum,
     correlation,
     decorrelated,
+    fold,
     hilbert_commutator,
     hilbert_transform,
     hilbert_zero_functional,
@@ -24,7 +26,6 @@ from sedlab.estimators import (
     ks_distance,
     ks_sf,
     lag_count,
-    mean_square,
     mean_square_displacement,
     periodogram,
     spectrum_from_power,
@@ -510,7 +511,7 @@ def test_decorrelated_fold_matches_the_series_subsample(n, stride, band):
     coeffs = rng.standard_normal(band) + 1j * rng.standard_normal(band)
     x = np.fft.irfft(coeffs, n)
     dt = 0.25
-    sub = decorrelated(coeffs, n, dt, stride * dt)
+    sub = decorrelated(fold(coeffs, n, dt, stride * dt), n, dt, stride * dt)
     ref = x[::stride]
     assert sub.shape == ref.shape
     assert np.max(np.abs(sub - ref)) <= 1e-12 * np.ptp(x)
@@ -521,7 +522,8 @@ def test_decorrelated_rounds_its_stride_up_to_a_multiple_of_32():
     coeffs = np.random.default_rng(9).standard_normal(70000).astype(complex)
     x = np.fft.irfft(coeffs, n)
     # the dipoles' x+ stride: 26,667 samples becomes 26,688 (L = 16,384)
-    sub = decorrelated(coeffs, n, 0.1, 24.0 / (0.01 * 0.9))
+    t_dec = 24.0 / (0.01 * 0.9)
+    sub = decorrelated(fold(coeffs, n, 0.1, t_dec), n, 0.1, t_dec)
     assert sub.size == 40
     assert np.max(np.abs(sub - x[::26688])) <= 1e-12 * np.ptp(x)
 

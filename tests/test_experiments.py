@@ -10,11 +10,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
-from scipy.stats import kstwobign
+from scipy.stats import ks_2samp, kstest, kstwobign
 
 import sedlab.experiments as experiments
 from sedlab.core import ZPF, GridSpec, SystemParams, validate
@@ -24,12 +25,13 @@ from sedlab.estimators import (
     HILBERT_MARGIN,
     commutator_from_spectrum,
     decorrelated,
+    fold,
+    fold_bins,
     hilbert_commutator,
     hilbert_zero_functional,
     ks_critical,
     ks_sf,
     lag_count,
-    mean_square,
     mean_square_displacement,
     mean_square_displacement_variance,
     spectrum_from_power,
@@ -43,12 +45,17 @@ from sedlab.experiments import (
     ExperimentReport,
     Row,
     Workspace,
+    _draw_fold,
+    _energy,
     _energy_covariance,
+    _fold_law,
     _gain_scale,
     _lag_window,
+    _mean_power,
     _momentum_commutator,
     _mean_stderr,
     _window_variance,
+    _u_decorrelation_time,
     _x_decorrelation_time,
     _xp_correlations,
     draw_power_groups,
@@ -57,6 +64,7 @@ from sedlab.experiments import (
     scenario_defaults,
 )
 from sedlab.noise import field_synthesis, member_seed, synthesis_band, synthesize_field
+from sedlab.report import Emitter
 
 FAST_GRID = GridSpec(dt=0.1, n_samples=1 << 16, omega_cut=16.0, n_ensemble=8, seed=420)
 
@@ -363,21 +371,183 @@ def test_member_after_others_on_its_thread_equals_a_cold_member(name, monkeypatc
     assert _bytes(worker(3)) == _bytes(cold)
 
 
+def _member_from_children(seed, mode, synthesis, grid, x_dec, u_dec=None):
+    """A mode's member values rebuilt from the three children of its seed:
+    the power's exponentials from the first, the x fold from the second,
+    the energy's (x, p) fold from the third."""
+    n, dt = grid.n_samples, grid.dt
+    H, T = response_transfer(mode, grid)
+    power = _mean_power(synthesis, H)
+    p_power = np.abs(T) ** 2 * power
+    power_seed, x_seed, u_seed = seed.spawn(3)
+    e = np.random.default_rng(power_seed).standard_exponential(synthesis.j_max)
+    out = {"x_sq": 2.0 * power[1:] @ e / n ** 2, "p_sq": 2.0 * p_power[1:] @ e / n ** 2,
+           "x_sub": decorrelated(_draw_fold(np.random.default_rng(x_seed),
+                                            *_fold_law(power, n, dt, x_dec))[0], n, dt, x_dec)}
+    if u_dec is not None:
+        fx, fp = _draw_fold(np.random.default_rng(u_seed), *_fold_law(power, n, dt, u_dec, T,
+                                                                        p_power))
+        out["u_sub"] = _energy(mode, decorrelated(fx, n, dt, u_dec) ** 2,
+                               decorrelated(fp, n, dt, u_dec) ** 2)
+    return out
+
+
+def _check_member(member, mode_index, ref):
+    for key in ("x_sq", "p_sq"):
+        assert member[f"{key}{mode_index}"] == pytest.approx(ref[key], rel=1e-12)
+    for key in ("x_sub", "u_sub"):
+        if key in ref:
+            assert member[f"{key}{mode_index}"].tobytes() == ref[key].tobytes()
+
+
 def test_dipole_member_draws_each_mode_from_one_child_of_its_seed(monkeypatch):
     grid = _default_grid("dipoles", **SMALL_GRIDS["dipoles"])
     member = _member_worker(monkeypatch, "dipoles", grid)(3)
     params, grid = validate(scenario_defaults("dipoles")[0], grid)
     synthesis = field_synthesis(ZPF, params, grid)
-    band, n = synthesis.j_max + 1, grid.n_samples
-    t_dec = _x_decorrelation_time(params.mode_params(+1))
-    children = member_seed(grid.seed, 3).spawn(2)
-    for mode, sign, child in ((0, +1, children[0]), (1, -1, children[1])):
-        H, _ = response_transfer(params.mode_params(sign), grid)
-        # X *= H and H * X round some complex products differently, which
-        # mean_square alone need not show: the subsample bytes do
-        X = _response(synthesis, H[:band], child)
-        assert member[f"x_sq{mode}"] == mean_square(X, n)
-        assert member[f"x_sub{mode}"].tobytes() == decorrelated(X, n, grid.dt, t_dec).tobytes()
+    x_dec = _x_decorrelation_time(params.mode_params(+1))
+    for mode, sign, child in zip((0, 1), (+1, -1), member_seed(grid.seed, 3).spawn(2)):
+        _check_member(member, mode, _member_from_children(
+            child, params.mode_params(sign), synthesis, grid, x_dec))
+
+
+def test_ground_state_member_draws_power_and_folds_from_three_children_of_its_seed(monkeypatch):
+    grid = _default_grid("ground_state", **SMALL_GRIDS["ground_state"])
+    member = _member_worker(monkeypatch, "ground_state", grid)(3)
+    params, grid = validate(scenario_defaults("ground_state")[0], grid)
+    _check_member(member, 0, _member_from_children(
+        member_seed(grid.seed, 3), params, field_synthesis(ZPF, params, grid), grid,
+        _x_decorrelation_time(params), _u_decorrelation_time(params)))
+
+
+#: members per route in the drawn-against-band checks
+ROUTE_MEMBERS = 600
+
+
+@pytest.fixture(scope="module", params=[
+    pytest.param(("ground_state", None), id="ground_state"),
+    pytest.param(("planck_thermal", None), id="planck_thermal"),
+    pytest.param(("dipoles", +1), id="dipoles-plus"),
+    pytest.param(("dipoles", -1), id="dipoles-minus"),
+])
+def routes(request):
+    """One steady-state mode on its scenario's small grid, ROUTE_MEMBERS
+    members each by the drawn route (``_mode_members``) and by the band
+    route (``oracles.band_mode_members``), at both the position and the
+    energy spacing: each route's Ensemble and the folded entries it
+    transformed, (members, entries) arrays of x at the position spacing,
+    and of x and p at the energy one, with the mode's mean power folded at
+    those spacings."""
+    name, sign = request.param
+    _, _, field, _ = experiments.SCENARIO_DEFAULTS[name]
+    params, grid = validate(scenario_defaults(name)[0], _default_grid(
+        name, **dict(SMALL_GRIDS[name], n_ensemble=ROUTE_MEMBERS)), field=field)
+    mode = params if sign is None else params.mode_params(sign)
+    decs = (_x_decorrelation_time(mode), _u_decorrelation_time(mode))
+    out = {}
+    for route, module, run in (
+            ("drawn", experiments, lambda: experiments._mode_members(
+                name, field, params, grid, [mode], 1, Emitter(), *decs)),
+            ("band", oracles, lambda: oracles.band_mode_members(
+                field, params, grid, [mode], 1, *decs))):
+        halves, original = [], module.decorrelated
+        module.decorrelated = lambda half, *a: halves.append(np.array(half)) or original(half, *a)
+        try:
+            ens = run()
+        finally:
+            module.decorrelated = original
+        out[route] = ens, [np.array(halves[i::3]) for i in range(3)]
+    H, T = response_transfer(mode, grid)
+    power = _mean_power(field_synthesis(field, params, grid), H)
+    p_power = np.abs(T) ** 2 * power
+    n, dt = grid.n_samples, grid.dt
+    out["law"] = [fold(power, n, dt, decs[0]), fold(power, n, dt, decs[1]),
+                  fold(p_power, n, dt, decs[1])]
+    out["bins"] = [fold_bins(n, dt, t) for t in (decs[0], decs[1], decs[1])]
+    return out
+
+
+def _normalized(entries, variance, bins):
+    """Folded entries over their law's sd, as (members, parts) real arrays:
+    the real and imaginary parts of variance V/2 each, and of the real
+    entries (r = 0 and, L even, L/2) the real part, of variance V."""
+    real = np.zeros(variance.size, dtype=bool)
+    real[0] = True
+    real[-1] = bins % 2 == 0
+    assert np.all(entries[:, real].imag == 0.0)
+    sd = np.sqrt(np.where(real, variance, 0.5 * variance))
+    return np.hstack([entries.real / sd, (entries.imag / sd)[:, ~real]])
+
+
+def test_drawn_parseval_sums_follow_the_band_route(routes):
+    (drawn, _), (band, _) = routes["drawn"], routes["band"]
+    for key in ("x_sq0", "p_sq0"):
+        d, b = drawn.values[key], band.values[key]
+        assert abs(d.mean() - b.mean()) <= 4.0 * math.sqrt((d.var() + b.var()) / ROUTE_MEMBERS)
+        # each variance's standard error, from the fourth central moment
+        se = [math.sqrt((np.mean((v - v.mean()) ** 4) - v.var() ** 2) / ROUTE_MEMBERS)
+              for v in (d, b)]
+        assert abs(d.var() - b.var()) <= 4.0 * math.hypot(*se)
+    # x^2 and p^2 of a member move together on both routes (one power)
+    for ens in (drawn, band):
+        assert np.corrcoef(ens.values["x_sq0"], ens.values["p_sq0"])[0, 1] > 0.99
+
+
+def test_drawn_folds_follow_the_band_route(routes):
+    members = ROUTE_MEMBERS
+    for i, (variance, bins) in enumerate(zip(routes["law"], routes["bins"])):
+        d, b = (_normalized(routes[route][1][i], variance, bins) for route in ("drawn", "band"))
+        assert d.shape == b.shape == (members, bins)
+        # every part's mean over the members (sd 1/sqrt(members) on each route)
+        assert np.max(np.abs(d.mean(axis=0) - b.mean(axis=0))) <= 5.0 * math.sqrt(2.0 / members)
+        # and its variance (sd sqrt(2/members)), each route's near the law's 1
+        var_d, var_b = (np.mean(v ** 2, axis=0) for v in (d, b))
+        assert np.max(np.abs(var_d - var_b)) <= 5.0 * math.sqrt(4.0 / members)
+        for v in (var_d, var_b):
+            assert abs(v.mean() - 1.0) <= 5.0 * math.sqrt(2.0 / v.size / members)
+        assert ks_2samp(d.ravel(), b.ravel()).pvalue > 1e-3
+        assert kstest(b.ravel(), "norm").pvalue > 1e-3
+
+
+def test_drawn_energy_pair_covariance_follows_the_band_route(routes):
+    # the empirical 2x2 covariance of the folded (x, p) entries at the energy
+    # spacing, each entry normalized by sqrt(V_x V_p): it holds the mirror
+    # bins' conj(T), which the diagonal alone would not show
+    members = ROUTE_MEMBERS
+    vx, vp = routes["law"][1:]
+    covs = []
+    for route in ("drawn", "band"):
+        fx, fp = routes[route][1][1:]
+        covs.append(np.array([np.mean(np.abs(fx) ** 2, axis=0) / vx,
+                              np.mean(fp * np.conj(fx), axis=0) / np.sqrt(vx * vp),
+                              np.mean(np.abs(fp) ** 2, axis=0) / vp]))
+    # each normalized entry's sd is at most sqrt(2/members) on each route
+    assert np.max(np.abs(covs[0] - covs[1])) <= 5.0 * math.sqrt(4.0 / members)
+    # the cross term is not vacuous: x and p are strongly correlated in some bins
+    assert np.max(np.abs(covs[1][1])) > 0.5
+
+
+def test_heisenberg_stderr_matches_the_spread_over_ensembles():
+    # a member's x^2 and p^2 correlate near 1, so the product's error is
+    # sqrt(2) larger than independent errors would give: the stated stderr
+    # is the spread of the product over independent small-grid ensembles
+    grid = GridSpec(dt=0.1, n_samples=1 << 15, omega_cut=16.0, n_ensemble=16)
+    rows = [next(r for r in run_scenario("ground_state", grid=replace(grid, seed=seed)).rows
+                 if r.quantity == "heisenberg_product") for seed in range(1, 201)]
+    spread = np.std([r.estimated for r in rows], ddof=1)
+    stated = math.sqrt(np.mean([r.stderr ** 2 for r in rows]))
+    # 200 ensembles: the spread's own relative error is about 5%
+    assert stated == pytest.approx(spread, rel=0.2)
+
+
+def test_heisenberg_stderr_is_finite_at_a_far_action_scale():
+    # at hbar = 1e100 the product is 2.5e199, whose square overflows: its
+    # stderr must come from relative deviations, not from the product's own
+    params = SystemParams(hbar=1e100, m=1.0, omega0=1.0, tau=0.05)
+    grid = GridSpec(dt=0.25, n_samples=2514, omega_cut=10.0, n_ensemble=2)
+    row = next(r for r in run_scenario("ground_state", params, grid).rows
+               if r.quantity == "heisenberg_product")
+    assert math.isfinite(row.estimated) and math.isfinite(row.stderr) and row.stderr > 0.0
 
 
 @pytest.mark.parametrize("name, changes", [
