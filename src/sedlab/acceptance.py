@@ -23,7 +23,7 @@ from . import analytic
 from .core import ZPF, GridSpec, SystemParams, validate
 from .dynamics import canonical_momentum, simulate_oscillator
 from .estimators import commutator, correlation, periodogram
-from .experiments import run_ensemble, run_scenario
+from .experiments import run_scenario, sum_members
 from .noise import FieldRealization, field_synthesis, member_seed, synthesize_field
 from .spectra import field_spectrum
 
@@ -111,8 +111,7 @@ def _property_periodogram_calibration(jobs: int) -> tuple[list[str], bool]:
     def worker(k):
         return {"spectrum": periodogram(field(k).samples, grid.dt)}
 
-    mean_spec = run_ensemble(worker, grid.n_ensemble, jobs,
-                             summed=("spectrum",)).total("spectrum")
+    mean_spec = sum_members(worker, grid.n_ensemble, jobs).total("spectrum")
     omega = grid.domega * np.arange(1, mean_spec.size + 1)
     target = field_spectrum(ZPF, params, omega)
 
@@ -160,7 +159,7 @@ def _property_fourth_moment(jobs: int) -> tuple[list[str], bool]:
         # Gaussian identity: <x(t)^2 x(t')^2> - <x^2>^2 - 2 <x(t)x(t')>^2 = 0
         return {"resid": c2 - 2.0 * c ** 2}
 
-    resid = run_ensemble(worker, grid.n_ensemble, jobs, summed=("resid",)).total("resid")
+    resid = sum_members(worker, grid.n_ensemble, jobs).total("resid")
     scale = 2.0 * analytic.ground_state(params).x_var ** 2
     worst = float(np.max(np.abs(resid)) / scale)
     ok = worst < 0.10

@@ -56,12 +56,12 @@ not the values the rows read, wherever only groups, powers or folds are
 drawn; coherent_decay, whose members are not one steady state, writes none.
 ``report`` writes every file.
 
-Every ensemble, the property suite's included, is reduced by
-``run_ensemble`` (or drawn by ``draw_power_groups``) into an ``Ensemble``:
-each per-member key one array of its values joined in member order (a
-KS subsample key's is the pool), which the rows read as it is, and the
-group sums, a list of one array per group, min(N_GROUPS, n) groups and
-none empty.
+Every ensemble, the property suite's included, runs its members (or
+drawn groups) on up to ``jobs`` threads and reduces them in member order
+(``ensemble_reduce``): ``sum_members`` adds their arrays into the group
+sums of an ``Ensemble``, which ``draw_power_groups`` draws instead, and
+``join_members`` joins each key's values.  ``_group_bounds`` alone maps
+members to min(N_GROUPS, n) groups.
 
 Members reuse memory.  Each scenario call sets its field synthesis up once
 (``noise.field_synthesis``) and makes a ``Workspace``: complex buffers of
@@ -141,42 +141,67 @@ def ensemble_reduce(worker, n_ensemble: int, jobs: int, reducer, state):
     return state
 
 
+def _group_bounds(n_ensemble: int) -> list[range]:
+    """The members of each group, in group order: member k is in group
+    k * G // n, G = min(N_GROUPS, n), so every group holds a run of
+    consecutive members and group sizes differ by at most one."""
+    n_groups = min(N_GROUPS, n_ensemble)
+    starts = [-(-g * n_ensemble // n_groups) for g in range(n_groups + 1)]
+    return [range(a, b) for a, b in zip(starts, starts[1:])]
+
+
+def _collect(results: list, k: int, res) -> list:
+    results.append(res)
+    return results
+
+
+def sum_members(member, n_ensemble: int, jobs: int) -> "Ensemble":
+    """The ``Ensemble`` of ``member(k)``, a dict of arrays, for every
+    member: each array added into its group's sum in member order."""
+    starts = {members.start for members in _group_bounds(n_ensemble)}
+
+    def add(groups, k, res):
+        if k in starts:
+            # one array per group, never a stacked block: freeing a block
+            # this large would raise glibc's mmap threshold and leave freed
+            # heap untrimmed, raising later peak RSS
+            groups.append({key: np.array(v, dtype=float) for key, v in res.items()})
+        else:
+            for key, v in res.items():
+                groups[-1][key] += v
+        return groups
+
+    return Ensemble(n_ensemble, ensemble_reduce(member, n_ensemble, jobs, add, []))
+
+
+def join_members(member, n_ensemble: int, jobs: int) -> dict:
+    """Each key of ``member(k)``'s dict, its values joined in member order
+    (a scalar's 1-D, a KS subsample's the pool)."""
+    results = ensemble_reduce(member, n_ensemble, jobs, _collect, [])
+    return {key: np.hstack([res[key] for res in results]) for key in results[0]}
+
+
 class Ensemble:
-    """Member results of one scenario, reduced in member order.
+    """The group sums of an ensemble of n members: a list, in group order
+    (``_group_bounds``), of dicts of arrays summed over each group.
 
-    ``run_ensemble`` makes one from the results of its workers.  A worker
-    returns a dict of named values.  Arrays named in ``summed`` are added
-    into the sum of the member's group: the n members form
-    G = min(N_GROUPS, n) groups, member k in group k * G // n, so every
-    group holds a member and group sizes differ by at most one.  A summed
-    key holds a list of its G group sums.  Every other key holds one array,
-    its members' values joined in member order: a scalar's is 1-D, and a
-    KS subsample's is the pool.
-
-    Standard errors follow one rule.  The mean of a per-member value takes
-    the standard error over members (``_mean_stderr`` of its array).  A
-    functional of ensemble means takes the standard error of the same
+    A functional of ensemble means takes the standard error of the same
     functional over the group means, each group sum divided by its own
-    member count (``estimate``).
-
-    The sums and values are final when the Ensemble is made, so a summed
-    key's ensemble mean (``total``) and group means (``estimate``) are each
-    formed once, on first use, however many functionals use them.
+    member count (``estimate``).  The sums are final, so a key's ensemble
+    mean (``total``) and group means are each formed once, on first use.
     """
 
-    def __init__(self, n_ensemble: int, sums=None, values=None):
+    def __init__(self, n_ensemble: int, groups: list):
         self.n = n_ensemble
-        self.sizes = np.bincount(_member_groups(n_ensemble))
-        self.sums = {} if sums is None else sums
-        self.values = {} if values is None else values
+        self.groups = groups
         self._totals, self._group_means = {}, {}
 
     def total(self, key: str) -> np.ndarray:
         """Ensemble mean of a summed array."""
         if key not in self._totals:
-            total = np.zeros(np.shape(self.sums[key][0]))
-            for group_sum in self.sums[key]:
-                total += group_sum
+            total = np.zeros(np.shape(self.groups[0][key]))
+            for group in self.groups:
+                total += group[key]
             self._totals[key] = total / self.n
         return self._totals[key]
 
@@ -184,7 +209,8 @@ class Ensemble:
         """f of the ensemble mean of ``key``, with the standard error of f
         over the group means; f must not modify its argument."""
         if key not in self._group_means:
-            self._group_means[key] = [s / size for s, size in zip(self.sums[key], self.sizes)]
+            self._group_means[key] = [group[key] / len(members) for group, members
+                                      in zip(self.groups, _group_bounds(self.n))]
         _, se = _mean_stderr([f(m) for m in self._group_means[key]])
         return float(f(self.total(key))), se
 
@@ -195,39 +221,6 @@ def _mean_stderr(values) -> tuple[float, float]:
     if arr.size < 2:
         return float(arr.mean()), 0.0
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
-
-
-def _member_groups(n_ensemble: int) -> np.ndarray:
-    """The group of each member, in member order: min(N_GROUPS, n)
-    consecutive runs of members, none empty."""
-    return np.arange(n_ensemble) * min(N_GROUPS, n_ensemble) // n_ensemble
-
-
-def run_ensemble(worker, n_ensemble: int, jobs: int, summed=()) -> Ensemble:
-    """Run ``worker(k)`` for every member and reduce the results in order
-    into an ``Ensemble``, summing the arrays named in ``summed`` by group;
-    every other key's values are joined once, in member order, after the
-    reduce (``np.hstack``)."""
-    group = _member_groups(n_ensemble)
-
-    def add(acc, k, res):
-        sums, values = acc
-        for key, v in res.items():
-            if key not in summed:
-                values.setdefault(key, []).append(v)
-                continue
-            # one array per group, never a stacked block: freeing a block
-            # this large would raise glibc's mmap threshold and leave freed
-            # heap untrimmed, raising later peak RSS
-            group_sums = sums.setdefault(key, [])
-            if len(group_sums) == group[k]:  # the first member of its group
-                group_sums.append(np.array(v, dtype=float))
-            else:
-                group_sums[-1] += v
-        return acc
-
-    sums, values = ensemble_reduce(worker, n_ensemble, jobs, add, ({}, {}))
-    return Ensemble(n_ensemble, sums, {key: np.hstack(v) for key, v in values.items()})
 
 
 def _mean_power(synthesis, H) -> np.ndarray:
@@ -244,24 +237,22 @@ def _mean_power(synthesis, H) -> np.ndarray:
 
 def draw_power_groups(synthesis, H, grid: GridSpec, jobs: int, linear) -> Ensemble:
     """The group sums of the grid's n_ensemble members' power |X_j|^2,
-    X = E H, drawn with no member, in ``run_ensemble``'s groups: |X_j|^2 is
-    its mean 2 a_j^2 |H_j|^2 (a = ``synthesis.amplitude``) times a standard
-    exponential, independently per bin (Brockwell & Davis, *Time Series:
-    Theory and Methods*, §10.3), so m members sum to the mean times one
+    X = E H, drawn with no member: |X_j|^2 is its mean 2 a_j^2 |H_j|^2
+    (a = ``synthesis.amplitude``) times a standard exponential,
+    independently per bin (Brockwell & Davis, *Time Series: Theory and
+    Methods*, §10.3), so m members sum to the mean times one
     ``standard_gamma(m)`` per bin, drawn from ``group_seed(grid.seed, g)``.
     ``linear`` maps a group's fresh power to a dict of arrays linear in it."""
-    sizes = np.bincount(_member_groups(grid.n_ensemble))
+    groups = _group_bounds(grid.n_ensemble)
     mean = _mean_power(synthesis, H)[1:]
 
     def worker(g):
         pw = np.zeros(H.size)
-        np.random.default_rng(group_seed(grid.seed, g)).standard_gamma(sizes[g], out=pw[1:])
+        np.random.default_rng(group_seed(grid.seed, g)).standard_gamma(len(groups[g]), out=pw[1:])
         pw[1:] *= mean
         return linear(pw)
 
-    return Ensemble(grid.n_ensemble, ensemble_reduce(
-        worker, sizes.size, jobs,
-        lambda sums, g, res: {key: sums.get(key, []) + [v] for key, v in res.items()}, {}))
+    return Ensemble(grid.n_ensemble, ensemble_reduce(worker, len(groups), jobs, _collect, []))
 
 
 class Workspace:
@@ -271,9 +262,9 @@ class Workspace:
     the first request of a thread; ``series(i)`` is the same memory read as
     n real samples, so one buffer holds one intermediate at a time.  Every
     later member (or drawn group) on that thread writes into the same
-    buffers, so members do not page-fault fresh temporaries.  The buffers live as long as the Workspace (the
-    scenario call) and the thread (a pool thread ends with its
-    ``ensemble_reduce``).
+    buffers, so members do not page-fault fresh temporaries.  The buffers
+    live as long as the Workspace (the scenario call) and the thread (a
+    pool thread ends with its ``ensemble_reduce``).
     """
 
     def __init__(self, n: int):
@@ -361,16 +352,10 @@ def _u_decorrelation_time(params: SystemParams) -> float:
     return 12.0 / (params.tau * params.omega0 ** 2)
 
 
-def _energy(params: SystemParams, x_sq, p_sq, out=None):
+def _energy(params: SystemParams, x_sq, p_sq):
     """Oscillator energy (m omega0^2 x^2 + p^2/m)/2 from x^2 and p^2
-    (samples, or means: the steady-state x and p have zero mean).  Given
-    ``out`` (which may be x_sq), a series is formed in place, and p_sq is
-    overwritten."""
-    if out is None:
-        return 0.5 * (params.m * params.omega0 ** 2 * x_sq + p_sq / params.m)
-    np.multiply(params.m * params.omega0 ** 2, x_sq, out=out)
-    out += np.divide(p_sq, params.m, out=p_sq)
-    return np.multiply(0.5, out, out=out)
+    (samples, or means: the steady-state x and p have zero mean)."""
+    return 0.5 * (params.m * params.omega0 ** 2 * x_sq + p_sq / params.m)
 
 
 def _gain_scale(params: SystemParams) -> float:
@@ -493,7 +478,7 @@ def _draw_fold(rng, unit, factors) -> tuple:
 
 
 def _mode_members(name: str, field: str, params: SystemParams, grid: GridSpec,
-                  modes, jobs: int, emitter: Emitter, x_dec=None, u_dec=None) -> Ensemble:
+                  modes, jobs: int, emitter: Emitter, x_dec=None, u_dec=None) -> dict:
     """Members of independent steady-state normal modes (``modes``, their
     SystemParams) of the field of kind ``field``, drawn from the children
     of their ``_mode_seeds`` seeds by the law of what the rows read.  Of
@@ -502,8 +487,10 @@ def _mode_members(name: str, field: str, params: SystemParams, grid: GridSpec,
     exponentials, so each is an inner product of e with 2 E|X_j|^2/n^2
     (times |T_j|^2 for p).  Given their spacings it keeps ``decorrelated``
     x subsamples at ``x_dec`` (``x_sub{i}``) and energy ones at ``u_dec``
-    (``u_sub{i}``) of folds drawn by ``_fold_law``.  Member 0's emitted
-    trajectories of a single mode carry its field."""
+    (``u_sub{i}``) of folds drawn by ``_fold_law``.  Returns each key's
+    member values joined in member order (a scalar's 1-D, a subsample's the
+    pool).  Member 0's emitted trajectories of a single mode carry its
+    field."""
     dt, n = grid.dt, grid.n_samples
     synthesis = field_synthesis(field, params, grid)
     gains = [response_transfer(q, grid) for q in modes]
@@ -540,7 +527,7 @@ def _mode_members(name: str, field: str, params: SystemParams, grid: GridSpec,
                                            decorrelated(fp, n, dt, u_dec) ** 2)
         return res
 
-    return run_ensemble(worker, grid.n_ensemble, jobs)
+    return join_members(worker, grid.n_ensemble, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -552,25 +539,25 @@ def _scenario_ground_state(params: SystemParams, grid: GridSpec, field: str, job
     acc = _mode_members("ground_state", field, params, grid, [params], jobs, emitter,
                         x_dec=_x_decorrelation_time(params), u_dec=_u_decorrelation_time(params))
 
-    x_var, x_se = _mean_stderr(acc.values["x_sq0"])
-    p_var, p_se = _mean_stderr(acc.values["p_sq0"])
-    u_mean, u_se = _mean_stderr(_energy(params, acc.values["x_sq0"], acc.values["p_sq0"]))
+    x_var, x_se = _mean_stderr(acc["x_sq0"])
+    p_var, p_se = _mean_stderr(acc["p_sq0"])
+    u_mean, u_se = _mean_stderr(_energy(params, acc["x_sq0"], acc["p_sq0"]))
 
     # a member's x^2 and p^2 move together (one power draw), so the
     # product's error is that of its linearization p_var x^2 + x_var p^2
     # over the members (the delta method with their covariance), formed as
     # heis (x^2/x_var + p^2/p_var) so that no square of heis can overflow
     heis = x_var * p_var
-    _, rel_se = _mean_stderr(acc.values["x_sq0"] / x_var + acc.values["p_sq0"] / p_var)
+    _, rel_se = _mean_stderr(acc["x_sq0"] / x_var + acc["p_sq0"] / p_var)
     heis_se = heis * rel_se
 
     rows = [
         Row("x_variance", x_var, x_se, gs.x_var, 0.03),
         Row("p_variance", p_var, p_se, gs.p_var, 0.03),
         Row("mean_energy", u_mean, u_se, gs.mean_energy, 0.03),
-        _ks_row("position_ks", acc.values["x_sub0"], gs.x_cdf,
+        _ks_row("position_ks", acc["x_sub0"], gs.x_cdf,
                 f"KS vs Gaussian(var={gs.x_var:g}) at the 1% level, decorrelated samples"),
-        _ks_row("energy_ks", acc.values["u_sub0"], gs.energy_cdf,
+        _ks_row("energy_ks", acc["u_sub0"], gs.energy_cdf,
                 f"KS vs exponential(mean={gs.mean_energy:g}) at the 1% level"),
         Row("heisenberg_product", heis, heis_se,
             analytic.heisenberg_product(params), 0.06),
@@ -732,7 +719,7 @@ def _scenario_coherent_decay(params: SystemParams, grid: GridSpec, field: str, j
         X = _steady_state(synthesis, H, member_seed(grid.seed, k), ws)
         return {"x_sq": np.fft.irfft(X, n, out=ws.series(1))[:n_keep] ** 2}
 
-    acc = run_ensemble(worker, grid.n_ensemble, jobs, summed=("x_sq",))
+    acc = sum_members(worker, grid.n_ensemble, jobs)
     var_x = acc.total("x_sq")
 
     envelope = np.hypot(mean_x, hilbert_transform(mean_x))
@@ -871,7 +858,7 @@ def _scenario_dipoles(params: SystemParams, grid: GridSpec, field: str, jobs: in
     # an independent pair with the field's spectrum, so each is drawn directly
     acc = _mode_members("dipoles", field, params, grid, [pp, pm], jobs, emitter,
                         x_dec=_x_decorrelation_time(pp))
-    xp_sq, xm_sq, pp_sq, pm_sq = (acc.values[key] for key in ("x_sq0", "x_sq1", "p_sq0", "p_sq1"))
+    xp_sq, xm_sq, pp_sq, pm_sq = (acc[key] for key in ("x_sq0", "x_sq1", "p_sq0", "p_sq1"))
     # x1^2 + x2^2 = x+^2 + x-^2, x1 x2 = (x+^2 - x-^2)/2, likewise for p
     p_sq = pp_sq + pm_sq
     xp_var, xp_se = _mean_stderr(xp_sq)
@@ -887,9 +874,9 @@ def _scenario_dipoles(params: SystemParams, grid: GridSpec, field: str, jobs: in
             note="<x1 x2> = (<x+^2> - <x-^2>)/2"),
         Row("mean_energy_H", h_mean, h_se, pred.mean_H, 0.005,
             note="canonical-momentum energies; exact normal-mode value"),
-        _ks_row("mode_plus_ks", acc.values["x_sub0"], pred.rho_plus_cdf,
+        _ks_row("mode_plus_ks", acc["x_sub0"], pred.rho_plus_cdf,
                 "x+ vs its normal-mode Gaussian at the 1% level"),
-        _ks_row("mode_minus_ks", acc.values["x_sub1"], pred.rho_minus_cdf,
+        _ks_row("mode_minus_ks", acc["x_sub1"], pred.rho_minus_cdf,
                 "x- vs its normal-mode Gaussian at the 1% level"),
         Row("interaction_energy_series", pred.E_int_exact, 0.0,
             pred.E_int_paper_series, 0.0, kind="info",
@@ -906,7 +893,7 @@ def _scenario_planck_thermal(params: SystemParams, grid: GridSpec, field: str, j
     acc = _mode_members("planck_thermal", field, params, grid,
                         [params], jobs, emitter, u_dec=_u_decorrelation_time(params))
 
-    u_mean, u_se = _mean_stderr(_energy(params, acc.values["x_sq0"], acc.values["p_sq0"]))
+    u_mean, u_se = _mean_stderr(_energy(params, acc["x_sq0"], acc["p_sq0"]))
     boltz, complete = analytic.boltzmann_mean_energy(params)
     note = "Boltzmann sum over E_n = (n+1/2) hbar w0 vs the coth form"
     if not complete:
@@ -915,7 +902,7 @@ def _scenario_planck_thermal(params: SystemParams, grid: GridSpec, field: str, j
 
     rows = [
         Row("mean_energy", u_mean, u_se, pred.mean_energy, 0.03),
-        _ks_row("energy_ks", acc.values["u_sub0"], pred.energy_cdf,
+        _ks_row("energy_ks", acc["u_sub0"], pred.energy_cdf,
                 f"energy histogram vs exponential(mean={pred.mean_energy:.6g})"),
         Row("boltzmann_oracle", boltz, 0.0, pred.mean_energy, 1e-10,
             kind="match" if complete else "info", note=note),

@@ -15,7 +15,7 @@ from sedlab.core import GridSpec, SystemParams
 from sedlab.dynamics import response_transfer
 from sedlab.errors import SedlabError
 from sedlab.estimators import decorrelated, fold
-from sedlab.experiments import Ensemble, Workspace, _energy, _mode_seeds, _steady_state, run_ensemble
+from sedlab.experiments import Workspace, _energy, _mode_seeds, _steady_state, join_members
 from sedlab.noise import field_synthesis
 from sedlab.spectra import field_spectrum, position_transfer
 
@@ -80,7 +80,7 @@ def mean_square(coeffs: np.ndarray, n: int) -> float:
 
 
 def band_mode_members(field: str, params: SystemParams, grid: GridSpec, modes, jobs: int,
-                      x_dec=None, u_dec=None) -> Ensemble:
+                      x_dec=None, u_dec=None) -> dict:
     """``experiments._mode_members`` by the band route: each member draws
     its band X = E H of every mode (``noise.Synthesis.draw`` from
     ``_mode_seeds``, 2 j_max normals) and P = T X, and keeps the same keys,
@@ -108,4 +108,4 @@ def band_mode_members(field: str, params: SystemParams, grid: GridSpec, modes, j
                                            decorrelated(fold(P, n, dt, u_dec), n, dt, u_dec) ** 2)
         return res
 
-    return run_ensemble(worker, grid.n_ensemble, jobs)
+    return join_members(worker, grid.n_ensemble, jobs)

@@ -41,7 +41,6 @@ from sedlab.estimators import (
 from sedlab.experiments import (
     N_GROUPS,
     SCENARIO_NAMES,
-    Ensemble,
     ExperimentReport,
     Row,
     Workspace,
@@ -50,6 +49,7 @@ from sedlab.experiments import (
     _energy_covariance,
     _fold_law,
     _gain_scale,
+    _group_bounds,
     _lag_window,
     _mean_power,
     _momentum_commutator,
@@ -59,9 +59,10 @@ from sedlab.experiments import (
     _x_decorrelation_time,
     _xp_correlations,
     draw_power_groups,
-    run_ensemble,
+    join_members,
     run_scenario,
     scenario_defaults,
+    sum_members,
 )
 from sedlab.noise import field_synthesis, member_seed, synthesis_band, synthesize_field
 from sedlab.report import Emitter
@@ -434,7 +435,7 @@ def routes(request):
     """One steady-state mode on its scenario's small grid, ROUTE_MEMBERS
     members each by the drawn route (``_mode_members``) and by the band
     route (``oracles.band_mode_members``), at both the position and the
-    energy spacing: each route's Ensemble and the folded entries it
+    energy spacing: each route's member values and the folded entries it
     transformed, (members, entries) arrays of x at the position spacing,
     and of x and p at the energy one, with the mode's mean power folded at
     those spacings."""
@@ -482,7 +483,7 @@ def _normalized(entries, variance, bins):
 def test_drawn_parseval_sums_follow_the_band_route(routes):
     (drawn, _), (band, _) = routes["drawn"], routes["band"]
     for key in ("x_sq0", "p_sq0"):
-        d, b = drawn.values[key], band.values[key]
+        d, b = drawn[key], band[key]
         assert abs(d.mean() - b.mean()) <= 4.0 * math.sqrt((d.var() + b.var()) / ROUTE_MEMBERS)
         # each variance's standard error, from the fourth central moment
         se = [math.sqrt((np.mean((v - v.mean()) ** 4) - v.var() ** 2) / ROUTE_MEMBERS)
@@ -490,7 +491,7 @@ def test_drawn_parseval_sums_follow_the_band_route(routes):
         assert abs(d.var() - b.var()) <= 4.0 * math.hypot(*se)
     # x^2 and p^2 of a member move together on both routes (one power)
     for ens in (drawn, band):
-        assert np.corrcoef(ens.values["x_sq0"], ens.values["p_sq0"])[0, 1] > 0.99
+        assert np.corrcoef(ens["x_sq0"], ens["p_sq0"])[0, 1] > 0.99
 
 
 def test_drawn_folds_follow_the_band_route(routes):
@@ -760,10 +761,14 @@ def test_oscillator_scenario_rejects_omega0_zero_before_any_member(name, monkeyp
 
 
 def _check_group_sizes(n_ensemble):
-    sizes = Ensemble(n_ensemble).sizes
-    assert sizes.size == min(N_GROUPS, n_ensemble)
-    assert sizes.sum() == n_ensemble
-    assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
+    groups = _group_bounds(n_ensemble)
+    sizes = [len(members) for members in groups]
+    assert len(groups) == min(N_GROUPS, n_ensemble)
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    # consecutive runs that cover every member once, member k in group k * G // n
+    assert [k for members in groups for k in members] == list(range(n_ensemble))
+    for g, members in enumerate(groups):
+        assert all(k * len(groups) // n_ensemble == g for k in members)
 
 
 @pytest.mark.parametrize("n_ensemble", [1, 3, 4, 8, 12, 64, 100])
@@ -782,22 +787,22 @@ def _synthetic_worker(k):
 @given(st.integers(min_value=1, max_value=200))
 def test_grouping_invariants_and_member_order(n_ensemble):
     _check_group_sizes(n_ensemble)
-    acc = run_ensemble(_synthetic_worker, n_ensemble, 1, summed=("power",))
+    joined = join_members(_synthetic_worker, n_ensemble, 1)
     # a scalar key is a 1-D array, a subsample key the pool, in member order
-    assert np.array_equal(acc.values["k"], np.arange(n_ensemble))
+    assert np.array_equal(joined["k"], np.arange(n_ensemble))
     expected = [_synthetic_worker(k) for k in range(n_ensemble)]
-    assert np.array_equal(acc.values["value"], [e["value"] for e in expected])
-    assert np.array_equal(acc.values["sub"], np.concatenate([e["sub"] for e in expected]))
-    n_groups = min(N_GROUPS, n_ensemble)
-    groups = np.arange(n_ensemble) * n_groups // n_ensemble
+    assert np.array_equal(joined["value"], [e["value"] for e in expected])
+    assert np.array_equal(joined["sub"], np.concatenate([e["sub"] for e in expected]))
+    groups = _group_bounds(n_ensemble)
     # the nonempty groups of k * N_GROUPS // n, in their order: for n >= 8
     # the same groups, below it each member a group of its own
     _, wide = np.unique(np.arange(n_ensemble) * N_GROUPS // n_ensemble, return_inverse=True)
-    assert np.array_equal(wide, groups)
-    assert isinstance(acc.sums["power"], list) and len(acc.sums["power"]) == n_groups
-    for g in range(n_groups):
-        members = [e["power"] for e, gk in zip(expected, groups) if gk == g]
-        assert members and np.allclose(acc.sums["power"][g], np.sum(members, axis=0))
+    assert np.array_equal(wide, [g for g, members in enumerate(groups) for _ in members])
+    acc = sum_members(_synthetic_worker, n_ensemble, 1)
+    assert len(acc.groups) == len(groups)
+    for group, members in zip(acc.groups, groups):
+        assert group["k"] == sum(members)
+        assert np.allclose(group["power"], np.sum([expected[k]["power"] for k in members], axis=0))
     assert np.allclose(acc.total("power"),
                        np.mean([e["power"] for e in expected], axis=0))
 
@@ -816,14 +821,15 @@ def test_accumulator_identical_at_jobs_1_and_3(n_ensemble):
     synthesis, H = _small_response("commutators", 1 << 12)
 
     def digest(jobs):
-        acc = run_ensemble(_synthetic_worker, n_ensemble, jobs, summed=("power",))
+        joined = join_members(_synthetic_worker, n_ensemble, jobs)
+        acc = sum_members(_synthetic_worker, n_ensemble, jobs)
         drawn = draw_power_groups(synthesis, H, GridSpec(n_ensemble=n_ensemble, seed=7), jobs,
                                   lambda pw: {"window": np.cumsum(pw)})
-        assert len(drawn.sums["window"]) == min(N_GROUPS, n_ensemble)
-        return (acc.values["k"].tobytes(), _mean_stderr(acc.values["value"]),
-                acc.values["sub"].tobytes(),
-                [s.tobytes() for s in acc.sums["power"]], acc.estimate(np.sum, "power"),
-                [s.tobytes() for s in drawn.sums["window"]],
+        assert len(drawn.groups) == min(N_GROUPS, n_ensemble)
+        return (joined["k"].tobytes(), _mean_stderr(joined["value"]), joined["sub"].tobytes(),
+                [group["power"].tobytes() for group in acc.groups],
+                acc.estimate(np.sum, "power"),
+                [group["window"].tobytes() for group in drawn.groups],
                 drawn.estimate(lambda w: w[-1], "window"))
 
     assert digest(1) == digest(3)
@@ -842,12 +848,13 @@ def test_group_power_sums_follow_the_gamma_law(route):
     pooled, p_values = [], []
     for seed in range(6, 26):
         if route == "groups":
-            sums = draw_power_groups(synthesis, H, GridSpec(n_ensemble=n_ensemble, seed=seed), 1,
-                                     lambda pw: {"power": pw}).sums["power"]
+            groups = draw_power_groups(synthesis, H, GridSpec(n_ensemble=n_ensemble, seed=seed),
+                                       1, lambda pw: {"power": pw}).groups
         else:
-            sums = run_ensemble(
+            groups = sum_members(
                 lambda k: {"power": np.abs(_response(synthesis, H, member_seed(seed, k))) ** 2},
-                n_ensemble, 1, summed=("power",)).sums["power"]
+                n_ensemble, 1).groups
+        sums = [group["power"] for group in groups]
         assert len(sums) == N_GROUPS and all(s[0] == 0.0 for s in sums)
         z = np.concatenate([s[1:] / mean for s in sums])
         pooled.append(z)
@@ -862,7 +869,7 @@ def test_group_power_sums_follow_the_gamma_law(route):
 
 
 def test_group_means_are_formed_once_per_key():
-    acc = run_ensemble(_synthetic_worker, 20, 1, summed=("power",))
+    acc = sum_members(_synthetic_worker, 20, 1)
     seen = []
     first = acc.estimate(lambda m: seen.append(m) or float(m.sum()), "power")
     second = acc.estimate(lambda m: seen.append(m) or float(m.sum()), "power")
@@ -870,6 +877,41 @@ def test_group_means_are_formed_once_per_key():
     half = len(seen) // 2
     assert all(a is b for a, b in zip(seen[:half], seen[half:]))
     assert seen[half - 1] is acc.total("power")
+
+
+@pytest.mark.parametrize("name", ["ground_state", "dipoles"])
+def test_mode_members_join_their_members_in_member_order(name):
+    # 11 members on 3 threads, each member's values in its place
+    _, _, field, _ = experiments.SCENARIO_DEFAULTS[name]
+    params, grid = validate(scenario_defaults(name)[0], _default_grid(
+        name, **dict(SMALL_GRIDS[name], n_ensemble=11)), field=field)
+    modes = [params] if name == "ground_state" else [params.mode_params(s) for s in (+1, -1)]
+    x_dec = _x_decorrelation_time(modes[0])
+    acc = experiments._mode_members(name, field, params, grid, modes, 3, Emitter(), x_dec)
+    synthesis = field_synthesis(field, params, grid)
+    for i, mode in enumerate(modes):
+        members = [_member_from_children(experiments._mode_seeds(grid.seed, k, len(modes))[i],
+                                         mode, synthesis, grid, x_dec) for k in range(11)]
+        for key in ("x_sq", "p_sq"):
+            assert acc[f"{key}{i}"] == pytest.approx(np.array([m[key] for m in members]),
+                                                     rel=1e-12)
+        pool = np.concatenate([m["x_sub"] for m in members])
+        assert acc[f"x_sub{i}"].tobytes() == pool.tobytes()
+
+
+def test_an_ensemble_starts_no_more_threads_than_members(monkeypatch):
+    # jobs far beyond the members: only as many threads as there are members
+    grid = _default_grid("coherent_decay", n_ensemble=N_GROUPS)
+    serial = run_scenario("coherent_decay", grid=grid, jobs=1).to_json()
+    threads, steady_state = set(), experiments._steady_state
+
+    def recorded(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return steady_state(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_steady_state", recorded)
+    assert run_scenario("coherent_decay", grid=grid, jobs=64).to_json() == serial
+    assert 1 <= len(threads) <= grid.n_ensemble
 
 
 @pytest.mark.parametrize("name, n_samples, n_ensemble", [

@@ -1,14 +1,17 @@
 """Print the SHA-256 of every file a scenario run writes, and the property
 suite's lines, so that two checkouts can be compared byte for byte.
 
-For each jobs value, each scenario runs at its default params and grid and
-the given seed, with every emit kind (report, trajectories, spectra), into
-a temporary directory.  One line per file, ``jobs=J <file> <sha256>``,
-covers the reports (JSON and CSV) and every artifact with its sidecar.
+For each seed, in the order given, and each jobs value, each scenario runs
+at its default params and grid and that seed, with every emit kind
+(report, trajectories, spectra), into a temporary directory.  One line
+per file, ``jobs=J <file> <sha256>``, covers the reports (JSON and CSV)
+and every artifact with its sidecar.
 Then come the criterion-9 lines of ``sedlab verify`` at that jobs value.
-Run it in each checkout and compare with ``diff``:
+Several seeds print one seed's lines after another, so the output equals
+that of one run per seed.  Run it in each checkout and compare with
+``diff``:
 
-    python tools/report_digests.py --seed 202608 --jobs 1 2 > after.txt
+    python tools/report_digests.py --seed 202608 1 2 3 --jobs 1 2 > after.txt
 
 sedlab is imported from the ``src/`` directory of the checkout that holds
 this file.
@@ -50,12 +53,13 @@ def digests(seed: int, jobs: int):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=202608)
+    parser.add_argument("--seed", type=int, nargs="+", default=[202608])
     parser.add_argument("--jobs", type=int, nargs="+", default=[1, 2])
     args = parser.parse_args(argv)
-    for jobs in args.jobs:
-        for line in digests(args.seed, jobs):
-            print(line, flush=True)
+    for seed in args.seed:
+        for jobs in args.jobs:
+            for line in digests(seed, jobs):
+                print(line, flush=True)
     return 0
 
 
